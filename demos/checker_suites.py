@@ -9,11 +9,7 @@ on seeded samples, and every failure carries a witness that replays.
 Run:  python3 demos/checker_suites.py
 """
 
-from serreq import (
-    FixtureTheory, PPrimaryTheory, PrimeField, SinkSupportTheory, make_candidate,
-    run_suite,
-)
-from serreq.serre import check_saturating_axioms
+from serreq import FixtureTheory, PPrimaryTheory, PrimeField, SinkSupportTheory, run_suite
 from serreq.session import replay_witness, witness_to_jsonable
 
 SEED, N = 42, 20
@@ -44,10 +40,10 @@ for report in run_suite(fa, "gabriel-equiv", SEED, N, candidate_tag="twisted"):
 print("\n== negative control 1: quotient by 2-groups among ALL f.p. Z-modules ==")
 print("   (not localizing: Z has no saturated hull)")
 fx = FixtureTheory(2)
-fixture_report = summarize(check_saturating_axioms(fx, make_candidate(fx, None), SEED, N))
+fixture_report = summarize(run_suite(fx, "saturating", SEED, N)[0])
 
 print("\n== negative control 2: the identity functor as a candidate ==")
-summarize(check_saturating_axioms(fa, make_candidate(fa, "identity"), SEED, N))
+summarize(run_suite(fa, "saturating", SEED, N, "identity")[0])
 
 print("\n== failures replay from their serialized witnesses ==")
 witness = witness_to_jsonable(fixture_report.first_failure.witness)

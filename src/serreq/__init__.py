@@ -14,9 +14,7 @@ from .category import ShortExactSequence, rng_for
 from .linalg import Mat, PrimeField, QQ, int_kernel, int_solve, smith
 from .quiver import A2Engine, SinkSupportTheory
 from .serre import (
-    AxiomReport, ColimitHom, MonadData, QuotientMorphism, check_gabriel_equivalence,
-    check_idempotent, check_ker_q_equals_c, check_monad_laws,
-    check_saturating_axioms, check_zigzag, cokernel_in_sat, colift_H,
+    AxiomReport, ColimitHom, MonadData, QuotientMorphism, cokernel_in_sat, colift_H,
     make_candidate, monad_at, q_compose, q_eq, q_hom, q_hom_via_colimit, q_id,
     q_is_iso, q_is_zero, q_of, qmor_eq, quotient_invert, run_suite, w_on_morphism,
 )
@@ -29,9 +27,7 @@ __all__ = [
     "A2Engine", "AxiomReport", "ColimitHom", "FiniteAbelianEngine",
     "FixtureTheory", "Mat", "MonadData", "PPrimaryTheory", "PrimeField", "QQ",
     "QuotientMorphism", "ShortExactSequence", "SinkSupportTheory",
-    "ZModuleEngine", "check_gabriel_equivalence", "check_idempotent",
-    "check_ker_q_equals_c", "check_monad_laws", "check_saturating_axioms",
-    "check_zigzag", "cokernel_in_sat", "colift_H", "finite_subobject_embeddings",
+    "ZModuleEngine", "cokernel_in_sat", "colift_H", "finite_subobject_embeddings",
     "int_kernel", "int_solve", "make_candidate", "monad_at", "q_compose", "q_eq",
     "q_hom", "q_hom_via_colimit", "q_id", "q_is_iso", "q_is_zero", "q_of",
     "qmor_eq", "quotient_invert", "rng_for", "run_suite", "smith",

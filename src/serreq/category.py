@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .errors import CompositeNotZero, EndpointMismatch, NotInvertible
+from .errors import CompositeNotZero, EndpointMismatch, InputValidationError, NotInvertible
 from .linalg import (
     Mat, f_rank, f_solve, int_solve, presentation_enumerate,
     presentation_invariants,
@@ -51,6 +52,28 @@ class ShortExactSequence:
         return self.pi.dst
 
 
+def entry_to_json(x):
+    """A matrix entry as JSON: an integer, or "a/b" for a proper fraction."""
+    if isinstance(x, Fraction):
+        return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    return int(x)
+
+
+def entry_from_json(x):
+    """A JSON matrix entry (an integer, or a string "a" or "a/b") as an int
+    or a Fraction; anything else is an InputValidationError."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    if isinstance(x, str):
+        num, _, den = x.partition("/")
+        try:
+            return Fraction(int(num), int(den or "1"))
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise InputValidationError(
+        f"matrix entries must be integers or 'a/b' with b != 0, got {x!r}")
+
+
 class AbelianEngine:
     """Mixin with the engine-independent abelian category operations.
 
@@ -58,6 +81,12 @@ class AbelianEngine:
     add, neg, eq_mor, kernel_emb, cokernel_proj, lift_along_mono,
     colift_along_epi, zero test, hom_group, ext1_group, random_object,
     random_morphism) and inherit everything below.
+
+    Each engine also owns its JSON data format: decode_entry (one matrix
+    entry to an engine scalar), obj_to_payload / obj_from_payload,
+    mor_to_payload (with both endpoints), mor_between (a morphism payload
+    between decoded endpoints) and describe_invariants (the summary a
+    report prints for an object).  Decoders raise InputValidationError.
     """
 
     # -- derived constructions ------------------------------------------------
@@ -104,12 +133,6 @@ class AbelianEngine:
         assert inside is not None
         return self.cokernel_proj(inside).dst
 
-    def sub_quotient(self, mono_inner, mono_outer):
-        """The quotient object target(mono)/inner for inner factoring through outer."""
-        inside = self.lift_along_mono(mono_inner, mono_outer)
-        assert inside is not None
-        return self.cokernel_proj(inside).dst
-
     # -- short exact sequences -------------------------------------------------
 
     def random_ses(self, rng, size_bound) -> ShortExactSequence:
@@ -131,6 +154,49 @@ class AbelianEngine:
         if not self.is_mono(ses.iota) or not self.is_epi(ses.pi):
             return False
         return self.is_zero_obj(self.homology_at(ses.iota, ses.pi))
+
+    # -- JSON codecs shared by the engines ----------------------------------------
+
+    def mat_to_json(self, m: Mat):
+        return [[entry_to_json(x) for x in row] for row in m.data]
+
+    def mat_from_json(self, rows, expected_cols=None) -> Mat:
+        if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
+            raise InputValidationError("matrix payload must be a list of rows")
+        data = [[self.decode_entry(x) for x in r] for r in rows]
+        if not data:
+            if expected_cols is None:
+                raise InputValidationError("empty matrix needs an explicit column count")
+            return Mat.zeros(0, expected_cols)
+        cols = len(data[0])
+        if any(len(r) != cols for r in data):
+            raise InputValidationError("ragged matrix payload")
+        if expected_cols is not None and cols != expected_cols:
+            raise InputValidationError(f"expected {expected_cols} columns, got {cols}")
+        return Mat.from_rows(data, cols)
+
+    def checked_mor(self, f, where):
+        """f itself, or an InputValidationError when it is not well defined."""
+        if not self.is_well_defined(f):
+            raise InputValidationError(f"{where}: payload does not define a morphism")
+        return f
+
+    def mor_from_payload(self, payload, where="morphism"):
+        """A morphism from a payload that carries both endpoints."""
+        if not isinstance(payload, dict) or "src" not in payload or "dst" not in payload:
+            raise InputValidationError(f"{where}: morphism payloads need 'src' and 'dst'")
+        src = self.obj_from_payload(payload["src"], where + ".src")
+        dst = self.obj_from_payload(payload["dst"], where + ".dst")
+        return self.mor_between(src, dst, payload, where)
+
+    def ses_to_payload(self, ses: ShortExactSequence):
+        return {"iota": self.mor_to_payload(ses.iota), "pi": self.mor_to_payload(ses.pi)}
+
+    def ses_from_payload(self, payload, where="ses") -> ShortExactSequence:
+        if not isinstance(payload, dict) or "iota" not in payload or "pi" not in payload:
+            raise InputValidationError(f"{where}: sequence payloads need 'iota' and 'pi'")
+        return ShortExactSequence(self.mor_from_payload(payload["iota"], where + ".iota"),
+                                  self.mor_from_payload(payload["pi"], where + ".pi"))
 
 
 # ---------------------------------------------------------------------------
@@ -175,10 +241,6 @@ class ZHomGroup:
                       Mat.from_rows([vec], len(vec)))
         assert x is not None
         return tuple(x.data[0][:self.ngens])
-
-    def eq_elements(self, a, b) -> bool:
-        diff = Mat.from_rows([[x - y for x, y in zip(a, b)]], self.ngens)
-        return int_solve(self.relations, diff) is not None
 
     def add_elements(self, a, b):
         return tuple(x + y for x, y in zip(a, b))
@@ -253,10 +315,6 @@ class FieldHomGroup:
         x = f_solve(self.field, basis_rows, Mat.from_rows([vec], len(vec)))
         assert x is not None
         return tuple(x.data[0])
-
-    def eq_elements(self, a, b) -> bool:
-        z = self.field.normalize(0)
-        return all(self.field.normalize(x - y) == z for x, y in zip(a, b))
 
     def add_elements(self, a, b):
         return tuple(self.field.normalize(x + y) for x, y in zip(a, b))

@@ -19,7 +19,7 @@ import sys
 import time
 
 from . import __version__, serre, session
-from .errors import OracleUnsupported, SerreqError
+from .errors import SerreqError
 
 
 def _engine_descriptor(args) -> dict | None:
@@ -56,16 +56,9 @@ def _emit(doc, args):
         sys.stdout.write(text)
 
 
-def _describe_invariants(theory, m):
-    e = theory.engine
-    inv = e.invariants(m)
-    if theory.kind in ("finite_abelian", "fixture"):
-        return {"rank": inv[1], "divisors": list(inv[2])}
-    return {"dims": [m.d1, m.d2], "alpha_rank": inv[4]}
-
-
 def cmd_saturate(args) -> int:
     theory, sess = _resolve_theory(args, need_input=True)
+    e = theory.engine
     names = args.objects or sorted(sess.objects)
     results = []
     for name in names:
@@ -76,10 +69,10 @@ def cmd_saturate(args) -> int:
         hc = theory.h_c(m)
         results.append({
             "name": name,
-            "object": _describe_invariants(theory, m),
-            "w": _describe_invariants(theory, w),
-            "eta": session.mor_to_payload(theory, eta),
-            "h_c": _describe_invariants(theory, hc.src),
+            "object": e.describe_invariants(m),
+            "w": e.describe_invariants(w),
+            "eta": e.mor_to_payload(eta),
+            "h_c": e.describe_invariants(hc.src),
             "saturated": theory.is_saturated(m),
             "in_c": theory.is_in_c(m),
         })
@@ -126,6 +119,8 @@ def cmd_qhom(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.n < 0:
+        raise session.InputValidationError(f"--n must be at least 0, got {args.n}")
     theory, _ = _resolve_theory(args)
     suite = args.suite or "all"
     reports = serre.run_suite(theory, suite, args.seed, args.n, args.candidate)
@@ -228,9 +223,6 @@ def main(argv=None) -> int:
     args._elapsed_ms = lambda: round((time.perf_counter() - started) * 1000, 3)
     try:
         return args.fn(args)
-    except OracleUnsupported as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except SerreqError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

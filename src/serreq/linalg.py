@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from .errors import ShapeError
+from .errors import InputValidationError, ShapeError
 
 
 @dataclass(frozen=True)
@@ -478,12 +478,45 @@ def presentation_enumerate(rel: Mat, cap=4096):
 # fields
 
 
+# Miller-Rabin with the first thirteen primes as bases decides primality
+# exactly below this bound (OEIS A014233; twelve bases are fooled by
+# 318665857834031151167461).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_BOUND = 3317044064679887385961981
+
+
+def is_prime(n: int) -> bool:
+    """Whether n is prime; n >= MR_BOUND is an InputValidationError."""
+    if n >= MR_BOUND:
+        raise InputValidationError(f"{n} is too large for the primality test")
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class PrimeField:
     """The field F_p for a prime p; elements are residues in [0, p)."""
 
     def __init__(self, p):
-        if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
-            raise ValueError(f"{p} is not prime")
+        if not is_prime(p):
+            raise InputValidationError(f"{p} is not prime")
         self.p = p
 
     def normalize(self, x):
@@ -555,14 +588,6 @@ QQ = RationalField()
 
 def f_mul(field, A: Mat, B: Mat) -> Mat:
     return field.reduce_mat(A.mul(B))
-
-
-def f_add(field, A: Mat, B: Mat) -> Mat:
-    return field.reduce_mat(A.add(B))
-
-
-def f_sub(field, A: Mat, B: Mat) -> Mat:
-    return field.reduce_mat(A.sub(B))
 
 
 def f_rref(field, A: Mat):

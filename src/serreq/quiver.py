@@ -16,9 +16,12 @@ cokernel (coker alpha, 0), so nothing downstream may assume units epic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .category import AbelianEngine, FieldExtGroup, FieldHomGroup
-from .errors import EndpointMismatch, EngineMismatch, NotSaturatedError, ShapeError
+from .category import AbelianEngine, FieldExtGroup, FieldHomGroup, entry_from_json
+from .errors import (
+    EndpointMismatch, EngineMismatch, InputValidationError, NotSaturatedError, ShapeError,
+)
 from .linalg import Mat, f_inv, f_kernel, f_mul, f_rank, f_solve, flatten, unflatten
 
 
@@ -275,8 +278,48 @@ class A2Engine(AbelianEngine):
         total, _, _ = self.direct_sum(self.interval(a), self.simple_sink(b))
         return total
 
-    def describe_obj(self, m: A2Obj):
-        return {"dims": [m.d1, m.d2], "alpha": m.alpha.to_lists()}
+    # -- JSON codecs ------------------------------------------------------------------
+
+    def decode_entry(self, x):
+        """Over F_p an entry "a/b" is a times the inverse of b mod p."""
+        q = entry_from_json(x)
+        p = self.field.p
+        if p and isinstance(q, Fraction):
+            if q.denominator % p == 0:
+                raise InputValidationError(f"entry {x!r} has no value in {self.field.name}")
+            return q.numerator * pow(q.denominator, -1, p) % p
+        return q
+
+    def obj_to_payload(self, m: A2Obj):
+        return {"dims": [m.d1, m.d2], "alpha": self.mat_to_json(m.alpha)}
+
+    def obj_from_payload(self, payload, where="object") -> A2Obj:
+        if not isinstance(payload, dict):
+            raise InputValidationError(f"{where}: payload must be an object")
+        dims = payload.get("dims")
+        if (not isinstance(dims, list) or len(dims) != 2
+                or any(not isinstance(d, int) or d < 0 for d in dims)):
+            raise InputValidationError(f"{where}: quiver objects need 'dims': [d1, d2]")
+        mat = self.mat_from_json(payload.get("alpha", []), expected_cols=dims[1])
+        if mat.rows != dims[0]:
+            raise InputValidationError(f"{where}: alpha must have {dims[0]} rows")
+        return self.obj(dims[0], dims[1], mat)
+
+    def mor_to_payload(self, f: A2Mor):
+        return {"src": self.obj_to_payload(f.src), "dst": self.obj_to_payload(f.dst),
+                "f1": self.mat_to_json(f.f1), "f2": self.mat_to_json(f.f2)}
+
+    def mor_between(self, src: A2Obj, dst: A2Obj, payload, where="morphism") -> A2Mor:
+        if "f1" not in payload or "f2" not in payload:
+            raise InputValidationError(f"{where}: quiver morphisms need 'f1' and 'f2'")
+        f1 = self.mat_from_json(payload["f1"], expected_cols=dst.d1)
+        f2 = self.mat_from_json(payload["f2"], expected_cols=dst.d2)
+        if f1.rows != src.d1 or f2.rows != src.d2:
+            raise InputValidationError(f"{where}: component row counts do not match")
+        return self.checked_mor(self.mor(src, dst, f1, f2), where)
+
+    def describe_invariants(self, m: A2Obj):
+        return {"dims": [m.d1, m.d2], "alpha_rank": self.invariants(m)[4]}
 
 
 class SinkSupportTheory:
@@ -289,6 +332,7 @@ class SinkSupportTheory:
     """
 
     kind = "a2_rep"
+    canonical_tag = "gabriel"
 
     def __init__(self, field):
         self.field = field

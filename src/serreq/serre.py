@@ -9,7 +9,7 @@ single ambient-category questions and avoids the direct limit entirely.
 The direct-limit construction is still available as an independent oracle
 (q_hom_via_colimit) on engines that can enumerate subobjects.
 
-The five saturating axioms checked by check_saturating_axioms, for an
+The five saturating axioms checked by the "saturating" suite, for an
 endofunctor W with unit eta over a torsion class C:
 
   (1) W kills C;
@@ -20,13 +20,18 @@ endofunctor W with unit eta over a torsion class C:
   (5) eta is an isomorphism on saturated objects.
 
 A monad satisfying these is naturally isomorphic to the reflection monad
-of the theory, which check_gabriel_equivalence verifies componentwise.
-All suites are deterministic functions of (seed, n); every failure is
-reported with a witness that can be replayed in isolation.
+of the theory, which the "gabriel-equiv" suite verifies componentwise.
+
+Each check is defined once, as an entry of CHECKS (what it samples, its
+predicate, whether it takes the candidate), and each suite is an ordered
+list of check labels in SUITE_CHECKS; run_suite and replay_check both read
+these tables.  All suites are deterministic functions of (seed, n); every
+failure is reported with a witness that can be replayed in isolation.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .category import hom_map_is_bijective, rng_for
@@ -362,8 +367,7 @@ class TwistedCandidate(MonadCandidate):
 
 def make_candidate(theory, tag) -> MonadCandidate:
     if tag in (None, "gabriel"):
-        label = "fixture-naive" if theory.kind == "fixture" else "gabriel"
-        return CanonicalCandidate(theory, label)
+        return CanonicalCandidate(theory, theory.canonical_tag)
     if tag == "fixture-naive":
         return CanonicalCandidate(theory, "fixture-naive")
     if tag == "identity":
@@ -427,44 +431,6 @@ class AxiomReport:
 
 
 # ---------------------------------------------------------------------------
-# samples
-
-
-def sample_objects(theory, seed, suite, n, max_order=None):
-    """Deterministic probe objects followed by n seeded random ones."""
-    out = list(theory.probe_objects())
-    for i in range(n):
-        out.append(theory.random_object(rng_for(seed, suite, "obj", i),
-                                        max_order=max_order))
-    return out
-
-
-def sample_morphisms(theory, seed, suite, n):
-    out = []
-    for i in range(n):
-        rng = rng_for(seed, suite, "mor", i)
-        m = theory.random_object(rng)
-        nn = theory.random_object(rng)
-        out.append(theory.random_morphism(rng, m, nn))
-    return out
-
-
-def sample_sess(theory, seed, suite, n):
-    return [theory.random_ses(rng_for(seed, suite, "ses", i)) for i in range(n)]
-
-
-def _scan(label, samples, pred, witness_base):
-    """Run a per-sample predicate, recording the first counterexample."""
-    for idx, s in enumerate(samples):
-        ok, detail, data = pred(idx, s)
-        if not ok:
-            w = dict(witness_base)
-            w.update({"check": label, "index": idx, "data": data})
-            return CheckItem(label, False, idx + 1, detail, w)
-    return CheckItem(label, True, len(samples), "", None)
-
-
-# ---------------------------------------------------------------------------
 # single-sample predicates (shared by the suites and by witness replay)
 
 
@@ -511,6 +477,8 @@ def pred_zigzag(theory, m):
     q_eta = q_of(theory, eta)
     if not q_is_iso(theory, eta):
         return False, "unit is not inverted by the quotient"
+    if not theory.is_saturated(w):
+        return False, "W(M) is not saturated"
     delta = quotient_invert(theory, q_eta)
     if not qmor_eq(theory, q_compose(theory, q_eta, delta), q_id(theory, m)):
         return False, "first zig-zag composite is not the identity"
@@ -625,126 +593,121 @@ def pred_equiv_natural(theory, candidate, f):
 
 
 # ---------------------------------------------------------------------------
-# suites
+# the check table and the suites
 
 
-def check_monad_laws(theory, seed, n) -> AxiomReport:
-    report = AxiomReport("monad-laws", theory.describe(), "gabriel", seed, n)
-    objs = sample_objects(theory, seed, "monad-laws", n)
-    base = {"suite": "monad-laws", "engine": theory.describe(),
-            "candidate": "gabriel", "seed": seed}
-    report.items.append(_scan(
-        "monad-assoc", objs,
-        lambda i, m: (*pred_monad_assoc(theory, m), {"object": m}), base))
-    report.items.append(_scan(
-        "monad-unit", objs,
-        lambda i, m: (*pred_monad_unit(theory, m), {"object": m}), base))
+@dataclass(frozen=True)
+class Check:
+    """One check: what it samples, the predicate run on each sample, and
+    whether the predicate takes the candidate monad."""
+
+    sample: str
+    pred: Callable
+    candidate: bool
+
+
+# witness data keys of each sample kind, in predicate argument order
+SAMPLE_KEYS = {
+    "object": ("object",),
+    "morphism": ("morphism",),
+    "ses": ("ses",),
+    "pair": ("morphism", "morphism2"),
+}
+
+CHECKS = {
+    "monad-assoc": Check("object", pred_monad_assoc, False),
+    "monad-unit": Check("object", pred_monad_unit, False),
+    "mu-iso": Check("object", pred_mu_iso, False),
+    "unit-swap": Check("object", pred_unit_swap, False),
+    "zigzag-identities": Check("object", pred_zigzag, False),
+    "saturating-1-kills-c": Check("object", pred_axiom1, True),
+    "saturating-2-image-saturated": Check("object", pred_axiom2, True),
+    "saturating-3-exact": Check("ses", pred_axiom3, True),
+    "saturating-4-unit-commutes": Check("object", pred_axiom4, True),
+    "saturating-5-unit-iso-on-saturated": Check("object", pred_axiom5, True),
+    "unit-natural": Check("morphism", pred_unit_natural, True),
+    "functorial": Check("pair", pred_functorial, True),
+    "comparison-iso": Check("object", pred_equiv_component, True),
+    "comparison-natural": Check("morphism", pred_equiv_natural, True),
+    "ker-q-equals-c": Check("object", pred_ker_q, False),
+}
+
+# The checks of each suite, in report order.  gabriel-equiv first runs the
+# saturating suite on min(n, 12) samples as its precondition.  Each sample
+# kind is drawn once per suite run and shared by the checks that use it.
+SUITE_CHECKS = {
+    "monad-laws": ("monad-assoc", "monad-unit"),
+    "idempotent": ("mu-iso", "unit-swap"),
+    "zigzag": ("zigzag-identities",),
+    "saturating": ("saturating-1-kills-c", "saturating-2-image-saturated",
+                   "saturating-3-exact", "saturating-4-unit-commutes",
+                   "saturating-5-unit-iso-on-saturated", "unit-natural", "functorial"),
+    "gabriel-equiv": ("comparison-iso", "comparison-natural"),
+    "ker-q": ("ker-q-equals-c",),
+}
+SUITES = tuple(SUITE_CHECKS)
+
+
+def _random_chain(theory, rng, length):
+    """length composable random morphisms between fresh random objects."""
+    objs = [theory.random_object(rng) for _ in range(length + 1)]
+    return tuple(theory.random_morphism(rng, a, b) for a, b in zip(objs, objs[1:]))
+
+
+def _samples(theory, kind, seed, suite, n):
+    """The samples of one kind for one suite run, each a tuple of predicate
+    arguments drawn from its own rng_for(seed, suite, tag, index)."""
+    if kind == "object":
+        return [(m,) for m in theory.probe_objects()] + [
+            (theory.random_object(rng_for(seed, suite, "obj", i)),) for i in range(n)]
+    if kind == "morphism":
+        return [_random_chain(theory, rng_for(seed, suite, "mor", i), 1) for i in range(n)]
+    half = max(1, n // 2)
+    if kind == "pair":
+        return [_random_chain(theory, rng_for(seed, suite, "pair", i), 2) for i in range(half)]
+    return [(theory.random_ses(rng_for(seed, suite, "ses", i)),) for i in range(half)]
+
+
+def _run_check(theory, candidate, label, args):
+    check = CHECKS[label]
+    if check.candidate:
+        return check.pred(theory, candidate, *args)
+    return check.pred(theory, *args)
+
+
+def _scan(theory, candidate, label, samples, witness_base) -> CheckItem:
+    """Run one check on each sample, recording the first counterexample."""
+    keys = SAMPLE_KEYS[CHECKS[label].sample]
+    for idx, args in enumerate(samples):
+        ok, detail = _run_check(theory, candidate, label, args)
+        if not ok:
+            witness = dict(witness_base, check=label, index=idx, data=dict(zip(keys, args)))
+            return CheckItem(label, False, idx + 1, detail, witness)
+    return CheckItem(label, True, len(samples), "", None)
+
+
+def _suite_report(theory, suite, candidate, seed, n) -> AxiomReport:
+    labels = SUITE_CHECKS[suite]
+    tag = candidate.tag if any(CHECKS[label].candidate for label in labels) else "gabriel"
+    report = AxiomReport(suite, theory.describe(), tag, seed, n)
+    if suite == "gabriel-equiv":
+        # only a candidate that passes the saturating suite is compared
+        pre = _suite_report(theory, "saturating", candidate, seed, min(n, 12))
+        if not pre.passed:
+            first = pre.first_failure
+            report.items.append(CheckItem("precondition-saturating", False, first.samples,
+                                          f"candidate rejected: fails {first.label}",
+                                          first.witness))
+            return report
+        report.items.append(CheckItem("precondition-saturating", True, pre.n, "", None))
+    base = {"suite": suite, "engine": theory.describe(), "candidate": tag, "seed": seed}
+    samples = {}
+    for label in labels:
+        kind = CHECKS[label].sample
+        if kind not in samples:
+            samples[kind] = _samples(theory, kind, seed, suite, n)
+        report.items.append(_scan(theory, candidate, label, samples[kind], base))
     return report
-
-
-def check_idempotent(theory, seed, n) -> AxiomReport:
-    report = AxiomReport("idempotent", theory.describe(), "gabriel", seed, n)
-    objs = sample_objects(theory, seed, "idempotent", n)
-    base = {"suite": "idempotent", "engine": theory.describe(),
-            "candidate": "gabriel", "seed": seed}
-    report.items.append(_scan(
-        "mu-iso", objs,
-        lambda i, m: (*pred_mu_iso(theory, m), {"object": m}), base))
-    report.items.append(_scan(
-        "unit-swap", objs,
-        lambda i, m: (*pred_unit_swap(theory, m), {"object": m}), base))
-    return report
-
-
-def check_zigzag(theory, seed, n) -> AxiomReport:
-    report = AxiomReport("zigzag", theory.describe(), "gabriel", seed, n)
-    objs = sample_objects(theory, seed, "zigzag", n)
-    base = {"suite": "zigzag", "engine": theory.describe(),
-            "candidate": "gabriel", "seed": seed}
-    report.items.append(_scan(
-        "zigzag-identities", objs,
-        lambda i, m: (*pred_zigzag(theory, m), {"object": m}), base))
-    return report
-
-
-def check_saturating_axioms(theory, candidate, seed, n, n_ses=None) -> AxiomReport:
-    if n_ses is None:
-        n_ses = max(1, n // 2)
-    report = AxiomReport("saturating", theory.describe(), candidate.tag, seed, n)
-    objs = sample_objects(theory, seed, "saturating", n)
-    mors = sample_morphisms(theory, seed, "saturating", n)
-    sess = sample_sess(theory, seed, "saturating", n_ses)
-    base = {"suite": "saturating", "engine": theory.describe(),
-            "candidate": candidate.tag, "seed": seed}
-    report.items.append(_scan(
-        "saturating-1-kills-c", objs,
-        lambda i, m: (*pred_axiom1(theory, candidate, m), {"object": m}), base))
-    report.items.append(_scan(
-        "saturating-2-image-saturated", objs,
-        lambda i, m: (*pred_axiom2(theory, candidate, m), {"object": m}), base))
-    report.items.append(_scan(
-        "saturating-3-exact", sess,
-        lambda i, s: (*pred_axiom3(theory, candidate, s), {"ses": s}), base))
-    report.items.append(_scan(
-        "saturating-4-unit-commutes", objs,
-        lambda i, m: (*pred_axiom4(theory, candidate, m), {"object": m}), base))
-    report.items.append(_scan(
-        "saturating-5-unit-iso-on-saturated", objs,
-        lambda i, m: (*pred_axiom5(theory, candidate, m), {"object": m}), base))
-    report.items.append(_scan(
-        "unit-natural", mors,
-        lambda i, f: (*pred_unit_natural(theory, candidate, f), {"morphism": f}), base))
-    pairs = []
-    for i in range(max(1, n // 2)):
-        rng = rng_for(seed, "saturating", "pair", i)
-        a = theory.random_object(rng)
-        b = theory.random_object(rng)
-        c = theory.random_object(rng)
-        f = theory.random_morphism(rng, a, b)
-        g = theory.random_morphism(rng, b, c)
-        pairs.append((f, g))
-    report.items.append(_scan(
-        "functorial", pairs,
-        lambda i, p: (*pred_functorial(theory, candidate, *p),
-                      {"morphism": p[0], "morphism2": p[1]}), base))
-    return report
-
-
-def check_gabriel_equivalence(theory, candidate, seed, n) -> AxiomReport:
-    report = AxiomReport("gabriel-equiv", theory.describe(), candidate.tag, seed, n)
-    pre = check_saturating_axioms(theory, candidate, seed, min(n, 12))
-    if not pre.passed:
-        first = pre.first_failure
-        item = CheckItem("precondition-saturating", False, first.samples,
-                         f"candidate rejected: fails {first.label}", first.witness)
-        report.items.append(item)
-        return report
-    report.items.append(CheckItem("precondition-saturating", True, pre.n, "", None))
-    objs = sample_objects(theory, seed, "gabriel-equiv", n)
-    mors = sample_morphisms(theory, seed, "gabriel-equiv", n)
-    base = {"suite": "gabriel-equiv", "engine": theory.describe(),
-            "candidate": candidate.tag, "seed": seed}
-    report.items.append(_scan(
-        "comparison-iso", objs,
-        lambda i, m: (*pred_equiv_component(theory, candidate, m), {"object": m}), base))
-    report.items.append(_scan(
-        "comparison-natural", mors,
-        lambda i, f: (*pred_equiv_natural(theory, candidate, f), {"morphism": f}), base))
-    return report
-
-
-def check_ker_q_equals_c(theory, seed, n) -> AxiomReport:
-    report = AxiomReport("ker-q", theory.describe(), "gabriel", seed, n)
-    objs = sample_objects(theory, seed, "ker-q", n)
-    base = {"suite": "ker-q", "engine": theory.describe(),
-            "candidate": "gabriel", "seed": seed}
-    report.items.append(_scan(
-        "ker-q-equals-c", objs,
-        lambda i, m: (*pred_ker_q(theory, m), {"object": m}), base))
-    return report
-
-
-SUITES = ("monad-laws", "idempotent", "zigzag", "saturating", "gabriel-equiv", "ker-q")
 
 
 def run_suite(theory, suite, seed, n, candidate_tag=None):
@@ -755,45 +718,13 @@ def run_suite(theory, suite, seed, n, candidate_tag=None):
         for s in SUITES:
             out.extend(run_suite(theory, s, seed, n, candidate_tag))
         return out
-    if suite == "monad-laws":
-        return [check_monad_laws(theory, seed, n)]
-    if suite == "idempotent":
-        return [check_idempotent(theory, seed, n)]
-    if suite == "zigzag":
-        return [check_zigzag(theory, seed, n)]
-    if suite == "saturating":
-        return [check_saturating_axioms(theory, make_candidate(theory, candidate_tag), seed, n)]
-    if suite == "gabriel-equiv":
-        return [check_gabriel_equivalence(theory, make_candidate(theory, candidate_tag), seed, n)]
-    if suite == "ker-q":
-        return [check_ker_q_equals_c(theory, seed, n)]
-    raise ValueError(f"unknown suite: {suite}")
+    if suite not in SUITE_CHECKS:
+        raise ValueError(f"unknown suite: {suite}")
+    return [_suite_report(theory, suite, make_candidate(theory, candidate_tag), seed, n)]
 
 
 # ---------------------------------------------------------------------------
 # witness replay
-
-REPLAY_OBJECT_CHECKS = {
-    "monad-assoc": pred_monad_assoc,
-    "monad-unit": pred_monad_unit,
-    "mu-iso": pred_mu_iso,
-    "unit-swap": pred_unit_swap,
-    "zigzag-identities": pred_zigzag,
-    "ker-q-equals-c": pred_ker_q,
-}
-
-REPLAY_CANDIDATE_OBJECT_CHECKS = {
-    "saturating-1-kills-c": pred_axiom1,
-    "saturating-2-image-saturated": pred_axiom2,
-    "saturating-4-unit-commutes": pred_axiom4,
-    "saturating-5-unit-iso-on-saturated": pred_axiom5,
-    "comparison-iso": pred_equiv_component,
-}
-
-REPLAY_CANDIDATE_MORPHISM_CHECKS = {
-    "unit-natural": pred_unit_natural,
-    "comparison-natural": pred_equiv_natural,
-}
 
 
 def replay_check(theory, candidate_tag, check, data):
@@ -801,20 +732,9 @@ def replay_check(theory, candidate_tag, check, data):
 
     Returns (passed, detail).  Raises KeyError for an unknown check name.
     """
-    if check in REPLAY_OBJECT_CHECKS:
-        return REPLAY_OBJECT_CHECKS[check](theory, data["object"])
-    candidate = make_candidate(theory, candidate_tag)
-    if check in REPLAY_CANDIDATE_OBJECT_CHECKS:
-        return REPLAY_CANDIDATE_OBJECT_CHECKS[check](theory, candidate, data["object"])
-    if check in REPLAY_CANDIDATE_MORPHISM_CHECKS:
-        return REPLAY_CANDIDATE_MORPHISM_CHECKS[check](theory, candidate, data["morphism"])
-    if check == "saturating-3-exact":
-        return pred_axiom3(theory, candidate, data["ses"])
-    if check == "functorial":
-        return pred_functorial(theory, candidate, data["morphism"], data["morphism2"])
-    if check == "precondition-saturating":
-        inner = data.get("inner_check")
-        if inner:
-            return replay_check(theory, candidate_tag, inner, data)
-        raise KeyError("precondition witness lacks an inner check")
-    raise KeyError(f"unknown check: {check}")
+    spec = CHECKS.get(check)
+    if spec is None:
+        raise KeyError(f"unknown check: {check}")
+    args = tuple(data[k] for k in SAMPLE_KEYS[spec.sample])
+    candidate = make_candidate(theory, candidate_tag) if spec.candidate else None
+    return _run_check(theory, candidate, check, args)

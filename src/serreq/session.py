@@ -1,4 +1,4 @@
-"""Session input handling, payload codecs, witnesses, and report documents.
+"""Session input handling, witnesses, and report documents.
 
 The JSON input schema is
 
@@ -8,20 +8,19 @@ The JSON input schema is
 
 where integer-engine object payloads are {"relations": [[...]], "gens": g}
 and quiver payloads are {"dims": [d1, d2], "alpha": [[...]]} with rational
-entries written "a/b".  Witnesses serialize enough data to replay one
-failed check in isolation; report documents round-trip through JSON and
-are byte-identical for identical inputs once timing fields are removed.
+entries written "a/b"; each engine owns the codec of its payloads.
+Witnesses serialize enough data to replay one failed check in isolation;
+report documents round-trip through JSON and are byte-identical for
+identical inputs once timing fields are removed.
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from . import __version__, serre
-from .category import ShortExactSequence
 from .errors import InputValidationError
-from .linalg import Mat, PrimeField, QQ
+from .linalg import PrimeField, QQ
 from .quiver import SinkSupportTheory
 from .zmodules import FixtureTheory, PPrimaryTheory
 
@@ -39,9 +38,10 @@ def field_from_name(name):
     if low.startswith("f"):
         low = low[1:]
     try:
-        return PrimeField(int(low))
+        p = int(low)
     except ValueError as exc:
         raise InputValidationError(f"unknown field name: {name}") from exc
+    return PrimeField(p)
 
 
 def theory_from_descriptor(desc: dict):
@@ -64,135 +64,25 @@ def theory_from_descriptor(desc: dict):
 
 
 # ---------------------------------------------------------------------------
-# value codecs
-
-
-def _entry_to_json(x):
-    if isinstance(x, Fraction):
-        return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-    return int(x)
-
-
-def _entry_from_json(x):
-    if isinstance(x, str):
-        num, _, den = x.partition("/")
-        return Fraction(int(num), int(den or "1"))
-    if isinstance(x, (int, bool)) and not isinstance(x, bool):
-        return int(x)
-    raise InputValidationError(f"matrix entries must be integers or 'a/b', got {x!r}")
-
-
-def mat_to_json(m: Mat):
-    return [[_entry_to_json(x) for x in row] for row in m.data]
-
-
-def mat_from_json(rows, expected_cols=None):
-    if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
-        raise InputValidationError("matrix payload must be a list of rows")
-    data = [[_entry_from_json(x) for x in r] for r in rows]
-    if not data:
-        if expected_cols is None:
-            raise InputValidationError("empty matrix needs an explicit column count")
-        return Mat.zeros(0, expected_cols)
-    cols = len(data[0])
-    if any(len(r) != cols for r in data):
-        raise InputValidationError("ragged matrix payload")
-    if expected_cols is not None and cols != expected_cols:
-        raise InputValidationError(f"expected {expected_cols} columns, got {cols}")
-    return Mat.from_rows(data, cols)
-
-
-def obj_to_payload(theory, m):
-    if theory.kind in ("finite_abelian", "fixture"):
-        return {"relations": mat_to_json(m.relations), "gens": m.gens}
-    return {"dims": [m.d1, m.d2], "alpha": mat_to_json(m.alpha)}
-
-
-def obj_from_payload(theory, payload, where="object"):
-    if not isinstance(payload, dict):
-        raise InputValidationError(f"{where}: payload must be an object")
-    if theory.kind in ("finite_abelian", "fixture"):
-        if "relations" not in payload:
-            raise InputValidationError(f"{where}: integer objects need 'relations'")
-        gens = payload.get("gens")
-        rel = mat_from_json(payload["relations"], expected_cols=gens)
-        obj = theory.engine.obj(rel)
-        if theory.kind == "finite_abelian" and theory.engine.order(obj) is None:
-            raise InputValidationError(f"{where}: object is not finite")
-        return obj
-    dims = payload.get("dims")
-    if (not isinstance(dims, list) or len(dims) != 2
-            or any(not isinstance(d, int) or d < 0 for d in dims)):
-        raise InputValidationError(f"{where}: quiver objects need 'dims': [d1, d2]")
-    mat = mat_from_json(payload.get("alpha", []), expected_cols=dims[1])
-    if mat.rows != dims[0]:
-        raise InputValidationError(f"{where}: alpha must have {dims[0]} rows")
-    return theory.engine.obj(dims[0], dims[1], mat)
-
-
-def mor_to_payload(theory, f):
-    d = {"src": obj_to_payload(theory, f.src), "dst": obj_to_payload(theory, f.dst)}
-    if theory.kind in ("finite_abelian", "fixture"):
-        d["matrix"] = mat_to_json(f.matrix)
-    else:
-        d["f1"] = mat_to_json(f.f1)
-        d["f2"] = mat_to_json(f.f2)
-    return d
-
-
-def mor_from_payload(theory, payload, where="morphism"):
-    src = obj_from_payload(theory, payload["src"], where + ".src")
-    dst = obj_from_payload(theory, payload["dst"], where + ".dst")
-    return _mor_between(theory, src, dst, payload, where)
-
-
-def _mor_between(theory, src, dst, payload, where):
-    e = theory.engine
-    if theory.kind in ("finite_abelian", "fixture"):
-        if "matrix" not in payload:
-            raise InputValidationError(f"{where}: integer morphisms need 'matrix'")
-        mat = mat_from_json(payload["matrix"], expected_cols=dst.gens)
-        if mat.rows != src.gens:
-            raise InputValidationError(f"{where}: matrix must have {src.gens} rows")
-        f = e.mor(src, dst, mat)
-    else:
-        if "f1" not in payload or "f2" not in payload:
-            raise InputValidationError(f"{where}: quiver morphisms need 'f1' and 'f2'")
-        f1 = mat_from_json(payload["f1"], expected_cols=dst.d1)
-        f2 = mat_from_json(payload["f2"], expected_cols=dst.d2)
-        if f1.rows != src.d1 or f2.rows != src.d2:
-            raise InputValidationError(f"{where}: component row counts do not match")
-        f = e.mor(src, dst, f1, f2)
-    if not e.is_well_defined(f):
-        raise InputValidationError(f"{where}: payload does not define a morphism")
-    return f
-
-
-def ses_to_payload(theory, ses):
-    return {"iota": mor_to_payload(theory, ses.iota), "pi": mor_to_payload(theory, ses.pi)}
-
-
-def ses_from_payload(theory, payload, where="ses"):
-    return ShortExactSequence(mor_from_payload(theory, payload["iota"], where + ".iota"),
-                              mor_from_payload(theory, payload["pi"], where + ".pi"))
-
-
-# ---------------------------------------------------------------------------
 # witnesses
 
 
+# witness data keys and the engine codec methods that carry them to JSON and back
+_WITNESS_CODECS = {
+    "object": ("obj_to_payload", "obj_from_payload"),
+    "morphism": ("mor_to_payload", "mor_from_payload"),
+    "morphism2": ("mor_to_payload", "mor_from_payload"),
+    "ses": ("ses_to_payload", "ses_from_payload"),
+}
+
+
 def witness_to_jsonable(witness: dict) -> dict:
-    theory = theory_from_descriptor(witness["engine"])
+    engine = theory_from_descriptor(witness["engine"]).engine
     data = {}
     for key, value in witness["data"].items():
-        if key == "object":
-            data[key] = obj_to_payload(theory, value)
-        elif key in ("morphism", "morphism2"):
-            data[key] = mor_to_payload(theory, value)
-        elif key == "ses":
-            data[key] = ses_to_payload(theory, value)
-        else:
-            data[key] = value
+        if key in _WITNESS_CODECS:
+            value = getattr(engine, _WITNESS_CODECS[key][0])(value)
+        data[key] = value
     out = {k: v for k, v in witness.items() if k != "data"}
     out["data"] = data
     out["version"] = __version__
@@ -211,14 +101,9 @@ def witness_from_jsonable(doc: dict):
         raise InputValidationError("witness 'data' must be an object")
     data = {}
     for key, value in raw.items():
-        if key == "object":
-            data[key] = obj_from_payload(theory, value, "witness.object")
-        elif key in ("morphism", "morphism2"):
-            data[key] = mor_from_payload(theory, value, f"witness.{key}")
-        elif key == "ses":
-            data[key] = ses_from_payload(theory, value, "witness.ses")
-        else:
-            data[key] = value
+        if key in _WITNESS_CODECS:
+            value = getattr(theory.engine, _WITNESS_CODECS[key][1])(value, f"witness.{key}")
+        data[key] = value
     mismatch = doc.get("version") != __version__
     return theory, doc.get("candidate"), doc["check"], data, mismatch
 
@@ -264,7 +149,7 @@ def load_session_input(doc: dict, theory=None) -> SessionInput:
         raise InputValidationError("no engine given (flags or input file)")
     objects = {}
     for name, payload in (doc.get("objects") or {}).items():
-        objects[name] = obj_from_payload(theory, payload, f"objects.{name}")
+        objects[name] = theory.engine.obj_from_payload(payload, f"objects.{name}")
     morphisms = {}
     for name, payload in (doc.get("morphisms") or {}).items():
         if not isinstance(payload, dict):
@@ -274,8 +159,8 @@ def load_session_input(doc: dict, theory=None) -> SessionInput:
             if not isinstance(ref, str) or ref not in objects:
                 raise InputValidationError(
                     f"morphisms.{name}: src/dst must name declared objects")
-        morphisms[name] = _mor_between(theory, objects[src_name], objects[dst_name],
-                                       payload, f"morphisms.{name}")
+        morphisms[name] = theory.engine.mor_between(
+            objects[src_name], objects[dst_name], payload, f"morphisms.{name}")
     return SessionInput(theory, objects, morphisms)
 
 

@@ -15,12 +15,15 @@ taken modulo the target relations.  On top of the general engine sit
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import gcd
 
-from .category import AbelianEngine, ZExtGroup, ZHomGroup
-from .errors import EndpointMismatch, EngineMismatch, NotSaturatedError, ShapeError
+from .category import AbelianEngine, ZExtGroup, ZHomGroup, entry_from_json
+from .errors import (
+    EndpointMismatch, EngineMismatch, InputValidationError, NotSaturatedError, ShapeError,
+)
 from .linalg import (
-    Mat, flatten, int_kernel, int_solve, kernel_mod_rows, presentation_invariants,
+    Mat, flatten, int_kernel, int_solve, is_prime, kernel_mod_rows, presentation_invariants,
     presentation_normal_form, row_basis, solve_mod_rows, unflatten,
 )
 
@@ -322,8 +325,45 @@ class ZModuleEngine(AbelianEngine):
         hom = self.hom_group(m, n)
         return hom.decode(tuple(rng.randint(-4, 4) for _ in range(hom.ngens)))
 
-    def describe_obj(self, m: ZObj):
-        return {"relations": m.relations.to_lists(), "gens": m.gens}
+    # -- JSON codecs ------------------------------------------------------------------
+
+    def decode_entry(self, x) -> int:
+        q = entry_from_json(x)
+        if isinstance(q, Fraction):
+            if q.denominator != 1:
+                raise InputValidationError(f"integer payloads need integer entries, got {x!r}")
+            return int(q)
+        return q
+
+    def obj_to_payload(self, m: ZObj):
+        return {"relations": self.mat_to_json(m.relations), "gens": m.gens}
+
+    def obj_from_payload(self, payload, where="object") -> ZObj:
+        if not isinstance(payload, dict):
+            raise InputValidationError(f"{where}: payload must be an object")
+        if "relations" not in payload:
+            raise InputValidationError(f"{where}: integer objects need 'relations'")
+        gens = payload.get("gens")
+        if gens is not None and (not isinstance(gens, int) or isinstance(gens, bool)
+                                 or gens < 0):
+            raise InputValidationError(f"{where}: 'gens' must be a nonnegative integer")
+        return self.obj(self.mat_from_json(payload["relations"], expected_cols=gens))
+
+    def mor_to_payload(self, f: ZMor):
+        return {"src": self.obj_to_payload(f.src), "dst": self.obj_to_payload(f.dst),
+                "matrix": self.mat_to_json(f.matrix)}
+
+    def mor_between(self, src: ZObj, dst: ZObj, payload, where="morphism") -> ZMor:
+        if "matrix" not in payload:
+            raise InputValidationError(f"{where}: integer morphisms need 'matrix'")
+        mat = self.mat_from_json(payload["matrix"], expected_cols=dst.gens)
+        if mat.rows != src.gens:
+            raise InputValidationError(f"{where}: matrix must have {src.gens} rows")
+        return self.checked_mor(self.mor(src, dst, mat), where)
+
+    def describe_invariants(self, m: ZObj):
+        _, rank, divisors = self.invariants(m)
+        return {"rank": rank, "divisors": list(divisors)}
 
 
 class FiniteAbelianEngine(ZModuleEngine):
@@ -343,6 +383,12 @@ class FiniteAbelianEngine(ZModuleEngine):
                     continue
             return self._scrambled_from_divisors(rng, divisors, 0)
 
+    def obj_from_payload(self, payload, where="object") -> ZObj:
+        obj = super().obj_from_payload(payload, where)
+        if self.order(obj) is None:
+            raise InputValidationError(f"{where}: object is not finite")
+        return obj
+
 
 # ---------------------------------------------------------------------------
 # torsion theories
@@ -354,6 +400,58 @@ def _p_free_part(d: int, p: int) -> int:
     return d
 
 
+def _torsion_part_embedding(engine: ZModuleEngine, m: ZObj, p: int) -> ZMor:
+    """Embedding of the p-primary part of the torsion of M; p = 0 embeds
+    the whole torsion part."""
+    nf, _, from_nf = engine.normal_form(m)
+    _, divisors_all = presentation_invariants(m.relations)
+    gen_rows = []
+    orders = []
+    for i, d in enumerate(divisors_all):
+        cof = _p_free_part(d, p) if p else 1
+        if cof != d:
+            vec = [0] * nf.gens
+            vec[i] = cof
+            gen_rows.append(tuple(vec))
+            orders.append(d // cof)
+    sub = ZObj(diag_rows(orders, len(orders)))
+    emb_nf = ZMor(sub, nf, Mat(len(orders), nf.gens, tuple(gen_rows)))
+    return engine.compose(emb_nf, from_nf)
+
+
+# Method bodies shared by both Z torsion theories.  Each class binds them in
+# its own body rather than inheriting them, so that each keeps its own
+# __dict__ entry, which perfbench/tracing.py wraps class by class.
+
+def _saturate(theory, m: ZObj):
+    """(W(M), eta_M): M / H_C(M) in normal form with the projection as
+    unit; ker eta = H_C(M) and coker eta = 0.  For the fixture this is the
+    naive candidate, whose image is not saturated in general."""
+    emb = theory.h_c(m)
+    proj = theory.engine.cokernel_proj(emb)
+    nf, to_nf, _ = theory.engine.normal_form(proj.dst)
+    return nf, theory.engine.compose(proj, to_nf)
+
+
+def _extend_along_unit(theory, phi: ZMor) -> ZMor:
+    """The unique psi with psi after eta_{src(phi)} equal to phi."""
+    if not theory.is_saturated(phi.dst):
+        raise NotSaturatedError("extension target must be saturated")
+    _, eta = theory.saturate(phi.src)
+    psi = theory.engine.colift_along_epi(phi, eta)
+    assert psi is not None
+    return psi
+
+
+def _random_morphism(theory, rng, m, n):
+    return theory.engine.random_morphism(rng, m, n)
+
+
+def _random_ses(theory, rng, size_bound=None):
+    return theory.engine.random_ses(
+        rng, theory.size_bound if size_bound is None else size_bound)
+
+
 class PPrimaryTheory:
     """C = finite abelian p-groups inside finite abelian groups.
 
@@ -363,10 +461,12 @@ class PPrimaryTheory:
     """
 
     kind = "finite_abelian"
+    canonical_tag = "gabriel"
+    size_bound = 3
 
     def __init__(self, p: int):
-        if p < 2:
-            raise ValueError("p must be a prime >= 2")
+        if not is_prime(p):
+            raise InputValidationError(f"p must be a prime, got {p}")
         self.p = p
         self.engine = FiniteAbelianEngine()
 
@@ -389,28 +489,15 @@ class PPrimaryTheory:
     def h_c(self, m: ZObj) -> ZMor:
         """Embedding of the p-primary part, the maximal subobject in C."""
         self._require_finite(m)
-        return _primary_part_embedding(self.engine, m, self.p)
+        return _torsion_part_embedding(self.engine, m, self.p)
 
-    def saturate(self, m: ZObj):
-        """(W(M), eta_M): the prime-to-p part in normal form with the
-        projection as unit; ker eta = H_C(M) and coker eta = 0."""
-        emb = self.h_c(m)
-        proj = self.engine.cokernel_proj(emb)
-        nf, to_nf, _ = self.engine.normal_form(proj.dst)
-        return nf, self.engine.compose(proj, to_nf)
+    saturate = _saturate
 
     def is_saturated(self, m: ZObj) -> bool:
         self._require_finite(m)
         return gcd(self.engine.order(m), self.p) == 1
 
-    def extend_along_unit(self, phi: ZMor) -> ZMor:
-        """The unique psi with psi after eta_{src(phi)} equal to phi."""
-        if not self.is_saturated(phi.dst):
-            raise NotSaturatedError("extension target must be saturated")
-        _, eta = self.saturate(phi.src)
-        psi = self.engine.colift_along_epi(phi, eta)
-        assert psi is not None
-        return psi
+    extend_along_unit = _extend_along_unit
 
     def c_cogenerators(self, bound: int):
         return [self.engine.cyclic(self.p ** k) for k in range(1, bound + 1)]
@@ -429,14 +516,11 @@ class PPrimaryTheory:
         # multiplication by p is a natural automorphism of prime-to-p groups
         return self.engine.scale(eta, self.p)
 
-    def random_object(self, rng, size_bound=3, max_order=None):
+    def random_object(self, rng, size_bound=size_bound, max_order=None):
         return self.engine.random_object(rng, size_bound, max_order=max_order)
 
-    def random_morphism(self, rng, m, n):
-        return self.engine.random_morphism(rng, m, n)
-
-    def random_ses(self, rng, size_bound=3):
-        return self.engine.random_ses(rng, size_bound)
+    random_morphism = _random_morphism
+    random_ses = _random_ses
 
     supports_subobject_enumeration = True
 
@@ -455,10 +539,13 @@ class FixtureTheory:
     """
 
     kind = "fixture"
+    canonical_tag = "fixture-naive"
+    size_bound = 2
 
     def __init__(self, p: int):
-        if p < 0 or p == 1:
-            raise ValueError("p must be a prime or 0 for the full torsion class")
+        if p != 0 and not is_prime(p):
+            raise InputValidationError(
+                f"p must be a prime or 0 for the full torsion class, got {p}")
         self.p = p
         self.engine = ZModuleEngine()
 
@@ -474,17 +561,9 @@ class FixtureTheory:
         return all(_p_free_part(d, self.p) == 1 for d in divisors)
 
     def h_c(self, m: ZObj) -> ZMor:
-        if self.p == 0:
-            return _torsion_part_embedding(self.engine, m)
-        return _primary_part_embedding(self.engine, m, self.p)
+        return _torsion_part_embedding(self.engine, m, self.p)
 
-    def saturate(self, m: ZObj):
-        """The naive candidate: quotient by the maximal C-subobject.  Its
-        image is not saturated in general, which is the point."""
-        emb = self.h_c(m)
-        proj = self.engine.cokernel_proj(emb)
-        nf, to_nf, _ = self.engine.normal_form(proj.dst)
-        return nf, self.engine.compose(proj, to_nf)
+    saturate = _saturate
 
     def is_saturated(self, m: ZObj) -> bool:
         rank, divisors = presentation_invariants(m.relations)
@@ -497,13 +576,7 @@ class FixtureTheory:
             n *= d
         return gcd(n, self.p) == 1
 
-    def extend_along_unit(self, phi: ZMor) -> ZMor:
-        if not self.is_saturated(phi.dst):
-            raise NotSaturatedError("extension target must be saturated")
-        _, eta = self.saturate(phi.src)
-        psi = self.engine.colift_along_epi(phi, eta)
-        assert psi is not None
-        return psi
+    extend_along_unit = _extend_along_unit
 
     def c_cogenerators(self, bound: int):
         if self.p == 0:
@@ -524,49 +597,13 @@ class FixtureTheory:
     def twist_unit(self, eta: ZMor) -> ZMor:
         return self.engine.scale(eta, self.p if self.p else 2)
 
-    def random_object(self, rng, size_bound=2, max_order=None):
+    def random_object(self, rng, size_bound=size_bound, max_order=None):
         return self.engine.random_object(rng, size_bound)
 
-    def random_morphism(self, rng, m, n):
-        return self.engine.random_morphism(rng, m, n)
-
-    def random_ses(self, rng, size_bound=2):
-        return self.engine.random_ses(rng, size_bound)
+    random_morphism = _random_morphism
+    random_ses = _random_ses
 
     supports_subobject_enumeration = False
-
-
-def _primary_part_embedding(engine: ZModuleEngine, m: ZObj, p: int) -> ZMor:
-    """Embedding of the p-primary part of the torsion of M."""
-    nf, _, from_nf = engine.normal_form(m)
-    _, divisors_all = presentation_invariants(m.relations)
-    gen_rows = []
-    orders = []
-    for i, d in enumerate(divisors_all):
-        cof = _p_free_part(d, p)
-        if cof != d:
-            vec = [0] * nf.gens
-            vec[i] = cof
-            gen_rows.append(tuple(vec))
-            orders.append(d // cof)
-    sub = ZObj(diag_rows(orders, len(orders)))
-    emb_nf = ZMor(sub, nf, Mat(len(orders), nf.gens, tuple(gen_rows)))
-    return engine.compose(emb_nf, from_nf)
-
-
-def _torsion_part_embedding(engine: ZModuleEngine, m: ZObj) -> ZMor:
-    nf, _, from_nf = engine.normal_form(m)
-    _, divisors_all = presentation_invariants(m.relations)
-    gen_rows = []
-    orders = []
-    for i, d in enumerate(divisors_all):
-        vec = [0] * nf.gens
-        vec[i] = 1
-        gen_rows.append(tuple(vec))
-        orders.append(d)
-    sub = ZObj(diag_rows(orders, len(orders)))
-    emb_nf = ZMor(sub, nf, Mat(len(orders), nf.gens, tuple(gen_rows)))
-    return engine.compose(emb_nf, from_nf)
 
 
 # ---------------------------------------------------------------------------

@@ -25,9 +25,9 @@ def _announce(number, text, status, elapsed):
     print(f"[criterion-{number:02d}] {text}: {status} ({elapsed:.1f}s)")
 
 
-def _timed_suite(fn, *args, budget=None):
+def _timed_suite(suite, th, seed, n, budget=None):
     t0 = time.perf_counter()
-    report = fn(*args)
+    report = serre.run_suite(th, suite, seed, n)[0]
     elapsed = time.perf_counter() - t0
     assert report.passed, (report.first_failure.label, report.first_failure.detail)
     if budget is not None:
@@ -38,30 +38,29 @@ def _timed_suite(fn, *args, budget=None):
 def test_criterion_01_monad_coherence():
     total = 0.0
     for name, th in ENGINES:
-        total += _timed_suite(serre.check_monad_laws, th, SEED, 100, budget=30)
+        total += _timed_suite("monad-laws", th, SEED, 100, budget=30)
     _announce(1, "monad coherence laws on 100+ objects per engine", "PASS", total)
 
 
 def test_criterion_02_idempotence():
     total = 0.0
     for name, th in ENGINES:
-        total += _timed_suite(serre.check_idempotent, th, SEED, 100)
+        total += _timed_suite("idempotent", th, SEED, 100)
     _announce(2, "idempotence and unit-swap on 100+ objects per engine", "PASS", total)
 
 
 def test_criterion_03_zigzag():
     total = 0.0
     for name, th in ENGINES:
-        total += _timed_suite(serre.check_zigzag, th, SEED, 100)
+        total += _timed_suite("zigzag", th, SEED, 100)
     _announce(3, "zig-zag identities on 100+ objects per engine", "PASS", total)
 
 
 def test_criterion_04_saturating_axioms_forward():
     total = 0.0
     for name, th in ENGINES:
-        cand = serre.make_candidate(th, None)
         t0 = time.perf_counter()
-        report = serre.check_saturating_axioms(th, cand, SEED, 100, n_ses=50)
+        report = serre.run_suite(th, "saturating", SEED, 100)[0]
         elapsed = time.perf_counter() - t0
         assert report.passed, report.first_failure.label
         by_label = {i.label: i for i in report.items}
@@ -77,9 +76,8 @@ def test_criterion_05_equivalence_with_twisted_candidate():
     total = 0.0
     for name, th in ENGINES:
         for tag in (None, "twisted"):
-            cand = serre.make_candidate(th, tag)
             t0 = time.perf_counter()
-            report = serre.check_gabriel_equivalence(th, cand, SEED, 100)
+            report = serre.run_suite(th, "gabriel-equiv", SEED, 100, tag)[0]
             total += time.perf_counter() - t0
             assert report.passed, (name, tag, report.first_failure)
             by_label = {i.label: i for i in report.items}
@@ -109,8 +107,7 @@ def test_criterion_07_negative_controls_every_seed():
     t0 = time.perf_counter()
     fx = FixtureTheory(2)
     for seed in (0, 1, 7, 2026, 31337):
-        report = serre.check_saturating_axioms(fx, serre.make_candidate(fx, None),
-                                               seed, 8)
+        report = serre.run_suite(fx, "saturating", seed, 8)[0]
         assert not report.passed
         first = report.first_failure
         assert first.label == "saturating-2-image-saturated"
@@ -118,8 +115,7 @@ def test_criterion_07_negative_controls_every_seed():
         witness_obj = first.witness["data"]["object"]
         assert fx.engine.invariants(witness_obj) == ("Z", 1, ())
 
-        report = serre.check_saturating_axioms(FA, serre.make_candidate(FA, "identity"),
-                                               seed, 8)
+        report = serre.run_suite(FA, "saturating", seed, 8, "identity")[0]
         assert not report.passed
         assert report.first_failure.label == "saturating-1-kills-c"
     _announce(7, "fixture rejected at axiom 2, identity at axiom 1, all seeds",

@@ -1,11 +1,13 @@
 """The serre command-line front end."""
 
 import json
+import time
 
 import pytest
 
 from serreq import session
 from serreq.cli import main
+from serreq.zmodules import FixtureTheory
 
 
 @pytest.fixture
@@ -245,3 +247,130 @@ class TestValidation:
         assert main(["saturate", "--input", fa_input, "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["command"]["name"] == "saturate"
+
+
+class TestFixtureZigzag:
+    """The fixture's zigzag suite reports a failed item; it used to exit 2."""
+
+    @pytest.mark.parametrize("suite", ["zigzag", "all"])
+    @pytest.mark.parametrize("p", [0, 2])
+    def test_fails_on_z_with_replayable_witness(self, p, suite, tmp_path, capsys):
+        out = tmp_path / "z.json"
+        code = main(["check", "--engine", "fixture", "--p", str(p), "--suite", suite,
+                     "--seed", "0", "--n", "4", "--out", str(out)])
+        assert code == 1
+        doc = read_report(str(out))
+        zigzag = next(c for c in doc["checks"] if c["suite"] == "zigzag")
+        item = zigzag["checks"][0]
+        assert item["axiom"] == "zigzag-identities" and item["pass"] is False
+        engine = FixtureTheory(p).engine
+        obj = engine.obj_from_payload(item["witness"]["data"]["object"])
+        assert engine.invariants(obj) == ("Z", 1, ())
+        wfile = tmp_path / "w.json"
+        wfile.write_text(json.dumps(item["witness"]), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["replay", "--input", str(wfile)]) == 0
+        assert "zigzag-identities: failure reproduced" in capsys.readouterr().out
+
+
+def _write(tmp_path, doc):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def _a2(field, alpha, **morphisms):
+    return {"engine": {"kind": "a2_rep", "field": field},
+            "objects": {"V": {"dims": [1, 1], "alpha": alpha}},
+            "morphisms": {name: {"src": "V", "dst": "V", **payload}
+                          for name, payload in morphisms.items()}}
+
+
+def _fa(relations, **morphisms):
+    return {"engine": {"kind": "finite_abelian", "p": 2},
+            "objects": {"M": {"relations": relations, "gens": 1}},
+            "morphisms": {name: {"src": "M", "dst": "M", **payload}
+                          for name, payload in morphisms.items()}}
+
+
+class TestEntryDecoding:
+    @pytest.mark.parametrize("entry, residue", [
+        ("1/2", 3), ("3/4", 2), ("-1/2", 2), ("7", 2), ("5/2", 0), (7, 2),
+    ])
+    def test_fractions_are_residues_over_prime_fields(self, entry, residue, tmp_path):
+        out = tmp_path / "rep.json"
+        assert main(["saturate", "--input", _write(tmp_path, _a2("f5", [[entry]])),
+                     "--out", str(out)]) == 0
+        assert read_report(str(out))["results"][0]["eta"]["f1"] == [[residue]]
+
+    def test_integral_strings_in_integer_payloads(self, tmp_path):
+        out = tmp_path / "rep.json"
+        doc = _fa([["24/2"]], f={"matrix": [["10/2"]]})
+        assert main(["saturate", "--input", _write(tmp_path, doc), "--out", str(out)]) == 0
+        assert read_report(str(out))["results"][0]["w"] == {"rank": 0, "divisors": [3]}
+
+    @pytest.mark.parametrize("doc", [
+        _a2("f5", [["1/5"]]),
+        _a2("f5", [["2/10"]]),
+        _a2("f5", [["x"]]),
+        _a2("f5", [["1/0"]]),
+        _a2("q", [["x"]]),
+        _a2("q", [["1/0"]]),
+        _a2("q", [[1]], g={"f1": [["1/0"]], "f2": [[1]]}),
+        _a2("f5", [[1]], g={"f1": [[1]], "f2": [["2/5"]]}),
+        _fa([["x"]]),
+        _fa([["1/0"]]),
+        _fa([["1/2"]]),
+        _fa([[4]], f={"matrix": [["1/2"]]}),
+        _fa([[4]], f={"matrix": [[True]]}),
+    ], ids=lambda doc: json.dumps(doc, sort_keys=True))
+    def test_bad_entries_exit_2_with_a_message(self, doc, tmp_path, capsys):
+        assert main(["saturate", "--input", _write(tmp_path, doc)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+
+class TestParameterValidation:
+    @pytest.mark.parametrize("flags", [
+        ["--engine", "finite_abelian", "--p", "1"],
+        ["--engine", "fixture", "--p", "1"],
+        ["--engine", "finite_abelian", "--p", "4"],
+        ["--engine", "fixture", "--p", "4"],
+        ["--engine", "finite_abelian", "--p", "-3"],
+        ["--engine", "a2_rep", "--field", "f4"],
+        ["--engine", "a2_rep", "--field", "f3317044064679887385961981"],
+    ])
+    def test_bad_engine_parameters_exit_2(self, flags, tmp_path, capsys):
+        out = tmp_path / "rep.json"
+        assert main(["check", *flags, "--suite", "ker-q", "--n", "1",
+                     "--out", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_non_prime_in_input_file(self, tmp_path):
+        doc = {"engine": {"kind": "finite_abelian", "p": 4},
+               "objects": {"M": {"relations": [[8]], "gens": 1}}}
+        assert main(["saturate", "--input", _write(tmp_path, doc)]) == 2
+
+    def test_fixture_accepts_zero(self, tmp_path):
+        out = tmp_path / "rep.json"
+        assert main(["check", "--engine", "fixture", "--p", "0", "--suite", "ker-q",
+                     "--n", "1", "--out", str(out)]) == 0
+
+    def test_large_prime_field_is_quick(self, tmp_path):
+        out = tmp_path / "rep.json"
+        t0 = time.perf_counter()
+        assert main(["check", "--engine", "a2_rep", "--field", "f1000000000000000003",
+                     "--suite", "ker-q", "--n", "2", "--out", str(out)]) == 0
+        assert time.perf_counter() - t0 < 10
+        assert read_report(str(out))["command"]["engine"]["field"] == "F1000000000000000003"
+
+    def test_negative_n_rejected(self, tmp_path, capsys):
+        out = tmp_path / "rep.json"
+        assert main(["check", "--engine", "finite_abelian", "--suite", "ker-q",
+                     "--n", "-5", "--out", str(out)]) == 2
+        assert "--n" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_n_allowed(self, tmp_path):
+        out = tmp_path / "rep.json"
+        assert main(["check", "--engine", "finite_abelian", "--suite", "all",
+                     "--n", "0", "--out", str(out)]) == 0

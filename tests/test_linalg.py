@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from serreq.errors import ShapeError
+from serreq.errors import InputValidationError, ShapeError
 from serreq.linalg import (
-    Mat, PrimeField, QQ, det, f_inv, f_kernel, f_rank, f_solve, int_kernel,
-    int_solve, kernel_mod_rows, presentation_enumerate, presentation_invariants,
+    MR_BOUND, Mat, PrimeField, QQ, det, f_inv, f_kernel, f_rank, f_solve, int_kernel,
+    int_solve, is_prime, kernel_mod_rows, presentation_enumerate, presentation_invariants,
     row_basis, smith, smith_diagonal, solve_mod_rows,
 )
 
@@ -274,3 +274,31 @@ class TestFields:
     def test_prime_check(self):
         with pytest.raises(ValueError):
             PrimeField(6)
+
+
+class TestIsPrime:
+    def test_agrees_with_trial_division(self):
+        def trial(n):
+            return n > 1 and all(n % q for q in range(2, int(n ** 0.5) + 1))
+        assert [n for n in range(-5, 3000) if is_prime(n)] == \
+            [n for n in range(-5, 3000) if trial(n)]
+
+    def test_strong_pseudoprimes_are_composite(self):
+        # the least strong pseudoprimes to the first 4, 9 and 12 prime bases
+        for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+            assert not is_prime(n)
+
+    def test_large_primes(self):
+        assert is_prime(1000000000000000003)
+        assert is_prime(2 ** 61 - 1)
+        assert not is_prime((2 ** 61 - 1) * (2 ** 13 - 1))
+
+    def test_values_beyond_the_bound_are_rejected(self):
+        assert not is_prime(MR_BOUND - 1)
+        with pytest.raises(InputValidationError):
+            is_prime(MR_BOUND)
+
+    def test_prime_field_rejects_non_primes(self):
+        for p in (-3, 0, 1, 4, 1000000000000000001):
+            with pytest.raises(InputValidationError):
+                PrimeField(p)

@@ -8,11 +8,9 @@ from serreq.errors import NotSaturatedError, OracleUnsupported
 from serreq.linalg import Mat, PrimeField
 from serreq.quiver import SinkSupportTheory
 from serreq.serre import (
-    QuotientMorphism, check_gabriel_equivalence, check_idempotent,
-    check_ker_q_equals_c, check_monad_laws, check_saturating_axioms, check_zigzag,
-    cokernel_in_sat, colift_H, make_candidate, monad_at, q_compose, q_eq, q_hom,
-    q_hom_via_colimit, q_id, q_is_iso, q_is_zero, q_of, qmor_add, qmor_eq,
-    quotient_invert, w_on_morphism,
+    QuotientMorphism, cokernel_in_sat, colift_H, make_candidate, monad_at, q_compose,
+    q_eq, q_hom, q_hom_via_colimit, q_id, q_is_iso, q_is_zero, q_of, qmor_add, qmor_eq,
+    quotient_invert, run_suite, w_on_morphism,
 )
 from serreq.zmodules import FixtureTheory, PPrimaryTheory
 
@@ -279,20 +277,20 @@ class TestCokernelInSat:
 class TestSuites:
     def test_positive_suites_pass(self):
         for th in THEORIES:
-            assert check_monad_laws(th, 17, 12).passed
-            assert check_idempotent(th, 17, 12).passed
-            assert check_zigzag(th, 17, 12).passed
-            assert check_ker_q_equals_c(th, 17, 12).passed
-            assert check_saturating_axioms(th, make_candidate(th, None), 17, 12).passed
+            assert run_suite(th, "monad-laws", 17, 12)[0].passed
+            assert run_suite(th, "idempotent", 17, 12)[0].passed
+            assert run_suite(th, "zigzag", 17, 12)[0].passed
+            assert run_suite(th, "ker-q", 17, 12)[0].passed
+            assert run_suite(th, "saturating", 17, 12)[0].passed
 
     def test_zero_only_input(self):
-        report = check_zigzag(FA, 0, 0)
+        report = run_suite(FA, "zigzag", 0, 0)[0]
         assert report.passed
 
     def test_fixture_fails_axiom2_under_every_seed(self):
         fx = FixtureTheory(2)
         for seed in (0, 1, 17, 99, 12345):
-            report = check_saturating_axioms(fx, make_candidate(fx, None), seed, 6)
+            report = run_suite(fx, "saturating", seed, 6)[0]
             assert not report.passed
             first = report.first_failure
             assert first.label == "saturating-2-image-saturated"
@@ -302,14 +300,14 @@ class TestSuites:
 
     def test_fixture_passes_axioms_1_and_4(self):
         fx = FixtureTheory(2)
-        report = check_saturating_axioms(fx, make_candidate(fx, None), 23, 8)
+        report = run_suite(fx, "saturating", 23, 8)[0]
         by_label = {i.label: i for i in report.items}
         assert by_label["saturating-1-kills-c"].passed
         assert by_label["saturating-4-unit-commutes"].passed
 
     def test_identity_candidate_fails_axiom1_under_every_seed(self):
         for seed in (0, 1, 17, 99, 12345):
-            report = check_saturating_axioms(FA, make_candidate(FA, "identity"), seed, 6)
+            report = run_suite(FA, "saturating", seed, 6, "identity")[0]
             assert not report.passed
             first = report.first_failure
             assert first.label == "saturating-1-kills-c"
@@ -318,12 +316,12 @@ class TestSuites:
 
     def test_fixture_idempotence_still_holds(self):
         fx = FixtureTheory(2)
-        assert check_idempotent(fx, 5, 8).passed
+        assert run_suite(fx, "idempotent", 5, 8)[0].passed
 
     def test_equivalence_gabriel_and_twisted(self):
         for th in THEORIES:
-            assert check_gabriel_equivalence(th, make_candidate(th, None), 29, 10).passed
-            assert check_gabriel_equivalence(th, make_candidate(th, "twisted"), 29, 10).passed
+            assert run_suite(th, "gabriel-equiv", 29, 10)[0].passed
+            assert run_suite(th, "gabriel-equiv", 29, 10, "twisted")[0].passed
 
     def test_twisted_unit_is_nontrivial(self):
         m = E.cyclic(9)
@@ -333,7 +331,7 @@ class TestSuites:
 
     def test_equivalence_rejects_fixture(self):
         fx = FixtureTheory(2)
-        report = check_gabriel_equivalence(fx, make_candidate(fx, None), 29, 10)
+        report = run_suite(fx, "gabriel-equiv", 29, 10)[0]
         assert not report.passed
         assert report.items[0].label == "precondition-saturating"
 
@@ -382,7 +380,7 @@ class TestQuotientExactness:
 class TestWitnessRoundTrip:
     def test_replay_reproduces_failure(self):
         fx = FixtureTheory(2)
-        report = check_saturating_axioms(fx, make_candidate(fx, None), 31, 5)
+        report = run_suite(fx, "saturating", 31, 5)[0]
         witness = report.first_failure.witness
         doc = session.witness_to_jsonable(witness)
         result = session.replay_witness(doc)
@@ -390,12 +388,12 @@ class TestWitnessRoundTrip:
         assert not result["version_mismatch"]
 
     def test_replay_object_checks(self):
-        report = check_saturating_axioms(FA, make_candidate(FA, "identity"), 31, 5)
+        report = run_suite(FA, "saturating", 31, 5, "identity")[0]
         doc = session.witness_to_jsonable(report.first_failure.witness)
         assert session.replay_witness(doc)["reproduced"]
 
     def test_report_dicts_deterministic(self):
-        r1 = check_saturating_axioms(FA, make_candidate(FA, None), 41, 8)
-        r2 = check_saturating_axioms(FA, make_candidate(FA, None), 41, 8)
+        r1 = run_suite(FA, "saturating", 41, 8)[0]
+        r2 = run_suite(FA, "saturating", 41, 8)[0]
         codec = session.witness_to_jsonable
         assert r1.to_dict(codec) == r2.to_dict(codec)

@@ -3,7 +3,7 @@
 import pytest
 
 from serreq.category import rng_for
-from serreq.errors import EngineMismatch, NotSaturatedError
+from serreq.errors import EngineMismatch, InputValidationError, NotSaturatedError
 from serreq.zmodules import (
     FiniteAbelianEngine, FixtureTheory, PPrimaryTheory, ZModuleEngine,
     finite_subobject_embeddings,
@@ -237,6 +237,14 @@ class TestFixture:
             FixtureTheory(1)
         with pytest.raises(ValueError):
             PPrimaryTheory(0)
+
+    def test_non_primes_rejected(self):
+        for p in (-2, 1, 4, 9):
+            with pytest.raises(InputValidationError):
+                PPrimaryTheory(p)
+            with pytest.raises(InputValidationError):
+                FixtureTheory(p)
+        assert FixtureTheory(0).p == 0
 
 
 class TestGeneralEngine:
