@@ -15,8 +15,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
-from .errors import CompositeNotZero, EndpointMismatch, InputValidationError, NotInvertible
+from .errors import (
+    CompositeNotZero, ContractViolation, EndpointMismatch, InputValidationError,
+    NotInvertible,
+)
 from .linalg import (
     Mat, f_rank, f_solve, int_solve, presentation_enumerate,
     presentation_invariants,
@@ -99,7 +103,8 @@ class AbelianEngine:
         """Factor f as (epi onto image, image embedding)."""
         emb = self.image_emb(f)
         epi = self.lift_along_mono(f, emb)
-        assert epi is not None
+        if epi is None:
+            raise ContractViolation("a morphism does not factor through its image")
         return epi, emb
 
     def is_mono(self, f) -> bool:
@@ -116,9 +121,11 @@ class AbelianEngine:
         if not self.is_iso(f):
             raise NotInvertible("morphism is not an isomorphism")
         inv = self.colift_along_epi(self.identity(f.src), f)
-        assert inv is not None
-        assert self.eq_mor(self.compose(f, inv), self.identity(f.src))
-        assert self.eq_mor(self.compose(inv, f), self.identity(f.dst))
+        if inv is None:
+            raise NotInvertible("an isomorphism has no colift of the identity")
+        if not (self.eq_mor(self.compose(f, inv), self.identity(f.src))
+                and self.eq_mor(self.compose(inv, f), self.identity(f.dst))):
+            raise NotInvertible("the computed inverse is not two-sided")
         return inv
 
     def homology_at(self, f, g):
@@ -130,7 +137,8 @@ class AbelianEngine:
         ker = self.kernel_emb(g)
         img = self.image_emb(f)
         inside = self.lift_along_mono(img, ker)
-        assert inside is not None
+        if inside is None:
+            raise ContractViolation("the image does not lie in the kernel")
         return self.cokernel_proj(inside).dst
 
     # -- short exact sequences -------------------------------------------------
@@ -203,7 +211,29 @@ class AbelianEngine:
 # Hom and Ext carriers
 
 
-class ZHomGroup:
+class ZGroup:
+    """A finitely presented abelian group: Z^k modulo the rows of
+    `relations`.  The integer engine returns Ext1 as one."""
+
+    kind = "Z"
+
+    def __init__(self, relations: Mat):
+        self.relations = relations
+
+    def invariants(self):
+        rank, divisors = presentation_invariants(self.relations)
+        return ("Z", rank, divisors)
+
+    def is_zero_group(self) -> bool:
+        rank, divisors = presentation_invariants(self.relations)
+        return rank == 0 and not divisors
+
+    def describe(self):
+        rank, divisors = presentation_invariants(self.relations)
+        return {"kind": "Z", "rank": rank, "divisors": list(divisors)}
+
+
+class ZHomGroup(ZGroup):
     """Hom(M, N) as a finitely presented abelian group.
 
     Elements are integer coefficient rows over a fixed basis of morphisms,
@@ -211,14 +241,12 @@ class ZHomGroup:
     rows and actual morphisms, and encode respects morphism addition.
     """
 
-    kind = "Z"
-
     def __init__(self, engine, src, dst, basis_mors, relations: Mat):
+        super().__init__(relations)
         self.engine = engine
         self.src = src
         self.dst = dst
         self.basis = list(basis_mors)
-        self.relations = relations
 
     @property
     def ngens(self):
@@ -239,7 +267,8 @@ class ZHomGroup:
                                    len(vec))
         x = int_solve(basis_rows.stack_below(self.engine._hom_modulus(self.src, self.dst)),
                       Mat.from_rows([vec], len(vec)))
-        assert x is not None
+        if x is None:
+            raise ContractViolation("a morphism is not in the span of the Hom basis")
         return tuple(x.data[0][:self.ngens])
 
     def add_elements(self, a, b):
@@ -248,22 +277,9 @@ class ZHomGroup:
     def zero_element(self):
         return tuple(0 for _ in range(self.ngens))
 
-    def invariants(self):
-        rank, divisors = presentation_invariants(self.relations)
-        return ("Z", rank, divisors)
-
-    def is_zero_group(self) -> bool:
-        rank, divisors = presentation_invariants(self.relations)
-        return rank == 0 and not divisors
-
     def element_count(self):
         rank, divisors = presentation_invariants(self.relations)
-        if rank:
-            return None
-        n = 1
-        for d in divisors:
-            n *= d
-        return n
+        return None if rank else prod(divisors)
 
     def enumerate_elements(self, cap=4096):
         return presentation_enumerate(self.relations, cap)
@@ -271,29 +287,40 @@ class ZHomGroup:
     def random_element(self, rng):
         return tuple(rng.randint(-6, 6) for _ in range(self.ngens))
 
-    def describe(self):
-        rank, divisors = presentation_invariants(self.relations)
-        return {"kind": "Z", "rank": rank, "divisors": list(divisors)}
 
-
-class FieldHomGroup:
-    """Hom(V, U) as a finite-dimensional vector space over the base field."""
+class VectorSpace:
+    """A finite-dimensional vector space over `field`, recorded by its
+    dimension.  The quiver engine returns Ext1 as one."""
 
     kind = "field"
 
+    def __init__(self, field, dim):
+        self.field = field
+        self.dim = dim
+
+    def invariants(self):
+        return (self.field.name, self.dim)
+
+    def is_zero_group(self) -> bool:
+        return self.dim == 0
+
+    def describe(self):
+        return {"kind": "field", "field": self.field.name, "dim": self.dim}
+
+
+class FieldHomGroup(VectorSpace):
+    """Hom(V, U) as a finite-dimensional vector space over the base field."""
+
     def __init__(self, engine, src, dst, basis_mors):
+        basis = list(basis_mors)
+        super().__init__(engine.field, len(basis))
         self.engine = engine
-        self.field = engine.field
         self.src = src
         self.dst = dst
-        self.basis = list(basis_mors)
+        self.basis = basis
 
     @property
     def ngens(self):
-        return len(self.basis)
-
-    @property
-    def dim(self):
         return len(self.basis)
 
     def decode(self, coeffs):
@@ -308,12 +335,14 @@ class FieldHomGroup:
             raise EndpointMismatch("morphism does not belong to this Hom-group")
         vec = self.engine._hom_vector(mor)
         if self.ngens == 0:
-            assert all(x == self.field.normalize(0) for x in vec)
+            if any(x != self.field.normalize(0) for x in vec):
+                raise ContractViolation("a nonzero morphism in a zero Hom-space")
             return ()
         basis_rows = Mat.from_rows([self.engine._hom_vector(b) for b in self.basis],
                                    len(vec))
         x = f_solve(self.field, basis_rows, Mat.from_rows([vec], len(vec)))
-        assert x is not None
+        if x is None:
+            raise ContractViolation("a morphism is not in the span of the Hom basis")
         return tuple(x.data[0])
 
     def add_elements(self, a, b):
@@ -321,12 +350,6 @@ class FieldHomGroup:
 
     def zero_element(self):
         return tuple(self.field.normalize(0) for _ in range(self.ngens))
-
-    def invariants(self):
-        return (self.field.name, self.dim)
-
-    def is_zero_group(self) -> bool:
-        return self.dim == 0
 
     def element_count(self):
         if self.field.p == 0:
@@ -348,45 +371,6 @@ class FieldHomGroup:
             return tuple(rng.randrange(self.field.p) for _ in range(self.ngens))
         return tuple(self.field.normalize(rng.randint(-5, 5)) for _ in range(self.ngens))
 
-    def describe(self):
-        return {"kind": "field", "field": self.field.name, "dim": self.dim}
-
-
-class ZExtGroup:
-    """Ext1(M, N) presented as a finitely generated abelian group."""
-
-    def __init__(self, relations: Mat):
-        self.relations = relations
-
-    def invariants(self):
-        rank, divisors = presentation_invariants(self.relations)
-        return ("Z", rank, divisors)
-
-    def is_zero_group(self) -> bool:
-        rank, divisors = presentation_invariants(self.relations)
-        return rank == 0 and not divisors
-
-    def describe(self):
-        rank, divisors = presentation_invariants(self.relations)
-        return {"kind": "Z", "rank": rank, "divisors": list(divisors)}
-
-
-class FieldExtGroup:
-    """Ext1(V, U) as a vector space, recorded by its dimension."""
-
-    def __init__(self, field, dim):
-        self.field = field
-        self.dim = dim
-
-    def invariants(self):
-        return (self.field.name, self.dim)
-
-    def is_zero_group(self) -> bool:
-        return self.dim == 0
-
-    def describe(self):
-        return {"kind": "field", "field": self.field.name, "dim": self.dim}
-
 
 def hom_map_is_bijective(src_group, dst_group, images) -> bool:
     """Whether the additive map sending basis i of src_group to images[i]
@@ -406,9 +390,8 @@ def hom_map_is_bijective(src_group, dst_group, images) -> bool:
         m = Mat.from_rows([list(v) for v in images], dst_group.dim)
         return f_rank(field, m) == src_group.dim
     # Z case: build the induced morphism between carrier presentations and
-    # test it with the presented-module machinery (late import avoids a cycle).
-    from .zmodules import ZModuleEngine
-    eng = ZModuleEngine()
+    # test it with the presented-module machinery of the carrier's engine.
+    eng = dst_group.engine
     src_obj = eng.obj(src_group.relations)
     dst_obj = eng.obj(dst_group.relations)
     payload = Mat.from_rows([list(v) for v in images], dst_group.ngens) \

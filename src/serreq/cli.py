@@ -141,25 +141,30 @@ def cmd_check(args) -> int:
     return exit_code
 
 
+def _list_of_objects(value, where):
+    if not isinstance(value, list) or any(not isinstance(x, dict) for x in value):
+        raise session.InputValidationError(f"{where} must be a list of objects")
+    return value
+
+
+def _first_witness(doc):
+    """The first witness in a report document, which holds them at
+    checks[] (one per suite) -> checks[] (one per check) -> witness."""
+    if not isinstance(doc, dict):
+        raise session.InputValidationError("a report must be a JSON object")
+    for suite in _list_of_objects(doc.get("checks", []), "report 'checks'"):
+        for check in _list_of_objects(suite.get("checks", []), "suite 'checks'"):
+            if "witness" in check:
+                return check["witness"]
+    return None
+
+
 def cmd_replay(args) -> int:
     if not args.input:
         raise session.InputValidationError("replay needs --input WITNESS_FILE")
     doc = session.load_json_file(args.input)
-    witness = None
-    if isinstance(doc, dict) and "check" in doc and "data" in doc:
-        witness = doc
-    elif isinstance(doc, dict):
-        for check in doc.get("checks", []):
-            inner = check.get("witness") if isinstance(check, dict) else None
-            if inner:
-                witness = inner
-                break
-            for sub in (check.get("checks") or []) if isinstance(check, dict) else []:
-                if isinstance(sub, dict) and sub.get("witness"):
-                    witness = sub["witness"]
-                    break
-            if witness:
-                break
+    is_witness = isinstance(doc, dict) and "check" in doc and "data" in doc
+    witness = doc if is_witness else _first_witness(doc)
     if witness is None:
         if args.format == "text":
             print("nothing to replay: no failure witness in the input")
@@ -181,6 +186,15 @@ def cmd_replay(args) -> int:
                                  {"wall_ms": args._elapsed_ms()})
     _emit(doc, args)
     return exit_code
+
+
+def _env_seed() -> int:
+    text = os.environ.get("SERRE_SEED", "0")
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise session.InputValidationError(
+            f"SERRE_SEED must be an integer, got {text!r}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -214,14 +228,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.seed is None:
-        try:
-            args.seed = int(os.environ.get("SERRE_SEED", "0"))
-        except ValueError:
-            args.seed = 0
     started = time.perf_counter()
     args._elapsed_ms = lambda: round((time.perf_counter() - started) * 1000, 3)
     try:
+        if args.seed is None:
+            args.seed = _env_seed()
         return args.fn(args)
     except SerreqError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -35,3 +35,8 @@ class OracleUnsupported(SerreqError, ValueError):
 
 class InputValidationError(SerreqError, ValueError):
     """A session input document failed validation."""
+
+
+class ContractViolation(SerreqError, RuntimeError):
+    """An internal invariant failed: a result contradicts what the
+    algorithm guarantees, which means a bug in this package."""

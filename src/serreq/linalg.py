@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from .errors import InputValidationError, ShapeError
+from .errors import ContractViolation, InputValidationError, ShapeError
 
 
 @dataclass(frozen=True)
@@ -374,7 +374,8 @@ def int_solve(A: Mat, B: Mat):
             return None
         out.append(tuple(y))
     X = Mat(B.rows, A.rows, tuple(out)).mul(E)
-    assert X.mul(A).data == B.data
+    if X.mul(A).data != B.data:
+        raise ContractViolation("int_solve found X with X*A != B")
     return X
 
 

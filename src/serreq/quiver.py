@@ -18,9 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .category import AbelianEngine, FieldExtGroup, FieldHomGroup, entry_from_json
+from .category import AbelianEngine, FieldHomGroup, VectorSpace, entry_from_json
 from .errors import (
-    EndpointMismatch, EngineMismatch, InputValidationError, NotSaturatedError, ShapeError,
+    ContractViolation, EndpointMismatch, EngineMismatch, InputValidationError,
+    NotSaturatedError, ShapeError,
 )
 from .linalg import Mat, f_inv, f_kernel, f_mul, f_rank, f_solve, flatten, unflatten
 
@@ -137,7 +138,8 @@ class A2Engine(AbelianEngine):
         k2 = f_kernel(self.field, f.f2)
         # alpha restricts: rows of k1*alpha lie in ker f2
         restr = f_solve(self.field, k2, f_mul(self.field, k1, f.src.alpha))
-        assert restr is not None
+        if restr is None:
+            raise ContractViolation("alpha does not restrict to the kernel")
         ker = self.obj(k1.rows, k2.rows, restr)
         return self.mor(ker, f.src, k1, k2)
 
@@ -146,7 +148,8 @@ class A2Engine(AbelianEngine):
         p2 = f_kernel(self.field, f.f2.transpose()).transpose()
         rhs = f_mul(self.field, f.dst.alpha, p2)
         sol = f_solve(self.field, p1.transpose(), rhs.transpose())
-        assert sol is not None
+        if sol is None:
+            raise ContractViolation("alpha does not descend to the cokernel")
         coker = self.obj(p1.cols, p2.cols, sol.transpose())
         return self.mor(f.dst, coker, p1, p2)
 
@@ -160,7 +163,8 @@ class A2Engine(AbelianEngine):
         cand = self.mor(f.src, mono.src, l1, l2)
         if not self.is_well_defined(cand):
             return None
-        assert self.eq_mor(self.compose(cand, mono), f)
+        if not self.eq_mor(self.compose(cand, mono), f):
+            raise ContractViolation("a solution of the lift equations does not lift f")
         return cand
 
     def colift_along_epi(self, f: A2Mor, epi: A2Mor):
@@ -246,13 +250,13 @@ class A2Engine(AbelianEngine):
             basis.append(self.mor(m, n, f1, f2))
         return FieldHomGroup(self, m, n, basis)
 
-    def ext1_group(self, m: A2Obj, n: A2Obj) -> FieldExtGroup:
+    def ext1_group(self, m: A2Obj, n: A2Obj) -> VectorSpace:
         """Ext1 from the standard projective resolution
         0 -> V1 (x) P_sink -> V1 (x) P_source + V2 (x) P_sink -> V -> 0,
         whose Hom-complex is the constraint map above."""
         cmat = self._constraint_matrix(m, n)
         dim = m.d1 * n.d2 - f_rank(self.field, cmat)
-        return FieldExtGroup(self.field, dim)
+        return VectorSpace(self.field, dim)
 
     # -- randomness ----------------------------------------------------------------
 
@@ -298,7 +302,8 @@ class A2Engine(AbelianEngine):
             raise InputValidationError(f"{where}: payload must be an object")
         dims = payload.get("dims")
         if (not isinstance(dims, list) or len(dims) != 2
-                or any(not isinstance(d, int) or d < 0 for d in dims)):
+                or any(not isinstance(d, int) or isinstance(d, bool) or d < 0
+                       for d in dims)):
             raise InputValidationError(f"{where}: quiver objects need 'dims': [d1, d2]")
         mat = self.mat_from_json(payload.get("alpha", []), expected_cols=dims[1])
         if mat.rows != dims[0]:
@@ -333,6 +338,8 @@ class SinkSupportTheory:
 
     kind = "a2_rep"
     canonical_tag = "gabriel"
+    size_bound = 3
+    cogenerator_bound = 2
 
     def __init__(self, field):
         self.field = field
@@ -368,9 +375,6 @@ class SinkSupportTheory:
     def c_cogenerators(self, bound: int):
         return [self.engine.simple_source(d) for d in range(1, bound + 1)]
 
-    def cogenerator_bound(self) -> int:
-        return 2
-
     def probe_objects(self):
         e = self.engine
         wedge = e.obj(2, 1, Mat.from_rows([[1], [0]]))
@@ -383,13 +387,8 @@ class SinkSupportTheory:
             c = self.field.normalize(1)
         return self.engine.scale(eta, c)
 
-    def random_object(self, rng, size_bound=3, max_order=None):
+    def random_object(self, rng, size_bound=size_bound, max_order=None):
         return self.engine.random_object(rng, size_bound)
 
-    def random_morphism(self, rng, m, n):
-        return self.engine.random_morphism(rng, m, n)
-
-    def random_ses(self, rng, size_bound=3):
+    def random_ses(self, rng, size_bound=size_bound):
         return self.engine.random_ses(rng, size_bound)
-
-    supports_subobject_enumeration = False

@@ -1,13 +1,16 @@
 """Serre quotients, Gabriel monads, and the checker suites.
 
 Everything here is generic over a localizing theory: an engine together
-with the bundle (is_in_c, h_c, saturate, is_saturated, extend_along_unit,
-c_cogenerators).  The quotient category keeps the objects of the ambient
-category; a quotient morphism M -> N is stored by its canonical
-representative M -> W(N), which turns Hom computations and equality into
-single ambient-category questions and avoids the direct limit entirely.
-The direct-limit construction is still available as an independent oracle
-(q_hom_via_colimit) on engines that can enumerate subobjects.
+with the methods is_in_c, h_c, saturate, is_saturated, extend_along_unit,
+c_cogenerators, probe_objects, twist_unit, random_object and random_ses,
+and the class attributes canonical_tag, size_bound and cogenerator_bound;
+random morphisms come from the engine.  The quotient category keeps the
+objects of the ambient category; a quotient morphism M -> N is stored by
+its canonical representative M -> W(N), which turns Hom computations and
+equality into single ambient-category questions and avoids the direct
+limit entirely.  The direct-limit construction is still available as an
+independent oracle (q_hom_via_colimit) on theories that also have a
+subobject_embeddings method.
 
 The five saturating axioms checked by the "saturating" suite, for an
 endofunctor W with unit eta over a torsion class C:
@@ -36,7 +39,8 @@ from dataclasses import dataclass, field
 
 from .category import hom_map_is_bijective, rng_for
 from .errors import (
-    EndpointMismatch, NotInvertible, NotSaturatedError, OracleUnsupported,
+    ContractViolation, EndpointMismatch, InputValidationError, NotInvertible,
+    NotSaturatedError, OracleUnsupported,
 )
 
 
@@ -91,7 +95,8 @@ def w_on_morphism(theory, f):
         return theory.extend_along_unit(comp)
     _, eta_m = theory.saturate(f.src)
     psi = e.colift_along_epi(comp, eta_m)
-    assert psi is not None
+    if psi is None:
+        raise ContractViolation("eta_N after f does not extend along an epic unit")
     return psi
 
 
@@ -230,7 +235,7 @@ class ColimitHom:
     """
 
     def __init__(self, theory, m, n):
-        if not getattr(theory, "supports_subobject_enumeration", False):
+        if not hasattr(theory, "subobject_embeddings"):
             raise OracleUnsupported("engine cannot enumerate subobjects exhaustively")
         e = theory.engine
         self.theory = theory
@@ -242,7 +247,8 @@ class ColimitHom:
         embs = theory.subobject_embeddings(m)
         admissible = [emb for emb in embs
                       if theory.is_in_c(e.cokernel_proj(emb).dst)]
-        assert admissible, "M itself is always an admissible stage"
+        if not admissible:
+            raise ContractViolation("M itself is always an admissible stage")
         admissible.sort(key=lambda emb: e.order(emb.src))
         minimal = admissible[0]
         # the directed system is ordered by reverse inclusion; its terminal
@@ -250,7 +256,8 @@ class ColimitHom:
         self.transitions = []
         for emb in admissible:
             inc = e.lift_along_mono(minimal, emb)
-            assert inc is not None, "admissible subobjects must be intersection-closed"
+            if inc is None:
+                raise ContractViolation("admissible subobjects must be intersection-closed")
             self.transitions.append(inc)
         self.stages = len(admissible)
         self.minimal_emb = minimal
@@ -297,20 +304,12 @@ def q_hom_via_colimit(theory, m, n) -> ColimitHom:
 
 
 class MonadCandidate:
-    """An endofunctor-with-unit handed to the checker suites."""
+    """An endofunctor-with-unit handed to the checker suites: w_obj, unit
+    and w_mor."""
 
     def __init__(self, theory, tag):
         self.theory = theory
         self.tag = tag
-
-    def w_obj(self, m):
-        raise NotImplementedError
-
-    def unit(self, m):
-        raise NotImplementedError
-
-    def w_mor(self, f):
-        raise NotImplementedError
 
 
 class CanonicalCandidate(MonadCandidate):
@@ -347,22 +346,15 @@ class IdentityCandidate(MonadCandidate):
         return f
 
 
-class TwistedCandidate(MonadCandidate):
+class TwistedCandidate(CanonicalCandidate):
     """The reflection composed with a nontrivial natural automorphism of W
     (a scalar that is invertible on every saturated object)."""
 
     def __init__(self, theory):
         super().__init__(theory, "twisted")
-        self._base = CanonicalCandidate(theory)
-
-    def w_obj(self, m):
-        return self._base.w_obj(m)
 
     def unit(self, m):
-        return self.theory.twist_unit(self._base.unit(m))
-
-    def w_mor(self, f):
-        return self._base.w_mor(f)
+        return self.theory.twist_unit(super().unit(m))
 
 
 def make_candidate(theory, tag) -> MonadCandidate:
@@ -374,7 +366,7 @@ def make_candidate(theory, tag) -> MonadCandidate:
         return IdentityCandidate(theory)
     if tag == "twisted":
         return TwistedCandidate(theory)
-    raise ValueError(f"unknown candidate tag: {tag}")
+    raise InputValidationError(f"unknown candidate tag: {tag}")
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +493,7 @@ def pred_axiom1(theory, candidate, m):
 def pred_axiom2(theory, candidate, m):
     wm = candidate.w_obj(m)
     e = theory.engine
-    for t in theory.c_cogenerators(theory.cogenerator_bound()):
+    for t in theory.c_cogenerators(theory.cogenerator_bound):
         hg = e.hom_group(t, wm)
         if not hg.is_zero_group():
             return False, f"Hom(T, W(M)) = {hg.describe()} for T = {t!r}"
@@ -651,7 +643,7 @@ SUITES = tuple(SUITE_CHECKS)
 def _random_chain(theory, rng, length):
     """length composable random morphisms between fresh random objects."""
     objs = [theory.random_object(rng) for _ in range(length + 1)]
-    return tuple(theory.random_morphism(rng, a, b) for a, b in zip(objs, objs[1:]))
+    return tuple(theory.engine.random_morphism(rng, a, b) for a, b in zip(objs, objs[1:]))
 
 
 def _samples(theory, kind, seed, suite, n):
@@ -730,11 +722,16 @@ def run_suite(theory, suite, seed, n, candidate_tag=None):
 def replay_check(theory, candidate_tag, check, data):
     """Re-run the single check named by a witness on decoded data.
 
-    Returns (passed, detail).  Raises KeyError for an unknown check name.
+    Returns (passed, detail).  An unknown check name, or data that lacks
+    a key of its check, is an InputValidationError.
     """
-    spec = CHECKS.get(check)
+    spec = CHECKS.get(check) if isinstance(check, str) else None
     if spec is None:
-        raise KeyError(f"unknown check: {check}")
-    args = tuple(data[k] for k in SAMPLE_KEYS[spec.sample])
+        raise InputValidationError(f"unknown check: {check!r}")
+    keys = SAMPLE_KEYS[spec.sample]
+    missing = [k for k in keys if k not in data]
+    if missing:
+        raise InputValidationError(f"witness data of {check} lacks {missing}")
+    args = tuple(data[k] for k in keys)
     candidate = make_candidate(theory, candidate_tag) if spec.candidate else None
     return _run_check(theory, candidate, check, args)

@@ -92,6 +92,8 @@ def witness_to_jsonable(witness: dict) -> dict:
 def witness_from_jsonable(doc: dict):
     """Decode a witness document; returns (theory, candidate_tag, check, data,
     version_mismatch)."""
+    if not isinstance(doc, dict):
+        raise InputValidationError("a witness must be a JSON object")
     for key in ("engine", "check", "data"):
         if key not in doc:
             raise InputValidationError(f"witness document lacks '{key}'")
@@ -147,6 +149,9 @@ def load_session_input(doc: dict, theory=None) -> SessionInput:
         theory = file_theory
     if theory is None:
         raise InputValidationError("no engine given (flags or input file)")
+    for key in ("objects", "morphisms"):
+        if not isinstance(doc.get(key) or {}, dict):
+            raise InputValidationError(f"'{key}' must map names to payloads")
     objects = {}
     for name, payload in (doc.get("objects") or {}).items():
         objects[name] = theory.engine.obj_from_payload(payload, f"objects.{name}")
@@ -170,7 +175,7 @@ def load_json_file(path: str):
             return json.load(fh)
     except OSError as exc:
         raise InputValidationError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
         raise InputValidationError(f"{path} is not valid JSON: {exc}") from exc
 
 

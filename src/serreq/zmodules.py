@@ -16,11 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
-from .category import AbelianEngine, ZExtGroup, ZHomGroup, entry_from_json
+from .category import AbelianEngine, ZGroup, ZHomGroup, entry_from_json
 from .errors import (
-    EndpointMismatch, EngineMismatch, InputValidationError, NotSaturatedError, ShapeError,
+    ContractViolation, EndpointMismatch, EngineMismatch, InputValidationError,
+    NotSaturatedError, ShapeError,
 )
 from .linalg import (
     Mat, flatten, int_kernel, int_solve, is_prime, kernel_mod_rows, presentation_invariants,
@@ -142,12 +143,7 @@ class ZModuleEngine(AbelianEngine):
 
     def order(self, m: ZObj):
         rank, divisors = presentation_invariants(m.relations)
-        if rank:
-            return None
-        n = 1
-        for d in divisors:
-            n *= d
-        return n
+        return None if rank else prod(divisors)
 
     # -- kernels, cokernels, lifts ---------------------------------------------
 
@@ -171,7 +167,8 @@ class ZModuleEngine(AbelianEngine):
         cand = ZMor(f.src, mono.src, sol)
         if not self.is_well_defined(cand):
             return None
-        assert self.eq_mor(self.compose(cand, mono), f)
+        if not self.eq_mor(self.compose(cand, mono), f):
+            raise ContractViolation("a solution of the lift equations does not lift f")
         return cand
 
     def colift_along_epi(self, f: ZMor, epi: ZMor):
@@ -248,7 +245,7 @@ class ZModuleEngine(AbelianEngine):
         basis = [ZMor(m, n, unflatten(lat.data[t], g, h)) for t in range(lat.rows)]
         return ZHomGroup(self, m, n, basis, rel)
 
-    def ext1_group(self, m: ZObj, n: ZObj) -> ZExtGroup:
+    def ext1_group(self, m: ZObj, n: ZObj) -> ZGroup:
         """Ext1(M, N) from the length-one free resolution of M.
 
         With B a basis of the relation lattice of M, the resolution is
@@ -271,7 +268,7 @@ class ZModuleEngine(AbelianEngine):
                 for i in range(q):
                     vec[i * h + t] = b.data[i][j]
                 rows.append(tuple(vec))
-        return ZExtGroup(Mat(len(rows), q * h, tuple(rows)))
+        return ZGroup(Mat(len(rows), q * h, tuple(rows)))
 
     # -- normal forms ---------------------------------------------------------------
 
@@ -375,12 +372,8 @@ class FiniteAbelianEngine(ZModuleEngine):
         while True:
             k = rng.randrange(0, max(1, size_bound) + 1)
             divisors = [rng.randint(1, 12) for _ in range(k)]
-            if max_order is not None:
-                prod = 1
-                for d in divisors:
-                    prod *= d
-                if prod > max_order:
-                    continue
+            if max_order is not None and prod(divisors) > max_order:
+                continue
             return self._scrambled_from_divisors(rng, divisors, 0)
 
     def obj_from_payload(self, payload, where="object") -> ZObj:
@@ -400,59 +393,104 @@ def _p_free_part(d: int, p: int) -> int:
     return d
 
 
-def _torsion_part_embedding(engine: ZModuleEngine, m: ZObj, p: int) -> ZMor:
-    """Embedding of the p-primary part of the torsion of M; p = 0 embeds
-    the whole torsion part."""
-    nf, _, from_nf = engine.normal_form(m)
-    _, divisors_all = presentation_invariants(m.relations)
-    gen_rows = []
-    orders = []
-    for i, d in enumerate(divisors_all):
-        cof = _p_free_part(d, p) if p else 1
-        if cof != d:
-            vec = [0] * nf.gens
-            vec[i] = cof
-            gen_rows.append(tuple(vec))
-            orders.append(d // cof)
-    sub = ZObj(diag_rows(orders, len(orders)))
-    emb_nf = ZMor(sub, nf, Mat(len(orders), nf.gens, tuple(gen_rows)))
-    return engine.compose(emb_nf, from_nf)
+class ZTorsionTheory:
+    """C = finite p-groups inside a Z-module engine; p = 0 selects the full
+    torsion class.
+
+    Subclasses supply only data: kind, canonical_tag, size_bound,
+    engine_class, zero_p_allowed, probe_objects and, where subobjects can
+    be enumerated, subobject_embeddings.  On the finite-abelian
+    engine an infinite object is an EngineMismatch and random_object
+    honours max_order; on all finitely presented Z-modules objects may be
+    infinite and max_order does not apply.
+    """
+
+    cogenerator_bound = 3
+    zero_p_allowed = False
+
+    def __init__(self, p: int):
+        if not (p == 0 and self.zero_p_allowed or is_prime(p)):
+            zero = " or 0 for the full torsion class" if self.zero_p_allowed else ""
+            raise InputValidationError(f"p must be a prime{zero}, got {p}")
+        self.p = p
+        self.engine = self.engine_class()
+
+    def describe(self):
+        return {"kind": self.kind, "p": self.p}
+
+    def _invariants(self, m: ZObj):
+        rank, divisors = presentation_invariants(m.relations)
+        if rank and isinstance(self.engine, FiniteAbelianEngine):
+            raise EngineMismatch("the finite-abelian engine only handles finite objects")
+        return rank, divisors
+
+    def is_in_c(self, m: ZObj) -> bool:
+        rank, divisors = self._invariants(m)
+        return rank == 0 and (self.p == 0
+                              or all(_p_free_part(d, self.p) == 1 for d in divisors))
+
+    def h_c(self, m: ZObj) -> ZMor:
+        """Embedding of the p-primary part of the torsion of M (the whole
+        torsion part when p = 0), the maximal subobject in C."""
+        _, divisors = self._invariants(m)
+        nf, _, from_nf = self.engine.normal_form(m)
+        gen_rows = []
+        orders = []
+        for i, d in enumerate(divisors):
+            cof = _p_free_part(d, self.p) if self.p else 1
+            if cof != d:
+                vec = [0] * nf.gens
+                vec[i] = cof
+                gen_rows.append(tuple(vec))
+                orders.append(d // cof)
+        sub = ZObj(diag_rows(orders, len(orders)))
+        emb_nf = ZMor(sub, nf, Mat(len(orders), nf.gens, tuple(gen_rows)))
+        return self.engine.compose(emb_nf, from_nf)
+
+    def saturate(self, m: ZObj):
+        """(W(M), eta_M): M / H_C(M) in normal form with the projection as
+        unit; ker eta = H_C(M) and coker eta = 0.  For the fixture this is
+        the naive candidate, whose image is not saturated in general."""
+        proj = self.engine.cokernel_proj(self.h_c(m))
+        nf, to_nf, _ = self.engine.normal_form(proj.dst)
+        return nf, self.engine.compose(proj, to_nf)
+
+    def is_saturated(self, m: ZObj) -> bool:
+        # gcd(order, 0) = order, so for p = 0 only the zero object is saturated
+        rank, divisors = self._invariants(m)
+        return rank == 0 and gcd(prod(divisors), self.p) == 1
+
+    def extend_along_unit(self, phi: ZMor) -> ZMor:
+        """The unique psi with psi after eta_{src(phi)} equal to phi."""
+        if not self.is_saturated(phi.dst):
+            raise NotSaturatedError("extension target must be saturated")
+        _, eta = self.saturate(phi.src)
+        psi = self.engine.colift_along_epi(phi, eta)
+        if psi is None:
+            raise ContractViolation("a map to a saturated object must extend along the unit")
+        return psi
+
+    def c_cogenerators(self, bound: int):
+        if self.p == 0:
+            return [self.engine.cyclic(n) for n in range(2, bound + 2)]
+        return [self.engine.cyclic(self.p ** k) for k in range(1, bound + 1)]
+
+    def twist_unit(self, eta: ZMor) -> ZMor:
+        # multiplication by p is a natural automorphism of prime-to-p groups
+        return self.engine.scale(eta, self.p or 2)
+
+    def random_object(self, rng, size_bound=None, max_order=None):
+        size_bound = self.size_bound if size_bound is None else size_bound
+        if isinstance(self.engine, FiniteAbelianEngine):
+            return self.engine.random_object(rng, size_bound, max_order=max_order)
+        return self.engine.random_object(rng, size_bound)
+
+    def random_ses(self, rng, size_bound=None):
+        return self.engine.random_ses(
+            rng, self.size_bound if size_bound is None else size_bound)
 
 
-# Method bodies shared by both Z torsion theories.  Each class binds them in
-# its own body rather than inheriting them, so that each keeps its own
-# __dict__ entry, which perfbench/tracing.py wraps class by class.
-
-def _saturate(theory, m: ZObj):
-    """(W(M), eta_M): M / H_C(M) in normal form with the projection as
-    unit; ker eta = H_C(M) and coker eta = 0.  For the fixture this is the
-    naive candidate, whose image is not saturated in general."""
-    emb = theory.h_c(m)
-    proj = theory.engine.cokernel_proj(emb)
-    nf, to_nf, _ = theory.engine.normal_form(proj.dst)
-    return nf, theory.engine.compose(proj, to_nf)
-
-
-def _extend_along_unit(theory, phi: ZMor) -> ZMor:
-    """The unique psi with psi after eta_{src(phi)} equal to phi."""
-    if not theory.is_saturated(phi.dst):
-        raise NotSaturatedError("extension target must be saturated")
-    _, eta = theory.saturate(phi.src)
-    psi = theory.engine.colift_along_epi(phi, eta)
-    assert psi is not None
-    return psi
-
-
-def _random_morphism(theory, rng, m, n):
-    return theory.engine.random_morphism(rng, m, n)
-
-
-def _random_ses(theory, rng, size_bound=None):
-    return theory.engine.random_ses(
-        rng, theory.size_bound if size_bound is None else size_bound)
-
-
-class PPrimaryTheory:
+class PPrimaryTheory(ZTorsionTheory):
     """C = finite abelian p-groups inside finite abelian groups.
 
     This class is localizing: the quotient of a finite group by its
@@ -463,47 +501,10 @@ class PPrimaryTheory:
     kind = "finite_abelian"
     canonical_tag = "gabriel"
     size_bound = 3
-
-    def __init__(self, p: int):
-        if not is_prime(p):
-            raise InputValidationError(f"p must be a prime, got {p}")
-        self.p = p
-        self.engine = FiniteAbelianEngine()
-
-    def describe(self):
-        return {"kind": self.kind, "p": self.p}
-
-    def _require_finite(self, m: ZObj):
-        if self.engine.order(m) is None:
-            raise EngineMismatch("the finite-abelian engine only handles finite objects")
-
-    def is_in_c(self, m: ZObj) -> bool:
-        self._require_finite(m)
-        n = self.engine.order(m)
-        if n == 1:
-            return True
-        while n % self.p == 0:
-            n //= self.p
-        return n == 1
-
-    def h_c(self, m: ZObj) -> ZMor:
-        """Embedding of the p-primary part, the maximal subobject in C."""
-        self._require_finite(m)
-        return _torsion_part_embedding(self.engine, m, self.p)
-
-    saturate = _saturate
-
-    def is_saturated(self, m: ZObj) -> bool:
-        self._require_finite(m)
-        return gcd(self.engine.order(m), self.p) == 1
-
-    extend_along_unit = _extend_along_unit
-
-    def c_cogenerators(self, bound: int):
-        return [self.engine.cyclic(self.p ** k) for k in range(1, bound + 1)]
-
-    def cogenerator_bound(self) -> int:
-        return 3
+    engine_class = FiniteAbelianEngine
+    # each theory binds saturate in its own body, so that perfbench/tracing.py,
+    # which wraps methods class by class, traces the two theories apart
+    saturate = ZTorsionTheory.saturate
 
     def probe_objects(self):
         e = self.engine
@@ -512,23 +513,11 @@ class PPrimaryTheory:
         return [e.zero_object(), e.cyclic(p), e.cyclic(p * p), e.cyclic(q),
                 e.cyclic(p * q), e.obj_from_divisors([p, q * q])]
 
-    def twist_unit(self, eta: ZMor) -> ZMor:
-        # multiplication by p is a natural automorphism of prime-to-p groups
-        return self.engine.scale(eta, self.p)
-
-    def random_object(self, rng, size_bound=size_bound, max_order=None):
-        return self.engine.random_object(rng, size_bound, max_order=max_order)
-
-    random_morphism = _random_morphism
-    random_ses = _random_ses
-
-    supports_subobject_enumeration = True
-
     def subobject_embeddings(self, m: ZObj, element_cap=256):
         return finite_subobject_embeddings(self.engine, m, element_cap)
 
 
-class FixtureTheory:
+class FixtureTheory(ZTorsionTheory):
     """C = finite p-groups inside all finitely presented Z-modules.
 
     The class is thick but not localizing: there are not enough saturated
@@ -541,50 +530,9 @@ class FixtureTheory:
     kind = "fixture"
     canonical_tag = "fixture-naive"
     size_bound = 2
-
-    def __init__(self, p: int):
-        if p != 0 and not is_prime(p):
-            raise InputValidationError(
-                f"p must be a prime or 0 for the full torsion class, got {p}")
-        self.p = p
-        self.engine = ZModuleEngine()
-
-    def describe(self):
-        return {"kind": self.kind, "p": self.p}
-
-    def is_in_c(self, m: ZObj) -> bool:
-        rank, divisors = presentation_invariants(m.relations)
-        if rank:
-            return False
-        if self.p == 0:
-            return True
-        return all(_p_free_part(d, self.p) == 1 for d in divisors)
-
-    def h_c(self, m: ZObj) -> ZMor:
-        return _torsion_part_embedding(self.engine, m, self.p)
-
-    saturate = _saturate
-
-    def is_saturated(self, m: ZObj) -> bool:
-        rank, divisors = presentation_invariants(m.relations)
-        if self.p == 0:
-            return rank == 0 and not divisors
-        if rank:
-            return False
-        n = 1
-        for d in divisors:
-            n *= d
-        return gcd(n, self.p) == 1
-
-    extend_along_unit = _extend_along_unit
-
-    def c_cogenerators(self, bound: int):
-        if self.p == 0:
-            return [self.engine.cyclic(n) for n in range(2, bound + 2)]
-        return [self.engine.cyclic(self.p ** k) for k in range(1, bound + 1)]
-
-    def cogenerator_bound(self) -> int:
-        return 3
+    engine_class = ZModuleEngine
+    zero_p_allowed = True
+    saturate = ZTorsionTheory.saturate
 
     def probe_objects(self):
         e = self.engine
@@ -593,17 +541,6 @@ class FixtureTheory:
         free = e.free(1)
         mixed = e.obj_from_divisors([p], free_rank=1)
         return [e.zero_object(), free, e.cyclic(p), e.cyclic(q), mixed]
-
-    def twist_unit(self, eta: ZMor) -> ZMor:
-        return self.engine.scale(eta, self.p if self.p else 2)
-
-    def random_object(self, rng, size_bound=size_bound, max_order=None):
-        return self.engine.random_object(rng, size_bound)
-
-    random_morphism = _random_morphism
-    random_ses = _random_ses
-
-    supports_subobject_enumeration = False
 
 
 # ---------------------------------------------------------------------------
@@ -622,7 +559,8 @@ def finite_subobject_embeddings(engine: ZModuleEngine, m: ZObj, element_cap=256)
         raise ValueError("object too large for exhaustive subobject enumeration")
     nf, _, from_nf = engine.normal_form(m)
     rank, divisors = presentation_invariants(m.relations)
-    assert rank == 0
+    if rank:
+        raise ContractViolation("a finite order was computed for an infinite object")
     divisors = list(divisors)
 
     elements = [()]
@@ -674,6 +612,7 @@ def finite_subobject_embeddings(engine: ZModuleEngine, m: ZObj, element_cap=256)
         rel = kernel_mod_rows(lattice, nf.relations)
         sub = ZObj(rel)
         emb = engine.compose(ZMor(sub, nf, lattice), from_nf)
-        assert engine.order(sub) == len(members)
+        if engine.order(sub) != len(members):
+            raise ContractViolation("a subgroup presentation has the wrong order")
         out.append(emb)
     return out

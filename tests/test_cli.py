@@ -217,6 +217,14 @@ class TestDeterminism:
               "--suite", "ker-q", "--n", "3", "--seed", "5", "--out", str(out)])
         assert read_report(str(out))["seed"] == 5
 
+    def test_env_seed_not_an_integer(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("SERRE_SEED", "abc")
+        out = tmp_path / "env.json"
+        assert main(["check", "--engine", "finite_abelian", "--p", "2",
+                     "--suite", "ker-q", "--n", "3", "--out", str(out)]) == 2
+        assert "SERRE_SEED" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestValidation:
     def test_bad_reference(self, tmp_path):
@@ -374,3 +382,33 @@ class TestParameterValidation:
         out = tmp_path / "rep.json"
         assert main(["check", "--engine", "finite_abelian", "--suite", "all",
                      "--n", "0", "--out", str(out)]) == 0
+
+
+_FA2 = {"kind": "finite_abelian", "p": 2}
+
+
+class TestMalformedDocuments:
+    """Each of these documents used to end in a traceback."""
+
+    @pytest.mark.parametrize("command, text", [
+        ("replay", json.dumps({"engine": _FA2, "check": "nope", "data": {}})),
+        ("replay", json.dumps({"engine": _FA2, "check": "mu-iso", "data": {}})),
+        ("replay", json.dumps({"engine": _FA2, "check": "saturating-1-kills-c",
+                               "candidate": "bogus",
+                               "data": {"object": {"relations": [[2]], "gens": 1}}})),
+        ("replay", json.dumps({"checks": 5})),
+        ("replay", json.dumps({"checks": [{"checks": 7}]})),
+        ("replay", json.dumps({"checks": [{"checks": [{"witness": 3}]}]})),
+        ("saturate", json.dumps({"engine": _FA2, "objects": [1, 2]})),
+        ("saturate", '{"engine": {"kind": "finite_abelian", "p": 2}, '
+                     '"objects": {"M": {"relations": [[' + "1" * 4401 + ']], "gens": 1}}}'),
+        ("saturate", json.dumps({"engine": {"kind": "a2_rep", "field": "f101"},
+                                 "objects": {"V": {"dims": [True, 1], "alpha": [[1]]}}})),
+    ], ids=["unknown-check", "data-lacks-key", "unknown-candidate", "checks-not-a-list",
+            "suite-checks-not-a-list", "witness-not-an-object", "objects-not-a-mapping",
+            "4401-digit-integer", "boolean-dims"])
+    def test_exits_2_with_a_message(self, command, text, tmp_path, capsys):
+        path = tmp_path / "in.json"
+        path.write_text(text, encoding="utf-8")
+        assert main([command, "--input", str(path)]) == 2
+        assert "error:" in capsys.readouterr().err

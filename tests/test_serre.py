@@ -47,7 +47,7 @@ class TestWOnMorphism:
             for i in range(40):
                 rng = rng_for(2, "wdef", i)
                 m, n = th.random_object(rng), th.random_object(rng)
-                f = th.random_morphism(rng, m, n)
+                f = th.engine.random_morphism(rng, m, n)
                 wf = w_on_morphism(th, f)
                 _, eta_m = th.saturate(m)
                 _, eta_n = th.saturate(n)
@@ -181,7 +181,7 @@ class TestColiftH:
             w, _ = th.saturate(m)
             assert th.engine.eq_mor(colift_H(th, q_id(th, m)), th.engine.identity(w))
             n = th.random_object(rng_for(8, "ch"))
-            f = th.random_morphism(rng_for(9, "ch"), m, n)
+            f = th.engine.random_morphism(rng_for(9, "ch"), m, n)
             assert th.engine.eq_mor(colift_H(th, q_of(th, f)), w_on_morphism(th, f))
             wz, _ = th.saturate(n)
             zero = QuotientMorphism(m, n, th.engine.zero_morphism(m, wz))
