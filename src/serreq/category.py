@@ -21,10 +21,7 @@ from .errors import (
     CompositeNotZero, ContractViolation, EndpointMismatch, InputValidationError,
     NotInvertible,
 )
-from .linalg import (
-    Mat, f_rank, f_solve, int_solve, presentation_enumerate,
-    presentation_invariants,
-)
+from .linalg import Mat, f_rank, f_solve, int_solve, presentation_enumerate
 
 
 def rng_for(seed, *tags) -> random.Random:
@@ -82,9 +79,11 @@ class AbelianEngine:
     """Mixin with the engine-independent abelian category operations.
 
     Concrete engines implement the primitive methods (compose, identity,
-    add, neg, eq_mor, kernel_emb, cokernel_proj, lift_along_mono,
+    add, sub, scale, eq_mor, kernel_emb, cokernel_proj, lift_along_mono,
     colift_along_epi, zero test, hom_group, ext1_group, random_object,
-    random_morphism) and inherit everything below.
+    random_morphism) and inherit everything below.  Invertibility has one
+    procedure, inverse, which colifts the identity along f; is_iso and
+    invert are read from it.
 
     Each engine also owns its JSON data format: decode_entry (one matrix
     entry to an engine scalar), obj_to_payload / obj_from_payload,
@@ -113,19 +112,24 @@ class AbelianEngine:
     def is_epi(self, f) -> bool:
         return self.is_zero_obj(self.cokernel_proj(f).dst)
 
+    def inverse(self, f):
+        """The two-sided inverse of f, or None when f is not an isomorphism.
+
+        colift_along_epi returns only a g with f;g = id, so g;f = id is
+        the one check left."""
+        inv = self.colift_along_epi(self.identity(f.src), f)
+        if inv is None or not self.eq_mor(self.compose(inv, f), self.identity(f.dst)):
+            return None
+        return inv
+
     def is_iso(self, f) -> bool:
-        return self.is_mono(f) and self.is_epi(f)
+        return self.inverse(f) is not None
 
     def invert(self, f):
         """Two-sided inverse of an isomorphism."""
-        if not self.is_iso(f):
-            raise NotInvertible("morphism is not an isomorphism")
-        inv = self.colift_along_epi(self.identity(f.src), f)
+        inv = self.inverse(f)
         if inv is None:
-            raise NotInvertible("an isomorphism has no colift of the identity")
-        if not (self.eq_mor(self.compose(f, inv), self.identity(f.src))
-                and self.eq_mor(self.compose(inv, f), self.identity(f.dst))):
-            raise NotInvertible("the computed inverse is not two-sided")
+            raise NotInvertible("morphism is not an isomorphism")
         return inv
 
     def homology_at(self, f, g):
@@ -212,37 +216,36 @@ class AbelianEngine:
 
 
 class ZGroup:
-    """A finitely presented abelian group: Z^k modulo the rows of
-    `relations`.  The integer engine returns Ext1 as one."""
+    """A finitely presented abelian group, held as the integer engine's
+    object `obj` (Z^k modulo its relation rows, with its invariants
+    computed once).  The integer engine returns Ext1 as one."""
 
     kind = "Z"
 
-    def __init__(self, relations: Mat):
-        self.relations = relations
+    def __init__(self, obj):
+        self.obj = obj
 
     def invariants(self):
-        rank, divisors = presentation_invariants(self.relations)
-        return ("Z", rank, divisors)
+        return ("Z", self.obj.rank, self.obj.divisors)
 
     def is_zero_group(self) -> bool:
-        rank, divisors = presentation_invariants(self.relations)
-        return rank == 0 and not divisors
+        return self.obj.rank == 0 and not self.obj.divisors
 
     def describe(self):
-        rank, divisors = presentation_invariants(self.relations)
-        return {"kind": "Z", "rank": rank, "divisors": list(divisors)}
+        return {"kind": "Z", "rank": self.obj.rank, "divisors": list(self.obj.divisors)}
 
 
 class ZHomGroup(ZGroup):
     """Hom(M, N) as a finitely presented abelian group.
 
     Elements are integer coefficient rows over a fixed basis of morphisms,
-    taken modulo `relations`; decode/encode translate between coefficient
-    rows and actual morphisms, and encode respects morphism addition.
+    taken modulo the relations of `obj`; decode/encode translate between
+    coefficient rows and actual morphisms, and encode respects morphism
+    addition.
     """
 
-    def __init__(self, engine, src, dst, basis_mors, relations: Mat):
-        super().__init__(relations)
+    def __init__(self, engine, src, dst, basis_mors, obj):
+        super().__init__(obj)
         self.engine = engine
         self.src = src
         self.dst = dst
@@ -278,11 +281,10 @@ class ZHomGroup(ZGroup):
         return tuple(0 for _ in range(self.ngens))
 
     def element_count(self):
-        rank, divisors = presentation_invariants(self.relations)
-        return None if rank else prod(divisors)
+        return None if self.obj.rank else prod(self.obj.divisors)
 
     def enumerate_elements(self, cap=4096):
-        return presentation_enumerate(self.relations, cap)
+        return presentation_enumerate(self.obj.relations, cap)
 
     def random_element(self, rng):
         return tuple(rng.randint(-6, 6) for _ in range(self.ngens))
@@ -334,10 +336,6 @@ class FieldHomGroup(VectorSpace):
         if mor.src != self.src or mor.dst != self.dst:
             raise EndpointMismatch("morphism does not belong to this Hom-group")
         vec = self.engine._hom_vector(mor)
-        if self.ngens == 0:
-            if any(x != self.field.normalize(0) for x in vec):
-                raise ContractViolation("a nonzero morphism in a zero Hom-space")
-            return ()
         basis_rows = Mat.from_rows([self.engine._hom_vector(b) for b in self.basis],
                                    len(vec))
         x = f_solve(self.field, basis_rows, Mat.from_rows([vec], len(vec)))
@@ -389,14 +387,12 @@ def hom_map_is_bijective(src_group, dst_group, images) -> bool:
             return True
         m = Mat.from_rows([list(v) for v in images], dst_group.dim)
         return f_rank(field, m) == src_group.dim
-    # Z case: build the induced morphism between carrier presentations and
-    # test it with the presented-module machinery of the carrier's engine.
+    # Z case: the induced morphism between the carriers' objects, tested
+    # with the presented-module machinery of the carrier's engine.
     eng = dst_group.engine
-    src_obj = eng.obj(src_group.relations)
-    dst_obj = eng.obj(dst_group.relations)
     payload = Mat.from_rows([list(v) for v in images], dst_group.ngens) \
         if src_group.ngens else Mat.zeros(0, dst_group.ngens)
-    f = eng.mor(src_obj, dst_obj, payload)
+    f = eng.mor(src_group.obj, dst_group.obj, payload)
     if not eng.is_well_defined(f):
         return False
     return eng.is_iso(f)

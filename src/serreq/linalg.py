@@ -70,9 +70,6 @@ class Mat:
                    tuple(tuple(a - b for a, b in zip(r1, r2))
                          for r1, r2 in zip(self.data, other.data)))
 
-    def neg(self) -> "Mat":
-        return Mat(self.rows, self.cols, tuple(tuple(-a for a in r) for r in self.data))
-
     def scale(self, c) -> "Mat":
         return Mat(self.rows, self.cols, tuple(tuple(c * a for a in r) for r in self.data))
 
@@ -88,9 +85,6 @@ class Mat:
     def take_cols(self, indices) -> "Mat":
         idx = list(indices)
         return Mat(self.rows, len(idx), tuple(tuple(r[j] for j in idx) for r in self.data))
-
-    def row(self, i) -> tuple:
-        return self.data[i]
 
     def is_zero(self) -> bool:
         return all(all(a == 0 for a in r) for r in self.data)
@@ -264,12 +258,6 @@ def smith(A: Mat):
             Mat(n, n, tuple(tuple(r) for r in v)))
 
 
-def smith_diagonal(A: Mat):
-    """The diagonal of the Smith form as a list (zeros included, trailing)."""
-    S, _, _ = smith(A)
-    return [S.data[i][i] for i in range(min(A.rows, A.cols))]
-
-
 def _xgcd(a, b):
     x, next_x = 1, 0
     y, next_y = 0, 1
@@ -408,25 +396,14 @@ def solve_mod_rows(A: Mat, R: Mat, B: Mat):
 # presentation helpers (Z^gens modulo a row lattice of relations)
 
 
-def presentation_invariants(rel: Mat):
-    """Invariant factors of Z^cols(rel) / rowspan(rel).
-
-    Returns (free_rank, divisors) with the divisors > 1 in divisibility
-    order; unit factors are dropped.
-    """
-    diag = smith_diagonal(rel)
-    nonzero = [d for d in diag if d]
-    rank = rel.cols - len(nonzero)
-    return rank, tuple(d for d in nonzero if d != 1)
-
-
 def presentation_normal_form(rel: Mat):
     """Coordinates in which the presentation becomes diagonal.
 
-    Returns (divisors, free_rank, to_nf, from_nf) where to_nf maps old
-    coefficient rows to normal-form rows (x -> x*to_nf), from_nf is the
-    section the other way, and the normal form keeps one coordinate per
-    nontrivial divisor followed by the free coordinates.
+    Returns (divisors, free_rank, to_nf, from_nf): the invariant factors
+    > 1 in divisibility order, the free rank, the map x -> x*to_nf from old
+    coefficient rows to normal-form rows, and the section from_nf the
+    other way.  The normal form keeps one coordinate per nontrivial
+    divisor followed by the free coordinates.
     """
     S, _, V = smith(rel)
     g = rel.cols

@@ -104,9 +104,6 @@ class A2Engine(AbelianEngine):
         self._same_endpoints(f, g)
         return self.mor(f.src, f.dst, f.f1.sub(g.f1), f.f2.sub(g.f2))
 
-    def neg(self, f: A2Mor) -> A2Mor:
-        return self.mor(f.src, f.dst, f.f1.neg(), f.f2.neg())
-
     def scale(self, f: A2Mor, c) -> A2Mor:
         return self.mor(f.src, f.dst, f.f1.scale(c), f.f2.scale(c))
 
@@ -362,12 +359,12 @@ class SinkSupportTheory:
         return w, eta
 
     def is_saturated(self, m: A2Obj) -> bool:
-        return m.d1 == m.d2 and f_rank(self.field, m.alpha) == m.d1
+        return f_inv(self.field, m.alpha) is not None
 
     def extend_along_unit(self, phi: A2Mor) -> A2Mor:
-        if not self.is_saturated(phi.dst):
-            raise NotSaturatedError("extension target must be saturated")
         inv = f_inv(self.field, phi.dst.alpha)
+        if inv is None:
+            raise NotSaturatedError("extension target must be saturated")
         w, _ = self.saturate(phi.src)
         psi1 = f_mul(self.field, phi.f2, inv)
         return self.engine.mor(w, phi.dst, psi1, phi.f2)

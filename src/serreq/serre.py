@@ -75,9 +75,9 @@ def monad_at(theory, m) -> MonadData:
     """
     w, eta = theory.saturate(m)
     _, eta_w = theory.saturate(w)
-    if not theory.engine.is_iso(eta_w):
+    mu = theory.engine.inverse(eta_w)
+    if mu is None:
         raise NotSaturatedError("unit is not invertible at a W-image")
-    mu = theory.engine.invert(eta_w)
     return MonadData(m, w, eta, mu)
 
 
@@ -159,10 +159,9 @@ def colift_H(theory, f: QuotientMorphism):
 
 def quotient_invert(theory, f: QuotientMorphism) -> QuotientMorphism:
     """Inverse of a quotient morphism whose representative lies in Sigma."""
-    amb = colift_H(theory, f)
-    if not theory.engine.is_iso(amb):
+    back = theory.engine.inverse(colift_H(theory, f))
+    if back is None:
         raise NotInvertible("quotient morphism is not invertible")
-    back = theory.engine.invert(amb)
     _, eta = theory.saturate(f.dst)
     return QuotientMorphism(f.dst, f.src, theory.engine.compose(eta, back))
 
@@ -574,10 +573,10 @@ def pred_equiv_natural(theory, candidate, f):
     e = theory.engine
     lam_src = theory.extend_along_unit(candidate.unit(f.src))
     lam_dst = theory.extend_along_unit(candidate.unit(f.dst))
-    if not (e.is_iso(lam_src) and e.is_iso(lam_dst)):
+    kappa_src = e.inverse(lam_src)
+    kappa_dst = e.inverse(lam_dst)
+    if kappa_src is None or kappa_dst is None:
         return False, "comparison component is not an isomorphism"
-    kappa_src = e.invert(lam_src)
-    kappa_dst = e.invert(lam_dst)
     lhs = e.compose(candidate.w_mor(f), kappa_dst)
     rhs = e.compose(kappa_src, w_on_morphism(theory, f))
     ok = e.eq_mor(lhs, rhs)

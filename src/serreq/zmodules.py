@@ -16,16 +16,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, prod
 
 from .category import AbelianEngine, ZGroup, ZHomGroup, entry_from_json
 from .errors import (
     ContractViolation, EndpointMismatch, EngineMismatch, InputValidationError,
-    NotSaturatedError, ShapeError,
+    NotSaturatedError, OracleUnsupported, ShapeError,
 )
 from .linalg import (
-    Mat, flatten, int_kernel, int_solve, is_prime, kernel_mod_rows, presentation_invariants,
-    presentation_normal_form, row_basis, solve_mod_rows, unflatten,
+    Mat, flatten, int_kernel, int_solve, is_prime, kernel_mod_rows, presentation_normal_form,
+    row_basis, solve_mod_rows, unflatten,
 )
 
 
@@ -39,9 +40,25 @@ class ZObj:
     def gens(self) -> int:
         return self.relations.cols
 
+    @cached_property
+    def normal_form_data(self):
+        """presentation_normal_form(relations), computed on first use:
+        every invariant of the object is read from this one Smith form.
+        The cache lives outside the dataclass fields, so equality and
+        hashing still compare relations only."""
+        return presentation_normal_form(self.relations)
+
+    @property
+    def divisors(self) -> tuple:
+        return self.normal_form_data[0]
+
+    @property
+    def rank(self) -> int:
+        return self.normal_form_data[1]
+
     def __repr__(self):
-        rank, divisors = presentation_invariants(self.relations)
-        tors = " x ".join(f"Z/{d}" for d in divisors) or ("0" if rank == 0 else "")
+        rank = self.rank
+        tors = " x ".join(f"Z/{d}" for d in self.divisors) or ("0" if rank == 0 else "")
         free = f"Z^{rank}" if rank else ""
         return f"ZObj({' x '.join(x for x in (free, tors) if x) or '0'})"
 
@@ -113,9 +130,6 @@ class ZModuleEngine(AbelianEngine):
         self._same_endpoints(f, g)
         return ZMor(f.src, f.dst, f.matrix.sub(g.matrix))
 
-    def neg(self, f: ZMor) -> ZMor:
-        return ZMor(f.src, f.dst, f.matrix.neg())
-
     def scale(self, f: ZMor, c) -> ZMor:
         return ZMor(f.src, f.dst, f.matrix.scale(c))
 
@@ -135,15 +149,13 @@ class ZModuleEngine(AbelianEngine):
         return int_solve(f.dst.relations, f.matrix.sub(g.matrix)) is not None
 
     def is_zero_obj(self, m: ZObj) -> bool:
-        return presentation_invariants(m.relations) == (0, ())
+        return m.rank == 0 and not m.divisors
 
     def invariants(self, m: ZObj):
-        rank, divisors = presentation_invariants(m.relations)
-        return ("Z", rank, divisors)
+        return ("Z", m.rank, m.divisors)
 
     def order(self, m: ZObj):
-        rank, divisors = presentation_invariants(m.relations)
-        return None if rank else prod(divisors)
+        return None if m.rank else prod(m.divisors)
 
     # -- kernels, cokernels, lifts ---------------------------------------------
 
@@ -243,7 +255,7 @@ class ZModuleEngine(AbelianEngine):
         modulus = self._hom_modulus(m, n)
         rel = kernel_mod_rows(lat, modulus) if lat.rows else Mat.zeros(0, 0)
         basis = [ZMor(m, n, unflatten(lat.data[t], g, h)) for t in range(lat.rows)]
-        return ZHomGroup(self, m, n, basis, rel)
+        return ZHomGroup(self, m, n, basis, ZObj(rel))
 
     def ext1_group(self, m: ZObj, n: ZObj) -> ZGroup:
         """Ext1(M, N) from the length-one free resolution of M.
@@ -268,7 +280,7 @@ class ZModuleEngine(AbelianEngine):
                 for i in range(q):
                     vec[i * h + t] = b.data[i][j]
                 rows.append(tuple(vec))
-        return ZGroup(Mat(len(rows), q * h, tuple(rows)))
+        return ZGroup(ZObj(Mat(len(rows), q * h, tuple(rows))))
 
     # -- normal forms ---------------------------------------------------------------
 
@@ -276,7 +288,7 @@ class ZModuleEngine(AbelianEngine):
         """(nf, to_nf, from_nf): nf has diagonal relations in divisor-chain
         order with unit factors dropped; to_nf and from_nf are mutually
         inverse isomorphisms."""
-        divisors, free_rank, to_nf, from_nf = presentation_normal_form(m.relations)
+        divisors, free_rank, to_nf, from_nf = m.normal_form_data
         k = len(divisors) + free_rank
         nf = ZObj(diag_rows(divisors, k))
         return nf, ZMor(m, nf, to_nf), ZMor(nf, m, from_nf)
@@ -419,10 +431,9 @@ class ZTorsionTheory:
         return {"kind": self.kind, "p": self.p}
 
     def _invariants(self, m: ZObj):
-        rank, divisors = presentation_invariants(m.relations)
-        if rank and isinstance(self.engine, FiniteAbelianEngine):
+        if m.rank and isinstance(self.engine, FiniteAbelianEngine):
             raise EngineMismatch("the finite-abelian engine only handles finite objects")
-        return rank, divisors
+        return m.rank, m.divisors
 
     def is_in_c(self, m: ZObj) -> bool:
         rank, divisors = self._invariants(m)
@@ -556,12 +567,9 @@ def finite_subobject_embeddings(engine: ZModuleEngine, m: ZObj, element_cap=256)
     """
     order = engine.order(m)
     if order is None or order > element_cap:
-        raise ValueError("object too large for exhaustive subobject enumeration")
+        raise OracleUnsupported("object too large for exhaustive subobject enumeration")
     nf, _, from_nf = engine.normal_form(m)
-    rank, divisors = presentation_invariants(m.relations)
-    if rank:
-        raise ContractViolation("a finite order was computed for an infinite object")
-    divisors = list(divisors)
+    divisors = list(m.divisors)
 
     elements = [()]
     for d in divisors:

@@ -4,9 +4,9 @@ import pytest
 
 from serreq.category import rng_for
 from serreq.errors import CompositeNotZero, EndpointMismatch, NotInvertible
-from serreq.linalg import Mat, PrimeField
-from serreq.quiver import A2Engine
-from serreq.zmodules import FiniteAbelianEngine, ZModuleEngine
+from serreq.linalg import QQ, Mat, PrimeField
+from serreq.quiver import A2Engine, SinkSupportTheory
+from serreq.zmodules import FiniteAbelianEngine, FixtureTheory, PPrimaryTheory, ZModuleEngine
 
 Z = ZModuleEngine()
 FA = FiniteAbelianEngine()
@@ -182,6 +182,27 @@ class TestMonoEpiIso:
                 if eng.is_iso(f):
                     g = eng.invert(f)
                     assert eng.eq_mor(eng.compose(f, g), eng.identity(m))
+
+    @pytest.mark.parametrize("theory", [
+        PPrimaryTheory(2), PPrimaryTheory(3), FixtureTheory(2),
+        SinkSupportTheory(QQ), SinkSupportTheory(PrimeField(2)),
+    ], ids=["p2", "p3", "fixture", "a2-q", "a2-f2"])
+    def test_inverse_agrees_with_mono_and_epi(self, theory):
+        eng = theory.engine
+        isos = 0
+        for i in range(150):
+            rng = rng_for(53, "inverse", i)
+            m, n = theory.random_object(rng), theory.random_object(rng)
+            for f in (eng.random_morphism(rng, m, n), eng.random_morphism(rng, m, m),
+                      eng.identity(m), theory.saturate(m)[1]):
+                g = eng.inverse(f)
+                assert eng.is_iso(f) == (g is not None) == (eng.is_mono(f) and eng.is_epi(f))
+                if g is not None:
+                    isos += 1
+                    assert eng.eq_mor(eng.compose(f, g), eng.identity(f.src))
+                    assert eng.eq_mor(eng.compose(g, f), eng.identity(f.dst))
+        # isomorphisms beyond the identities, and morphisms that are not ones
+        assert 150 < isos < 600
 
 
 class TestHomGroup:

@@ -94,6 +94,14 @@ class TestQhom:
                      "--out", str(out)]) == 0
         assert read_report(str(out))["results"][0]["q_hom"]["divisors"] == []
 
+    def test_oracle_object_too_large(self, tmp_path, capsys):
+        doc = {"engine": {"kind": "finite_abelian", "p": 2},
+               "objects": {"M": {"relations": [[512]], "gens": 1}}}
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["qhom", "--input", str(path), "--objects", "M", "M", "--oracle"]) == 2
+        assert "too large" in capsys.readouterr().err
+
     def test_oracle_unsupported_on_quiver(self, a2_input):
         assert main(["qhom", "--input", a2_input, "--objects", "V", "V",
                      "--oracle"]) == 2

@@ -1,15 +1,20 @@
 """The integer engines: finite abelian groups, p-torsion theories, fixture."""
 
+import random
+
 import pytest
 
+from serreq import linalg
 from serreq.category import rng_for
 from serreq.errors import EngineMismatch, InputValidationError, NotSaturatedError
+from serreq.linalg import Mat
 from serreq.zmodules import (
-    FiniteAbelianEngine, FixtureTheory, PPrimaryTheory, ZModuleEngine,
+    FiniteAbelianEngine, FixtureTheory, PPrimaryTheory, ZModuleEngine, ZObj,
     finite_subobject_embeddings,
 )
 
 FA = FiniteAbelianEngine()
+Z = ZModuleEngine()
 TH = PPrimaryTheory(2)
 
 
@@ -30,6 +35,45 @@ class TestNormalForm:
         m = FA.obj_from_divisors([6, 4])
         assert FA.invariants(m) == ("Z", 0, (2, 12))
         assert FA.order(m) == 24
+
+
+class TestOneSmithFormPerObject:
+    def test_counted_smith_calls(self, monkeypatch):
+        calls = []
+        smith = linalg.smith
+
+        def counting(A):
+            calls.append(A)
+            return smith(A)
+
+        monkeypatch.setattr(linalg, "smith", counting)
+        TH.h_c(FA.obj_from_divisors([4, 6, 9]))
+        assert len(calls) == 1
+        calls.clear()
+        # h_c of M, then the normal form of its cokernel
+        TH.saturate(FA.obj_from_divisors([4, 6, 9]))
+        assert len(calls) == 2
+
+    def test_cache_is_not_a_field(self):
+        a, b = ZObj(Mat.from_rows([[4]])), ZObj(Mat.from_rows([[4]]))
+        assert a.divisors == (4,)
+        assert a == b and hash(a) == hash(b)
+
+    def test_invariants_match_sympy(self):
+        from sympy import Matrix, ZZ
+        from sympy.matrices.normalforms import invariant_factors
+
+        rng = random.Random(20240)
+        shapes = [(0, 3), (3, 0), (0, 0)] + [(rng.randrange(0, 6), rng.randrange(0, 6))
+                                             for _ in range(297)]
+        for rows, cols in shapes:
+            data = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+            rel = Mat(rows, cols, tuple(tuple(r) for r in data))
+            factors = [int(d) for d in invariant_factors(Matrix(rows, cols, sum(data, [])),
+                                                          domain=ZZ)]
+            nonzero = [d for d in factors if d]
+            expected = ("Z", cols - len(nonzero), tuple(d for d in nonzero if d != 1))
+            assert Z.invariants(ZObj(rel)) == expected, data
 
 
 class TestMembership:
