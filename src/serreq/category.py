@@ -79,9 +79,13 @@ class AbelianEngine:
     """Mixin with the engine-independent abelian category operations.
 
     Concrete engines implement the primitive methods (compose, identity,
-    add, sub, scale, eq_mor, kernel_emb, cokernel_proj, lift_along_mono,
-    colift_along_epi, zero test, hom_group, ext1_group, random_object,
-    random_morphism) and inherit everything below.  Invertibility has one
+    add, sub, scale, eq_mor, is_well_defined, kernel_emb, cokernel_proj,
+    zero test, direct_sum, hom_group, ext1_group, random_object), the
+    solvers _lift_candidate and _colift_candidate (a morphism solving the
+    lift or colift equations, or None) and _random_entry (one random Hom
+    coefficient).  Everything below is inherited: lift_along_mono and
+    colift_along_epi check what the solvers return, random_morphism
+    decodes random coefficients in hom_group, and invertibility has one
     procedure, inverse, which colifts the identity along f; is_iso and
     invert are read from it.
 
@@ -91,6 +95,34 @@ class AbelianEngine:
     between decoded endpoints) and describe_invariants (the summary a
     report prints for an object).  Decoders raise InputValidationError.
     """
+
+    def _same_endpoints(self, f, g):
+        if f.src != g.src or f.dst != g.dst:
+            raise EndpointMismatch("morphisms have different endpoints")
+
+    # -- lifts and colifts -------------------------------------------------------
+
+    def lift_along_mono(self, f, mono):
+        """psi with psi;mono = f, or None; unique when mono is monic."""
+        if f.dst != mono.dst:
+            raise EndpointMismatch("lift needs matching targets")
+        cand = self._lift_candidate(f, mono)
+        if cand is None or not self.is_well_defined(cand):
+            return None
+        if not self.eq_mor(self.compose(cand, mono), f):
+            raise ContractViolation("a solution of the lift equations does not lift f")
+        return cand
+
+    def colift_along_epi(self, f, epi):
+        """psi with epi;psi = f, or None; unique when epi is epic."""
+        if f.src != epi.src:
+            raise EndpointMismatch("colift needs matching sources")
+        cand = self._colift_candidate(f, epi)
+        if cand is None or not self.is_well_defined(cand):
+            return None
+        if not self.eq_mor(self.compose(epi, cand), f):
+            return None
+        return cand
 
     # -- derived constructions ------------------------------------------------
 
@@ -144,6 +176,12 @@ class AbelianEngine:
         if inside is None:
             raise ContractViolation("the image does not lie in the kernel")
         return self.cokernel_proj(inside).dst
+
+    # -- randomness ----------------------------------------------------------------
+
+    def random_morphism(self, rng, m, n):
+        hom = self.hom_group(m, n)
+        return hom.decode(tuple(self._random_entry(rng) for _ in range(hom.ngens)))
 
     # -- short exact sequences -------------------------------------------------
 
@@ -220,8 +258,6 @@ class ZGroup:
     object `obj` (Z^k modulo its relation rows, with its invariants
     computed once).  The integer engine returns Ext1 as one."""
 
-    kind = "Z"
-
     def __init__(self, obj):
         self.obj = obj
 
@@ -235,17 +271,38 @@ class ZGroup:
         return {"kind": "Z", "rank": self.obj.rank, "divisors": list(self.obj.divisors)}
 
 
-class ZHomGroup(ZGroup):
-    """Hom(M, N) as a finitely presented abelian group.
+class VectorSpace:
+    """A finite-dimensional vector space over `field`, recorded by its
+    dimension.  The quiver engine returns Ext1 as one."""
 
-    Elements are integer coefficient rows over a fixed basis of morphisms,
-    taken modulo the relations of `obj`; decode/encode translate between
-    coefficient rows and actual morphisms, and encode respects morphism
-    addition.
+    def __init__(self, field, dim):
+        self.field = field
+        self.dim = dim
+
+    def invariants(self):
+        return (self.field.name, self.dim)
+
+    def is_zero_group(self) -> bool:
+        return self.dim == 0
+
+    def describe(self):
+        return {"kind": "field", "field": self.field.name, "dim": self.dim}
+
+
+class HomBasis:
+    """Hom(src, dst) with a fixed basis of morphisms.
+
+    Elements are coefficient rows over the basis; decode and encode
+    translate between coefficient rows and morphisms, and encode respects
+    morphism addition.  A carrier supplies _solve_coeffs (a row whose
+    first ngens entries are the coefficients of the target row in the
+    basis rows, up to the carrier's relations, or None), its ring's
+    element methods, and is_bijection (whether the coefficient rows of
+    basis images from another carrier of the same engine give a
+    bijection onto this one).
     """
 
-    def __init__(self, engine, src, dst, basis_mors, obj):
-        super().__init__(obj)
+    def __init__(self, engine, src, dst, basis_mors):
         self.engine = engine
         self.src = src
         self.dst = dst
@@ -268,11 +325,30 @@ class ZHomGroup(ZGroup):
         vec = self.engine._hom_vector(mor)
         basis_rows = Mat.from_rows([self.engine._hom_vector(b) for b in self.basis],
                                    len(vec))
-        x = int_solve(basis_rows.stack_below(self.engine._hom_modulus(self.src, self.dst)),
-                      Mat.from_rows([vec], len(vec)))
+        x = self._solve_coeffs(basis_rows, Mat.from_rows([vec], len(vec)))
         if x is None:
             raise ContractViolation("a morphism is not in the span of the Hom basis")
         return tuple(x.data[0][:self.ngens])
+
+
+class ZHomGroup(HomBasis, ZGroup):
+    """Hom(M, N) as a finitely presented abelian group: coefficient rows
+    are taken modulo the relations of `obj`."""
+
+    def __init__(self, engine, src, dst, basis_mors, obj):
+        HomBasis.__init__(self, engine, src, dst, basis_mors)
+        ZGroup.__init__(self, obj)
+
+    def _solve_coeffs(self, basis_rows, target):
+        # the modulus rows span the payloads of the zero morphism
+        modulus = self.engine._hom_modulus(self.src.gens, self.dst)
+        return int_solve(basis_rows.stack_below(modulus), target)
+
+    def is_bijection(self, src_group, images) -> bool:
+        """An isomorphism test between the presented groups."""
+        eng = self.engine
+        f = eng.mor(src_group.obj, self.obj, Mat.from_rows(images, self.ngens))
+        return eng.is_well_defined(f) and eng.is_iso(f)
 
     def add_elements(self, a, b):
         return tuple(x + y for x, y in zip(a, b))
@@ -290,58 +366,21 @@ class ZHomGroup(ZGroup):
         return tuple(rng.randint(-6, 6) for _ in range(self.ngens))
 
 
-class VectorSpace:
-    """A finite-dimensional vector space over `field`, recorded by its
-    dimension.  The quiver engine returns Ext1 as one."""
-
-    kind = "field"
-
-    def __init__(self, field, dim):
-        self.field = field
-        self.dim = dim
-
-    def invariants(self):
-        return (self.field.name, self.dim)
-
-    def is_zero_group(self) -> bool:
-        return self.dim == 0
-
-    def describe(self):
-        return {"kind": "field", "field": self.field.name, "dim": self.dim}
-
-
-class FieldHomGroup(VectorSpace):
+class FieldHomGroup(HomBasis, VectorSpace):
     """Hom(V, U) as a finite-dimensional vector space over the base field."""
 
     def __init__(self, engine, src, dst, basis_mors):
-        basis = list(basis_mors)
-        super().__init__(engine.field, len(basis))
-        self.engine = engine
-        self.src = src
-        self.dst = dst
-        self.basis = basis
+        HomBasis.__init__(self, engine, src, dst, basis_mors)
+        VectorSpace.__init__(self, engine.field, self.ngens)
 
-    @property
-    def ngens(self):
-        return len(self.basis)
+    def _solve_coeffs(self, basis_rows, target):
+        return f_solve(self.field, basis_rows, target)
 
-    def decode(self, coeffs):
-        f = self.engine.zero_morphism(self.src, self.dst)
-        for c, b in zip(coeffs, self.basis):
-            if c != self.field.normalize(0):
-                f = self.engine.add(f, self.engine.scale(b, c))
-        return f
-
-    def encode(self, mor):
-        if mor.src != self.src or mor.dst != self.dst:
-            raise EndpointMismatch("morphism does not belong to this Hom-group")
-        vec = self.engine._hom_vector(mor)
-        basis_rows = Mat.from_rows([self.engine._hom_vector(b) for b in self.basis],
-                                   len(vec))
-        x = f_solve(self.field, basis_rows, Mat.from_rows([vec], len(vec)))
-        if x is None:
-            raise ContractViolation("a morphism is not in the span of the Hom basis")
-        return tuple(x.data[0])
+    def is_bijection(self, src_group, images) -> bool:
+        """A rank check."""
+        if src_group.dim != self.dim:
+            return False
+        return f_rank(self.field, Mat.from_rows(images, self.dim)) == self.dim
 
     def add_elements(self, a, b):
         return tuple(self.field.normalize(x + y) for x, y in zip(a, b))
@@ -372,27 +411,6 @@ class FieldHomGroup(VectorSpace):
 
 def hom_map_is_bijective(src_group, dst_group, images) -> bool:
     """Whether the additive map sending basis i of src_group to images[i]
-    (coefficient rows in dst_group) is a bijection of the carriers.
-
-    For Z-carriers this is an isomorphism test between the presented
-    groups; for field carriers it is a rank check.
-    """
-    if src_group.kind != dst_group.kind:
-        return False
-    if src_group.kind == "field":
-        if src_group.dim != dst_group.dim:
-            return False
-        field = src_group.field
-        if src_group.dim == 0:
-            return True
-        m = Mat.from_rows([list(v) for v in images], dst_group.dim)
-        return f_rank(field, m) == src_group.dim
-    # Z case: the induced morphism between the carriers' objects, tested
-    # with the presented-module machinery of the carrier's engine.
-    eng = dst_group.engine
-    payload = Mat.from_rows([list(v) for v in images], dst_group.ngens) \
-        if src_group.ngens else Mat.zeros(0, dst_group.ngens)
-    f = eng.mor(src_group.obj, dst_group.obj, payload)
-    if not eng.is_well_defined(f):
-        return False
-    return eng.is_iso(f)
+    (coefficient rows in dst_group) is a bijection of the carriers; both
+    carriers come from one engine, and dst_group decides."""
+    return dst_group.is_bijection(src_group, images)

@@ -1,14 +1,17 @@
 """Batch command-line front end.
 
-    serre saturate --engine E [--p P|--field F] --input FILE [options]
-    serre qhom     --engine E [--p P|--field F] --input FILE --objects M N [--oracle]
-    serre check    --engine E [--p P|--field F] [--suite S] [--seed N] [--n N]
+    serre saturate [--engine E [--p P|--field F]] --input FILE [--objects M ...]
+    serre qhom     [--engine E [--p P|--field F]] --input FILE --objects M N [--oracle]
+    serre check    --engine E [--p P|--field F] [--suite S] [--n N] [--candidate C]
     serre replay   --input WITNESS_FILE
 
-Engines: finite_abelian (with --p), a2_rep (with --field, e.g. f101 or q),
-fixture (with --p; 0 selects the full torsion class).  SERRE_SEED provides
-the default seed; flags override it.  Exit code 0 means every requested
-check passed, 1 means some check failed, 2 means invalid input.
+Every command also takes --seed, --format and --out, and each takes only
+the flags it reads.  Engines: finite_abelian (with --p), a2_rep (with
+--field, e.g. f101 or q), fixture (with --p; 0 selects the full torsion
+class); --p and --field are invalid input without an engine that uses
+them.  SERRE_SEED provides the default seed; flags override it.  Exit
+code 0 means every requested check passed, 1 means some check failed, 2
+means invalid input.
 """
 
 from __future__ import annotations
@@ -23,14 +26,17 @@ from .errors import SerreqError
 
 
 def _engine_descriptor(args) -> dict | None:
+    """The engine named by the flags; --p and --field only with an engine
+    that reads them."""
+    if args.p is not None and args.engine not in ("finite_abelian", "fixture"):
+        raise session.InputValidationError("--p needs --engine finite_abelian or fixture")
+    if args.field is not None and args.engine != "a2_rep":
+        raise session.InputValidationError("--field needs --engine a2_rep")
     if args.engine is None:
         return None
-    if args.engine in ("finite_abelian", "fixture"):
-        p = args.p if args.p is not None else 2
-        return {"kind": args.engine, "p": p}
     if args.engine == "a2_rep":
         return {"kind": "a2_rep", "field": args.field or "f101"}
-    raise session.InputValidationError(f"unknown engine: {args.engine}")
+    return {"kind": args.engine, "p": 2 if args.p is None else args.p}
 
 
 def _resolve_theory(args, need_input=False):
@@ -197,32 +203,48 @@ def _env_seed() -> int:
             f"SERRE_SEED must be an integer, got {text!r}") from exc
 
 
+# every flag, in --help order
+FLAGS = {
+    "engine": dict(choices=["finite_abelian", "a2_rep", "fixture"]),
+    "p": dict(type=int, default=None,
+              help="prime for finite_abelian/fixture (fixture accepts 0)"),
+    "field": dict(default=None, help="field for a2_rep (f101, f2, q)"),
+    "input": dict(default=None, help="JSON input file"),
+    "suite": dict(default=None, choices=list(serre.SUITES) + ["all"]),
+    "seed": dict(type=int, default=None),
+    "n": dict(type=int, default=25),
+    "oracle": dict(action="store_true", help="also run the direct-limit Hom oracle"),
+    "candidate": dict(default=None,
+                      choices=["gabriel", "identity", "twisted", "fixture-naive"]),
+    "objects": dict(nargs="*", default=None),
+    "format": dict(choices=["json", "text"], default="text"),
+    "out": dict(default=None, help="write the JSON report here"),
+}
+
+# each subcommand and the flags it reads
+COMMANDS = {
+    "saturate": (cmd_saturate, {"engine", "p", "field", "input", "objects",
+                                "seed", "format", "out"}),
+    "qhom": (cmd_qhom, {"engine", "p", "field", "input", "objects", "oracle",
+                        "seed", "format", "out"}),
+    "check": (cmd_check, {"engine", "p", "field", "input", "suite", "n", "candidate",
+                          "seed", "format", "out"}),
+    "replay": (cmd_replay, {"input", "seed", "format", "out"}),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="serre",
         description="Serre quotient computations and monad checker suites")
     parser.add_argument("--version", action="version", version=f"serre {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (("saturate", cmd_saturate), ("qhom", cmd_qhom),
-                     ("check", cmd_check), ("replay", cmd_replay)):
+    for name, (fn, flags) in COMMANDS.items():
         p = sub.add_parser(name)
         p.set_defaults(fn=fn)
-        p.add_argument("--engine", choices=["finite_abelian", "a2_rep", "fixture"])
-        p.add_argument("--p", type=int, default=None,
-                       help="prime for finite_abelian/fixture (fixture accepts 0)")
-        p.add_argument("--field", default=None, help="field for a2_rep (f101, f2, q)")
-        p.add_argument("--input", default=None, help="JSON input file")
-        p.add_argument("--suite", default=None,
-                       choices=list(serre.SUITES) + ["all"])
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--n", type=int, default=25)
-        p.add_argument("--oracle", action="store_true",
-                       help="also run the direct-limit Hom oracle")
-        p.add_argument("--candidate", default=None,
-                       choices=["gabriel", "identity", "twisted", "fixture-naive"])
-        p.add_argument("--objects", nargs="*", default=None)
-        p.add_argument("--format", choices=["json", "text"], default="text")
-        p.add_argument("--out", default=None, help="write the JSON report here")
+        for flag, spec in FLAGS.items():
+            if flag in flags:
+                p.add_argument(f"--{flag}", **spec)
     return parser
 
 

@@ -110,6 +110,22 @@ def unflatten(vec, rows, cols) -> Mat:
     return Mat(rows, cols, tuple(tuple(vec[i * cols + j] for j in range(cols)) for i in range(rows)))
 
 
+def block_diag(a: Mat, b: Mat) -> Mat:
+    """a in the top left block and b in the bottom right, zeros elsewhere."""
+    return Mat(a.rows + b.rows, a.cols + b.cols,
+               tuple(tuple(r) + (0,) * b.cols for r in a.data)
+               + tuple((0,) * a.cols + tuple(r) for r in b.data))
+
+
+def sum_maps(g: int, h: int):
+    """The coordinate maps of a direct sum of a g- and an h-dimensional
+    coordinate space: ((inj1, inj2), (proj1, proj2)), each projection the
+    transpose of its injection."""
+    inj = (block_diag(Mat.identity(g), Mat.zeros(0, h)),
+           block_diag(Mat.zeros(0, g), Mat.identity(h)))
+    return inj, tuple(m.transpose() for m in inj)
+
+
 # ---------------------------------------------------------------------------
 # integer routines
 

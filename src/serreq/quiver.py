@@ -23,7 +23,9 @@ from .errors import (
     ContractViolation, EndpointMismatch, EngineMismatch, InputValidationError,
     NotSaturatedError, ShapeError,
 )
-from .linalg import Mat, f_inv, f_kernel, f_mul, f_rank, f_solve, flatten, unflatten
+from .linalg import (
+    Mat, block_diag, f_inv, f_kernel, f_mul, f_rank, f_solve, flatten, sum_maps, unflatten,
+)
 
 
 @dataclass(frozen=True)
@@ -107,10 +109,6 @@ class A2Engine(AbelianEngine):
     def scale(self, f: A2Mor, c) -> A2Mor:
         return self.mor(f.src, f.dst, f.f1.scale(c), f.f2.scale(c))
 
-    def _same_endpoints(self, f, g):
-        if f.src != g.src or f.dst != g.dst:
-            raise EndpointMismatch("morphisms have different endpoints")
-
     # -- decidable structure --------------------------------------------------------
 
     def is_well_defined(self, f: A2Mor) -> bool:
@@ -150,64 +148,26 @@ class A2Engine(AbelianEngine):
         coker = self.obj(p1.cols, p2.cols, sol.transpose())
         return self.mor(f.dst, coker, p1, p2)
 
-    def lift_along_mono(self, f: A2Mor, mono: A2Mor):
-        if f.dst != mono.dst:
-            raise EndpointMismatch("lift needs matching targets")
+    def _lift_candidate(self, f: A2Mor, mono: A2Mor):
         l1 = f_solve(self.field, mono.f1, f.f1)
         l2 = f_solve(self.field, mono.f2, f.f2)
         if l1 is None or l2 is None:
             return None
-        cand = self.mor(f.src, mono.src, l1, l2)
-        if not self.is_well_defined(cand):
-            return None
-        if not self.eq_mor(self.compose(cand, mono), f):
-            raise ContractViolation("a solution of the lift equations does not lift f")
-        return cand
+        return self.mor(f.src, mono.src, l1, l2)
 
-    def colift_along_epi(self, f: A2Mor, epi: A2Mor):
-        if f.src != epi.src:
-            raise EndpointMismatch("colift needs matching sources")
+    def _colift_candidate(self, f: A2Mor, epi: A2Mor):
         c1 = f_solve(self.field, epi.f1.transpose(), f.f1.transpose())
         c2 = f_solve(self.field, epi.f2.transpose(), f.f2.transpose())
         if c1 is None or c2 is None:
             return None
-        cand = self.mor(epi.dst, f.dst, c1.transpose(), c2.transpose())
-        if not self.is_well_defined(cand):
-            return None
-        if not self.eq_mor(self.compose(epi, cand), f):
-            return None
-        return cand
+        return self.mor(epi.dst, f.dst, c1.transpose(), c2.transpose())
 
     def direct_sum(self, m: A2Obj, n: A2Obj):
-        def block(a: Mat, b: Mat) -> Mat:
-            rows = []
-            for r in a.data:
-                rows.append(tuple(r) + (0,) * b.cols)
-            for r in b.data:
-                rows.append((0,) * a.cols + tuple(r))
-            return Mat(a.rows + b.rows, a.cols + b.cols, tuple(rows))
-
-        total = self.obj(m.d1 + n.d1, m.d2 + n.d2, block(m.alpha, n.alpha))
-
-        def inj(dm, dn, first):
-            if first:
-                return Mat(dm, dm + dn, tuple(
-                    tuple(1 if i == j else 0 for j in range(dm + dn)) for i in range(dm)))
-            return Mat(dn, dm + dn, tuple(
-                tuple(1 if i + dm == j else 0 for j in range(dm + dn)) for i in range(dn)))
-
-        def proj(dm, dn, first):
-            if first:
-                return Mat(dm + dn, dm, tuple(
-                    tuple(1 if i == j else 0 for j in range(dm)) for i in range(dm + dn)))
-            return Mat(dm + dn, dn, tuple(
-                tuple(1 if i - dm == j else 0 for j in range(dn)) for i in range(dm + dn)))
-
-        i1 = self.mor(m, total, inj(m.d1, n.d1, True), inj(m.d2, n.d2, True))
-        i2 = self.mor(n, total, inj(m.d1, n.d1, False), inj(m.d2, n.d2, False))
-        p1 = self.mor(total, m, proj(m.d1, n.d1, True), proj(m.d2, n.d2, True))
-        p2 = self.mor(total, n, proj(m.d1, n.d1, False), proj(m.d2, n.d2, False))
-        return total, (i1, i2), (p1, p2)
+        total = self.obj(m.d1 + n.d1, m.d2 + n.d2, block_diag(m.alpha, n.alpha))
+        # the coordinate maps at the source vertex and at the sink vertex
+        (inj1, proj1), (inj2, proj2) = sum_maps(m.d1, n.d1), sum_maps(m.d2, n.d2)
+        return (total, tuple(self.mor(s, total, a, b) for s, a, b in zip((m, n), inj1, inj2)),
+                tuple(self.mor(total, s, a, b) for s, a, b in zip((m, n), proj1, proj2)))
 
     # -- Hom and Ext ------------------------------------------------------------
 
@@ -268,10 +228,6 @@ class A2Engine(AbelianEngine):
         alpha = Mat(d1, d2, tuple(tuple(self._random_entry(rng) for _ in range(d2))
                                   for _ in range(d1)))
         return self.obj(d1, d2, alpha)
-
-    def random_morphism(self, rng, m: A2Obj, n: A2Obj) -> A2Mor:
-        hom = self.hom_group(m, n)
-        return hom.decode(tuple(self._random_entry(rng) for _ in range(hom.ngens)))
 
     def random_projective(self, rng, size_bound) -> A2Obj:
         a = rng.randrange(0, size_bound + 1)

@@ -357,10 +357,10 @@ class TwistedCandidate(CanonicalCandidate):
 
 
 def make_candidate(theory, tag) -> MonadCandidate:
-    if tag in (None, "gabriel"):
+    """The candidate named by tag: None, "gabriel" and the theory's own
+    canonical_tag name its canonical monad."""
+    if tag in (None, "gabriel", theory.canonical_tag):
         return CanonicalCandidate(theory, theory.canonical_tag)
-    if tag == "fixture-naive":
-        return CanonicalCandidate(theory, "fixture-naive")
     if tag == "identity":
         return IdentityCandidate(theory)
     if tag == "twisted":

@@ -25,8 +25,8 @@ from .errors import (
     NotSaturatedError, OracleUnsupported, ShapeError,
 )
 from .linalg import (
-    Mat, flatten, int_kernel, int_solve, is_prime, kernel_mod_rows, presentation_normal_form,
-    row_basis, solve_mod_rows, unflatten,
+    Mat, block_diag, flatten, int_kernel, int_solve, is_prime, kernel_mod_rows,
+    presentation_normal_form, row_basis, solve_mod_rows, sum_maps, unflatten,
 )
 
 
@@ -47,6 +47,18 @@ class ZObj:
         The cache lives outside the dataclass fields, so equality and
         hashing still compare relations only."""
         return presentation_normal_form(self.relations)
+
+    @classmethod
+    def in_normal_form(cls, divisors, free_rank=0) -> "ZObj":
+        """Diagonal relations `divisors` (each > 1 and dividing the next)
+        followed by free_rank free generators.  Such an object is its own
+        normal form with identity transforms, so that is recorded with it
+        instead of being computed again."""
+        k = len(divisors) + free_rank
+        m = cls(diag_rows(divisors, k))
+        m.__dict__["normal_form_data"] = (tuple(divisors), free_rank,
+                                          Mat.identity(k), Mat.identity(k))
+        return m
 
     @property
     def divisors(self) -> tuple:
@@ -133,10 +145,6 @@ class ZModuleEngine(AbelianEngine):
     def scale(self, f: ZMor, c) -> ZMor:
         return ZMor(f.src, f.dst, f.matrix.scale(c))
 
-    def _same_endpoints(self, f, g):
-        if f.src != g.src or f.dst != g.dst:
-            raise EndpointMismatch("morphisms have different endpoints")
-
     # -- decidable structure ------------------------------------------------------
 
     def is_well_defined(self, f: ZMor) -> bool:
@@ -169,68 +177,32 @@ class ZModuleEngine(AbelianEngine):
         coker = ZObj(f.dst.relations.stack_below(f.matrix))
         return ZMor(f.dst, coker, Mat.identity(f.dst.gens))
 
-    def lift_along_mono(self, f: ZMor, mono: ZMor):
-        """psi with psi;mono = f, or None; unique when mono is monic."""
-        if f.dst != mono.dst:
-            raise EndpointMismatch("lift needs matching targets")
+    def _lift_candidate(self, f: ZMor, mono: ZMor):
         sol = solve_mod_rows(mono.matrix, mono.dst.relations, f.matrix)
-        if sol is None:
-            return None
-        cand = ZMor(f.src, mono.src, sol)
-        if not self.is_well_defined(cand):
-            return None
-        if not self.eq_mor(self.compose(cand, mono), f):
-            raise ContractViolation("a solution of the lift equations does not lift f")
-        return cand
+        return None if sol is None else ZMor(f.src, mono.src, sol)
 
-    def colift_along_epi(self, f: ZMor, epi: ZMor):
-        """psi with epi;psi = f, or None; unique when epi is epic."""
-        if f.src != epi.src:
-            raise EndpointMismatch("colift needs matching sources")
+    def _colift_candidate(self, f: ZMor, epi: ZMor):
         section = solve_mod_rows(epi.matrix, epi.dst.relations, Mat.identity(epi.dst.gens))
-        if section is None:
-            return None
-        cand = ZMor(epi.dst, f.dst, section.mul(f.matrix))
-        if not self.is_well_defined(cand):
-            return None
-        if not self.eq_mor(self.compose(epi, cand), f):
-            return None
-        return cand
+        return None if section is None else ZMor(epi.dst, f.dst, section.mul(f.matrix))
 
     def direct_sum(self, m: ZObj, n: ZObj):
-        g, h = m.gens, n.gens
-        top = Mat(m.relations.rows, g + h,
-                  tuple(r + (0,) * h for r in m.relations.data))
-        bot = Mat(n.relations.rows, g + h,
-                  tuple((0,) * g + r for r in n.relations.data))
-        total = ZObj(top.stack_below(bot))
-        i1 = ZMor(m, total, Mat(g, g + h, tuple(
-            tuple(1 if i == j else 0 for j in range(g + h)) for i in range(g))))
-        i2 = ZMor(n, total, Mat(h, g + h, tuple(
-            tuple(1 if i + g == j else 0 for j in range(g + h)) for i in range(h))))
-        p1 = ZMor(total, m, Mat(g + h, g, tuple(
-            tuple(1 if i == j else 0 for j in range(g)) for i in range(g + h))))
-        p2 = ZMor(total, n, Mat(g + h, h, tuple(
-            tuple(1 if i - g == j else 0 for j in range(h)) for i in range(g + h))))
-        return total, (i1, i2), (p1, p2)
+        total = ZObj(block_diag(m.relations, n.relations))
+        inj, proj = sum_maps(m.gens, n.gens)
+        return (total, tuple(ZMor(s, total, a) for s, a in zip((m, n), inj)),
+                tuple(ZMor(total, s, a) for s, a in zip((m, n), proj)))
 
     # -- Hom and Ext --------------------------------------------------------------
 
     def _hom_vector(self, f: ZMor):
         return flatten(f.matrix)
 
-    def _hom_modulus(self, src: ZObj, dst: ZObj) -> Mat:
-        """Rows spanning the payloads that represent the zero morphism."""
-        g, h = src.gens, dst.gens
-        rows = []
-        for j in range(g):
-            for s in range(dst.relations.rows):
-                vec = [0] * (g * h)
-                rel = dst.relations.data[s]
-                for k in range(h):
-                    vec[j * h + k] = rel[k]
-                rows.append(tuple(vec))
-        return Mat(len(rows), g * h, tuple(rows))
+    def _hom_modulus(self, g: int, dst: ZObj) -> Mat:
+        """Rows spanning the payloads of g generator images that represent
+        the zero morphism into dst: a relation of dst in one image."""
+        h = dst.gens
+        rows = tuple((0,) * (j * h) + tuple(rel) + (0,) * ((g - j - 1) * h)
+                     for j in range(g) for rel in dst.relations.data)
+        return Mat(len(rows), g * h, rows)
 
     def hom_group(self, m: ZObj, n: ZObj) -> ZHomGroup:
         g, h = m.gens, n.gens
@@ -252,7 +224,7 @@ class ZModuleEngine(AbelianEngine):
         cmat = Mat(unknowns, equations, tuple(tuple(r) for r in c))
         sols = int_kernel(cmat).take_cols(range(g * h))
         lat = row_basis(sols)
-        modulus = self._hom_modulus(m, n)
+        modulus = self._hom_modulus(g, n)
         rel = kernel_mod_rows(lat, modulus) if lat.rows else Mat.zeros(0, 0)
         basis = [ZMor(m, n, unflatten(lat.data[t], g, h)) for t in range(lat.rows)]
         return ZHomGroup(self, m, n, basis, ZObj(rel))
@@ -265,22 +237,12 @@ class ZModuleEngine(AbelianEngine):
         Hom(Z^g, N) -> Hom(Z^q, N).
         """
         b = row_basis(m.relations)
-        q, g, h = b.rows, m.gens, n.gens
-        rows = []
-        for i in range(q):
-            for s in range(n.relations.rows):
-                vec = [0] * (q * h)
-                rel = n.relations.data[s]
-                for k in range(h):
-                    vec[i * h + k] = rel[k]
-                rows.append(tuple(vec))
-        for j in range(g):
-            for t in range(h):
-                vec = [0] * (q * h)
-                for i in range(q):
-                    vec[i * h + t] = b.data[i][j]
-                rows.append(tuple(vec))
-        return ZGroup(ZObj(Mat(len(rows), q * h, tuple(rows))))
+        q, h = b.rows, n.gens
+        # images in Hom(Z^q, N) of the maps Z^g -> N sending generator j to generator t
+        images = tuple(tuple(b.data[i][j] if k == t else 0 for i in range(q) for k in range(h))
+                       for j in range(m.gens) for t in range(h))
+        return ZGroup(ZObj(self._hom_modulus(q, n).stack_below(
+            Mat(len(images), q * h, images))))
 
     # -- normal forms ---------------------------------------------------------------
 
@@ -289,8 +251,7 @@ class ZModuleEngine(AbelianEngine):
         order with unit factors dropped; to_nf and from_nf are mutually
         inverse isomorphisms."""
         divisors, free_rank, to_nf, from_nf = m.normal_form_data
-        k = len(divisors) + free_rank
-        nf = ZObj(diag_rows(divisors, k))
+        nf = ZObj.in_normal_form(divisors, free_rank)
         return nf, ZMor(m, nf, to_nf), ZMor(nf, m, from_nf)
 
     # -- randomness -------------------------------------------------------------------
@@ -330,9 +291,8 @@ class ZModuleEngine(AbelianEngine):
         free_rank = rng.randrange(0, 2)
         return self._scrambled_from_divisors(rng, divisors, free_rank)
 
-    def random_morphism(self, rng, m: ZObj, n: ZObj) -> ZMor:
-        hom = self.hom_group(m, n)
-        return hom.decode(tuple(rng.randint(-4, 4) for _ in range(hom.ngens)))
+    def _random_entry(self, rng) -> int:
+        return rng.randint(-4, 4)
 
     # -- JSON codecs ------------------------------------------------------------------
 
@@ -454,7 +414,8 @@ class ZTorsionTheory:
                 vec[i] = cof
                 gen_rows.append(tuple(vec))
                 orders.append(d // cof)
-        sub = ZObj(diag_rows(orders, len(orders)))
+        # the p-parts of a divisor chain form a divisor chain
+        sub = ZObj.in_normal_form(orders)
         emb_nf = ZMor(sub, nf, Mat(len(orders), nf.gens, tuple(gen_rows)))
         return self.engine.compose(emb_nf, from_nf)
 

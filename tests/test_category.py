@@ -2,7 +2,7 @@
 
 import pytest
 
-from serreq.category import rng_for
+from serreq.category import hom_map_is_bijective, rng_for
 from serreq.errors import CompositeNotZero, EndpointMismatch, NotInvertible
 from serreq.linalg import QQ, Mat, PrimeField
 from serreq.quiver import A2Engine, SinkSupportTheory
@@ -241,6 +241,23 @@ class TestHomGroup:
                 fsum = eng.add(hom.decode(a), hom.decode(b))
                 assert eng.eq_mor(hom.decode(hom.encode(fsum)),
                                   hom.decode(hom.add_elements(a, b)))
+
+    def test_carrier_bijections(self):
+        # the identity of Hom(M, N) read in a second copy of the carrier is
+        # bijective; the zero map only on the zero carrier
+        for eng, size in ENGINES + [(A2Engine(QQ), 2)]:
+            for i in range(20):
+                rng = rng_for(73, "bij", eng.name, i)
+                m, n = eng.random_object(rng, size), eng.random_object(rng, size)
+                hom, copy = eng.hom_group(m, n), eng.hom_group(m, n)
+                unit = [tuple(int(j == k) for j in range(hom.ngens)) for k in range(hom.ngens)]
+                same = [copy.encode(hom.decode(v)) for v in unit]
+                assert hom_map_is_bijective(hom, copy, same)
+                zero = [copy.zero_element() for _ in unit]
+                assert hom_map_is_bijective(hom, copy, zero) == hom.is_zero_group()
+        small = A2.hom_group(A2.interval(), A2.interval())
+        big = A2.hom_group(A2.interval(2), A2.interval(2))
+        assert not hom_map_is_bijective(small, big, [(1, 0, 0, 0)])
 
 
 class TestExt1:

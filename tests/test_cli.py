@@ -152,6 +152,25 @@ class TestCheck:
                    if not c["pass"]]
         assert failing[0]["axiom"] == "saturating-1-kills-c"
 
+    def test_foreign_canonical_tag_rejected(self, tmp_path, capsys):
+        # fixture-naive names the fixture's own candidate, not a Gabriel monad
+        out = tmp_path / "rep.json"
+        assert main(["check", "--engine", "finite_abelian", "--p", "2",
+                     "--suite", "saturating", "--candidate", "fixture-naive",
+                     "--seed", "3", "--n", "4", "--out", str(out)]) == 2
+        assert "fixture-naive" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_own_canonical_tag_accepted(self, tmp_path):
+        docs = []
+        for candidate in ("fixture-naive", "gabriel"):
+            out = tmp_path / f"{candidate}.json"
+            assert main(["check", "--engine", "fixture", "--p", "2", "--suite", "saturating",
+                         "--candidate", candidate, "--seed", "3", "--n", "4",
+                         "--out", str(out)]) == 1
+            docs.append(read_report(str(out))["checks"])
+        assert docs[0] == docs[1]
+
     def test_unknown_suite_rejected(self):
         with pytest.raises(SystemExit):
             main(["check", "--engine", "finite_abelian", "--p", "2",
@@ -198,6 +217,37 @@ class TestReplay:
         bad2.write_text(json.dumps({"check": "saturating-1-kills-c", "data": {}}),
                         encoding="utf-8")
         assert main(["replay", "--input", str(bad2)]) == 2
+
+
+class TestFlags:
+    EXPECTED = {
+        "saturate": {"engine", "p", "field", "input", "objects", "seed", "format", "out"},
+        "qhom": {"engine", "p", "field", "input", "objects", "oracle", "seed", "format",
+                 "out"},
+        "check": {"engine", "p", "field", "input", "suite", "seed", "n", "candidate",
+                  "format", "out"},
+        "replay": {"input", "seed", "format", "out"},
+    }
+
+    def test_each_command_takes_the_flags_it_reads(self):
+        import argparse
+
+        from serreq.cli import build_parser
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        found = {name: {a.dest for a in parser._actions if a.dest != "help"}
+                 for name, parser in sub.choices.items()}
+        assert found == self.EXPECTED
+        assert sum(len(flags) for flags in found.values()) == 31
+
+    def test_unread_flag_rejected(self, tmp_path):
+        out = tmp_path / "fix.json"
+        main(["check", "--engine", "fixture", "--p", "2", "--suite", "saturating",
+              "--seed", "3", "--n", "4", "--out", str(out)])
+        with pytest.raises(SystemExit) as exc:
+            main(["replay", "--input", str(out), "--engine", "a2_rep", "--suite", "zigzag",
+                  "--oracle", "--candidate", "twisted", "--n", "9"])
+        assert exc.value.code == 2
 
 
 class TestDeterminism:
@@ -365,6 +415,23 @@ class TestParameterValidation:
         doc = {"engine": {"kind": "finite_abelian", "p": 4},
                "objects": {"M": {"relations": [[8]], "gens": 1}}}
         assert main(["saturate", "--input", _write(tmp_path, doc)]) == 2
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--engine", "a2_rep", "--p", "3"], "--p"),
+        (["--engine", "finite_abelian", "--field", "q"], "--field"),
+        (["--engine", "fixture", "--p", "2", "--field", "f101"], "--field"),
+    ])
+    def test_engine_flag_of_another_engine_exits_2(self, flags, message, tmp_path, capsys):
+        out = tmp_path / "rep.json"
+        assert main(["check", *flags, "--suite", "ker-q", "--n", "1",
+                     "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--p", "3"], ["--field", "q"]])
+    def test_engine_flag_without_engine_exits_2(self, flags, fa_input, capsys):
+        assert main(["saturate", "--input", fa_input, *flags]) == 2
+        assert flags[0] in capsys.readouterr().err
 
     def test_fixture_accepts_zero(self, tmp_path):
         out = tmp_path / "rep.json"

@@ -1,6 +1,7 @@
 """Package-wide rules read from the source: internal contracts are raised
-errors, never asserts (which python -O removes), and the Smith form of a
-presentation is computed in one place."""
+errors, never asserts (which python -O removes), the Smith form of a
+presentation is computed in one place, and what every engine shares is
+written once in category.py."""
 
 import ast
 from pathlib import Path
@@ -40,3 +41,39 @@ def test_smith_form_has_one_caller_outside_linalg():
              for where, name in _calls(ast.parse(path.read_text(encoding="utf-8")),
                                        {"smith", "presentation_normal_form"})]
     assert found == [("zmodules.py", "ZObj.normal_form_data", "presentation_normal_form")]
+
+
+def _tree(name):
+    return ast.parse(next(p for p in SOURCES if p.name == name).read_text(encoding="utf-8"))
+
+
+def _class_defs(tree):
+    """{class name: the names its body defines or assigns}."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            out[node.name] = ({n.name for n in node.body if isinstance(n, ast.FunctionDef)}
+                              | {t.id for n in node.body if isinstance(n, ast.Assign)
+                                 for t in n.targets if isinstance(t, ast.Name)})
+    return out
+
+
+def test_engines_define_only_what_differs():
+    shared = {"lift_along_mono", "colift_along_epi", "random_morphism", "_same_endpoints"}
+    found = [(name, node.name) for name in ("zmodules.py", "quiver.py")
+             for node in ast.walk(_tree(name))
+             if isinstance(node, ast.FunctionDef) and node.name in shared]
+    assert found == []
+    classes = _class_defs(_tree("category.py"))
+    assert shared <= classes["AbelianEngine"]
+    for carrier in ("ZHomGroup", "FieldHomGroup"):
+        assert classes[carrier] & {"decode", "encode", "ngens"} == set()
+
+
+def test_no_hom_carrier_kind():
+    classes = _class_defs(_tree("category.py"))
+    assert [c for c in ("ZGroup", "VectorSpace", "HomBasis", "ZHomGroup", "FieldHomGroup")
+            if "kind" in classes[c]] == []
+    reads = [node.lineno for node in ast.walk(_tree("category.py"))
+             if isinstance(node, ast.Attribute) and node.attr == "kind"]
+    assert reads == []

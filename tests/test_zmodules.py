@@ -54,6 +54,41 @@ class TestOneSmithFormPerObject:
         TH.saturate(FA.obj_from_divisors([4, 6, 9]))
         assert len(calls) == 2
 
+    def test_saturate_command_object(self, monkeypatch, tmp_path):
+        # the input and its cokernel by H_C(M); W(M) and H_C(M) are built in
+        # normal form and carry it
+        import json
+
+        from serreq.cli import main
+        calls = []
+        smith = linalg.smith
+
+        def counting(A):
+            calls.append(A)
+            return smith(A)
+
+        monkeypatch.setattr(linalg, "smith", counting)
+        doc = {"engine": {"kind": "finite_abelian", "p": 2},
+               "objects": {"M": {"relations": [[4, 6], [2, 9]], "gens": 2}}}
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["saturate", "--input", str(path), "--out", str(tmp_path / "o.json")]) == 0
+        assert len(calls) == 2
+
+    def test_recorded_normal_form_matches_smith(self):
+        rng = random.Random(515)
+        chains = [((), 0), ((), 2), ((2, 2), 0), ((3, 3, 6), 1), ((4,), 0)]
+        for _ in range(200):
+            chain, d = [], 1
+            for _ in range(rng.randrange(0, 5)):
+                d *= rng.choice([1, 1, 2, 3, 5])
+                chain.append(d)
+            chains.append((tuple(x for x in chain if x > 1), rng.randrange(0, 3)))
+        for divisors, free_rank in chains:
+            m = ZObj.in_normal_form(divisors, free_rank)
+            assert m.normal_form_data == linalg.presentation_normal_form(m.relations)
+            assert (m.divisors, m.rank) == (divisors, free_rank)
+
     def test_cache_is_not_a_field(self):
         a, b = ZObj(Mat.from_rows([[4]])), ZObj(Mat.from_rows([[4]]))
         assert a.divisors == (4,)
