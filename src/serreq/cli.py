@@ -40,17 +40,21 @@ def _engine_descriptor(args) -> dict | None:
 
 
 def _resolve_theory(args, need_input=False):
+    """(theory, session input): the input file is decoded only when the
+    command needs its objects; otherwise only its engine is read."""
     desc = _engine_descriptor(args)
     theory = session.theory_from_descriptor(desc) if desc else None
-    sess = None
     if args.input:
-        sess = session.load_session_input(session.load_json_file(args.input), theory)
-        theory = sess.theory
-    elif need_input:
+        doc = session.load_json_file(args.input)
+        if not need_input:
+            return session.input_theory(doc, theory), None
+        sess = session.load_session_input(doc, theory)
+        return sess.theory, sess
+    if need_input:
         raise session.InputValidationError("this command needs --input FILE")
     if theory is None:
         raise session.InputValidationError("no engine given (use --engine or an input file)")
-    return theory, sess
+    return theory, None
 
 
 def _emit(doc, args):

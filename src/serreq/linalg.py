@@ -156,124 +156,6 @@ def det(A: Mat) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def smith(A: Mat):
-    """Smith normal form with transforms.
-
-    Returns (S, U, V) with U*A*V = S, U and V unimodular, S diagonal with
-    nonnegative entries d1 | d2 | ... and zero rows/columns trailing.
-    Pivots are chosen by minimal absolute value to bound entry growth; the
-    procedure is deterministic.
-    """
-    m, n = A.rows, A.cols
-    s = A.to_lists()
-    u = Mat.identity(m).to_lists()
-    v = Mat.identity(n).to_lists()
-
-    def swap_rows(i, j):
-        if i != j:
-            s[i], s[j] = s[j], s[i]
-            u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        if i != j:
-            for r in s:
-                r[i], r[j] = r[j], r[i]
-            for r in v:
-                r[i], r[j] = r[j], r[i]
-
-    def row_sub(i, src, q):
-        # row_i -= q * row_src
-        si, ss = s[i], s[src]
-        for j in range(n):
-            si[j] -= q * ss[j]
-        ui, us = u[i], u[src]
-        for j in range(m):
-            ui[j] -= q * us[j]
-
-    def col_sub(j, src, q):
-        for r in s:
-            r[j] -= q * r[src]
-        for r in v:
-            r[j] -= q * r[src]
-
-    def negate_row(i):
-        s[i] = [-x for x in s[i]]
-        u[i] = [-x for x in u[i]]
-
-    t = 0
-    limit = min(m, n)
-    while t < limit:
-        # minimal-absolute-value pivot in the trailing block
-        piv = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                x = s[i][j]
-                if x and (best is None or abs(x) < best):
-                    best = abs(x)
-                    piv = (i, j)
-            if best == 1:
-                break
-        if piv is None:
-            break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
-
-        while True:
-            if s[t][t] < 0:
-                negate_row(t)
-            p = s[t][t]
-            dirty = False
-            for i in range(t + 1, m):
-                x = s[i][t]
-                if x:
-                    q = x // p
-                    if x - q * p:
-                        row_sub(i, t, q)
-                        swap_rows(t, i)
-                        dirty = True
-                        break
-                    row_sub(i, t, q)
-            if dirty:
-                continue
-            for j in range(t + 1, n):
-                x = s[t][j]
-                if x:
-                    q = x // p
-                    if x - q * p:
-                        col_sub(j, t, q)
-                        swap_cols(t, j)
-                        dirty = True
-                        break
-                    col_sub(j, t, q)
-            if dirty:
-                continue
-            # row and column at t are clear; enforce divisibility of the rest
-            p = s[t][t]
-            offender = None
-            for i in range(t + 1, m):
-                row = s[i]
-                for j in range(t + 1, n):
-                    if row[j] % p:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            row_add = s[offender]
-            for j in range(n):
-                s[t][j] += row_add[j]
-            urow = u[offender]
-            for j in range(m):
-                u[t][j] += urow[j]
-        t += 1
-
-    return (Mat(m, n, tuple(tuple(r) for r in s)),
-            Mat(m, m, tuple(tuple(r) for r in u)),
-            Mat(n, n, tuple(tuple(r) for r in v)))
-
-
 def _xgcd(a, b):
     x, next_x = 1, 0
     y, next_y = 0, 1
@@ -288,20 +170,19 @@ def _xgcd(a, b):
     return g, x, y
 
 
-def row_echelon(A: Mat):
-    """Hermite row echelon form with transform: (H, E, pivots), E*A = H.
+def _hermite(h, e):
+    """Reduce the rows h to Hermite row echelon form in place, applying each
+    row operation to the rows e too; returns the pivots (row, col).
 
-    E is unimodular, pivots are positive and the first nonzero entry of
-    their row, and entries above each pivot are reduced into [0, pivot).
-    Row operations only, via 2x2 unimodular gcd transforms, which keeps
-    intermediate entries far smaller than full Smith reduction would.
+    Pivots are positive and the first nonzero entry of their row, and
+    entries above each pivot are reduced into [0, pivot).  Row operations
+    only, via 2x2 unimodular gcd transforms, which keeps intermediate
+    entries small.
     """
-    m, n = A.rows, A.cols
-    h = A.to_lists()
-    e = Mat.identity(m).to_lists()
+    m = len(h)
     pivots = []
     row = 0
-    for col in range(n):
+    for col in range(len(h[0]) if h else 0):
         if row >= m:
             break
         piv = None
@@ -340,9 +221,62 @@ def row_echelon(A: Mat):
                 e[i] = [x - q * y for x, y in zip(e[i], e[row])]
         pivots.append((row, col))
         row += 1
-    return (Mat(m, n, tuple(tuple(r) for r in h)),
-            Mat(m, m, tuple(tuple(r) for r in e)),
+    return pivots
+
+
+def row_echelon(A: Mat):
+    """Hermite row echelon form with transform: (H, E, pivots), E*A = H,
+    E unimodular; see _hermite for the shape of H."""
+    h = A.to_lists()
+    e = Mat.identity(A.rows).to_lists()
+    pivots = _hermite(h, e)
+    return (Mat(A.rows, A.cols, tuple(tuple(r) for r in h)),
+            Mat(A.rows, A.rows, tuple(tuple(r) for r in e)),
             pivots)
+
+
+def smith(A: Mat):
+    """Smith normal form with transforms.
+
+    Returns (S, U, V) with U*A*V = S, U and V unimodular, S diagonal with
+    nonnegative entries d1 | d2 | ... and zero rows/columns trailing.
+    Hermite forms of the rows and of the columns alternate until one is
+    diagonal (Kannan and Bachem 1979).  The first makes the pivots
+    positive, and a diagonal Hermite form has its zeros last.  Then each
+    pair of diagonal entries a, b becomes gcd, lcm by one 2x2 unimodular
+    transform per side.
+    """
+    m, n = A.rows, A.cols
+    s = A.to_lists()
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    vt = [[int(i == j) for j in range(n)] for i in range(n)]
+    e, f, cols = u, vt, n
+    while True:
+        pivots = _hermite(s, e)
+        if all(i == j and not any(s[i][j + 1:]) for i, j in pivots):
+            break
+        # the columns of s become the rows; their operations go to the
+        # other side's transform (V transposed, then U again)
+        s, e, f, cols = [[r[j] for r in s] for j in range(cols)], f, e, len(s)
+    d = [s[i][i] for i, _ in pivots]
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            if d[j] % d[i]:
+                # [[1, 1], [-y b/g, x a/g]] diag(a, b) [[x, -b/g], [y, a/g]]
+                # = diag(g, lcm) for g = x a + y b
+                g, x, y = _xgcd(d[i], d[j])
+                ag, bg = d[i] // g, d[j] // g
+                d[i], d[j] = g, d[i] * bg
+                u[i], u[j] = ([p + q for p, q in zip(u[i], u[j])],
+                              [-y * bg * p + x * ag * q for p, q in zip(u[i], u[j])])
+                vt[i], vt[j] = ([x * p + y * q for p, q in zip(vt[i], vt[j])],
+                                [-bg * p + ag * q for p, q in zip(vt[i], vt[j])])
+    s = [[0] * n for _ in range(m)]
+    for i, x in enumerate(d):
+        s[i][i] = x
+    return (Mat(m, n, tuple(tuple(r) for r in s)),
+            Mat(m, m, tuple(tuple(r) for r in u)),
+            Mat(n, n, tuple(zip(*vt))))
 
 
 def int_kernel(A: Mat) -> Mat:

@@ -340,7 +340,7 @@ class SinkSupportTheory:
             c = self.field.normalize(1)
         return self.engine.scale(eta, c)
 
-    def random_object(self, rng, size_bound=size_bound, max_order=None):
+    def random_object(self, rng, size_bound=size_bound):
         return self.engine.random_object(rng, size_bound)
 
     def random_ses(self, rng, size_bound=size_bound):

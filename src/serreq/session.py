@@ -137,7 +137,9 @@ class SessionInput:
         self.morphisms = morphisms
 
 
-def load_session_input(doc: dict, theory=None) -> SessionInput:
+def input_theory(doc: dict, theory=None):
+    """The theory of an input document: its engine, which must agree with
+    `theory` (from the flags) when both are given."""
     if not isinstance(doc, dict):
         raise InputValidationError("input document must be a JSON object")
     if "engine" in doc:
@@ -149,6 +151,11 @@ def load_session_input(doc: dict, theory=None) -> SessionInput:
         theory = file_theory
     if theory is None:
         raise InputValidationError("no engine given (flags or input file)")
+    return theory
+
+
+def load_session_input(doc: dict, theory=None) -> SessionInput:
+    theory = input_theory(doc, theory)
     for key in ("objects", "morphisms"):
         if not isinstance(doc.get(key) or {}, dict):
             raise InputValidationError(f"'{key}' must map names to payloads")

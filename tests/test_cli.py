@@ -182,6 +182,19 @@ class TestCheck:
                      "--seed", "2", "--n", "3"]) == 0
         assert (tmp_path / "serre-report.json").exists()
 
+    def test_input_file_gives_only_the_engine(self, tmp_path):
+        # check samples its own objects: one the finite engine would reject
+        # is never decoded, while a conflicting engine still is an error
+        doc = {"engine": {"kind": "finite_abelian", "p": 2},
+               "objects": {"M": {"relations": [[0]], "gens": 1}}}
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["check", "--input", str(path), "--suite", "ker-q", "--n", "1",
+                "--out", str(tmp_path / "o.json")]
+        assert main(argv) == 0
+        assert read_report(str(tmp_path / "o.json"))["command"]["engine"] == doc["engine"]
+        assert main(argv + ["--engine", "finite_abelian", "--p", "3"]) == 2
+
 
 class TestReplay:
     def test_replay_from_report(self, tmp_path, capsys):

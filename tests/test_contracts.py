@@ -1,7 +1,7 @@
 """Package-wide rules read from the source: internal contracts are raised
 errors, never asserts (which python -O removes), the Smith form of a
-presentation is computed in one place, and what every engine shares is
-written once in category.py."""
+presentation is computed in one place on the one integer row reduction,
+and what every engine shares is written once in category.py."""
 
 import ast
 from pathlib import Path
@@ -41,6 +41,15 @@ def test_smith_form_has_one_caller_outside_linalg():
              for where, name in _calls(ast.parse(path.read_text(encoding="utf-8")),
                                        {"smith", "presentation_normal_form"})]
     assert found == [("zmodules.py", "ZObj.normal_form_data", "presentation_normal_form")]
+
+
+def test_one_integer_row_reduction():
+    functions = {node.name: node for node in _tree("linalg.py").body
+                 if isinstance(node, ast.FunctionDef)}
+    for name in ("smith", "row_echelon"):
+        assert [callee for _, callee in _calls(functions[name], {"_hermite"})], name
+    assert [node.name for node in ast.walk(functions["smith"])
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))] == ["smith"]
 
 
 def _tree(name):

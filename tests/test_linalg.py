@@ -56,6 +56,12 @@ class TestSmith:
         g = minor_gcds(A)
         assert g == [2, 8]
         assert diag == [2, 4]
+        # a negative unit, a leading zero, a diagonal out of divisor order,
+        # a pivot off the diagonal in either direction, and zero
+        for rows, expected in [([[-1]], [1]), ([[0, 0], [0, 3]], [3, 0]),
+                               ([[6, 0], [0, 4]], [2, 12]), ([[0, 1]], [1]),
+                               ([[0], [5]], [5]), ([[0]], [0])]:
+            assert assert_smith_contract(Mat.from_rows(rows)) == expected, rows
 
     def test_identity(self):
         A = Mat.identity(4)
@@ -82,6 +88,18 @@ class TestSmith:
             n = rng.randrange(0, 7)
             A = Mat.from_rows([[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)], n)
             assert_smith_contract(A)
+        from sympy import Matrix, ZZ
+        from sympy.matrices.normalforms import smith_normal_form
+
+        for _ in range(100):
+            m = rng.randrange(1, 7)
+            n = rng.randrange(1, 7)
+            # half the entries zero, so that some matrices are singular
+            rows = [[rng.randint(-10 ** 6, 10 ** 6) if rng.randrange(2) else 0
+                     for _ in range(n)] for _ in range(m)]
+            expected = smith_normal_form(Matrix(rows), domain=ZZ)
+            assert assert_smith_contract(Mat.from_rows(rows, n)) == [
+                abs(int(expected[i, i])) for i in range(min(m, n))], rows
 
     def test_minor_oracle_random(self):
         rng = random.Random(7)

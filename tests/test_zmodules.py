@@ -9,7 +9,7 @@ from serreq.category import rng_for
 from serreq.errors import EngineMismatch, InputValidationError, NotSaturatedError
 from serreq.linalg import Mat
 from serreq.zmodules import (
-    FiniteAbelianEngine, FixtureTheory, PPrimaryTheory, ZModuleEngine, ZObj,
+    FiniteAbelianEngine, FixtureTheory, PPrimaryTheory, ZModuleEngine, ZObj, diag_rows,
     finite_subobject_embeddings,
 )
 
@@ -192,6 +192,67 @@ class TestSaturate:
             m = TH.random_object(rng)
             _, eta = TH.saturate(m)
             assert TH.is_saturated(m) == FA.is_iso(eta)
+
+
+def _shears(rng, n, steps):
+    """The identity followed by `steps` random shears row_i += +-row_j."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(steps if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-1, 1))
+        u[i] = [a + c * b for a, b in zip(u[i], u[j])]
+    return Mat.from_rows(u)
+
+
+def _dense(rng, divisors, steps):
+    """U * diag(divisors) * V for sheared U and V, built as perfbench's
+    saturate-wide objects are."""
+    g = len(divisors)
+    u = _shears(rng, g, steps)
+    return u.mul(diag_rows(divisors)).mul(_shears(rng, g, steps))
+
+
+# perfbench's fault (b) object: its unit used to reach 18,625 bits, so
+# writing the report ran into the 4,300-digit limit of int -> str
+FAULT_B_DIVISORS = (2, 3, 26, 10, 22, 28, 3, 8, 11, 25)
+
+
+class TestDenseUnits:
+    """W(M) and the unit of dense presentations whose cyclic orders are
+    all nontrivial, against sympy's invariant factors."""
+
+    @staticmethod
+    def assert_reflection(rel):
+        from sympy import Matrix, ZZ
+        from sympy.matrices.normalforms import invariant_factors
+
+        m = ZObj(rel)
+        factors = invariant_factors(Matrix(rel.to_lists()), domain=ZZ)
+        odd = (d // (d & -d) for d in map(int, factors))  # d & -d: the 2-part of d
+        w, eta = TH.saturate(m)
+        assert w.divisors == tuple(d for d in odd if d > 1)
+        assert FA.is_well_defined(eta) and FA.is_epi(eta)
+        ker, hc = FA.kernel_emb(eta), TH.h_c(m)
+        assert FA.lift_along_mono(hc, ker) is not None
+        assert FA.lift_along_mono(ker, hc) is not None
+
+    def test_fault_b_object(self, tmp_path):
+        import json
+
+        from serreq.cli import main
+        rel = _dense(random.Random("perfbench|fault-b"), FAULT_B_DIVISORS, 20)
+        self.assert_reflection(rel)
+        doc = {"engine": {"kind": "finite_abelian", "p": 2},
+               "objects": {"M": {"relations": rel.to_lists(), "gens": rel.cols}}}
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["saturate", "--input", str(path), "--out", str(tmp_path / "o.json")]) == 0
+
+    def test_sweep(self):
+        rng = random.Random(4300)
+        for _ in range(50):
+            divisors = [rng.randint(1, 30) for _ in range(rng.randint(6, 8))]
+            self.assert_reflection(_dense(rng, divisors, 12))
 
 
 class TestIsSaturated:
