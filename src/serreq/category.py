@@ -24,6 +24,12 @@ from .errors import (
 from .linalg import Mat, f_rank, f_solve, int_solve, presentation_enumerate
 
 
+# The most generators, vertex dimensions, and matrix rows or columns an
+# input may give.  It lies far above every input of the tests, the demos
+# and the benchmark, and it bounds the work a small file can ask for.
+MAX_INPUT_SIZE = 64
+
+
 def rng_for(seed, *tags) -> random.Random:
     """Deterministic RNG derived from a seed and a tag path.
 
@@ -130,14 +136,6 @@ class AbelianEngine:
         """The image subobject of f, embedded in the target."""
         return self.kernel_emb(self.cokernel_proj(f))
 
-    def image_factor(self, f):
-        """Factor f as (epi onto image, image embedding)."""
-        emb = self.image_emb(f)
-        epi = self.lift_along_mono(f, emb)
-        if epi is None:
-            raise ContractViolation("a morphism does not factor through its image")
-        return epi, emb
-
     def is_mono(self, f) -> bool:
         return self.is_zero_obj(self.kernel_emb(f).src)
 
@@ -213,6 +211,9 @@ class AbelianEngine:
     def mat_from_json(self, rows, expected_cols=None) -> Mat:
         if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
             raise InputValidationError("matrix payload must be a list of rows")
+        if len(rows) > MAX_INPUT_SIZE or any(len(r) > MAX_INPUT_SIZE for r in rows):
+            raise InputValidationError(
+                f"matrix payloads have at most {MAX_INPUT_SIZE} rows and columns")
         data = [[self.decode_entry(x) for x in r] for r in rows]
         if not data:
             if expected_cols is None:

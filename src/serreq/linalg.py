@@ -5,13 +5,15 @@ map x -> x*A on row vectors, kernels are left kernels {x : x*A = 0}, and
 composites multiply left to right.  All arithmetic is exact (python ints,
 fractions.Fraction, residues mod p); floats never appear.  Intermediate
 Smith-form entries can grow well past machine width, which is why the
-integer routines insist on arbitrary precision.
+integer routines insist on arbitrary precision.  One row reduction,
+_hermite, serves all three rings, each supplying its entry arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from .errors import ContractViolation, InputValidationError, ShapeError
 
 
@@ -127,33 +129,7 @@ def sum_maps(g: int, h: int):
 
 
 # ---------------------------------------------------------------------------
-# integer routines
-
-
-def det(A: Mat) -> int:
-    """Exact determinant of a square integer matrix (fraction-free Bareiss)."""
-    if A.rows != A.cols:
-        raise ShapeError("determinant of a non-square matrix")
-    n = A.rows
-    if n == 0:
-        return 1
-    m = A.to_lists()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+# row reduction over Z, Q and F_p; integer routines
 
 
 def _xgcd(a, b):
@@ -170,15 +146,26 @@ def _xgcd(a, b):
     return g, x, y
 
 
-def _hermite(h, e):
-    """Reduce the rows h to Hermite row echelon form in place, applying each
-    row operation to the rows e too; returns the pivots (row, col).
+def _minus(x, q, y, p):
+    """The row x - q*y, reduced mod p when p is nonzero."""
+    if p:
+        return [(a - q * b) % p for a, b in zip(x, y)]
+    return [a - q * b for a, b in zip(x, y)]
 
-    Pivots are positive and the first nonzero entry of their row, and
-    entries above each pivot are reduced into [0, pivot).  Row operations
-    only, via 2x2 unimodular gcd transforms, which keeps intermediate
-    entries small.
+
+def _hermite(ring, h, e):
+    """Reduce the rows h to Hermite form over `ring` in place, applying
+    each row operation to the rows e too; returns the pivots (row, col).
+
+    The ring supplies divmod(b, a), unit(a) (the factor that normalises a
+    pivot) and p (row operations are reduced mod p when it is nonzero).
+    A pivot is the first nonzero entry of its row and reduces the entries
+    above it: over Z pivots are positive, entries above them lie in
+    [0, pivot), and an inexact division takes a 2x2 unimodular gcd
+    transform, which keeps entries small.  Over a field every division is
+    exact, so the result is the reduced row echelon form.
     """
+    dm, unit, p = ring.divmod, ring.unit, ring.p
     m = len(h)
     pivots = []
     row = 0
@@ -199,26 +186,27 @@ def _hermite(h, e):
             if not b:
                 continue
             a = h[row][col]
-            if b % a == 0:
-                q = b // a
-                h[i] = [x - q * y for x, y in zip(h[i], h[row])]
-                e[i] = [x - q * y for x, y in zip(e[i], e[row])]
+            q, rem = dm(b, a)
+            if not rem:
+                h[i] = _minus(h[i], q, h[row], p)
+                e[i] = _minus(e[i], q, e[row], p)
             else:
                 g, xx, yy = _xgcd(a, b)
                 ag, bg = a // g, b // g
-                h[row], h[i] = ([xx * p + yy * q for p, q in zip(h[row], h[i])],
-                                [-bg * p + ag * q for p, q in zip(h[row], h[i])])
-                e[row], e[i] = ([xx * p + yy * q for p, q in zip(e[row], e[i])],
-                                [-bg * p + ag * q for p, q in zip(e[row], e[i])])
-        if h[row][col] < 0:
-            h[row] = [-x for x in h[row]]
-            e[row] = [-x for x in e[row]]
-        p = h[row][col]
+                h[row], h[i] = ([xx * s + yy * t for s, t in zip(h[row], h[i])],
+                                [-bg * s + ag * t for s, t in zip(h[row], h[i])])
+                e[row], e[i] = ([xx * s + yy * t for s, t in zip(e[row], e[i])],
+                                [-bg * s + ag * t for s, t in zip(e[row], e[i])])
+        u = unit(h[row][col])
+        if u != 1:
+            h[row] = [u * x % p if p else u * x for x in h[row]]
+            e[row] = [u * x % p if p else u * x for x in e[row]]
+        a = h[row][col]
         for i in range(row):
-            q = h[i][col] // p
+            q = dm(h[i][col], a)[0]
             if q:
-                h[i] = [x - q * y for x, y in zip(h[i], h[row])]
-                e[i] = [x - q * y for x, y in zip(e[i], e[row])]
+                h[i] = _minus(h[i], q, h[row], p)
+                e[i] = _minus(e[i], q, e[row], p)
         pivots.append((row, col))
         row += 1
     return pivots
@@ -229,7 +217,7 @@ def row_echelon(A: Mat):
     E unimodular; see _hermite for the shape of H."""
     h = A.to_lists()
     e = Mat.identity(A.rows).to_lists()
-    pivots = _hermite(h, e)
+    pivots = _hermite(ZZ, h, e)
     return (Mat(A.rows, A.cols, tuple(tuple(r) for r in h)),
             Mat(A.rows, A.rows, tuple(tuple(r) for r in e)),
             pivots)
@@ -252,7 +240,7 @@ def smith(A: Mat):
     vt = [[int(i == j) for j in range(n)] for i in range(n)]
     e, f, cols = u, vt, n
     while True:
-        pivots = _hermite(s, e)
+        pivots = _hermite(ZZ, s, e)
         if all(i == j and not any(s[i][j + 1:]) for i, j in pivots):
             break
         # the columns of s become the rows; their operations go to the
@@ -290,31 +278,37 @@ def int_kernel(A: Mat) -> Mat:
     return Mat(A.rows - rank, A.rows, E.data[rank:])
 
 
-def int_solve(A: Mat, B: Mat):
-    """A particular integer solution X of X*A = B, or None if there is none."""
+def _solve(ring, A: Mat, B: Mat, echelon):
+    """X with X*A = B over `ring`, or None; echelon(A) is (H, E, pivots)
+    with E*A = H, and X = Y*E for Y with Y*H = B found pivot by pivot."""
     if A.cols != B.cols:
         raise ShapeError(f"solve needs cols(A) == cols(B), got {A.cols} and {B.cols}")
-    H, E, pivots = row_echelon(A)
+    H, E, pivots = echelon(A)
+    B = ring.reduce_mat(B)
+    dm, p = ring.divmod, ring.p
     out = []
     for brow in B.data:
         v = list(brow)
         y = [0] * A.rows
         for (r, c) in pivots:
-            q, rem = divmod(v[c], H.data[r][c])
+            q, rem = dm(v[c], H.data[r][c])
             if rem:
                 return None
             if q:
                 y[r] = q
-                hrow = H.data[r]
-                for j in range(c, A.cols):
-                    v[j] -= q * hrow[j]
+                v = _minus(v, q, H.data[r], p)
         if any(v):
             return None
         out.append(tuple(y))
-    X = Mat(B.rows, A.rows, tuple(out)).mul(E)
-    if X.mul(A).data != B.data:
-        raise ContractViolation("int_solve found X with X*A != B")
+    X = ring.reduce_mat(Mat(B.rows, A.rows, tuple(out)).mul(E))
+    if ring.reduce_mat(X.mul(A)).data != B.data:
+        raise ContractViolation("solve found X with X*A != B")
     return X
+
+
+def int_solve(A: Mat, B: Mat):
+    """A particular integer solution X of X*A = B, or None if there is none."""
+    return _solve(ZZ, A, B, row_echelon)
 
 
 def row_basis(A: Mat) -> Mat:
@@ -403,7 +397,7 @@ def presentation_enumerate(rel: Mat, cap=4096):
 
 
 # ---------------------------------------------------------------------------
-# fields
+# the rings: prime fields, Q and Z
 
 
 # Miller-Rabin with the first thirteen primes as bases decides primality
@@ -450,11 +444,11 @@ class PrimeField:
     def normalize(self, x):
         return int(x) % self.p
 
-    def inv(self, x):
-        x = self.normalize(x)
-        if x == 0:
-            raise ZeroDivisionError("inverse of 0 in a prime field")
-        return pow(x, self.p - 2, self.p)
+    def divmod(self, b, a):
+        return b * pow(a, -1, self.p) % self.p, 0
+
+    def unit(self, a):
+        return pow(a, -1, self.p)
 
     def reduce_mat(self, A: Mat) -> Mat:
         p = self.p
@@ -485,11 +479,11 @@ class RationalField:
     def normalize(self, x):
         return Fraction(x)
 
-    def inv(self, x):
-        x = Fraction(x)
-        if x == 0:
-            raise ZeroDivisionError("inverse of 0 in Q")
-        return 1 / x
+    def divmod(self, b, a):
+        return b / a, 0
+
+    def unit(self, a):
+        return 1 / a
 
     def reduce_mat(self, A: Mat) -> Mat:
         return Mat(A.rows, A.cols, tuple(tuple(Fraction(a) for a in r) for r in A.data))
@@ -511,6 +505,20 @@ class RationalField:
         return "RationalField()"
 
 
+class IntegerRing:
+    """The ring Z: floor division with remainder; a pivot is made positive."""
+
+    p = 0
+    divmod = staticmethod(divmod)
+
+    def unit(self, a):
+        return -1 if a < 0 else 1
+
+    def reduce_mat(self, A: Mat) -> Mat:
+        return A
+
+
+ZZ = IntegerRing()
 QQ = RationalField()
 
 
@@ -519,35 +527,14 @@ def f_mul(field, A: Mat, B: Mat) -> Mat:
 
 
 def f_rref(field, A: Mat):
-    """Reduced row echelon form with transform: returns (R, E, pivots), E*A = R."""
-    m, n = A.rows, A.cols
+    """Reduced row echelon form with transform: returns (R, E, pivots),
+    E*A = R; it is the Hermite form over the field (see _hermite)."""
     r = field.reduce_mat(A).to_lists()
-    e = Mat.identity(m).to_lists()
-    pivots = []
-    row = 0
-    for col in range(n):
-        piv = None
-        for i in range(row, m):
-            if r[i][col] != field.normalize(0):
-                piv = i
-                break
-        if piv is None:
-            continue
-        r[row], r[piv] = r[piv], r[row]
-        e[row], e[piv] = e[piv], e[row]
-        c = field.inv(r[row][col])
-        r[row] = [field.normalize(c * x) for x in r[row]]
-        e[row] = [field.normalize(c * x) for x in e[row]]
-        for i in range(m):
-            if i != row and r[i][col] != field.normalize(0):
-                f = r[i][col]
-                r[i] = [field.normalize(x - f * y) for x, y in zip(r[i], r[row])]
-                e[i] = [field.normalize(x - f * y) for x, y in zip(e[i], e[row])]
-        pivots.append((row, col))
-        row += 1
-    R = Mat(m, n, tuple(tuple(x) for x in r))
-    E = Mat(m, m, tuple(tuple(x) for x in e))
-    return R, E, pivots
+    e = Mat.identity(A.rows).to_lists()
+    pivots = _hermite(field, r, e)
+    return (Mat(A.rows, A.cols, tuple(tuple(x) for x in r)),
+            Mat(A.rows, A.rows, tuple(tuple(x) for x in e)),
+            pivots)
 
 
 def f_rank(field, A: Mat) -> int:
@@ -564,25 +551,7 @@ def f_kernel(field, A: Mat) -> Mat:
 
 def f_solve(field, A: Mat, B: Mat):
     """X with X*A = B over the field, or None if the system is inconsistent."""
-    if A.cols != B.cols:
-        raise ShapeError(f"solve needs cols(A) == cols(B), got {A.cols} and {B.cols}")
-    R, E, pivots = f_rref(field, A)
-    zero = field.normalize(0)
-    out = []
-    for brow in field.reduce_mat(B).data:
-        v = list(brow)
-        y = [zero] * A.rows
-        for (ri, ci) in pivots:
-            c = v[ci]
-            if c != zero:
-                y[ri] = c
-                rrow = R.data[ri]
-                v = [field.normalize(a - c * b) for a, b in zip(v, rrow)]
-        if any(x != zero for x in v):
-            return None
-        out.append(tuple(y))
-    Y = Mat(B.rows, A.rows, tuple(out))
-    return f_mul(field, Y, E)
+    return _solve(field, A, B, partial(f_rref, field))
 
 
 def f_inv(field, A: Mat):

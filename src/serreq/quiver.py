@@ -18,7 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .category import AbelianEngine, FieldHomGroup, VectorSpace, entry_from_json
+from .category import (
+    MAX_INPUT_SIZE, AbelianEngine, FieldHomGroup, VectorSpace, entry_from_json,
+)
 from .errors import (
     ContractViolation, EndpointMismatch, EngineMismatch, InputValidationError,
     NotSaturatedError, ShapeError,
@@ -229,12 +231,6 @@ class A2Engine(AbelianEngine):
                                   for _ in range(d1)))
         return self.obj(d1, d2, alpha)
 
-    def random_projective(self, rng, size_bound) -> A2Obj:
-        a = rng.randrange(0, size_bound + 1)
-        b = rng.randrange(0, size_bound + 1)
-        total, _, _ = self.direct_sum(self.interval(a), self.simple_sink(b))
-        return total
-
     # -- JSON codecs ------------------------------------------------------------------
 
     def decode_entry(self, x):
@@ -255,9 +251,10 @@ class A2Engine(AbelianEngine):
             raise InputValidationError(f"{where}: payload must be an object")
         dims = payload.get("dims")
         if (not isinstance(dims, list) or len(dims) != 2
-                or any(not isinstance(d, int) or isinstance(d, bool) or d < 0
-                       for d in dims)):
-            raise InputValidationError(f"{where}: quiver objects need 'dims': [d1, d2]")
+                or any(not isinstance(d, int) or isinstance(d, bool)
+                       or not 0 <= d <= MAX_INPUT_SIZE for d in dims)):
+            raise InputValidationError(
+                f"{where}: quiver objects need 'dims': [d1, d2], each from 0 to {MAX_INPUT_SIZE}")
         mat = self.mat_from_json(payload.get("alpha", []), expected_cols=dims[1])
         if mat.rows != dims[0]:
             raise InputValidationError(f"{where}: alpha must have {dims[0]} rows")

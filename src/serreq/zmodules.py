@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, prod
 
-from .category import AbelianEngine, ZGroup, ZHomGroup, entry_from_json
+from .category import MAX_INPUT_SIZE, AbelianEngine, ZGroup, ZHomGroup, entry_from_json
 from .errors import (
     ContractViolation, EndpointMismatch, EngineMismatch, InputValidationError,
     NotSaturatedError, OracleUnsupported, ShapeError,
@@ -314,8 +314,9 @@ class ZModuleEngine(AbelianEngine):
             raise InputValidationError(f"{where}: integer objects need 'relations'")
         gens = payload.get("gens")
         if gens is not None and (not isinstance(gens, int) or isinstance(gens, bool)
-                                 or gens < 0):
-            raise InputValidationError(f"{where}: 'gens' must be a nonnegative integer")
+                                 or not 0 <= gens <= MAX_INPUT_SIZE):
+            raise InputValidationError(
+                f"{where}: 'gens' must be an integer from 0 to {MAX_INPUT_SIZE}")
         return self.obj(self.mat_from_json(payload["relations"], expected_cols=gens))
 
     def mor_to_payload(self, f: ZMor):

@@ -4,8 +4,11 @@ import json
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from serreq import session
+from serreq.category import MAX_INPUT_SIZE
 from serreq.cli import main
 from serreq.zmodules import FixtureTheory
 
@@ -406,6 +409,79 @@ class TestEntryDecoding:
     def test_bad_entries_exit_2_with_a_message(self, doc, tmp_path, capsys):
         assert main(["saturate", "--input", _write(tmp_path, doc)]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+def _diagonal(n, d, width=None):
+    return [[d * (i == j) for j in range(n if width is None else width)] for i in range(n)]
+
+
+_OVER = MAX_INPUT_SIZE + 1
+_FX = {"kind": "fixture", "p": 2}
+_Q = {"kind": "a2_rep", "field": "q"}
+
+
+class TestInputSizeBound:
+    """Generator counts, dimensions and matrix sizes over MAX_INPUT_SIZE
+    are rejected before any work is done."""
+
+    @pytest.mark.parametrize("doc", [
+        {"engine": _FX, "objects": {"M": {"relations": [], "gens": 3000}}},
+        {"engine": _Q, "objects": {"V": {"dims": [0, 3000]}}},
+        {"engine": _Q, "objects": {"V": {"dims": [3000, 0]}}},
+        {"engine": _FX, "objects": {"M": {"relations": [], "gens": _OVER}}},
+        {"engine": _FX, "objects": {"M": {"relations": _diagonal(_OVER, 2)}}},
+        {"engine": _FX, "objects": {"M": {"relations": [[2] * _OVER]}}},
+        {"engine": _FX, "objects": {"M": {"relations": [[2]] * _OVER}}},
+        {"engine": _Q, "objects": {"V": {"dims": [_OVER, _OVER],
+                                         "alpha": _diagonal(_OVER, 1)}}},
+        {"engine": _FX, "objects": {"M": {"relations": [[2]], "gens": 1}},
+         "morphisms": {"f": {"src": "M", "dst": "M", "matrix": [[1]] * _OVER}}},
+    ], ids=["gens-3000", "dims-0-3000", "dims-3000-0", "gens", "square-relations",
+            "relation-columns", "relation-rows", "dims-and-alpha", "morphism-rows"])
+    def test_oversized_inputs_exit_2_quickly(self, doc, tmp_path, capsys):
+        t0 = time.perf_counter()
+        assert main(["saturate", "--input", _write(tmp_path, doc)]) == 2
+        assert time.perf_counter() - t0 < 1
+        assert str(MAX_INPUT_SIZE) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", [
+        {"engine": _FX, "objects": {"M": {"relations": [], "gens": MAX_INPUT_SIZE}}},
+        {"engine": {"kind": "finite_abelian", "p": 2},
+         "objects": {"M": {"relations": _diagonal(MAX_INPUT_SIZE, 6)}}},
+        {"engine": _Q, "objects": {"V": {"dims": [0, MAX_INPUT_SIZE]}}},
+        {"engine": {"kind": "a2_rep", "field": "f101"},
+         "objects": {"V": {"dims": [MAX_INPUT_SIZE, MAX_INPUT_SIZE],
+                           "alpha": _diagonal(MAX_INPUT_SIZE, 1)}}},
+    ], ids=["free", "diagonal", "dims-0-n", "identity-alpha"])
+    def test_inputs_at_the_bound_pass(self, doc, tmp_path):
+        out = tmp_path / "rep.json"
+        assert main(["saturate", "--input", _write(tmp_path, doc), "--out", str(out)]) == 0
+        assert len(read_report(str(out))["results"]) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_sizes_around_the_bound_exit_0_or_2(self, tmp_path_factory, data):
+        size = st.integers(MAX_INPUT_SIZE - 2, MAX_INPUT_SIZE + 2)
+        if data.draw(st.booleans(), "integer engine"):
+            engine = data.draw(st.sampled_from([_FX, {"kind": "fixture", "p": 0},
+                                                {"kind": "finite_abelian", "p": 3}]))
+            n, width = data.draw(size), data.draw(size)
+            rows = data.draw(st.sampled_from([0, 1, n]))
+            obj = {"relations": _diagonal(rows, data.draw(st.integers(0, 3)), width)}
+            if data.draw(st.booleans(), "gens given"):
+                obj["gens"] = data.draw(size)
+            sizes = [rows, width if rows else 0, obj.get("gens", 0)]
+        else:
+            engine = data.draw(st.sampled_from([_Q, {"kind": "a2_rep", "field": "f101"}]))
+            d1, d2 = data.draw(size), data.draw(size)
+            obj = {"dims": [d1, d2], "alpha": _diagonal(d1, data.draw(st.integers(0, 2)), d2)}
+            sizes = [d1, d2]
+        path = tmp_path_factory.mktemp("bound") / "in.json"
+        path.write_text(json.dumps({"engine": engine, "objects": {"X": obj}}), encoding="utf-8")
+        code = main(["saturate", "--input", str(path), "--out", str(path) + ".out"])
+        assert code in (0, 2)
+        if max(sizes) > MAX_INPUT_SIZE:
+            assert code == 2
 
 
 class TestParameterValidation:

@@ -1,7 +1,8 @@
 """Package-wide rules read from the source: internal contracts are raised
 errors, never asserts (which python -O removes), the Smith form of a
-presentation is computed in one place on the one integer row reduction,
-and what every engine shares is written once in category.py."""
+presentation is computed in one place, one row reduction serves Z, Q and
+F_p with one back-substitution, and what every engine shares is written
+once in category.py."""
 
 import ast
 from pathlib import Path
@@ -43,13 +44,35 @@ def test_smith_form_has_one_caller_outside_linalg():
     assert found == [("zmodules.py", "ZObj.normal_form_data", "presentation_normal_form")]
 
 
+def _swaps_rows(loop):
+    """Whether a loop body exchanges two entries of one list, x[i], x[j] =
+    x[j], x[i]: the row swap of a pivot search."""
+    for node in ast.walk(loop):
+        if (isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Tuple)
+                and isinstance(node.value, ast.Tuple)):
+            targets, values = node.targets[0].elts, node.value.elts
+            if (len(targets) == 2 and all(isinstance(t, ast.Subscript) for t in targets)
+                    and [ast.unparse(v) for v in values]
+                    == [ast.unparse(t) for t in reversed(targets)]):
+                return True
+    return False
+
+
 def test_one_integer_row_reduction():
     functions = {node.name: node for node in _tree("linalg.py").body
                  if isinstance(node, ast.FunctionDef)}
-    for name in ("smith", "row_echelon"):
+    for name in ("smith", "row_echelon", "f_rref"):
         assert [callee for _, callee in _calls(functions[name], {"_hermite"})], name
     assert [node.name for node in ast.walk(functions["smith"])
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))] == ["smith"]
+    # one back-substitution: both solvers call the same private function
+    solvers = [{callee for _, callee in _calls(functions[name], set(functions))
+                if callee.startswith("_")} for name in ("int_solve", "f_solve")]
+    assert solvers[0] == solvers[1] and len(solvers[0]) == 1
+    # and one pivot loop in the module
+    assert [name for name, node in functions.items()
+            if any(isinstance(loop, (ast.For, ast.While)) and _swaps_rows(loop)
+                   for loop in ast.walk(node))] == ["_hermite"]
 
 
 def _tree(name):

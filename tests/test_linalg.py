@@ -8,10 +8,37 @@ from hypothesis import strategies as st
 
 from serreq.errors import InputValidationError, ShapeError
 from serreq.linalg import (
-    MR_BOUND, Mat, PrimeField, QQ, det, f_inv, f_kernel, f_rank, f_solve, int_kernel,
+    MR_BOUND, Mat, PrimeField, QQ, f_inv, f_kernel, f_rank, f_rref, f_solve, int_kernel,
     int_solve, is_prime, kernel_mod_rows, presentation_enumerate, presentation_normal_form,
     row_basis, smith, solve_mod_rows,
 )
+
+
+def det(A: Mat) -> int:
+    """Exact determinant of a square integer matrix (fraction-free Bareiss),
+    for the minor-gcd oracle below and the unimodularity checks."""
+    if A.rows != A.cols:
+        raise ShapeError("determinant of a non-square matrix")
+    n = A.rows
+    if n == 0:
+        return 1
+    m = A.to_lists()
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k]:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
 
 
 def minor_gcds(A):
@@ -297,6 +324,70 @@ class TestFields:
     def test_prime_check(self):
         with pytest.raises(ValueError):
             PrimeField(6)
+
+    def test_rref_agrees_with_sympy(self):
+        # sympy's rref over Q and over GF(p) is the oracle for R and the
+        # pivots; E, the rank and solvability are checked against it too
+        from sympy import GF, Matrix, Rational
+        from sympy.polys.matrices import DomainMatrix
+
+        rng = random.Random(4242)
+        for F in (QQ, PrimeField(2), PrimeField(3), PrimeField(101)):
+            if F.p:
+                def entry():
+                    return rng.randrange(-F.p, 2 * F.p)
+
+                def oracle(M):
+                    dm = DomainMatrix([[GF(F.p)(x) for x in r] for r in M.data],
+                                      (M.rows, M.cols), GF(F.p))
+                    R, piv = dm.rref()
+                    return [[int(x) % F.p for x in r] for r in R.to_list()], piv, dm.rank()
+            else:
+                def entry():
+                    return Fraction(rng.randint(-7, 7), rng.randint(1, 3))
+
+                def oracle(M):
+                    sm = Matrix(M.rows, M.cols,
+                                [Rational(x.numerator, x.denominator)
+                                 for r in M.data for x in map(Fraction, r)])
+                    R, piv = sm.rref()
+                    return ([[Fraction(int(R[i, j].p), int(R[i, j].q)) for j in range(M.cols)]
+                             for i in range(M.rows)], piv, sm.rank())
+
+            for _ in range(150):
+                m, n = rng.randrange(0, 7), rng.randrange(0, 7)
+                rows = [[entry() if rng.randrange(3) else 0 for _ in range(n)] for _ in range(m)]
+                # zero rows and columns, and rows dependent on earlier ones
+                for i, r in enumerate(rows):
+                    if rng.randrange(6) == 0:
+                        r[:] = [0] * n
+                    elif i and rng.randrange(4) == 0:
+                        r[:] = [2 * x - y for x, y in zip(rows[0], rows[i - 1])]
+                if n and rng.randrange(4) == 0:
+                    j = rng.randrange(n)
+                    for r in rows:
+                        r[j] = 0
+                A = Mat(m, n, tuple(tuple(r) for r in rows))
+                R, E, pivots = f_rref(F, A)
+                expected_r, expected_pivots, rank = oracle(A)
+                assert [list(r) for r in R.data] == expected_r, (F, rows)
+                assert [c for _, c in pivots] == list(expected_pivots), (F, rows)
+                assert [r for r, _ in pivots] == list(range(len(pivots)))
+                assert F.reduce_mat(E.mul(A)).data == R.data
+                assert f_inv(F, E) is not None
+                assert f_rank(F, A) == rank
+                k = rng.randrange(1, 3)
+                B = Mat(k, n, tuple(tuple(entry() if rng.randrange(2) else 0 for _ in range(n))
+                                    for _ in range(k)))
+                if rng.randrange(2):
+                    # half the right-hand sides lie in the row space
+                    B = Mat.from_rows([[rng.randrange(-3, 4) for _ in range(m)]
+                                       for _ in range(k)], m).mul(A)
+                X = f_solve(F, A, B)
+                _, _, stacked_rank = oracle(A.stack_below(B))
+                assert (X is None) == (stacked_rank > rank), (F, rows, B.data)
+                if X is not None:
+                    assert F.reduce_mat(X.mul(A)).data == F.reduce_mat(B).data
 
 
 class TestIsPrime:
