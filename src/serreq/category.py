@@ -21,13 +21,7 @@ from .errors import (
     CompositeNotZero, ContractViolation, EndpointMismatch, InputValidationError,
     NotInvertible,
 )
-from .linalg import Mat, f_rank, f_solve, int_solve, presentation_enumerate
-
-
-# The most generators, vertex dimensions, and matrix rows or columns an
-# input may give.  It lies far above every input of the tests, the demos
-# and the benchmark, and it bounds the work a small file can ask for.
-MAX_INPUT_SIZE = 64
+from .linalg import MAX_INPUT_SIZE, Mat, f_rank, f_solve, int_solve, presentation_enumerate
 
 
 def rng_for(seed, *tags) -> random.Random:

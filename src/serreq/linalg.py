@@ -17,6 +17,17 @@ from functools import partial
 from .errors import ContractViolation, InputValidationError, ShapeError
 
 
+# The most generators, vertex dimensions, and matrix rows or columns an
+# input may give.  It lies far above every input of the tests, the demos
+# and the benchmark, and it bounds the work a small file can ask for.
+MAX_INPUT_SIZE = 64
+
+# Mat.identity(n) for each n up to MAX_INPUT_SIZE built so far.  Its
+# entries depend on n alone, so sharing them is the same as building them
+# at import; larger sizes are built fresh and never kept.
+_IDENTITIES = {}
+
+
 @dataclass(frozen=True)
 class Mat:
     """Immutable rows x cols matrix; entries are ints, Fractions, or residues."""
@@ -39,7 +50,12 @@ class Mat:
 
     @staticmethod
     def identity(n):
-        return Mat(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        m = _IDENTITIES.get(n)
+        if m is None:
+            m = Mat(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+            if 0 <= n <= MAX_INPUT_SIZE:
+                _IDENTITIES[n] = m
+        return m
 
     @staticmethod
     def zeros(rows, cols):

@@ -294,6 +294,8 @@ class SinkSupportTheory:
     def __init__(self, field):
         self.field = field
         self.engine = A2Engine(field)
+        # object -> (W(V), eta_V), as in ZTorsionTheory
+        self._reflections = {}
 
     def describe(self):
         return {"kind": self.kind, "field": self.field.name}
@@ -307,9 +309,11 @@ class SinkSupportTheory:
         return self.engine.mor(sub, m, k, Mat.zeros(0, m.d2))
 
     def saturate(self, m: A2Obj):
-        w = self.engine.interval(m.d2)
-        eta = self.engine.mor(m, w, m.alpha, Mat.identity(m.d2))
-        return w, eta
+        hit = self._reflections.get(m)
+        if hit is None:
+            w = self.engine.interval(m.d2)
+            hit = self._reflections[m] = w, self.engine.mor(m, w, m.alpha, Mat.identity(m.d2))
+        return hit
 
     def is_saturated(self, m: A2Obj) -> bool:
         return f_inv(self.field, m.alpha) is not None

@@ -387,6 +387,9 @@ class ZTorsionTheory:
             raise InputValidationError(f"p must be a prime{zero}, got {p}")
         self.p = p
         self.engine = self.engine_class()
+        # object -> (W(M), eta_M); it lives as long as the theory, which
+        # each command builds afresh
+        self._reflections = {}
 
     def describe(self):
         return {"kind": self.kind, "p": self.p}
@@ -423,10 +426,14 @@ class ZTorsionTheory:
     def saturate(self, m: ZObj):
         """(W(M), eta_M): M / H_C(M) in normal form with the projection as
         unit; ker eta = H_C(M) and coker eta = 0.  For the fixture this is
-        the naive candidate, whose image is not saturated in general."""
-        proj = self.engine.cokernel_proj(self.h_c(m))
-        nf, to_nf, _ = self.engine.normal_form(proj.dst)
-        return nf, self.engine.compose(proj, to_nf)
+        the naive candidate, whose image is not saturated in general.
+        Computed once per object; a call that raises stores nothing."""
+        hit = self._reflections.get(m)
+        if hit is None:
+            proj = self.engine.cokernel_proj(self.h_c(m))
+            nf, to_nf, _ = self.engine.normal_form(proj.dst)
+            hit = self._reflections[m] = nf, self.engine.compose(proj, to_nf)
+        return hit
 
     def is_saturated(self, m: ZObj) -> bool:
         # gcd(order, 0) = order, so for p = 0 only the zero object is saturated

@@ -1,6 +1,8 @@
 """The serre command-line front end."""
 
+import copy
 import json
+import re
 import time
 
 import pytest
@@ -576,3 +578,105 @@ class TestMalformedDocuments:
         path.write_text(text, encoding="utf-8")
         assert main([command, "--input", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# replay documents mutated from real witnesses
+
+_WITNESS_RUNS = [
+    ["--engine", "fixture", "--p", "2", "--suite", "saturating"],
+    ["--engine", "fixture", "--p", "0", "--suite", "zigzag", "--seed", "0"],
+    ["--engine", "finite_abelian", "--p", "2", "--candidate", "identity",
+     "--suite", "saturating"],
+    ["--engine", "a2_rep", "--field", "f101", "--candidate", "identity",
+     "--suite", "saturating"],
+]
+_JUNK = [None, True, False, "", "x", "1/0", "1/3", "-7/2", 0, -1, 2.5, 1e300,
+         float("nan"), float("inf"), [], {}, [[]], [[1.5]], [["1/2", 3]], {"kind": "fixture"}]
+_FOREIGN_ENGINES = [
+    {"kind": "a2_rep", "field": "q"}, {"kind": "a2_rep", "field": "f2"},
+    {"kind": "a2_rep", "field": "f4"}, {"kind": "finite_abelian", "p": 3},
+    {"kind": "finite_abelian", "p": 0}, {"kind": "fixture", "p": 0},
+    {"kind": "fixture", "p": -5}, {"kind": "nope"}, {"field": "q"},
+]
+# a huge integer is written into the file as raw digits, since json.dumps
+# refuses integers over Python's digit limit
+_HUGE_DIGITS = [19, 300, 4301, 6000]
+
+
+@pytest.fixture(scope="module")
+def real_witnesses(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("witnesses")
+    out = []
+    for i, flags in enumerate(_WITNESS_RUNS):
+        path = tmp / f"r{i}.json"
+        seed = [] if "--seed" in flags else ["--seed", "3"]
+        assert main(["check", *flags, *seed, "--n", "4", "--out", str(path)]) == 1
+        doc = read_report(str(path))
+        out += [c["witness"] for s in doc["checks"] for c in s["checks"] if "witness" in c]
+    return out
+
+
+def _nodes(doc, path=()):
+    """Every (path, value) in a JSON tree, the root included."""
+    yield path, doc
+    items = doc.items() if isinstance(doc, dict) else (
+        enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield from _nodes(value, path + (key,))
+
+
+def _set(doc, path, value):
+    if not path:
+        return value
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+def _mutate(data, doc):
+    for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+        path, node = data.draw(st.sampled_from(list(_nodes(doc))), label="node")
+        op = data.draw(st.sampled_from(["drop", "junk", "huge", "engine"]), label="op")
+        if op == "drop" and path:
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            del parent[path[-1]]
+        elif op == "junk":
+            junk = data.draw(st.sampled_from(_JUNK), label="junk")
+            doc = _set(doc, path, copy.deepcopy(junk))
+        elif op == "huge":
+            digits = data.draw(st.sampled_from(_HUGE_DIGITS), label="digits")
+            sign = data.draw(st.sampled_from(["", "-"]), label="sign")
+            doc = _set(doc, path, f"__huge__{sign}{digits}")
+        elif op == "engine" and isinstance(doc, dict):
+            engine = data.draw(st.sampled_from(_FOREIGN_ENGINES), label="engine")
+            doc["engine"] = copy.deepcopy(engine)
+    return doc
+
+
+def _huge(match):
+    return match.group(1) + "9" * int(match.group(2))
+
+
+class TestReplayFuzz:
+    """A damaged witness ends in a replay report or exit 2, never a traceback."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_mutated_witness(self, data, real_witnesses, tmp_path_factory):
+        witness = data.draw(st.sampled_from(real_witnesses), label="witness")
+        doc = _mutate(data, json.loads(json.dumps(witness)))
+        text = re.sub(r'"__huge__(-?)(\d+)"', _huge, json.dumps(doc))
+        tmp = tmp_path_factory.mktemp("fuzz")
+        path, out = tmp / "w.json", tmp / "out.json"
+        path.write_text(text, encoding="utf-8")
+        code = main(["replay", "--input", str(path), "--out", str(out)])
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert not out.exists()
+        else:
+            assert read_report(str(out))["exit"] == code

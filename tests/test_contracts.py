@@ -1,13 +1,15 @@
 """Package-wide rules read from the source: internal contracts are raised
 errors, never asserts (which python -O removes), the Smith form of a
 presentation is computed in one place, one row reduction serves Z, Q and
-F_p with one back-substitution, and what every engine shares is written
-once in category.py."""
+F_p with one back-substitution, what every engine shares is written
+once in category.py, and no cache outlives the theory that one command
+builds."""
 
 import ast
 from pathlib import Path
 
 import serreq
+from serreq.linalg import MAX_INPUT_SIZE, Mat
 
 SOURCES = sorted(Path(serreq.__file__).parent.glob("*.py"))
 
@@ -109,3 +111,78 @@ def test_no_hom_carrier_kind():
     reads = [node.lineno for node in ast.walk(_tree("category.py"))
              if isinstance(node, ast.Attribute) and node.attr == "kind"]
     assert reads == []
+
+
+_CONTAINERS = (ast.Dict, ast.Set, ast.DictComp, ast.SetComp)
+_CONTAINER_CALLS = {"dict", "set", "defaultdict", "OrderedDict",
+                    "WeakKeyDictionary", "WeakValueDictionary"}
+_WRITERS = {"setdefault", "update", "add", "__setitem__"}
+
+
+def _shared_containers(tree):
+    """Names bound to a dict or set in a module or class body."""
+    bodies = [tree.body] + [n.body for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
+    out = set()
+    for body in bodies:
+        for node in body:
+            if not isinstance(node, (ast.Assign, ast.AnnAssign)) or node.value is None:
+                continue
+            value = node.value
+            if isinstance(value, ast.Call):
+                func = value.func
+                value = (func.id if isinstance(func, ast.Name)
+                         else getattr(func, "attr", None)) in _CONTAINER_CALLS
+            if value is True or isinstance(value, _CONTAINERS):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                out |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return out
+
+
+def _written(node, names, scope=()):
+    """(enclosing Class.function path, name) for each store into a container
+    called by a name in `names`, bare or as an attribute (self.x, cls.x)."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _written(child, names, scope + (child.name,))
+            continue
+        target = None
+        if isinstance(child, ast.Subscript) and isinstance(child.ctx, ast.Store):
+            target = child.value
+        elif isinstance(child, ast.AugAssign):
+            target = child.target
+        elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+              and child.func.attr in _WRITERS):
+            target = child.func.value
+        name = (target.id if isinstance(target, ast.Name)
+                else getattr(target, "attr", None))
+        if name in names:
+            yield ".".join(scope), name
+        yield from _written(child, names, scope)
+
+
+def test_no_cache_outlives_one_command():
+    """Every cache lives on an instance (a theory, an object) that one
+    command builds, except the bounded identity table of Mat.identity."""
+    decorators, writes = [], []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                decorators += [(path.name, a.name) for a in node.names
+                               if a.name in {"cache", "lru_cache"}]
+            if (isinstance(node, ast.Attribute) and node.attr in {"cache", "lru_cache"}
+                    and getattr(node.value, "id", None) == "functools"):
+                decorators.append((path.name, node.attr))
+        writes += [(path.name, where, name)
+                   for where, name in _written(tree, _shared_containers(tree))]
+    assert decorators == []
+    assert writes == [("linalg.py", "Mat.identity", "_IDENTITIES")]
+
+
+def test_identity_table_is_bounded():
+    assert Mat.identity(3) is Mat.identity(3)
+    assert Mat.identity(MAX_INPUT_SIZE) is Mat.identity(MAX_INPUT_SIZE)
+    big = Mat.identity(MAX_INPUT_SIZE + 1)
+    assert big is not Mat.identity(MAX_INPUT_SIZE + 1)
+    assert big == Mat.identity(MAX_INPUT_SIZE + 1)
+    assert big.data[MAX_INPUT_SIZE] == (0,) * MAX_INPUT_SIZE + (1,)

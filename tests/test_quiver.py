@@ -1,5 +1,6 @@
 """The A2 representation engine and its sink-support localization."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -99,6 +100,54 @@ class TestSaturate:
                 coeffs = tuple(1 if j == k else 0 for j in range(hom_w.dim))
                 back = E.compose(eta, hom_w.decode(coeffs))
                 assert hom_v.encode(back) is not None
+
+
+class TestReflectionMemo:
+    """saturate is computed once per object and theory instance."""
+
+    def _count_intervals(self, monkeypatch, th):
+        calls = []
+        interval = th.engine.interval
+
+        def counting(d=1):
+            calls.append(d)
+            return interval(d)
+
+        monkeypatch.setattr(th.engine, "interval", counting)
+        return calls
+
+    def test_equal_objects_share_one_reflection(self, monkeypatch):
+        th = SinkSupportTheory(F)
+        calls = self._count_intervals(monkeypatch, th)
+        first = th.saturate(th.engine.obj(2, 1, Mat.from_rows([[1], [3]])))
+        assert th.saturate(th.engine.obj(2, 1, Mat.from_rows([[1], [3]]))) is first
+        assert calls == [1]
+
+    def test_a_fresh_theory_recomputes(self, monkeypatch):
+        m = E.obj(2, 1, Mat.from_rows([[1], [3]]))
+        counts = []
+        for _ in range(2):
+            th = SinkSupportTheory(F)
+            calls = self._count_intervals(monkeypatch, th)
+            th.saturate(m)
+            counts.append(len(calls))
+        assert counts == [1, 1]
+
+    def test_a_failed_call_is_not_stored(self):
+        th = SinkSupportTheory(F)
+        foreign = A2Engine(QQ).interval(1)
+        for _ in range(3):
+            with pytest.raises(EngineMismatch):
+                th.saturate(foreign)
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(2), F], ids=["q", "f2", "f101"])
+    def test_warm_theory_agrees_with_fresh(self, field):
+        warm = SinkSupportTheory(field)
+        objects = [warm.random_object(rng_for(808, field.name, i)) for i in range(200)]
+        for m in objects:
+            warm.saturate(m)
+        for m in objects:
+            assert warm.saturate(dataclasses.replace(m)) == SinkSupportTheory(field).saturate(m)
 
 
 class TestIsSaturated:

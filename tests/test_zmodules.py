@@ -1,5 +1,6 @@
 """The integer engines: finite abelian groups, p-torsion theories, fixture."""
 
+import dataclasses
 import random
 
 import pytest
@@ -50,8 +51,9 @@ class TestOneSmithFormPerObject:
         TH.h_c(FA.obj_from_divisors([4, 6, 9]))
         assert len(calls) == 1
         calls.clear()
-        # h_c of M, then the normal form of its cokernel
-        TH.saturate(FA.obj_from_divisors([4, 6, 9]))
+        # h_c of M, then the normal form of its cokernel; a fresh theory,
+        # since TH may hold this reflection from an earlier test
+        PPrimaryTheory(2).saturate(FA.obj_from_divisors([4, 6, 9]))
         assert len(calls) == 2
 
     def test_saturate_command_object(self, monkeypatch, tmp_path):
@@ -192,6 +194,58 @@ class TestSaturate:
             m = TH.random_object(rng)
             _, eta = TH.saturate(m)
             assert TH.is_saturated(m) == FA.is_iso(eta)
+
+
+class TestReflectionMemo:
+    """saturate is computed once per object and theory instance."""
+
+    def _count_smith(self, monkeypatch):
+        calls = []
+        smith = linalg.smith
+
+        def counting(A):
+            calls.append(A)
+            return smith(A)
+
+        monkeypatch.setattr(linalg, "smith", counting)
+        return calls
+
+    def test_equal_objects_share_one_reflection(self, monkeypatch):
+        calls = self._count_smith(monkeypatch)
+        th = PPrimaryTheory(2)
+        rel = Mat.from_rows([[4, 6], [2, 9]])
+        first = th.saturate(ZObj(rel))
+        # the Smith forms of M and of M / H_C(M), once for both instances
+        assert th.saturate(ZObj(Mat.from_rows([[4, 6], [2, 9]]))) == first
+        assert len(calls) == 2
+
+    def test_a_fresh_theory_recomputes(self, monkeypatch):
+        calls = self._count_smith(monkeypatch)
+        m = ZObj(Mat.from_rows([[4, 6], [2, 9]]))
+        PPrimaryTheory(2).saturate(m)
+        calls.clear()
+        # M's own normal form is cached on the object; its cokernel is new
+        PPrimaryTheory(2).saturate(m)
+        assert len(calls) == 1
+
+    def test_a_failed_call_is_not_stored(self):
+        th = PPrimaryTheory(2)
+        z = ZObj(Mat.zeros(0, 1))
+        for _ in range(3):
+            with pytest.raises(EngineMismatch):
+                th.saturate(z)
+
+    @pytest.mark.parametrize("theory, p", [(PPrimaryTheory, 2), (PPrimaryTheory, 3),
+                                           (FixtureTheory, 0), (FixtureTheory, 2)],
+                             ids=["finite_abelian-2", "finite_abelian-3",
+                                  "fixture-0", "fixture-2"])
+    def test_warm_theory_agrees_with_fresh(self, theory, p):
+        warm = theory(p)
+        objects = [warm.random_object(rng_for(808, theory.kind, p, i)) for i in range(200)]
+        for m in objects:
+            warm.saturate(m)
+        for m in objects:
+            assert warm.saturate(dataclasses.replace(m)) == theory(p).saturate(m)
 
 
 def _shears(rng, n, steps):
