@@ -27,12 +27,12 @@ hc = theory.h_c(m)
 show("H_C(M), the 2-primary part", hc.src)
 w, eta = theory.saturate(m)
 show("W(M) = M / H_C(M)", w)
-print(f"  unit payload eta: {eta.matrix.to_lists()}  (kernel = H_C, cokernel = 0)")
+print(f"  unit payload eta: {eta.maps[0].to_lists()}  (kernel = H_C, cokernel = 0)")
 print(f"  M saturated? {theory.is_saturated(m)};  W(M) saturated? {theory.is_saturated(w)}")
 
 print("\n== the monad at one object ==")
 data = monad_at(theory, m)
-print(f"  mu is the inverse of the unit at W(M); payload {data.mu.matrix.to_lists()}")
+print(f"  mu is the inverse of the unit at W(M); payload {data.mu.maps[0].to_lists()}")
 print(f"  mu invertible: {eng.is_iso(data.mu)}")
 
 print("\n== objects of C collapse, saturated objects are fixed ==")

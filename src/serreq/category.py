@@ -19,9 +19,12 @@ from math import prod
 
 from .errors import (
     CompositeNotZero, ContractViolation, EndpointMismatch, InputValidationError,
-    NotInvertible,
+    NotInvertible, ShapeError,
 )
-from .linalg import MAX_INPUT_SIZE, Mat, f_rank, f_solve, int_solve, presentation_enumerate
+from .linalg import (
+    MAX_INPUT_SIZE, Mat, f_rank, f_solve, int_solve, presentation_enumerate, sum_maps,
+    unflatten,
+)
 
 
 def rng_for(seed, *tags) -> random.Random:
@@ -31,6 +34,17 @@ def rng_for(seed, *tags) -> random.Random:
     so every (seed, counter) pair names one reproducible sample.
     """
     return random.Random("serreq|" + "|".join(str(t) for t in (seed, *tags)))
+
+
+@dataclass(frozen=True, slots=True)
+class Mor:
+    """A morphism src -> dst of either engine: one matrix per vertex, the
+    one at vertex v being dims(src)[v] x dims(dst)[v] and acting on row
+    vectors, so composites multiply left to right."""
+
+    src: object
+    dst: object
+    maps: tuple
 
 
 @dataclass(frozen=True)
@@ -78,27 +92,85 @@ def entry_from_json(x):
 class AbelianEngine:
     """Mixin with the engine-independent abelian category operations.
 
-    Concrete engines implement the primitive methods (compose, identity,
-    add, sub, scale, eq_mor, is_well_defined, kernel_emb, cokernel_proj,
-    zero test, direct_sum, hom_group, ext1_group, random_object), the
-    solvers _lift_candidate and _colift_candidate (a morphism solving the
-    lift or colift equations, or None) and _random_entry (one random Hom
-    coefficient).  Everything below is inherited: lift_along_mono and
-    colift_along_epi check what the solvers return, random_morphism
-    decodes random coefficients in hom_group, and invertibility has one
-    procedure, inverse, which colifts the identity along f; is_iso and
-    invert are read from it.
+    A morphism of every engine is a Mor with one matrix per vertex of the
+    engine's quiver.  A concrete engine supplies the hooks dims (the
+    vertex dimensions of an object, rejecting one the engine cannot
+    take), ring (whose reduce_mat normalises entries), map_keys (the
+    payload key of each vertex matrix) and _obj_sum; what differs between
+    engines (eq_mor, is_well_defined, is_zero_obj, kernel_emb,
+    cokernel_proj, hom_group, ext1_group, random_object); the solvers
+    _lift_candidate and _colift_candidate (a morphism solving the lift or
+    colift equations, or None); and _random_entry (one random Hom
+    coefficient).  Everything below is inherited: morphism construction,
+    arithmetic and direct sums; the Hom-vector codec of morphisms;
+    lift_along_mono and colift_along_epi, which check what the solvers
+    return; random_morphism, which decodes random coefficients in
+    hom_group; and invertibility, whose one procedure, inverse, colifts
+    the identity along f; is_iso and invert are read from it.
 
-    Each engine also owns its JSON data format: decode_entry (one matrix
-    entry to an engine scalar), obj_to_payload / obj_from_payload,
-    mor_to_payload (with both endpoints), mor_between (a morphism payload
-    between decoded endpoints) and describe_invariants (the summary a
-    report prints for an object).  Decoders raise InputValidationError.
+    Each engine also owns its object format: decode_entry (one matrix
+    entry to an engine scalar), obj_to_payload / obj_from_payload and
+    describe_invariants (the summary a report prints for an object).
+    The morphism codec is written here on top of them.  Decoders raise
+    InputValidationError.
     """
+
+    # -- morphisms -------------------------------------------------------------
+
+    def mor(self, src, dst, *maps) -> Mor:
+        """The morphism with the given vertex matrices, shape-checked and
+        reduced into the engine's ring."""
+        shapes = tuple(zip(self.dims(src), self.dims(dst)))
+        if tuple((a.rows, a.cols) for a in maps) != shapes:
+            raise ShapeError(f"vertex matrices must have shapes {shapes}")
+        return Mor(src, dst, tuple(self.ring.reduce_mat(a) for a in maps))
+
+    def identity(self, m) -> Mor:
+        return Mor(m, m, tuple(map(Mat.identity, self.dims(m))))
+
+    def zero_morphism(self, src, dst) -> Mor:
+        return Mor(src, dst, tuple(map(Mat.zeros, self.dims(src), self.dims(dst))))
+
+    def compose(self, f: Mor, g: Mor) -> Mor:
+        """f followed by g."""
+        if f.dst != g.src:
+            raise EndpointMismatch("compose needs target(f) == source(g)")
+        return Mor(f.src, g.dst, tuple(map(self.ring.reduce_mat, map(Mat.mul, f.maps, g.maps))))
+
+    def add(self, f: Mor, g: Mor) -> Mor:
+        self._same_endpoints(f, g)
+        return Mor(f.src, f.dst, tuple(map(self.ring.reduce_mat, map(Mat.add, f.maps, g.maps))))
+
+    def sub(self, f: Mor, g: Mor) -> Mor:
+        self._same_endpoints(f, g)
+        return Mor(f.src, f.dst, tuple(map(self.ring.reduce_mat, map(Mat.sub, f.maps, g.maps))))
+
+    def scale(self, f: Mor, c) -> Mor:
+        return Mor(f.src, f.dst, tuple(self.ring.reduce_mat(a.scale(c)) for a in f.maps))
 
     def _same_endpoints(self, f, g):
         if f.src != g.src or f.dst != g.dst:
             raise EndpointMismatch("morphisms have different endpoints")
+
+    def direct_sum(self, m, n):
+        """(m + n, its two injections, its two projections)."""
+        total = self._obj_sum(m, n)
+        # inj[v] and proj[v] are the two coordinate maps at vertex v
+        inj, proj = zip(*(sum_maps(a, b) for a, b in zip(self.dims(m), self.dims(n))))
+        return (total, tuple(Mor(s, total, maps) for s, maps in zip((m, n), zip(*inj))),
+                tuple(Mor(total, s, maps) for s, maps in zip((m, n), zip(*proj))))
+
+    # -- morphisms as Hom vectors: the vertex matrices flattened in turn ---------
+
+    def _hom_vector(self, f: Mor):
+        return tuple(x for a in f.maps for row in a.data for x in row)
+
+    def _mor_from_vector(self, m, n, vec) -> Mor:
+        maps, at = [], 0
+        for r, c in zip(self.dims(m), self.dims(n)):
+            maps.append(self.ring.reduce_mat(unflatten(vec[at:at + r * c], r, c)))
+            at += r * c
+        return Mor(m, n, tuple(maps))
 
     # -- lifts and colifts -------------------------------------------------------
 
@@ -220,8 +292,22 @@ class AbelianEngine:
             raise InputValidationError(f"expected {expected_cols} columns, got {cols}")
         return Mat.from_rows(data, cols)
 
-    def checked_mor(self, f, where):
-        """f itself, or an InputValidationError when it is not well defined."""
+    def mor_to_payload(self, f: Mor):
+        out = {"src": self.obj_to_payload(f.src), "dst": self.obj_to_payload(f.dst)}
+        out.update(zip(self.map_keys, map(self.mat_to_json, f.maps)))
+        return out
+
+    def mor_between(self, src, dst, payload, where="morphism") -> Mor:
+        if any(key not in payload for key in self.map_keys):
+            raise InputValidationError(
+                f"{where}: morphisms need " + " and ".join(f"'{k}'" for k in self.map_keys))
+        maps = []
+        for key, r, c in zip(self.map_keys, self.dims(src), self.dims(dst)):
+            mat = self.mat_from_json(payload[key], expected_cols=c)
+            if mat.rows != r:
+                raise InputValidationError(f"{where}: '{key}' must have {r} rows")
+            maps.append(mat)
+        f = self.mor(src, dst, *maps)
         if not self.is_well_defined(f):
             raise InputValidationError(f"{where}: payload does not define a morphism")
         return f

@@ -19,15 +19,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .category import (
-    MAX_INPUT_SIZE, AbelianEngine, FieldHomGroup, VectorSpace, entry_from_json,
+    MAX_INPUT_SIZE, AbelianEngine, FieldHomGroup, Mor, VectorSpace, entry_from_json,
 )
 from .errors import (
-    ContractViolation, EndpointMismatch, EngineMismatch, InputValidationError,
-    NotSaturatedError, ShapeError,
+    ContractViolation, EngineMismatch, InputValidationError, NotSaturatedError, ShapeError,
 )
-from .linalg import (
-    Mat, block_diag, f_inv, f_kernel, f_mul, f_rank, f_solve, flatten, sum_maps, unflatten,
-)
+from .linalg import Mat, block_diag, f_inv, f_kernel, f_mul, f_rank, f_solve
 
 
 @dataclass(frozen=True)
@@ -41,21 +38,15 @@ class A2Obj:
         return f"A2Obj({self.d1}->{self.d2} over {self.field.name})"
 
 
-@dataclass(frozen=True)
-class A2Mor:
-    src: A2Obj
-    dst: A2Obj
-    f1: Mat
-    f2: Mat
-
-
 class A2Engine(AbelianEngine):
     """The abelian category of finite-dimensional A2 representations."""
 
     name = "a2_rep"
+    # a morphism is a pair of matrices, at the source and at the sink vertex
+    map_keys = ("f1", "f2")
 
     def __init__(self, field):
-        self.field = field
+        self.field = self.ring = field
 
     # -- constructors ----------------------------------------------------------
 
@@ -76,51 +67,23 @@ class A2Engine(AbelianEngine):
     def interval(self, d=1) -> A2Obj:
         return self.obj(d, d, Mat.identity(d))
 
-    def mor(self, src: A2Obj, dst: A2Obj, f1: Mat, f2: Mat) -> A2Mor:
-        self._check_engine(src)
-        self._check_engine(dst)
-        if f1.rows != src.d1 or f1.cols != dst.d1 or f2.rows != src.d2 or f2.cols != dst.d2:
-            raise ShapeError("component shapes do not match the endpoints")
-        return A2Mor(src, dst, self.field.reduce_mat(f1), self.field.reduce_mat(f2))
-
-    def _check_engine(self, m: A2Obj):
+    def dims(self, m: A2Obj):
         if m.field != self.field:
             raise EngineMismatch(f"object over {m.field.name} used in a {self.field.name} engine")
+        return (m.d1, m.d2)
 
-    def identity(self, m: A2Obj) -> A2Mor:
-        return self.mor(m, m, Mat.identity(m.d1), Mat.identity(m.d2))
-
-    def zero_morphism(self, src: A2Obj, dst: A2Obj) -> A2Mor:
-        return self.mor(src, dst, Mat.zeros(src.d1, dst.d1), Mat.zeros(src.d2, dst.d2))
-
-    # -- morphism arithmetic -----------------------------------------------------
-
-    def compose(self, f: A2Mor, g: A2Mor) -> A2Mor:
-        if f.dst != g.src:
-            raise EndpointMismatch("compose needs target(f) == source(g)")
-        return self.mor(f.src, g.dst, f.f1.mul(g.f1), f.f2.mul(g.f2))
-
-    def add(self, f: A2Mor, g: A2Mor) -> A2Mor:
-        self._same_endpoints(f, g)
-        return self.mor(f.src, f.dst, f.f1.add(g.f1), f.f2.add(g.f2))
-
-    def sub(self, f: A2Mor, g: A2Mor) -> A2Mor:
-        self._same_endpoints(f, g)
-        return self.mor(f.src, f.dst, f.f1.sub(g.f1), f.f2.sub(g.f2))
-
-    def scale(self, f: A2Mor, c) -> A2Mor:
-        return self.mor(f.src, f.dst, f.f1.scale(c), f.f2.scale(c))
+    def _obj_sum(self, m: A2Obj, n: A2Obj) -> A2Obj:
+        return self.obj(m.d1 + n.d1, m.d2 + n.d2, block_diag(m.alpha, n.alpha))
 
     # -- decidable structure --------------------------------------------------------
 
-    def is_well_defined(self, f: A2Mor) -> bool:
-        left = f_mul(self.field, f.f1, f.dst.alpha)
-        right = f_mul(self.field, f.src.alpha, f.f2)
-        return left.data == right.data
+    def is_well_defined(self, f: Mor) -> bool:
+        f1, f2 = f.maps
+        return f_mul(self.field, f1, f.dst.alpha).data == f_mul(self.field, f.src.alpha, f2).data
 
-    def eq_mor(self, f: A2Mor, g: A2Mor) -> bool:
+    def eq_mor(self, f: Mor, g: Mor) -> bool:
         self._same_endpoints(f, g)
-        return f.f1.data == g.f1.data and f.f2.data == g.f2.data
+        return f.maps == g.maps
 
     def is_zero_obj(self, m: A2Obj) -> bool:
         return m.d1 == 0 and m.d2 == 0
@@ -130,9 +93,8 @@ class A2Engine(AbelianEngine):
 
     # -- kernels, cokernels, lifts ----------------------------------------------
 
-    def kernel_emb(self, f: A2Mor) -> A2Mor:
-        k1 = f_kernel(self.field, f.f1)
-        k2 = f_kernel(self.field, f.f2)
+    def kernel_emb(self, f: Mor) -> Mor:
+        k1, k2 = (f_kernel(self.field, a) for a in f.maps)
         # alpha restricts: rows of k1*alpha lie in ker f2
         restr = f_solve(self.field, k2, f_mul(self.field, k1, f.src.alpha))
         if restr is None:
@@ -140,9 +102,8 @@ class A2Engine(AbelianEngine):
         ker = self.obj(k1.rows, k2.rows, restr)
         return self.mor(ker, f.src, k1, k2)
 
-    def cokernel_proj(self, f: A2Mor) -> A2Mor:
-        p1 = f_kernel(self.field, f.f1.transpose()).transpose()
-        p2 = f_kernel(self.field, f.f2.transpose()).transpose()
+    def cokernel_proj(self, f: Mor) -> Mor:
+        p1, p2 = (f_kernel(self.field, a.transpose()).transpose() for a in f.maps)
         rhs = f_mul(self.field, f.dst.alpha, p2)
         sol = f_solve(self.field, p1.transpose(), rhs.transpose())
         if sol is None:
@@ -150,31 +111,20 @@ class A2Engine(AbelianEngine):
         coker = self.obj(p1.cols, p2.cols, sol.transpose())
         return self.mor(f.dst, coker, p1, p2)
 
-    def _lift_candidate(self, f: A2Mor, mono: A2Mor):
-        l1 = f_solve(self.field, mono.f1, f.f1)
-        l2 = f_solve(self.field, mono.f2, f.f2)
-        if l1 is None or l2 is None:
+    def _lift_candidate(self, f: Mor, mono: Mor):
+        sols = [f_solve(self.field, a, b) for a, b in zip(mono.maps, f.maps)]
+        if any(x is None for x in sols):
             return None
-        return self.mor(f.src, mono.src, l1, l2)
+        return self.mor(f.src, mono.src, *sols)
 
-    def _colift_candidate(self, f: A2Mor, epi: A2Mor):
-        c1 = f_solve(self.field, epi.f1.transpose(), f.f1.transpose())
-        c2 = f_solve(self.field, epi.f2.transpose(), f.f2.transpose())
-        if c1 is None or c2 is None:
+    def _colift_candidate(self, f: Mor, epi: Mor):
+        sols = [f_solve(self.field, a.transpose(), b.transpose())
+                for a, b in zip(epi.maps, f.maps)]
+        if any(x is None for x in sols):
             return None
-        return self.mor(epi.dst, f.dst, c1.transpose(), c2.transpose())
-
-    def direct_sum(self, m: A2Obj, n: A2Obj):
-        total = self.obj(m.d1 + n.d1, m.d2 + n.d2, block_diag(m.alpha, n.alpha))
-        # the coordinate maps at the source vertex and at the sink vertex
-        (inj1, proj1), (inj2, proj2) = sum_maps(m.d1, n.d1), sum_maps(m.d2, n.d2)
-        return (total, tuple(self.mor(s, total, a, b) for s, a, b in zip((m, n), inj1, inj2)),
-                tuple(self.mor(total, s, a, b) for s, a, b in zip((m, n), proj1, proj2)))
+        return self.mor(epi.dst, f.dst, *(x.transpose() for x in sols))
 
     # -- Hom and Ext ------------------------------------------------------------
-
-    def _hom_vector(self, f: A2Mor):
-        return flatten(f.f1) + flatten(f.f2)
 
     def _constraint_matrix(self, m: A2Obj, n: A2Obj) -> Mat:
         """Rows index (f1, f2) unknowns, columns the entries of
@@ -200,13 +150,7 @@ class A2Engine(AbelianEngine):
 
     def hom_group(self, m: A2Obj, n: A2Obj) -> FieldHomGroup:
         cmat = self._constraint_matrix(m, n)
-        basis_rows = f_kernel(self.field, cmat)
-        cut = m.d1 * n.d1
-        basis = []
-        for row in basis_rows.data:
-            f1 = unflatten(row[:cut], m.d1, n.d1)
-            f2 = unflatten(row[cut:], m.d2, n.d2)
-            basis.append(self.mor(m, n, f1, f2))
+        basis = [self._mor_from_vector(m, n, row) for row in f_kernel(self.field, cmat).data]
         return FieldHomGroup(self, m, n, basis)
 
     def ext1_group(self, m: A2Obj, n: A2Obj) -> VectorSpace:
@@ -260,19 +204,6 @@ class A2Engine(AbelianEngine):
             raise InputValidationError(f"{where}: alpha must have {dims[0]} rows")
         return self.obj(dims[0], dims[1], mat)
 
-    def mor_to_payload(self, f: A2Mor):
-        return {"src": self.obj_to_payload(f.src), "dst": self.obj_to_payload(f.dst),
-                "f1": self.mat_to_json(f.f1), "f2": self.mat_to_json(f.f2)}
-
-    def mor_between(self, src: A2Obj, dst: A2Obj, payload, where="morphism") -> A2Mor:
-        if "f1" not in payload or "f2" not in payload:
-            raise InputValidationError(f"{where}: quiver morphisms need 'f1' and 'f2'")
-        f1 = self.mat_from_json(payload["f1"], expected_cols=dst.d1)
-        f2 = self.mat_from_json(payload["f2"], expected_cols=dst.d2)
-        if f1.rows != src.d1 or f2.rows != src.d2:
-            raise InputValidationError(f"{where}: component row counts do not match")
-        return self.checked_mor(self.mor(src, dst, f1, f2), where)
-
     def describe_invariants(self, m: A2Obj):
         return {"dims": [m.d1, m.d2], "alpha_rank": self.invariants(m)[4]}
 
@@ -289,7 +220,6 @@ class SinkSupportTheory:
     kind = "a2_rep"
     canonical_tag = "gabriel"
     size_bound = 3
-    cogenerator_bound = 2
 
     def __init__(self, field):
         self.field = field
@@ -303,7 +233,7 @@ class SinkSupportTheory:
     def is_in_c(self, m: A2Obj) -> bool:
         return m.d2 == 0
 
-    def h_c(self, m: A2Obj) -> A2Mor:
+    def h_c(self, m: A2Obj) -> Mor:
         k = f_kernel(self.field, m.alpha)
         sub = self.engine.obj(k.rows, 0, Mat.zeros(k.rows, 0))
         return self.engine.mor(sub, m, k, Mat.zeros(0, m.d2))
@@ -318,16 +248,17 @@ class SinkSupportTheory:
     def is_saturated(self, m: A2Obj) -> bool:
         return f_inv(self.field, m.alpha) is not None
 
-    def extend_along_unit(self, phi: A2Mor) -> A2Mor:
+    def extend_along_unit(self, phi: Mor) -> Mor:
         inv = f_inv(self.field, phi.dst.alpha)
         if inv is None:
             raise NotSaturatedError("extension target must be saturated")
         w, _ = self.saturate(phi.src)
-        psi1 = f_mul(self.field, phi.f2, inv)
-        return self.engine.mor(w, phi.dst, psi1, phi.f2)
+        f2 = phi.maps[1]
+        return self.engine.mor(w, phi.dst, f_mul(self.field, f2, inv), f2)
 
-    def c_cogenerators(self, bound: int):
-        return [self.engine.simple_source(d) for d in range(1, bound + 1)]
+    def c_cogenerators(self):
+        """The simple source and its double."""
+        return [self.engine.simple_source(d) for d in (1, 2)]
 
     def probe_objects(self):
         e = self.engine
@@ -335,7 +266,7 @@ class SinkSupportTheory:
         return [e.zero_object(), e.simple_source(), e.simple_sink(), e.interval(),
                 e.obj(1, 1, Mat.zeros(1, 1)), wedge]
 
-    def twist_unit(self, eta: A2Mor) -> A2Mor:
+    def twist_unit(self, eta: Mor) -> Mor:
         c = self.field.normalize(2)
         if c == self.field.normalize(0):
             c = self.field.normalize(1)

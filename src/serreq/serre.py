@@ -2,9 +2,10 @@
 
 Everything here is generic over a localizing theory: an engine together
 with the methods is_in_c, h_c, saturate, is_saturated, extend_along_unit,
-c_cogenerators, probe_objects, twist_unit, random_object and random_ses,
-and the class attributes canonical_tag, size_bound and cogenerator_bound;
-random morphisms come from the engine.  The quotient category keeps the
+c_cogenerators (the objects of C the saturating suite tests W-images
+against), probe_objects, twist_unit, random_object and random_ses, and
+the class attributes canonical_tag and size_bound; random morphisms come
+from the engine.  The quotient category keeps the
 objects of the ambient category; a quotient morphism M -> N is stored by
 its canonical representative M -> W(N), which turns Hom computations and
 equality into single ambient-category questions and avoids the direct
@@ -302,69 +303,37 @@ def q_hom_via_colimit(theory, m, n) -> ColimitHom:
 # monad candidates
 
 
-class MonadCandidate:
-    """An endofunctor-with-unit handed to the checker suites: w_obj, unit
-    and w_mor."""
+@dataclass(frozen=True)
+class Candidate:
+    """An endofunctor with unit handed to the checker suites."""
 
-    def __init__(self, theory, tag):
-        self.theory = theory
-        self.tag = tag
-
-
-class CanonicalCandidate(MonadCandidate):
-    """The theory's own reflection data (the Gabriel monad when the theory
-    is genuinely localizing; the broken naive candidate for the fixture)."""
-
-    def __init__(self, theory, tag="gabriel"):
-        super().__init__(theory, tag)
-
-    def w_obj(self, m):
-        return self.theory.saturate(m)[0]
-
-    def unit(self, m):
-        return self.theory.saturate(m)[1]
-
-    def w_mor(self, f):
-        return w_on_morphism(self.theory, f)
+    tag: str
+    w_obj: Callable
+    unit: Callable
+    w_mor: Callable
 
 
-class IdentityCandidate(MonadCandidate):
-    """The identity functor with identity unit; fails axiom (1) whenever C
-    contains a nonzero object."""
+def make_candidate(theory, tag) -> Candidate:
+    """The candidate named by tag.  None, "gabriel" and the theory's own
+    canonical_tag name its reflection (the Gabriel monad, or the broken
+    naive candidate of the fixture); "identity" is the identity functor,
+    which fails axiom (1) whenever C has a nonzero object; "twisted"
+    composes the unit with a scalar automorphism of W."""
+    def w_obj(m):
+        return theory.saturate(m)[0]
 
-    def __init__(self, theory):
-        super().__init__(theory, "identity")
+    def w_mor(f):
+        # w_on_morphism is read at call time, so a wrapper installed on
+        # this module after the candidate was made still sees the call
+        return w_on_morphism(theory, f)
 
-    def w_obj(self, m):
-        return m
-
-    def unit(self, m):
-        return self.theory.engine.identity(m)
-
-    def w_mor(self, f):
-        return f
-
-
-class TwistedCandidate(CanonicalCandidate):
-    """The reflection composed with a nontrivial natural automorphism of W
-    (a scalar that is invertible on every saturated object)."""
-
-    def __init__(self, theory):
-        super().__init__(theory, "twisted")
-
-    def unit(self, m):
-        return self.theory.twist_unit(super().unit(m))
-
-
-def make_candidate(theory, tag) -> MonadCandidate:
-    """The candidate named by tag: None, "gabriel" and the theory's own
-    canonical_tag name its canonical monad."""
     if tag in (None, "gabriel", theory.canonical_tag):
-        return CanonicalCandidate(theory, theory.canonical_tag)
+        return Candidate(theory.canonical_tag, w_obj, lambda m: theory.saturate(m)[1], w_mor)
     if tag == "identity":
-        return IdentityCandidate(theory)
+        return Candidate("identity", lambda m: m, theory.engine.identity, lambda f: f)
     if tag == "twisted":
-        return TwistedCandidate(theory)
+        return Candidate("twisted", w_obj,
+                         lambda m: theory.twist_unit(theory.saturate(m)[1]), w_mor)
     raise InputValidationError(f"unknown candidate tag: {tag}")
 
 
@@ -492,7 +461,7 @@ def pred_axiom1(theory, candidate, m):
 def pred_axiom2(theory, candidate, m):
     wm = candidate.w_obj(m)
     e = theory.engine
-    for t in theory.c_cogenerators(theory.cogenerator_bound):
+    for t in theory.c_cogenerators():
         hg = e.hom_group(t, wm)
         if not hg.is_zero_group():
             return False, f"Hom(T, W(M)) = {hg.describe()} for T = {t!r}"

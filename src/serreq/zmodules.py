@@ -19,14 +19,14 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, prod
 
-from .category import MAX_INPUT_SIZE, AbelianEngine, ZGroup, ZHomGroup, entry_from_json
+from .category import MAX_INPUT_SIZE, AbelianEngine, Mor, ZGroup, ZHomGroup, entry_from_json
 from .errors import (
-    ContractViolation, EndpointMismatch, EngineMismatch, InputValidationError,
-    NotSaturatedError, OracleUnsupported, ShapeError,
+    ContractViolation, EngineMismatch, InputValidationError, NotSaturatedError,
+    OracleUnsupported,
 )
 from .linalg import (
-    Mat, block_diag, flatten, int_kernel, int_solve, is_prime, kernel_mod_rows,
-    presentation_normal_form, row_basis, solve_mod_rows, sum_maps, unflatten,
+    ZZ, Mat, block_diag, int_kernel, int_solve, is_prime, kernel_mod_rows,
+    presentation_normal_form, row_basis, solve_mod_rows,
 )
 
 
@@ -75,13 +75,6 @@ class ZObj:
         return f"ZObj({' x '.join(x for x in (free, tors) if x) or '0'})"
 
 
-@dataclass(frozen=True)
-class ZMor:
-    src: ZObj
-    dst: ZObj
-    matrix: Mat  # gens(src) x gens(dst)
-
-
 def diag_rows(divisors, cols=None):
     divisors = list(divisors)
     cols = len(divisors) if cols is None else cols
@@ -94,6 +87,9 @@ class ZModuleEngine(AbelianEngine):
     """The abelian category of finitely presented Z-modules."""
 
     name = "fpmod_z"
+    ring = ZZ
+    # a morphism is one generator-image matrix (gens(src) x gens(dst))
+    map_keys = ("matrix",)
 
     # -- constructors ----------------------------------------------------------
 
@@ -114,47 +110,22 @@ class ZModuleEngine(AbelianEngine):
     def cyclic(self, n) -> ZObj:
         return ZObj(Mat.from_rows([[n]], 1))
 
-    def mor(self, src: ZObj, dst: ZObj, matrix: Mat) -> ZMor:
-        if matrix.rows != src.gens or matrix.cols != dst.gens:
-            raise ShapeError(
-                f"payload must be {src.gens}x{dst.gens}, got {matrix.rows}x{matrix.cols}")
-        return ZMor(src, dst, matrix)
+    def dims(self, m: ZObj):
+        return (m.gens,)
 
-    def identity(self, m: ZObj) -> ZMor:
-        return ZMor(m, m, Mat.identity(m.gens))
-
-    def zero_morphism(self, src: ZObj, dst: ZObj) -> ZMor:
-        return ZMor(src, dst, Mat.zeros(src.gens, dst.gens))
-
-    # -- morphism arithmetic ----------------------------------------------------
-
-    def compose(self, f: ZMor, g: ZMor) -> ZMor:
-        """f followed by g (payloads multiply left to right)."""
-        if f.dst != g.src:
-            raise EndpointMismatch("compose needs target(f) == source(g)")
-        return ZMor(f.src, g.dst, f.matrix.mul(g.matrix))
-
-    def add(self, f: ZMor, g: ZMor) -> ZMor:
-        self._same_endpoints(f, g)
-        return ZMor(f.src, f.dst, f.matrix.add(g.matrix))
-
-    def sub(self, f: ZMor, g: ZMor) -> ZMor:
-        self._same_endpoints(f, g)
-        return ZMor(f.src, f.dst, f.matrix.sub(g.matrix))
-
-    def scale(self, f: ZMor, c) -> ZMor:
-        return ZMor(f.src, f.dst, f.matrix.scale(c))
+    def _obj_sum(self, m: ZObj, n: ZObj) -> ZObj:
+        return ZObj(block_diag(m.relations, n.relations))
 
     # -- decidable structure ------------------------------------------------------
 
-    def is_well_defined(self, f: ZMor) -> bool:
+    def is_well_defined(self, f: Mor) -> bool:
         """Whether the payload maps source relations into target relations."""
-        mapped = f.src.relations.mul(f.matrix)
+        mapped = f.src.relations.mul(f.maps[0])
         return int_solve(f.dst.relations, mapped) is not None
 
-    def eq_mor(self, f: ZMor, g: ZMor) -> bool:
+    def eq_mor(self, f: Mor, g: Mor) -> bool:
         self._same_endpoints(f, g)
-        return int_solve(f.dst.relations, f.matrix.sub(g.matrix)) is not None
+        return int_solve(f.dst.relations, f.maps[0].sub(g.maps[0])) is not None
 
     def is_zero_obj(self, m: ZObj) -> bool:
         return m.rank == 0 and not m.divisors
@@ -167,34 +138,24 @@ class ZModuleEngine(AbelianEngine):
 
     # -- kernels, cokernels, lifts ---------------------------------------------
 
-    def kernel_emb(self, f: ZMor) -> ZMor:
-        lat = kernel_mod_rows(f.matrix, f.dst.relations)
+    def kernel_emb(self, f: Mor) -> Mor:
+        lat = kernel_mod_rows(f.maps[0], f.dst.relations)
         rel = kernel_mod_rows(lat, f.src.relations)
-        ker = ZObj(rel)
-        return ZMor(ker, f.src, lat)
+        return Mor(ZObj(rel), f.src, (lat,))
 
-    def cokernel_proj(self, f: ZMor) -> ZMor:
-        coker = ZObj(f.dst.relations.stack_below(f.matrix))
-        return ZMor(f.dst, coker, Mat.identity(f.dst.gens))
+    def cokernel_proj(self, f: Mor) -> Mor:
+        coker = ZObj(f.dst.relations.stack_below(f.maps[0]))
+        return Mor(f.dst, coker, (Mat.identity(f.dst.gens),))
 
-    def _lift_candidate(self, f: ZMor, mono: ZMor):
-        sol = solve_mod_rows(mono.matrix, mono.dst.relations, f.matrix)
-        return None if sol is None else ZMor(f.src, mono.src, sol)
+    def _lift_candidate(self, f: Mor, mono: Mor):
+        sol = solve_mod_rows(mono.maps[0], mono.dst.relations, f.maps[0])
+        return None if sol is None else Mor(f.src, mono.src, (sol,))
 
-    def _colift_candidate(self, f: ZMor, epi: ZMor):
-        section = solve_mod_rows(epi.matrix, epi.dst.relations, Mat.identity(epi.dst.gens))
-        return None if section is None else ZMor(epi.dst, f.dst, section.mul(f.matrix))
-
-    def direct_sum(self, m: ZObj, n: ZObj):
-        total = ZObj(block_diag(m.relations, n.relations))
-        inj, proj = sum_maps(m.gens, n.gens)
-        return (total, tuple(ZMor(s, total, a) for s, a in zip((m, n), inj)),
-                tuple(ZMor(total, s, a) for s, a in zip((m, n), proj)))
+    def _colift_candidate(self, f: Mor, epi: Mor):
+        section = solve_mod_rows(epi.maps[0], epi.dst.relations, Mat.identity(epi.dst.gens))
+        return None if section is None else Mor(epi.dst, f.dst, (section.mul(f.maps[0]),))
 
     # -- Hom and Ext --------------------------------------------------------------
-
-    def _hom_vector(self, f: ZMor):
-        return flatten(f.matrix)
 
     def _hom_modulus(self, g: int, dst: ZObj) -> Mat:
         """Rows spanning the payloads of g generator images that represent
@@ -226,7 +187,7 @@ class ZModuleEngine(AbelianEngine):
         lat = row_basis(sols)
         modulus = self._hom_modulus(g, n)
         rel = kernel_mod_rows(lat, modulus) if lat.rows else Mat.zeros(0, 0)
-        basis = [ZMor(m, n, unflatten(lat.data[t], g, h)) for t in range(lat.rows)]
+        basis = [self._mor_from_vector(m, n, row) for row in lat.data]
         return ZHomGroup(self, m, n, basis, ZObj(rel))
 
     def ext1_group(self, m: ZObj, n: ZObj) -> ZGroup:
@@ -252,7 +213,7 @@ class ZModuleEngine(AbelianEngine):
         inverse isomorphisms."""
         divisors, free_rank, to_nf, from_nf = m.normal_form_data
         nf = ZObj.in_normal_form(divisors, free_rank)
-        return nf, ZMor(m, nf, to_nf), ZMor(nf, m, from_nf)
+        return nf, Mor(m, nf, (to_nf,)), Mor(nf, m, (from_nf,))
 
     # -- randomness -------------------------------------------------------------------
 
@@ -285,11 +246,20 @@ class ZModuleEngine(AbelianEngine):
             rel = rel.stack_below(Mat.from_rows([extra_row], g))
         return ZObj(rel)
 
-    def random_object(self, rng, size_bound) -> ZObj:
-        k = rng.randrange(0, max(1, size_bound) + 1)
-        divisors = [rng.randint(1, 12) for _ in range(k)]
-        free_rank = rng.randrange(0, 2)
-        return self._scrambled_from_divisors(rng, divisors, free_rank)
+    def _random_divisors(self, rng, size_bound, max_order):
+        """Up to size_bound random divisors with product at most max_order
+        (when given)."""
+        while True:
+            k = rng.randrange(0, max(1, size_bound) + 1)
+            divisors = [rng.randint(1, 12) for _ in range(k)]
+            if max_order is None or prod(divisors) <= max_order:
+                return divisors
+
+    def random_object(self, rng, size_bound, max_order=None) -> ZObj:
+        """A scrambled presentation of free rank 0 or 1 whose torsion part
+        has order at most max_order (when given)."""
+        divisors = self._random_divisors(rng, size_bound, max_order)
+        return self._scrambled_from_divisors(rng, divisors, rng.randrange(0, 2))
 
     def _random_entry(self, rng) -> int:
         return rng.randint(-4, 4)
@@ -319,18 +289,6 @@ class ZModuleEngine(AbelianEngine):
                 f"{where}: 'gens' must be an integer from 0 to {MAX_INPUT_SIZE}")
         return self.obj(self.mat_from_json(payload["relations"], expected_cols=gens))
 
-    def mor_to_payload(self, f: ZMor):
-        return {"src": self.obj_to_payload(f.src), "dst": self.obj_to_payload(f.dst),
-                "matrix": self.mat_to_json(f.matrix)}
-
-    def mor_between(self, src: ZObj, dst: ZObj, payload, where="morphism") -> ZMor:
-        if "matrix" not in payload:
-            raise InputValidationError(f"{where}: integer morphisms need 'matrix'")
-        mat = self.mat_from_json(payload["matrix"], expected_cols=dst.gens)
-        if mat.rows != src.gens:
-            raise InputValidationError(f"{where}: matrix must have {src.gens} rows")
-        return self.checked_mor(self.mor(src, dst, mat), where)
-
     def describe_invariants(self, m: ZObj):
         _, rank, divisors = self.invariants(m)
         return {"rank": rank, "divisors": list(divisors)}
@@ -341,13 +299,15 @@ class FiniteAbelianEngine(ZModuleEngine):
 
     name = "finite_abelian"
 
+    def invariants(self, m: ZObj):
+        if m.rank:
+            raise EngineMismatch("the finite-abelian engine only handles finite objects")
+        return super().invariants(m)
+
     def random_object(self, rng, size_bound, max_order=None) -> ZObj:
-        while True:
-            k = rng.randrange(0, max(1, size_bound) + 1)
-            divisors = [rng.randint(1, 12) for _ in range(k)]
-            if max_order is not None and prod(divisors) > max_order:
-                continue
-            return self._scrambled_from_divisors(rng, divisors, 0)
+        """As in the general engine, with free rank 0 and no draw for it."""
+        return self._scrambled_from_divisors(
+            rng, self._random_divisors(rng, size_bound, max_order))
 
     def obj_from_payload(self, payload, where="object") -> ZObj:
         obj = super().obj_from_payload(payload, where)
@@ -372,13 +332,11 @@ class ZTorsionTheory:
 
     Subclasses supply only data: kind, canonical_tag, size_bound,
     engine_class, zero_p_allowed, probe_objects and, where subobjects can
-    be enumerated, subobject_embeddings.  On the finite-abelian
-    engine an infinite object is an EngineMismatch and random_object
-    honours max_order; on all finitely presented Z-modules objects may be
-    infinite and max_order does not apply.
+    be enumerated, subobject_embeddings.  The engine decides what an
+    object may be: the finite-abelian engine's invariants raise
+    EngineMismatch on an infinite object.
     """
 
-    cogenerator_bound = 3
     zero_p_allowed = False
 
     def __init__(self, p: int):
@@ -394,20 +352,15 @@ class ZTorsionTheory:
     def describe(self):
         return {"kind": self.kind, "p": self.p}
 
-    def _invariants(self, m: ZObj):
-        if m.rank and isinstance(self.engine, FiniteAbelianEngine):
-            raise EngineMismatch("the finite-abelian engine only handles finite objects")
-        return m.rank, m.divisors
-
     def is_in_c(self, m: ZObj) -> bool:
-        rank, divisors = self._invariants(m)
+        _, rank, divisors = self.engine.invariants(m)
         return rank == 0 and (self.p == 0
                               or all(_p_free_part(d, self.p) == 1 for d in divisors))
 
-    def h_c(self, m: ZObj) -> ZMor:
+    def h_c(self, m: ZObj) -> Mor:
         """Embedding of the p-primary part of the torsion of M (the whole
         torsion part when p = 0), the maximal subobject in C."""
-        _, divisors = self._invariants(m)
+        divisors = self.engine.invariants(m)[2]
         nf, _, from_nf = self.engine.normal_form(m)
         gen_rows = []
         orders = []
@@ -420,7 +373,7 @@ class ZTorsionTheory:
                 orders.append(d // cof)
         # the p-parts of a divisor chain form a divisor chain
         sub = ZObj.in_normal_form(orders)
-        emb_nf = ZMor(sub, nf, Mat(len(orders), nf.gens, tuple(gen_rows)))
+        emb_nf = Mor(sub, nf, (Mat(len(orders), nf.gens, tuple(gen_rows)),))
         return self.engine.compose(emb_nf, from_nf)
 
     def saturate(self, m: ZObj):
@@ -437,10 +390,10 @@ class ZTorsionTheory:
 
     def is_saturated(self, m: ZObj) -> bool:
         # gcd(order, 0) = order, so for p = 0 only the zero object is saturated
-        rank, divisors = self._invariants(m)
+        _, rank, divisors = self.engine.invariants(m)
         return rank == 0 and gcd(prod(divisors), self.p) == 1
 
-    def extend_along_unit(self, phi: ZMor) -> ZMor:
+    def extend_along_unit(self, phi: Mor) -> Mor:
         """The unique psi with psi after eta_{src(phi)} equal to phi."""
         if not self.is_saturated(phi.dst):
             raise NotSaturatedError("extension target must be saturated")
@@ -450,20 +403,19 @@ class ZTorsionTheory:
             raise ContractViolation("a map to a saturated object must extend along the unit")
         return psi
 
-    def c_cogenerators(self, bound: int):
+    def c_cogenerators(self):
+        """Z/p, Z/p^2 and Z/p^3; Z/2, Z/3 and Z/4 for the full torsion class."""
         if self.p == 0:
-            return [self.engine.cyclic(n) for n in range(2, bound + 2)]
-        return [self.engine.cyclic(self.p ** k) for k in range(1, bound + 1)]
+            return [self.engine.cyclic(n) for n in range(2, 5)]
+        return [self.engine.cyclic(self.p ** k) for k in range(1, 4)]
 
-    def twist_unit(self, eta: ZMor) -> ZMor:
+    def twist_unit(self, eta: Mor) -> Mor:
         # multiplication by p is a natural automorphism of prime-to-p groups
         return self.engine.scale(eta, self.p or 2)
 
     def random_object(self, rng, size_bound=None, max_order=None):
-        size_bound = self.size_bound if size_bound is None else size_bound
-        if isinstance(self.engine, FiniteAbelianEngine):
-            return self.engine.random_object(rng, size_bound, max_order=max_order)
-        return self.engine.random_object(rng, size_bound)
+        return self.engine.random_object(
+            rng, self.size_bound if size_bound is None else size_bound, max_order)
 
     def random_ses(self, rng, size_bound=None):
         return self.engine.random_ses(
@@ -588,7 +540,7 @@ def finite_subobject_embeddings(engine: ZModuleEngine, m: ZObj, element_cap=256)
         lattice = row_basis(rows.stack_below(nf.relations))
         rel = kernel_mod_rows(lattice, nf.relations)
         sub = ZObj(rel)
-        emb = engine.compose(ZMor(sub, nf, lattice), from_nf)
+        emb = engine.compose(Mor(sub, nf, (lattice,)), from_nf)
         if engine.order(sub) != len(members):
             raise ContractViolation("a subgroup presentation has the wrong order")
         out.append(emb)

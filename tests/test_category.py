@@ -88,7 +88,7 @@ class TestKernelCokernelImage:
         proj = Z.mor(Z.free(1), Z.cyclic(2), Mat.from_rows([[1]]))
         ker = Z.kernel_emb(proj)
         assert Z.invariants(ker.src) == ("Z", 1, ())
-        assert abs(ker.matrix.data[0][0]) == 2
+        assert abs(ker.maps[0].data[0][0]) == 2
 
     def test_quiver_zero_map_kernel(self):
         v = A2.obj(1, 1, Mat.identity(1))
@@ -136,7 +136,7 @@ class TestLiftColift:
     def test_lift_examples(self):
         four = Z.mor(Z.free(1), Z.free(1), Mat.from_rows([[4]]))
         psi = Z.lift_along_mono(four, x2())
-        assert psi is not None and psi.matrix.data == ((2,),)
+        assert psi is not None and psi.maps[0].data == ((2,),)
         assert Z.lift_along_mono(Z.identity(Z.free(1)), x2()) is None
 
     def test_colift_example(self):

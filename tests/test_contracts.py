@@ -93,7 +93,11 @@ def _class_defs(tree):
 
 
 def test_engines_define_only_what_differs():
-    shared = {"lift_along_mono", "colift_along_epi", "random_morphism", "_same_endpoints"}
+    shared = {"lift_along_mono", "colift_along_epi", "random_morphism", "_same_endpoints",
+              # the morphism record: construction, arithmetic, sums and codecs
+              "mor", "identity", "zero_morphism", "compose", "add", "sub", "scale",
+              "direct_sum", "_hom_vector", "_mor_from_vector", "mor_to_payload",
+              "mor_between"}
     found = [(name, node.name) for name in ("zmodules.py", "quiver.py")
              for node in ast.walk(_tree(name))
              if isinstance(node, ast.FunctionDef) and node.name in shared]
@@ -102,6 +106,17 @@ def test_engines_define_only_what_differs():
     assert shared <= classes["AbelianEngine"]
     for carrier in ("ZHomGroup", "FieldHomGroup"):
         assert classes[carrier] & {"decode", "encode", "ngens"} == set()
+    engines = {**_class_defs(_tree("zmodules.py")), **_class_defs(_tree("quiver.py"))}
+    for engine in ("ZModuleEngine", "A2Engine"):
+        assert {"dims", "_obj_sum", "map_keys"} <= engines[engine], engine
+    # one morphism record: besides category.Mor, only the quotient
+    # morphism (whose representative is a Mor) is a record with endpoints
+    records = [(path.name, node.name) for path in SOURCES
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.ClassDef)
+               and {"src", "dst"} <= {n.target.id for n in node.body
+                                      if isinstance(n, ast.AnnAssign)}]
+    assert records == [("category.py", "Mor"), ("serre.py", "QuotientMorphism")]
 
 
 def test_no_hom_carrier_kind():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+from math import prod
 
 import pytest
 
@@ -138,7 +139,7 @@ class TestHC:
         assert FA.invariants(emb.src) == ("Z", 0, (4,))
         assert FA.is_mono(emb)
         # the embedding is multiplication by 3 up to a unit mod 12
-        assert emb.matrix.data[0][0] % 3 == 0 and emb.matrix.data[0][0] % 2 != 0
+        assert emb.maps[0].data[0][0] % 3 == 0 and emb.maps[0].data[0][0] % 2 != 0
 
     def test_trivial_and_full(self):
         assert FA.is_zero_obj(TH.h_c(FA.cyclic(9)).src)
@@ -326,7 +327,7 @@ class TestIsSaturated:
             m = TH.random_object(rng)
             witnessed = all(
                 FA.hom_group(t, m).is_zero_group() and FA.ext1_group(t, m).is_zero_group()
-                for t in TH.c_cogenerators(3))
+                for t in TH.c_cogenerators())
             assert witnessed == TH.is_saturated(m)
 
 
@@ -376,9 +377,9 @@ class TestExtendAlongUnit:
 
 class TestCogenerators:
     def test_examples(self):
-        cogs = TH.c_cogenerators(3)
+        cogs = TH.c_cogenerators()
         assert [FA.order(t) for t in cogs] == [2, 4, 8]
-        assert [FA.order(t) for t in PPrimaryTheory(3).c_cogenerators(1)] == [3]
+        assert [FA.order(t) for t in PPrimaryTheory(3).c_cogenerators()] == [3, 9, 27]
         assert all(TH.is_in_c(t) for t in cogs)
 
 
@@ -449,3 +450,11 @@ class TestGeneralEngine:
             m = z.random_object(rng_for(9, "gen", i), 2)
             ranks.add(z.invariants(m)[1])
         assert 0 in ranks and 1 in ranks
+
+    @pytest.mark.parametrize("theory", [PPrimaryTheory(2), FixtureTheory(2)],
+                             ids=["finite_abelian", "fixture"])
+    def test_max_order_bounds_the_torsion_part(self, theory):
+        for i in range(30):
+            m = theory.random_object(rng_for(9, "max-order", i), max_order=12)
+            _, _, divisors = theory.engine.invariants(m)
+            assert prod(divisors) <= 12
