@@ -1,8 +1,8 @@
 """Generic constructions over a computable abelian category engine.
 
 An engine supplies presented objects, morphisms with decidable equality,
-kernels, cokernels, lifts, direct sums, Hom- and Ext1-groups, and seeded
-random generators.  Everything here is derived from those primitives and
+kernels, cokernels, lifts, Hom- and Ext1-groups, and seeded random
+generators.  Everything here is derived from those primitives and
 works uniformly in every engine: images, mono/epi/iso tests, inversion,
 homology, short exact sequences, and the HomGroup carrier machinery.
 
@@ -15,15 +15,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from itertools import product
 
 from .errors import (
     CompositeNotZero, ContractViolation, EndpointMismatch, InputValidationError,
     NotInvertible, ShapeError,
 )
 from .linalg import (
-    MAX_INPUT_SIZE, Mat, f_rank, f_solve, int_solve, presentation_enumerate, sum_maps,
-    unflatten,
+    MAX_INPUT_SIZE, Mat, f_rank, f_solve, int_solve, presentation_enumerate, unflatten,
 )
 
 
@@ -95,14 +94,14 @@ class AbelianEngine:
     A morphism of every engine is a Mor with one matrix per vertex of the
     engine's quiver.  A concrete engine supplies the hooks dims (the
     vertex dimensions of an object, rejecting one the engine cannot
-    take), ring (whose reduce_mat normalises entries), map_keys (the
-    payload key of each vertex matrix) and _obj_sum; what differs between
+    take), ring (whose reduce_mat normalises entries) and map_keys (the
+    payload key of each vertex matrix); what differs between
     engines (eq_mor, is_well_defined, is_zero_obj, kernel_emb,
     cokernel_proj, hom_group, ext1_group, random_object); the solvers
     _lift_candidate and _colift_candidate (a morphism solving the lift or
     colift equations, or None); and _random_entry (one random Hom
-    coefficient).  Everything below is inherited: morphism construction,
-    arithmetic and direct sums; the Hom-vector codec of morphisms;
+    coefficient).  Everything below is inherited: morphism construction
+    and arithmetic; the Hom-vector codec of morphisms;
     lift_along_mono and colift_along_epi, which check what the solvers
     return; random_morphism, which decodes random coefficients in
     hom_group; and invertibility, whose one procedure, inverse, colifts
@@ -151,14 +150,6 @@ class AbelianEngine:
     def _same_endpoints(self, f, g):
         if f.src != g.src or f.dst != g.dst:
             raise EndpointMismatch("morphisms have different endpoints")
-
-    def direct_sum(self, m, n):
-        """(m + n, its two injections, its two projections)."""
-        total = self._obj_sum(m, n)
-        # inj[v] and proj[v] are the two coordinate maps at vertex v
-        inj, proj = zip(*(sum_maps(a, b) for a, b in zip(self.dims(m), self.dims(n))))
-        return (total, tuple(Mor(s, total, maps) for s, maps in zip((m, n), zip(*inj))),
-                tuple(Mor(total, s, maps) for s, maps in zip((m, n), zip(*proj))))
 
     # -- morphisms as Hom vectors: the vertex matrices flattened in turn ---------
 
@@ -377,10 +368,11 @@ class HomBasis:
     translate between coefficient rows and morphisms, and encode respects
     morphism addition.  A carrier supplies _solve_coeffs (a row whose
     first ngens entries are the coefficients of the target row in the
-    basis rows, up to the carrier's relations, or None), its ring's
-    element methods, and is_bijection (whether the coefficient rows of
-    basis images from another carrier of the same engine give a
-    bijection onto this one).
+    basis rows, up to the carrier's relations, or None), is_bijection
+    (whether the coefficient rows of basis images from another carrier of
+    the same engine give a bijection onto this one) and
+    enumerate_elements (every coefficient row of a small finite carrier,
+    one per element, or None).
     """
 
     def __init__(self, engine, src, dst, basis_mors):
@@ -431,20 +423,8 @@ class ZHomGroup(HomBasis, ZGroup):
         f = eng.mor(src_group.obj, self.obj, Mat.from_rows(images, self.ngens))
         return eng.is_well_defined(f) and eng.is_iso(f)
 
-    def add_elements(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
-
-    def zero_element(self):
-        return tuple(0 for _ in range(self.ngens))
-
-    def element_count(self):
-        return None if self.obj.rank else prod(self.obj.divisors)
-
     def enumerate_elements(self, cap=4096):
         return presentation_enumerate(self.obj.relations, cap)
-
-    def random_element(self, rng):
-        return tuple(rng.randint(-6, 6) for _ in range(self.ngens))
 
 
 class FieldHomGroup(HomBasis, VectorSpace):
@@ -463,31 +443,13 @@ class FieldHomGroup(HomBasis, VectorSpace):
             return False
         return f_rank(self.field, Mat.from_rows(images, self.dim)) == self.dim
 
-    def add_elements(self, a, b):
-        return tuple(self.field.normalize(x + y) for x, y in zip(a, b))
-
-    def zero_element(self):
-        return tuple(self.field.normalize(0) for _ in range(self.ngens))
-
-    def element_count(self):
-        if self.field.p == 0:
-            return None if self.dim else 1
-        return self.field.p ** self.dim
-
     def enumerate_elements(self, cap=4096):
-        count = self.element_count()
-        if count is None or count > cap:
+        # p ** dim elements; over Q (p = 0) only the zero space is finite,
+        # and 0 ** 0 == 1
+        count = self.field.p ** self.dim
+        if not 0 < count <= cap:
             return None
-        out = [self.zero_element()]
-        elems = list(self.field.elements())
-        for i in range(self.dim):
-            out = [vec[:i] + (e,) + vec[i + 1:] for vec in out for e in elems]
-        return out
-
-    def random_element(self, rng):
-        if self.field.p:
-            return tuple(rng.randrange(self.field.p) for _ in range(self.ngens))
-        return tuple(self.field.normalize(rng.randint(-5, 5)) for _ in range(self.ngens))
+        return list(product(range(self.field.p), repeat=self.dim))
 
 
 def hom_map_is_bijective(src_group, dst_group, images) -> bool:

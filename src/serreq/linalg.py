@@ -104,9 +104,6 @@ class Mat:
         idx = list(indices)
         return Mat(self.rows, len(idx), tuple(tuple(r[j] for j in idx) for r in self.data))
 
-    def is_zero(self) -> bool:
-        return all(all(a == 0 for a in r) for r in self.data)
-
     def to_lists(self):
         return [list(r) for r in self.data]
 
@@ -115,33 +112,18 @@ class Mat:
             raise ShapeError(f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
 
 
-def flatten(A: Mat) -> tuple:
-    out = []
-    for r in A.data:
-        out.extend(r)
-    return tuple(out)
-
-
 def unflatten(vec, rows, cols) -> Mat:
     if len(vec) != rows * cols:
         raise ShapeError("vector length does not match target shape")
     return Mat(rows, cols, tuple(tuple(vec[i * cols + j] for j in range(cols)) for i in range(rows)))
 
 
-def block_diag(a: Mat, b: Mat) -> Mat:
-    """a in the top left block and b in the bottom right, zeros elsewhere."""
-    return Mat(a.rows + b.rows, a.cols + b.cols,
-               tuple(tuple(r) + (0,) * b.cols for r in a.data)
-               + tuple((0,) * a.cols + tuple(r) for r in b.data))
-
-
-def sum_maps(g: int, h: int):
-    """The coordinate maps of a direct sum of a g- and an h-dimensional
-    coordinate space: ((inj1, inj2), (proj1, proj2)), each projection the
-    transpose of its injection."""
-    inj = (block_diag(Mat.identity(g), Mat.zeros(0, h)),
-           block_diag(Mat.zeros(0, g), Mat.identity(h)))
-    return inj, tuple(m.transpose() for m in inj)
+def kron(A: Mat, B: Mat) -> Mat:
+    """The Kronecker product: with matrices flattened row by row, X -> A*X*B
+    is the row-vector map vec(X) -> vec(X)*kron(A^T, B)."""
+    return Mat(A.rows * B.rows, A.cols * B.cols,
+               tuple(tuple(a * b if a and b else 0 for a in ra for b in rb)
+                     for ra in A.data for rb in B.data))
 
 
 # ---------------------------------------------------------------------------
@@ -408,8 +390,6 @@ def presentation_enumerate(rel: Mat, cap=4096):
             idx[i] = 0
         else:
             return out
-        if not divisors:
-            return out
 
 
 # ---------------------------------------------------------------------------
@@ -470,9 +450,6 @@ class PrimeField:
         p = self.p
         return Mat(A.rows, A.cols, tuple(tuple(int(a) % p for a in r) for r in A.data))
 
-    def elements(self):
-        return range(self.p)
-
     @property
     def name(self):
         return f"F{self.p}"
@@ -503,9 +480,6 @@ class RationalField:
 
     def reduce_mat(self, A: Mat) -> Mat:
         return Mat(A.rows, A.cols, tuple(tuple(Fraction(a) for a in r) for r in A.data))
-
-    def elements(self):
-        return None
 
     @property
     def name(self):

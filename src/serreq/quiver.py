@@ -24,7 +24,7 @@ from .category import (
 from .errors import (
     ContractViolation, EngineMismatch, InputValidationError, NotSaturatedError, ShapeError,
 )
-from .linalg import Mat, block_diag, f_inv, f_kernel, f_mul, f_rank, f_solve
+from .linalg import Mat, f_inv, f_kernel, f_mul, f_rank, f_solve, kron
 
 
 @dataclass(frozen=True)
@@ -71,9 +71,6 @@ class A2Engine(AbelianEngine):
         if m.field != self.field:
             raise EngineMismatch(f"object over {m.field.name} used in a {self.field.name} engine")
         return (m.d1, m.d2)
-
-    def _obj_sum(self, m: A2Obj, n: A2Obj) -> A2Obj:
-        return self.obj(m.d1 + n.d1, m.d2 + n.d2, block_diag(m.alpha, n.alpha))
 
     # -- decidable structure --------------------------------------------------------
 
@@ -130,23 +127,8 @@ class A2Engine(AbelianEngine):
         """Rows index (f1, f2) unknowns, columns the entries of
         f1*alpha_n - alpha_m*f2; Hom is the left kernel and Ext1 the
         cokernel of this map."""
-        d1, d2, e1, e2 = m.d1, m.d2, n.d1, n.d2
-        unknowns = d1 * e1 + d2 * e2
-        eqs = d1 * e2
-        c = [[0] * eqs for _ in range(unknowns)]
-        beta = n.alpha
-        for i in range(d1):
-            for b in range(e1):
-                for j in range(e2):
-                    if beta.data[b][j]:
-                        c[i * e1 + b][i * e2 + j] = beta.data[b][j]
-        alpha = m.alpha
-        for cc in range(d2):
-            for j in range(e2):
-                for i in range(d1):
-                    if alpha.data[i][cc]:
-                        c[d1 * e1 + cc * e2 + j][i * e2 + j] = -alpha.data[i][cc]
-        return self.field.reduce_mat(Mat(unknowns, eqs, tuple(tuple(r) for r in c)))
+        return self.field.reduce_mat(kron(Mat.identity(m.d1), n.alpha).stack_below(
+            kron(m.alpha.transpose(), Mat.identity(n.d2).scale(-1))))
 
     def hom_group(self, m: A2Obj, n: A2Obj) -> FieldHomGroup:
         cmat = self._constraint_matrix(m, n)

@@ -197,9 +197,6 @@ class QHomGroup:
     def enumerate_elements(self, cap=4096):
         return self.inner.enumerate_elements(cap)
 
-    def random_element(self, rng):
-        return self.inner.random_element(rng)
-
     def describe(self):
         return self.inner.describe()
 
@@ -679,7 +676,7 @@ def run_suite(theory, suite, seed, n, candidate_tag=None):
             out.extend(run_suite(theory, s, seed, n, candidate_tag))
         return out
     if suite not in SUITE_CHECKS:
-        raise ValueError(f"unknown suite: {suite}")
+        raise InputValidationError(f"unknown suite: {suite}")
     return [_suite_report(theory, suite, make_candidate(theory, candidate_tag), seed, n)]
 
 

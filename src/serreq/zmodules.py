@@ -25,7 +25,7 @@ from .errors import (
     OracleUnsupported,
 )
 from .linalg import (
-    ZZ, Mat, block_diag, int_kernel, int_solve, is_prime, kernel_mod_rows,
+    ZZ, Mat, int_kernel, int_solve, is_prime, kernel_mod_rows, kron,
     presentation_normal_form, row_basis, solve_mod_rows,
 )
 
@@ -113,9 +113,6 @@ class ZModuleEngine(AbelianEngine):
     def dims(self, m: ZObj):
         return (m.gens,)
 
-    def _obj_sum(self, m: ZObj, n: ZObj) -> ZObj:
-        return ZObj(block_diag(m.relations, n.relations))
-
     # -- decidable structure ------------------------------------------------------
 
     def is_well_defined(self, f: Mor) -> bool:
@@ -160,29 +157,13 @@ class ZModuleEngine(AbelianEngine):
     def _hom_modulus(self, g: int, dst: ZObj) -> Mat:
         """Rows spanning the payloads of g generator images that represent
         the zero morphism into dst: a relation of dst in one image."""
-        h = dst.gens
-        rows = tuple((0,) * (j * h) + tuple(rel) + (0,) * ((g - j - 1) * h)
-                     for j in range(g) for rel in dst.relations.data)
-        return Mat(len(rows), g * h, rows)
+        return kron(Mat.identity(g), dst.relations)
 
     def hom_group(self, m: ZObj, n: ZObj) -> ZHomGroup:
+        # vec(F, Y) -> vec(R_M*F - Y*R_N): F is a morphism when some witness Y zeroes it
         g, h = m.gens, n.gens
-        rm, rn = m.relations.rows, n.relations.rows
-        unknowns = g * h + rm * rn
-        equations = rm * h
-        c = [[0] * equations for _ in range(unknowns)]
-        for i in range(rm):
-            rel = m.relations.data[i]
-            for j in range(g):
-                if rel[j]:
-                    for k in range(h):
-                        c[j * h + k][i * h + k] = rel[j]
-            for s in range(rn):
-                nrel = n.relations.data[s]
-                for k in range(h):
-                    if nrel[k]:
-                        c[g * h + i * rn + s][i * h + k] = -nrel[k]
-        cmat = Mat(unknowns, equations, tuple(tuple(r) for r in c))
+        cmat = kron(m.relations.transpose(), Mat.identity(h)).stack_below(
+            kron(Mat.identity(m.relations.rows).scale(-1), n.relations))
         sols = int_kernel(cmat).take_cols(range(g * h))
         lat = row_basis(sols)
         modulus = self._hom_modulus(g, n)
@@ -198,12 +179,9 @@ class ZModuleEngine(AbelianEngine):
         Hom(Z^g, N) -> Hom(Z^q, N).
         """
         b = row_basis(m.relations)
-        q, h = b.rows, n.gens
-        # images in Hom(Z^q, N) of the maps Z^g -> N sending generator j to generator t
-        images = tuple(tuple(b.data[i][j] if k == t else 0 for i in range(q) for k in range(h))
-                       for j in range(m.gens) for t in range(h))
-        return ZGroup(ZObj(self._hom_modulus(q, n).stack_below(
-            Mat(len(images), q * h, images))))
+        # the images B*F in Hom(Z^q, N) of the payloads F of maps Z^g -> N
+        images = kron(b.transpose(), Mat.identity(n.gens))
+        return ZGroup(ZObj(self._hom_modulus(b.rows, n).stack_below(images)))
 
     # -- normal forms ---------------------------------------------------------------
 

@@ -25,12 +25,18 @@ def image_factor(eng, f):
     return eng.lift_along_mono(f, emb), emb
 
 
+def random_coeffs(eng, hom, rng):
+    """A random coefficient row of the Hom carrier hom of engine eng."""
+    return tuple(eng._random_entry(rng) for _ in range(hom.ngens))
+
+
 def random_projective(rng, size_bound):
-    """A projective A2 representation: a sum of intervals and simple sinks."""
+    """A projective A2 representation: a sum of intervals and simple sinks,
+    (V1, V2, alpha) = (F^a, F^(a+b), [I_a | 0])."""
     a = rng.randrange(0, size_bound + 1)
     b = rng.randrange(0, size_bound + 1)
-    total, _, _ = A2.direct_sum(A2.interval(a), A2.simple_sink(b))
-    return total
+    return A2.obj(a, a + b, Mat(a, a + b, tuple(tuple(int(i == j) for j in range(a + b))
+                                              for i in range(a))))
 
 
 class TestWellDefined:
@@ -148,32 +154,6 @@ class TestLiftColift:
         assert Z.eq_mor(Z.compose(to12, psi), to6)
 
 
-class TestDirectSum:
-    def test_crt(self):
-        total, _, _ = Z.direct_sum(Z.cyclic(2), Z.cyclic(3))
-        assert Z.invariants(total) == ("Z", 0, (6,))
-
-    def test_sum_with_zero(self):
-        m = Z.cyclic(5)
-        total, (i1, _), (p1, _) = Z.direct_sum(m, Z.zero_object())
-        assert Z.invariants(total) == Z.invariants(m)
-        assert Z.is_iso(i1) and Z.is_iso(p1)
-
-    def test_biproduct_laws(self):
-        for eng, size in ENGINES:
-            for i in range(15):
-                rng = rng_for(41, "bip", i)
-                m = eng.random_object(rng, size)
-                n = eng.random_object(rng, size)
-                total, (i1, i2), (p1, p2) = eng.direct_sum(m, n)
-                assert eng.eq_mor(eng.compose(i1, p1), eng.identity(m))
-                assert eng.eq_mor(eng.compose(i2, p2), eng.identity(n))
-                assert eng.eq_mor(eng.compose(i1, p2), eng.zero_morphism(m, n))
-                assert eng.eq_mor(eng.compose(i2, p1), eng.zero_morphism(n, m))
-                assert eng.eq_mor(eng.add(eng.compose(p1, i1), eng.compose(p2, i2)),
-                                  eng.identity(total))
-
-
 class TestMonoEpiIso:
     def test_examples(self):
         f = x2()
@@ -227,7 +207,7 @@ class TestHomGroup:
         # brute-force oracle: morphisms Z/4 -> Z/6 are images k with 4k = 0 mod 6
         valid = sorted(k for k in range(6) if (4 * k) % 6 == 0)
         assert valid == [0, 3]
-        assert hom.element_count() == len(valid)
+        assert Z.order(hom.obj) == len(valid)
 
     def test_hom_from_z_is_the_module(self):
         for i in range(10):
@@ -248,14 +228,14 @@ class TestHomGroup:
                 hom = eng.hom_group(m, n)
                 elems = hom.enumerate_elements(cap=64)
                 if elems is None:
-                    elems = [hom.random_element(rng) for _ in range(50)]
+                    elems = [random_coeffs(eng, hom, rng) for _ in range(50)]
                 for c in elems:
                     back = hom.encode(hom.decode(c))
                     assert eng.eq_mor(hom.decode(back), hom.decode(c))
-                a, b = hom.random_element(rng), hom.random_element(rng)
+                a, b = random_coeffs(eng, hom, rng), random_coeffs(eng, hom, rng)
                 fsum = eng.add(hom.decode(a), hom.decode(b))
                 assert eng.eq_mor(hom.decode(hom.encode(fsum)),
-                                  hom.decode(hom.add_elements(a, b)))
+                                  hom.decode(tuple(x + y for x, y in zip(a, b))))
 
     def test_carrier_bijections(self):
         # the identity of Hom(M, N) read in a second copy of the carrier is
@@ -268,7 +248,7 @@ class TestHomGroup:
                 unit = [tuple(int(j == k) for j in range(hom.ngens)) for k in range(hom.ngens)]
                 same = [copy.encode(hom.decode(v)) for v in unit]
                 assert hom_map_is_bijective(hom, copy, same)
-                zero = [copy.zero_element() for _ in unit]
+                zero = [(0,) * copy.ngens for _ in unit]
                 assert hom_map_is_bijective(hom, copy, zero) == hom.is_zero_group()
         small = A2.hom_group(A2.interval(), A2.interval())
         big = A2.hom_group(A2.interval(2), A2.interval(2))

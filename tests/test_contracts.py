@@ -94,10 +94,9 @@ def _class_defs(tree):
 
 def test_engines_define_only_what_differs():
     shared = {"lift_along_mono", "colift_along_epi", "random_morphism", "_same_endpoints",
-              # the morphism record: construction, arithmetic, sums and codecs
+              # the morphism record: construction, arithmetic and codecs
               "mor", "identity", "zero_morphism", "compose", "add", "sub", "scale",
-              "direct_sum", "_hom_vector", "_mor_from_vector", "mor_to_payload",
-              "mor_between"}
+              "_hom_vector", "_mor_from_vector", "mor_to_payload", "mor_between"}
     found = [(name, node.name) for name in ("zmodules.py", "quiver.py")
              for node in ast.walk(_tree(name))
              if isinstance(node, ast.FunctionDef) and node.name in shared]
@@ -108,7 +107,17 @@ def test_engines_define_only_what_differs():
         assert classes[carrier] & {"decode", "encode", "ngens"} == set()
     engines = {**_class_defs(_tree("zmodules.py")), **_class_defs(_tree("quiver.py"))}
     for engine in ("ZModuleEngine", "A2Engine"):
-        assert {"dims", "_obj_sum", "map_keys"} <= engines[engine], engine
+        assert {"dims", "map_keys"} <= engines[engine], engine
+        assert "_obj_sum" not in engines[engine], engine
+    assert "direct_sum" not in classes["AbelianEngine"]
+    # every Hom and Ext constraint matrix is a Kronecker product on
+    # row-by-row flattened matrices, not an index loop of its own
+    builders = {(name, where) for name in ("zmodules.py", "quiver.py")
+                for where, _ in _calls(_tree(name), {"kron"})}
+    assert builders == {("zmodules.py", "ZModuleEngine._hom_modulus"),
+                        ("zmodules.py", "ZModuleEngine.hom_group"),
+                        ("zmodules.py", "ZModuleEngine.ext1_group"),
+                        ("quiver.py", "A2Engine._constraint_matrix")}
     # one morphism record: besides category.Mor, only the quotient
     # morphism (whose representative is a Mor) is a record with endpoints
     records = [(path.name, node.name) for path in SOURCES

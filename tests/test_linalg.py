@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from serreq.errors import InputValidationError, ShapeError
 from serreq.linalg import (
     MR_BOUND, Mat, PrimeField, QQ, f_inv, f_kernel, f_rank, f_rref, f_solve, int_kernel,
-    int_solve, is_prime, kernel_mod_rows, presentation_enumerate, presentation_normal_form,
-    row_basis, smith, solve_mod_rows,
+    int_solve, is_prime, kernel_mod_rows, kron, presentation_enumerate,
+    presentation_normal_form, row_basis, smith, solve_mod_rows,
 )
 
 
@@ -99,7 +99,7 @@ class TestSmith:
     def test_zero_matrix(self):
         A = Mat.zeros(2, 3)
         S, _, _ = smith(A)
-        assert S.is_zero()
+        assert not any(map(any, S.data))
 
     def test_empty_shapes(self):
         for shape in [(0, 3), (3, 0), (0, 0)]:
@@ -147,11 +147,11 @@ class TestIntKernel:
         A = Mat.from_rows([[2], [-1]])
         K = int_kernel(A)
         assert K.rows == 1
-        assert K.mul(A).is_zero()
+        assert not any(map(any, K.mul(A).data))
         # brute-force: every small kernel vector must be an integer combination
         for x in product(range(-4, 5), repeat=2):
             v = Mat.from_rows([list(x)], 2)
-            if v.mul(A).is_zero():
+            if not any(map(any, v.mul(A).data)):
                 assert int_solve(K, v) is not None
 
     def test_invertible_gives_empty(self):
@@ -171,7 +171,7 @@ class TestIntKernel:
             n = rng.randrange(1, 6)
             A = Mat.from_rows([[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)], n)
             K = int_kernel(A)
-            assert K.mul(A).is_zero()
+            assert not any(map(any, K.mul(A).data))
             S, _, _ = smith(K)
             assert all(S.data[i][i] in (0, 1) for i in range(min(K.rows, K.cols)))
 
@@ -243,6 +243,26 @@ class TestLatticeHelpers:
         assert (X.data[0][0] * 2 - 1) % 5 == 0
 
 
+class TestKron:
+    def test_vec_of_a_product(self):
+        # vec(A*X*B) = vec(X)*kron(A^T, B) with matrices flattened row by
+        # row, on every shape up to 4x4, those with no rows or columns too
+        rng = random.Random(1010)
+
+        def rand(r, c):
+            return Mat(r, c, tuple(tuple(rng.randint(-3, 3) for _ in range(c))
+                                   for _ in range(r)))
+
+        def vec(X):
+            return Mat(1, X.rows * X.cols, (tuple(x for row in X.data for x in row),))
+
+        for p, r, c, q in product(range(5), repeat=4):
+            A, X, B = rand(p, r), rand(r, c), rand(c, q)
+            K = kron(A.transpose(), B)
+            assert (K.rows, K.cols) == (r * c, p * q)
+            assert vec(X).mul(K) == vec(A.mul(X).mul(B))
+
+
 class TestPresentationHelpers:
     def test_invariants(self):
         def invariants(rel):
@@ -280,7 +300,7 @@ class TestFields:
         K = f_kernel(F, A)
         assert K.rows == 1
         kernel_vectors = [v for v in product(range(2), repeat=2)
-                          if F.reduce_mat(Mat.from_rows([list(v)], 2).mul(A)).is_zero()]
+                          if not any(map(any, F.reduce_mat(Mat.from_rows([v], 2).mul(A)).data))]
         assert set(kernel_vectors) == {(0, 0), (1, 1)}
         assert tuple(K.data[0]) in kernel_vectors
 
@@ -314,7 +334,7 @@ class TestFields:
             A = Mat.from_rows([[rng.randrange(101) for _ in range(n)] for _ in range(m)], n)
             K = f_kernel(F, A)
             assert K.rows == m - f_rank(F, A)
-            assert F.reduce_mat(K.mul(A)).is_zero()
+            assert not any(map(any, F.reduce_mat(K.mul(A)).data))
             X0 = Mat.from_rows([[rng.randrange(101) for _ in range(m)] for _ in range(2)], m)
             B = F.reduce_mat(X0.mul(A))
             X = f_solve(F, A, B)

@@ -15,6 +15,29 @@ E = A2Engine(F)
 TH = SinkSupportTheory(F)
 
 
+class TestHomConstraints:
+    @pytest.mark.parametrize("field", [QQ, F, PrimeField(2)], ids=["q", "f101", "f2"])
+    def test_matrix_means_what_it_says(self, field):
+        # vec(f1, f2)*C is vec(f1*beta - alpha*f2), matrices flattened row
+        # by row and in turn, for V = (alpha) and U = (beta)
+        eng = A2Engine(field)
+        rng = rng_for(1012, "hc", field.name)
+
+        def rand(r, c):
+            return Mat(r, c, tuple(tuple(eng._random_entry(rng) for _ in range(c))
+                                   for _ in range(r)))
+
+        def vec(*mats):
+            flat = tuple(x for a in mats for row in a.data for x in row)
+            return field.reduce_mat(Mat(1, len(flat), (flat,)))
+
+        for _ in range(60):
+            v, u = eng.random_object(rng, 3), eng.random_object(rng, 3)
+            f1, f2 = rand(v.d1, u.d1), rand(v.d2, u.d2)
+            lhs = field.reduce_mat(vec(f1, f2).mul(eng._constraint_matrix(v, u)))
+            assert lhs == vec(f1.mul(u.alpha).sub(v.alpha.mul(f2)))
+
+
 class TestMembership:
     def test_examples(self):
         assert TH.is_in_c(E.simple_source())

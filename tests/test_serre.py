@@ -4,7 +4,7 @@ import pytest
 
 from serreq import session
 from serreq.category import rng_for
-from serreq.errors import NotSaturatedError, OracleUnsupported
+from serreq.errors import InputValidationError, NotSaturatedError, OracleUnsupported
 from serreq.linalg import Mat, PrimeField
 from serreq.quiver import SinkSupportTheory
 from serreq.serre import (
@@ -18,6 +18,11 @@ FA = PPrimaryTheory(2)
 A2 = SinkSupportTheory(PrimeField(101))
 E = FA.engine
 THEORIES = [FA, A2]
+
+
+def random_qmor(th, qh, rng):
+    """A random element of the quotient Hom-group qh of theory th."""
+    return qh.decode(tuple(th.engine._random_entry(rng) for _ in range(qh.ngens)))
 
 
 class TestWOnMorphism:
@@ -113,7 +118,7 @@ class TestQHom:
             for i in range(15):
                 rng = rng_for(4, "unit", i)
                 m, n = th.random_object(rng), th.random_object(rng)
-                f = q_hom(th, m, n).decode(q_hom(th, m, n).random_element(rng))
+                f = random_qmor(th, q_hom(th, m, n), rng)
                 assert qmor_eq(th, q_compose(th, q_id(th, m), f), f)
                 assert qmor_eq(th, q_compose(th, f, q_id(th, n)), f)
 
@@ -123,13 +128,13 @@ class TestQHom:
                 rng = rng_for(5, "assoc", i)
                 a, b, c, d = (th.random_object(rng) for _ in range(4))
                 hab, hbc, hcd = q_hom(th, a, b), q_hom(th, b, c), q_hom(th, c, d)
-                f = hab.decode(hab.random_element(rng))
-                g = hbc.decode(hbc.random_element(rng))
-                h = hcd.decode(hcd.random_element(rng))
+                f = random_qmor(th, hab, rng)
+                g = random_qmor(th, hbc, rng)
+                h = random_qmor(th, hcd, rng)
                 lhs = q_compose(th, q_compose(th, f, g), h)
                 rhs = q_compose(th, f, q_compose(th, g, h))
                 assert qmor_eq(th, lhs, rhs)
-                g2 = hbc.decode(hbc.random_element(rng))
+                g2 = random_qmor(th, hbc, rng)
                 left = q_compose(th, f, qmor_add(th, g, g2))
                 right = qmor_add(th, q_compose(th, f, g), q_compose(th, f, g2))
                 assert qmor_eq(th, left, right)
@@ -194,7 +199,7 @@ class TestColiftH:
                 rng = rng_for(10, "cons", i)
                 m, n = th.random_object(rng), th.random_object(rng)
                 qh = q_hom(th, m, n)
-                f = qh.decode(qh.random_element(rng))
+                f = random_qmor(th, qh, rng)
                 assert th.engine.is_iso(colift_H(th, f)) == q_is_iso(th, f.rep)
 
     def test_fully_faithful_enumerated(self):
@@ -242,7 +247,7 @@ class TestQuotientInvert:
                 rng = rng_for(11, "qinv", i)
                 m, n = th.random_object(rng), th.random_object(rng)
                 qh = q_hom(th, m, n)
-                f = qh.decode(qh.random_element(rng))
+                f = random_qmor(th, qh, rng)
                 if not q_is_iso(th, f.rep):
                     continue
                 g = quotient_invert(th, f)
@@ -286,6 +291,10 @@ class TestSuites:
     def test_zero_only_input(self):
         report = run_suite(FA, "zigzag", 0, 0)[0]
         assert report.passed
+
+    def test_unknown_suite_is_an_input_error(self):
+        with pytest.raises(InputValidationError, match="unknown suite: nope"):
+            run_suite(FA, "nope", 1, 2)
 
     def test_fixture_fails_axiom2_under_every_seed(self):
         fx = FixtureTheory(2)

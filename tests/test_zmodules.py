@@ -6,7 +6,7 @@ from math import prod
 
 import pytest
 
-from serreq import linalg
+from serreq import linalg, zmodules
 from serreq.category import rng_for
 from serreq.errors import EngineMismatch, InputValidationError, NotSaturatedError
 from serreq.linalg import Mat
@@ -112,6 +112,39 @@ class TestOneSmithFormPerObject:
             nonzero = [d for d in factors if d]
             expected = ("Z", cols - len(nonzero), tuple(d for d in nonzero if d != 1))
             assert Z.invariants(ZObj(rel)) == expected, data
+
+
+def _vec(*mats):
+    """The matrices flattened row by row and in turn, as one row vector."""
+    flat = tuple(x for a in mats for row in a.data for x in row)
+    return Mat(1, len(flat), (flat,))
+
+
+class TestHomConstraints:
+    def test_matrices_mean_what_they_say(self, monkeypatch):
+        # hom_group takes the left kernel of C, where vec(F, Y)*C is
+        # vec(R_M*F - Y*R_N); _hom_modulus(g, N) sends vec(Y) to vec(Y*R_N)
+        seen = []
+        int_kernel = zmodules.int_kernel
+        monkeypatch.setattr(zmodules, "int_kernel", lambda C: seen.append(C) or int_kernel(C))
+        rng = random.Random(1011)
+
+        def rand(r, c):
+            return Mat(r, c, tuple(tuple(rng.randint(-5, 5) for _ in range(c))
+                                   for _ in range(r)))
+
+        fixed = [Z.zero_object(), Z.free(1), Z.free(2), Z.cyclic(4),
+                 Z.obj_from_divisors([2, 6], free_rank=1)]
+        drawn = [Z.random_object(rng_for(1011, "hc", i), 3) for i in range(10)]
+        for m in fixed + drawn:
+            for n in fixed + drawn[:5]:
+                rm, rn = m.relations, n.relations
+                seen.clear()
+                Z.hom_group(m, n)
+                F, Y = rand(m.gens, n.gens), rand(rm.rows, rn.rows)
+                assert _vec(F, Y).mul(seen[0]) == _vec(rm.mul(F).sub(Y.mul(rn)))
+                Y = rand(m.gens, rn.rows)
+                assert _vec(Y).mul(Z._hom_modulus(m.gens, n)) == _vec(Y.mul(rn))
 
 
 class TestMembership:
