@@ -21,9 +21,7 @@ from .errors import (
     CompositeNotZero, ContractViolation, EndpointMismatch, InputValidationError,
     NotInvertible, ShapeError,
 )
-from .linalg import (
-    MAX_INPUT_SIZE, Mat, f_rank, f_solve, int_solve, presentation_enumerate, unflatten,
-)
+from .linalg import MAX_INPUT_SIZE, Mat, int_solve, presentation_enumerate, unflatten
 
 
 def rng_for(seed, *tags) -> random.Random:
@@ -435,13 +433,13 @@ class FieldHomGroup(HomBasis, VectorSpace):
         VectorSpace.__init__(self, engine.field, self.ngens)
 
     def _solve_coeffs(self, basis_rows, target):
-        return f_solve(self.field, basis_rows, target)
+        return self.engine.solve(basis_rows, target)
 
     def is_bijection(self, src_group, images) -> bool:
         """A rank check."""
         if src_group.dim != self.dim:
             return False
-        return f_rank(self.field, Mat.from_rows(images, self.dim)) == self.dim
+        return self.engine.rank(Mat.from_rows(images, self.dim)) == self.dim
 
     def enumerate_elements(self, cap=4096):
         # p ** dim elements; over Q (p = 0) only the zero space is finite,

@@ -438,7 +438,13 @@ class PrimeField:
         self.p = p
 
     def normalize(self, x):
-        return int(x) % self.p
+        """x mod p; a Fraction a/b is a times the inverse of b mod p."""
+        p = self.p
+        if isinstance(x, Fraction):
+            if x.denominator % p == 0:
+                raise InputValidationError(f"entry {x} has no value in {self.name}")
+            return x.numerator * pow(x.denominator, -1, p) % p
+        return int(x) % p
 
     def divmod(self, b, a):
         return b * pow(a, -1, self.p) % self.p, 0
@@ -447,8 +453,13 @@ class PrimeField:
         return pow(a, -1, self.p)
 
     def reduce_mat(self, A: Mat) -> Mat:
+        """A with its entries as residues; A itself when they already are."""
         p = self.p
-        return Mat(A.rows, A.cols, tuple(tuple(int(a) % p for a in r) for r in A.data))
+        if all(type(a) is int and 0 <= a < p for r in A.data for a in r):
+            return A
+        norm = self.normalize
+        return Mat(A.rows, A.cols, tuple(tuple(a % p if type(a) is int else norm(a) for a in r)
+                                         for r in A.data))
 
     @property
     def name(self):
@@ -479,6 +490,9 @@ class RationalField:
         return 1 / a
 
     def reduce_mat(self, A: Mat) -> Mat:
+        """A with its entries as Fractions; A itself when they already are."""
+        if all(type(a) is Fraction for r in A.data for a in r):
+            return A
         return Mat(A.rows, A.cols, tuple(tuple(Fraction(a) for a in r) for r in A.data))
 
     @property
@@ -518,13 +532,14 @@ def f_mul(field, A: Mat, B: Mat) -> Mat:
 
 def f_rref(field, A: Mat):
     """Reduced row echelon form with transform: returns (R, E, pivots),
-    E*A = R; it is the Hermite form over the field (see _hermite)."""
+    E*A = R; it is the Hermite form over the field (see _hermite).  All
+    three are immutable, so an engine may hand one result to many callers."""
     r = field.reduce_mat(A).to_lists()
     e = Mat.identity(A.rows).to_lists()
     pivots = _hermite(field, r, e)
     return (Mat(A.rows, A.cols, tuple(tuple(x) for x in r)),
             Mat(A.rows, A.rows, tuple(tuple(x) for x in e)),
-            pivots)
+            tuple(pivots))
 
 
 def f_rank(field, A: Mat) -> int:

@@ -16,7 +16,6 @@ cokernel (coker alpha, 0), so nothing downstream may assume units epic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .category import (
     MAX_INPUT_SIZE, AbelianEngine, FieldHomGroup, Mor, VectorSpace, entry_from_json,
@@ -24,7 +23,7 @@ from .category import (
 from .errors import (
     ContractViolation, EngineMismatch, InputValidationError, NotSaturatedError, ShapeError,
 )
-from .linalg import Mat, f_inv, f_kernel, f_mul, f_rank, f_solve, kron
+from .linalg import Mat, _solve, f_mul, f_rref, kron
 
 
 @dataclass(frozen=True)
@@ -47,6 +46,9 @@ class A2Engine(AbelianEngine):
 
     def __init__(self, field):
         self.field = self.ring = field
+        # input matrix -> its f_rref echelon; like the engine, it lives for
+        # one command
+        self._echelons = {}
 
     # -- constructors ----------------------------------------------------------
 
@@ -72,6 +74,34 @@ class A2Engine(AbelianEngine):
             raise EngineMismatch(f"object over {m.field.name} used in a {self.field.name} engine")
         return (m.d1, m.d2)
 
+    # -- field kernels: one elimination per matrix and engine ----------------
+
+    def rref(self, A: Mat):
+        """f_rref(field, A), eliminated once per engine and equal matrix."""
+        hit = self._echelons.get(A)
+        if hit is None:
+            hit = self._echelons[A] = f_rref(self.field, A)
+        return hit
+
+    def rank(self, A: Mat) -> int:
+        return len(self.rref(A)[2])
+
+    def kernel(self, A: Mat) -> Mat:
+        """Basis rows of the left null space {x : x*A = 0}."""
+        _, E, pivots = self.rref(A)
+        rank = len(pivots)
+        return Mat(A.rows - rank, A.rows, E.data[rank:])
+
+    def solve(self, A: Mat, B: Mat):
+        """X with X*A = B, or None if the system is inconsistent."""
+        return _solve(self.field, A, B, self.rref)
+
+    def inv(self, A: Mat):
+        """Two-sided inverse of a square matrix, or None."""
+        if A.rows != A.cols:
+            return None
+        return self.solve(A, Mat.identity(A.rows))
+
     # -- decidable structure --------------------------------------------------------
 
     def is_well_defined(self, f: Mor) -> bool:
@@ -86,37 +116,36 @@ class A2Engine(AbelianEngine):
         return m.d1 == 0 and m.d2 == 0
 
     def invariants(self, m: A2Obj):
-        return ("a2", self.field.name, m.d1, m.d2, f_rank(self.field, m.alpha))
+        return ("a2", self.field.name, m.d1, m.d2, self.rank(m.alpha))
 
     # -- kernels, cokernels, lifts ----------------------------------------------
 
     def kernel_emb(self, f: Mor) -> Mor:
-        k1, k2 = (f_kernel(self.field, a) for a in f.maps)
+        k1, k2 = (self.kernel(a) for a in f.maps)
         # alpha restricts: rows of k1*alpha lie in ker f2
-        restr = f_solve(self.field, k2, f_mul(self.field, k1, f.src.alpha))
+        restr = self.solve(k2, f_mul(self.field, k1, f.src.alpha))
         if restr is None:
             raise ContractViolation("alpha does not restrict to the kernel")
         ker = self.obj(k1.rows, k2.rows, restr)
         return self.mor(ker, f.src, k1, k2)
 
     def cokernel_proj(self, f: Mor) -> Mor:
-        p1, p2 = (f_kernel(self.field, a.transpose()).transpose() for a in f.maps)
+        p1, p2 = (self.kernel(a.transpose()).transpose() for a in f.maps)
         rhs = f_mul(self.field, f.dst.alpha, p2)
-        sol = f_solve(self.field, p1.transpose(), rhs.transpose())
+        sol = self.solve(p1.transpose(), rhs.transpose())
         if sol is None:
             raise ContractViolation("alpha does not descend to the cokernel")
         coker = self.obj(p1.cols, p2.cols, sol.transpose())
         return self.mor(f.dst, coker, p1, p2)
 
     def _lift_candidate(self, f: Mor, mono: Mor):
-        sols = [f_solve(self.field, a, b) for a, b in zip(mono.maps, f.maps)]
+        sols = [self.solve(a, b) for a, b in zip(mono.maps, f.maps)]
         if any(x is None for x in sols):
             return None
         return self.mor(f.src, mono.src, *sols)
 
     def _colift_candidate(self, f: Mor, epi: Mor):
-        sols = [f_solve(self.field, a.transpose(), b.transpose())
-                for a, b in zip(epi.maps, f.maps)]
+        sols = [self.solve(a.transpose(), b.transpose()) for a, b in zip(epi.maps, f.maps)]
         if any(x is None for x in sols):
             return None
         return self.mor(epi.dst, f.dst, *(x.transpose() for x in sols))
@@ -132,7 +161,7 @@ class A2Engine(AbelianEngine):
 
     def hom_group(self, m: A2Obj, n: A2Obj) -> FieldHomGroup:
         cmat = self._constraint_matrix(m, n)
-        basis = [self._mor_from_vector(m, n, row) for row in f_kernel(self.field, cmat).data]
+        basis = [self._mor_from_vector(m, n, row) for row in self.kernel(cmat).data]
         return FieldHomGroup(self, m, n, basis)
 
     def ext1_group(self, m: A2Obj, n: A2Obj) -> VectorSpace:
@@ -140,7 +169,7 @@ class A2Engine(AbelianEngine):
         0 -> V1 (x) P_sink -> V1 (x) P_source + V2 (x) P_sink -> V -> 0,
         whose Hom-complex is the constraint map above."""
         cmat = self._constraint_matrix(m, n)
-        dim = m.d1 * n.d2 - f_rank(self.field, cmat)
+        dim = m.d1 * n.d2 - self.rank(cmat)
         return VectorSpace(self.field, dim)
 
     # -- randomness ----------------------------------------------------------------
@@ -162,12 +191,7 @@ class A2Engine(AbelianEngine):
     def decode_entry(self, x):
         """Over F_p an entry "a/b" is a times the inverse of b mod p."""
         q = entry_from_json(x)
-        p = self.field.p
-        if p and isinstance(q, Fraction):
-            if q.denominator % p == 0:
-                raise InputValidationError(f"entry {x!r} has no value in {self.field.name}")
-            return q.numerator * pow(q.denominator, -1, p) % p
-        return q
+        return self.field.normalize(q) if self.field.p else q
 
     def obj_to_payload(self, m: A2Obj):
         return {"dims": [m.d1, m.d2], "alpha": self.mat_to_json(m.alpha)}
@@ -216,7 +240,7 @@ class SinkSupportTheory:
         return m.d2 == 0
 
     def h_c(self, m: A2Obj) -> Mor:
-        k = f_kernel(self.field, m.alpha)
+        k = self.engine.kernel(m.alpha)
         sub = self.engine.obj(k.rows, 0, Mat.zeros(k.rows, 0))
         return self.engine.mor(sub, m, k, Mat.zeros(0, m.d2))
 
@@ -228,10 +252,10 @@ class SinkSupportTheory:
         return hit
 
     def is_saturated(self, m: A2Obj) -> bool:
-        return f_inv(self.field, m.alpha) is not None
+        return self.engine.inv(m.alpha) is not None
 
     def extend_along_unit(self, phi: Mor) -> Mor:
-        inv = f_inv(self.field, phi.dst.alpha)
+        inv = self.engine.inv(phi.dst.alpha)
         if inv is None:
             raise NotSaturatedError("extension target must be saturated")
         w, _ = self.saturate(phi.src)

@@ -203,6 +203,20 @@ def test_no_cache_outlives_one_command():
     assert writes == [("linalg.py", "Mat.identity", "_IDENTITIES")]
 
 
+def test_echelon_memo_lives_on_the_engine():
+    """QQ is a module singleton that outlives a command, so the echelon
+    memo is kept on each engine a command builds, never on the field."""
+    from serreq.linalg import QQ
+    from serreq.session import theory_from_descriptor
+
+    first, second = (theory_from_descriptor({"kind": "a2_rep", "field": "q"})
+                     for _ in range(2))
+    assert first.field is QQ and second.field is QQ
+    assert isinstance(first.engine._echelons, dict)
+    assert first.engine._echelons is not second.engine._echelons
+    assert not hasattr(QQ, "_echelons")
+
+
 def test_identity_table_is_bounded():
     assert Mat.identity(3) is Mat.identity(3)
     assert Mat.identity(MAX_INPUT_SIZE) is Mat.identity(MAX_INPUT_SIZE)

@@ -410,6 +410,40 @@ class TestFields:
                     assert F.reduce_mat(X.mul(A)).data == F.reduce_mat(B).data
 
 
+class TestFieldEntries:
+    def test_prime_field_fractions_are_quotients(self):
+        F = PrimeField(5)
+        assert F.normalize(Fraction(1, 2)) == 3
+        assert F.normalize(Fraction(-7, 3)) == 1
+        assert F.normalize(Fraction(12, 1)) == 2
+        assert F.reduce_mat(Mat.from_rows([[Fraction(1, 2), Fraction(-7, 3)]])).data == ((3, 1),)
+        for bad in (Fraction(1, 5), Fraction(3, 10)):
+            with pytest.raises(InputValidationError):
+                F.normalize(bad)
+            with pytest.raises(InputValidationError):
+                F.reduce_mat(Mat.from_rows([[0, bad]]))
+
+    def test_reduced_matrices_are_returned_as_they_are(self):
+        A = Mat.from_rows([[0, 1, 100], [4, 0, 7]])
+        assert PrimeField(101).reduce_mat(A) is A
+        Q = Mat.from_rows([[Fraction(0), Fraction(1, 2)], [Fraction(-3), Fraction(5, 7)]])
+        assert QQ.reduce_mat(Q) is Q
+        assert QQ.reduce_mat(Mat.zeros(0, 3)).data == ()
+
+    def test_mixed_rational_entries_normalise(self):
+        R = QQ.reduce_mat(Mat.from_rows([[1, Fraction(1, 2)], [Fraction(4, 2), -3]]))
+        assert R.data == ((1, Fraction(1, 2)), (2, -3))
+        assert all(type(x) is Fraction for r in R.data for x in r)
+
+    def test_unreduced_residues_normalise(self):
+        F = PrimeField(7)
+        for row, expected in (([-1, 0, 3], (6, 0, 3)), ([7, 15, 6], (0, 1, 6)),
+                              ([True, False, 2], (1, 0, 2))):
+            R = F.reduce_mat(Mat.from_rows([row]))
+            assert R.data == (expected,)
+            assert all(type(x) is int for x in R.data[0])
+
+
 class TestIsPrime:
     def test_agrees_with_trial_division(self):
         def trial(n):

@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from serreq import quiver
 from serreq.category import rng_for
-from serreq.errors import EngineMismatch, NotSaturatedError
-from serreq.linalg import Mat, PrimeField, QQ
+from serreq.errors import EngineMismatch, InputValidationError, NotSaturatedError
+from serreq.linalg import Mat, PrimeField, QQ, f_inv, f_kernel, f_rank, f_rref, f_solve
 from serreq.quiver import A2Engine, SinkSupportTheory
 
 F = PrimeField(101)
@@ -171,6 +172,97 @@ class TestReflectionMemo:
             warm.saturate(m)
         for m in objects:
             assert warm.saturate(dataclasses.replace(m)) == SinkSupportTheory(field).saturate(m)
+
+
+class TestEchelonMemo:
+    """Each field elimination runs once per matrix and engine."""
+
+    def _count_rrefs(self, monkeypatch):
+        calls = []
+
+        def counting(field, A):
+            calls.append(A)
+            return f_rref(field, A)
+
+        monkeypatch.setattr(quiver, "f_rref", counting)
+        return calls
+
+    def test_equal_matrices_share_one_elimination(self, monkeypatch):
+        calls = self._count_rrefs(monkeypatch)
+        eng = A2Engine(F)
+        a, b = Mat.from_rows([[1, 2], [3, 4]]), Mat.from_rows([[1, 2], [3, 4]])
+        assert a is not b
+        eng.kernel(a)
+        eng.rank(b)
+        eng.solve(a, Mat.from_rows([[5, 6]]))
+        eng.inv(b)
+        assert len(calls) == 1
+
+    def test_theory_checks_share_the_engine_memo(self, monkeypatch):
+        calls = self._count_rrefs(monkeypatch)
+        th = SinkSupportTheory(F)
+        v = th.engine.obj(2, 2, Mat.from_rows([[1, 2], [3, 4]]))
+        w = th.engine.obj(2, 2, Mat.from_rows([[1, 2], [3, 4]]))
+        assert th.is_saturated(v) and th.is_saturated(w)
+        th.extend_along_unit(th.engine.identity(w))
+        th.h_c(v)
+        assert len(calls) == 1
+
+    def test_a_fresh_engine_recomputes(self, monkeypatch):
+        calls = self._count_rrefs(monkeypatch)
+        a = Mat.from_rows([[1, 2], [3, 4]])
+        for _ in range(2):
+            A2Engine(F).rank(a)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(2), F], ids=["q", "f2", "f101"])
+    def test_warm_engine_agrees_with_linalg(self, field):
+        def entry(rng):
+            if rng.randrange(3) == 0:
+                return 0
+            if field.p:
+                return rng.randrange(-field.p, 2 * field.p)
+            return Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+
+        cases = []
+        for i in range(200):
+            rng = rng_for(909, field.name, i)
+            m = rng.randrange(0, 5)
+            n = m if rng.randrange(2) else rng.randrange(0, 5)
+            A = Mat(m, n, tuple(tuple(entry(rng) for _ in range(n)) for _ in range(m)))
+            k = rng.randrange(1, 3)
+            B = Mat(k, n, tuple(tuple(entry(rng) for _ in range(n)) for _ in range(k)))
+            if rng.randrange(2):
+                # half the right-hand sides lie in the row space
+                B = Mat(k, m, tuple(tuple(entry(rng) for _ in range(m))
+                                    for _ in range(k))).mul(A)
+            cases.append((A, B))
+        warm = A2Engine(field)
+        for A, _ in cases:
+            warm.rref(A)
+        results = {"solve": 0, "inv": 0}
+        for A, B in cases:
+            A = dataclasses.replace(A)
+            assert warm.kernel(A) == f_kernel(field, A)
+            assert warm.rank(A) == f_rank(field, A)
+            x = warm.solve(A, B)
+            assert x == f_solve(field, A, B)
+            y = warm.inv(A)
+            assert y == f_inv(field, A)
+            results["solve"] += x is None
+            results["inv"] += y is None
+        # both kinds of result occur, None included
+        assert 0 < results["solve"] < 200 and 0 < results["inv"] < 200
+
+
+class TestDecodeEntry:
+    def test_fractions_over_a_prime_field(self):
+        eng = A2Engine(PrimeField(5))
+        assert eng.decode_entry("1/2") == 3
+        assert eng.decode_entry("-7/3") == 1
+        with pytest.raises(InputValidationError):
+            eng.decode_entry("1/5")
+        assert A2Engine(QQ).decode_entry("-7/3") == Fraction(-7, 3)
 
 
 class TestIsSaturated:
