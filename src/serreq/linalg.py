@@ -36,6 +36,14 @@ class Mat:
     cols: int
     data: tuple
 
+    def __hash__(self):
+        # the dataclass hash, computed on first use and kept outside the
+        # fields, so that a memo hit does not rehash every entry
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash((self.rows, self.cols, self.data))
+        return h
+
     @staticmethod
     def from_rows(rows_list, cols=None):
         rows_list = [tuple(r) for r in rows_list]

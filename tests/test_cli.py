@@ -107,6 +107,16 @@ class TestQhom:
         assert main(["qhom", "--input", str(path), "--objects", "M", "M", "--oracle"]) == 2
         assert "too large" in capsys.readouterr().err
 
+    def test_oracle_too_many_subgroups(self, tmp_path, capsys):
+        # (Z/2)^8 has 256 elements but 417,199 subgroups
+        doc = {"engine": {"kind": "finite_abelian", "p": 2},
+               "objects": {"M": {"relations": _diagonal(8, 2)}}}
+        t0 = time.perf_counter()
+        assert main(["qhom", "--input", _write(tmp_path, doc), "--objects", "M", "M",
+                     "--oracle"]) == 2
+        assert time.perf_counter() - t0 < 2
+        assert "too many subgroups" in capsys.readouterr().err
+
     def test_oracle_unsupported_on_quiver(self, a2_input):
         assert main(["qhom", "--input", a2_input, "--objects", "V", "V",
                      "--oracle"]) == 2

@@ -224,3 +224,18 @@ def test_identity_table_is_bounded():
     assert big is not Mat.identity(MAX_INPUT_SIZE + 1)
     assert big == Mat.identity(MAX_INPUT_SIZE + 1)
     assert big.data[MAX_INPUT_SIZE] == (0,) * MAX_INPUT_SIZE + (1,)
+
+
+def test_subgroup_enumeration_is_independent_of_linalg():
+    """The direct-limit oracle checks the HNF and Smith code, so the
+    enumeration of subgroups it rests on uses none of linalg."""
+    linalg = {node.name for node in _tree("linalg.py").body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert {"_hermite", "row_echelon", "smith", "row_basis",
+            "presentation_normal_form", "Mat"} <= linalg
+    helper = next(node for node in _tree("zmodules.py").body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_subgroup_masks")
+    assert [a.arg for a in helper.args.args] == ["divisors"]
+    assert list(_calls(helper, linalg)) == []
+    callers = {where for where, _ in _calls(_tree("zmodules.py"), {"_subgroup_masks"})}
+    assert callers == {"finite_subobject_embeddings"}

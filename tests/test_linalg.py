@@ -243,6 +243,23 @@ class TestLatticeHelpers:
         assert (X.data[0][0] * 2 - 1) % 5 == 0
 
 
+class TestMatHash:
+    def test_hash_is_computed_once(self, monkeypatch):
+        def fractions():
+            return Mat.from_rows([[Fraction(1, 2), Fraction(-2, 3)], [Fraction(5), 0]])
+
+        a, b = fractions(), fractions()
+        assert a == b and hash(a) == hash(b) == hash((2, 2, a.data))
+        assert repr(a) == repr(b) == f"Mat(rows=2, cols=2, data={a.data!r})"
+        calls = []
+        original = Fraction.__hash__
+        monkeypatch.setattr(Fraction, "__hash__",
+                            lambda x: calls.append(x) or original(x))
+        assert hash(fractions()) == hash(a) and len(calls) == 3
+        calls.clear()
+        assert hash(a) == hash(b) and calls == []
+
+
 class TestKron:
     def test_vec_of_a_product(self):
         # vec(A*X*B) = vec(X)*kron(A^T, B) with matrices flattened row by

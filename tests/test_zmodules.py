@@ -2,13 +2,16 @@
 
 import dataclasses
 import random
-from math import prod
+from itertools import product
+from math import gcd, prod
 
 import pytest
 
 from serreq import linalg, zmodules
 from serreq.category import rng_for
-from serreq.errors import EngineMismatch, InputValidationError, NotSaturatedError
+from serreq.errors import (
+    EngineMismatch, InputValidationError, NotSaturatedError, OracleUnsupported,
+)
 from serreq.linalg import Mat
 from serreq.zmodules import (
     FiniteAbelianEngine, FixtureTheory, PPrimaryTheory, ZModuleEngine, ZObj, diag_rows,
@@ -429,6 +432,111 @@ class TestSubobjectEnumeration:
     def test_too_large_rejected(self):
         with pytest.raises(ValueError):
             finite_subobject_embeddings(FA, FA.cyclic(512), element_cap=256)
+
+    def test_too_many_subgroups_rejected(self):
+        # (Z/2)^7 has 29,212 subgroups
+        with pytest.raises(OracleUnsupported, match="too many subgroups"):
+            finite_subobject_embeddings(FA, FA.obj_from_divisors([2] * 7))
+        assert len(zmodules._subgroup_masks([2] * 6)) == 2825 <= zmodules.SUBGROUP_CAP
+
+    def test_cyclic_counts_are_divisor_counts(self):
+        for n in range(2, 257):
+            assert len(zmodules._subgroup_masks([n])) == len(divisors_of(n)), n
+
+    def test_rank_two_counts(self):
+        # Hampejs, Holighaus, Toth and Wiesmeyr (2014): Z/m x Z/n with m | n
+        # has sum over a | m, b | n of gcd(a, b) subgroups
+        for m in range(2, 17):
+            for n in range(m, 256 // m + 1, m):
+                expected = sum(gcd(a, b) for a in divisors_of(m) for b in divisors_of(n))
+                assert len(zmodules._subgroup_masks([m, n])) == expected, (m, n)
+
+    def test_masks_match_the_bitwise_reference(self):
+        for divisors in divisor_chains(64):
+            masks = zmodules._subgroup_masks(divisors)
+            assert sorted(masks) == bitwise_subgroup_masks(divisors), divisors
+            elements = list(product(*map(range, divisors)))
+            for mask, gens in masks.items():
+                members = {e for i, e in enumerate(elements) if mask >> i & 1}
+                assert members == generated(gens, divisors), (divisors, mask)
+
+    def test_images_are_the_distinct_subgroups(self):
+        for divisors in divisor_chains(24):
+            embs = finite_subobject_embeddings(FA, ZObj.in_normal_form(divisors))
+            images = [generated(emb.maps[0].data, divisors) for emb in embs]
+            assert len(set(map(frozenset, images))) == len(images), divisors
+            for image, emb in zip(images, embs):
+                assert len(image) == FA.order(emb.src)
+                assert {add(x, y, divisors) for x in image for y in image} == image
+
+
+def divisors_of(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def divisor_chains(max_order, start=2):
+    """Every list d_1 | d_2 | ... with d_1 >= start > 1 and product at most
+    max_order, the empty list included."""
+    yield []
+    for d in range(start, max_order + 1):
+        for rest in divisor_chains(max_order // d, d):
+            if all(r % d == 0 for r in rest):
+                yield [d] + rest
+
+
+def add(x, y, divisors):
+    return tuple((a + b) % d for a, b, d in zip(x, y, divisors))
+
+
+def generated(gens, divisors):
+    """The subgroup of Z/d_1 x ... x Z/d_k generated by gens, by closure."""
+    members = {tuple(0 for _ in divisors)}
+    frontier = list(members)
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = add(x, g, divisors)
+            if y not in members:
+                members.add(y)
+                frontier.append(y)
+    return members
+
+
+def bitwise_subgroup_masks(divisors):
+    """Sorted element masks of every subgroup, by closing each subgroup
+    joined with each element under translation one bit at a time: the
+    brute-force reference of zmodules._subgroup_masks."""
+    elements = [()]
+    for d in divisors:
+        elements = [e + (x,) for e in elements for x in range(d)]
+    index = {e: i for i, e in enumerate(elements)}
+    perms = [[index[add(e, x, divisors)] for e in elements] for x in elements]
+
+    def shift(mask, perm):
+        out = 0
+        while mask:
+            low = mask & -mask
+            out |= 1 << perm[low.bit_length() - 1]
+            mask ^= low
+        return out
+
+    known = {1}
+    queue = [1]
+    while queue:
+        s = queue.pop()
+        for ix, perm in enumerate(perms):
+            if (s >> ix) & 1:
+                continue
+            acc = shifted = s
+            while True:
+                shifted = shift(shifted, perm)
+                acc |= shifted
+                if shifted == s:
+                    break
+            if acc not in known:
+                known.add(acc)
+                queue.append(acc)
+    return sorted(known)
 
 
 class TestFixture:
