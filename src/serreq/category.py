@@ -319,6 +319,45 @@ class AbelianEngine:
                                   self.mor_from_payload(payload["pi"], where + ".pi"))
 
 
+class TorsionTheory:
+    """A localizing theory: a torsion class C in an engine and the
+    reflection onto the C-local objects, the data serre.py computes with.
+
+    A subclass supplies the class attributes kind (its descriptor kind),
+    flag (the one descriptor key it reads and that key's command-line
+    default), canonical_tag (the label of its own candidate monad) and
+    size_bound (the default size of its random samples); the descriptor
+    codec from_descriptor and describe; and the methods is_in_c, h_c,
+    _reflect (W(M) and the unit eta_M), is_saturated, extend_along_unit,
+    c_cogenerators (the objects of C the saturating suite tests W-images
+    against), probe_objects and twist_unit.  Random morphisms come from
+    the engine.
+    """
+
+    def __init__(self, engine):
+        self.engine = engine
+        # object -> (W(M), eta_M); it lives as long as the theory, which
+        # each command builds afresh
+        self._reflections = {}
+
+    def saturate(self, m):
+        """(W(M), eta_M), computed once per object; a call that raises
+        stores nothing."""
+        hit = self._reflections.get(m)
+        if hit is None:
+            hit = self._reflections[m] = self._reflect(m)
+        return hit
+
+    def random_object(self, rng, size_bound=None, **bounds):
+        """An engine sample; bounds (max_order) go to the engine."""
+        return self.engine.random_object(
+            rng, self.size_bound if size_bound is None else size_bound, **bounds)
+
+    def random_ses(self, rng, size_bound=None):
+        return self.engine.random_ses(
+            rng, self.size_bound if size_bound is None else size_bound)
+
+
 # ---------------------------------------------------------------------------
 # Hom and Ext carriers
 

@@ -28,19 +28,20 @@ from .errors import SerreqError
 def _engine_descriptor(args) -> dict | None:
     """The engine named by the flags; --p and --field only with an engine
     that reads them."""
-    if args.p is not None and args.engine not in ("finite_abelian", "fixture"):
-        raise session.InputValidationError("--p needs --engine finite_abelian or fixture")
-    if args.field is not None and args.engine != "a2_rep":
-        raise session.InputValidationError("--field needs --engine a2_rep")
+    for flag in ("p", "field"):
+        readers = [kind for kind, cls in session.THEORIES.items() if cls.flag[0] == flag]
+        if getattr(args, flag) is not None and args.engine not in readers:
+            raise session.InputValidationError(f"--{flag} needs --engine {' or '.join(readers)}")
     if args.engine is None:
         return None
-    if args.engine == "a2_rep":
-        return {"kind": "a2_rep", "field": args.field or "f101"}
-    return {"kind": args.engine, "p": 2 if args.p is None else args.p}
+    flag, default = session.THEORIES[args.engine].flag
+    value = getattr(args, flag)
+    # an empty --field selects the default too
+    return {"kind": args.engine, flag: default if value in (None, "") else value}
 
 
 def _resolve_theory(args, need_input=False):
-    """(theory, session input): the input file is decoded only when the
+    """(theory, {name: object}): the input file is decoded only when the
     command needs its objects; otherwise only its engine is read."""
     desc = _engine_descriptor(args)
     theory = session.theory_from_descriptor(desc) if desc else None
@@ -48,8 +49,7 @@ def _resolve_theory(args, need_input=False):
         doc = session.load_json_file(args.input)
         if not need_input:
             return session.input_theory(doc, theory), None
-        sess = session.load_session_input(doc, theory)
-        return sess.theory, sess
+        return session.load_session_input(doc, theory)
     if need_input:
         raise session.InputValidationError("this command needs --input FILE")
     if theory is None:
@@ -67,14 +67,14 @@ def _emit(doc, args):
 
 
 def cmd_saturate(args) -> int:
-    theory, sess = _resolve_theory(args, need_input=True)
+    theory, objects = _resolve_theory(args, need_input=True)
     e = theory.engine
-    names = args.objects or sorted(sess.objects)
+    names = args.objects or sorted(objects)
     results = []
     for name in names:
-        if name not in sess.objects:
+        if name not in objects:
             raise session.InputValidationError(f"unknown object name: {name}")
-        m = sess.objects[name]
+        m = objects[name]
         w, eta = theory.saturate(m)
         hc = theory.h_c(m)
         results.append({
@@ -97,13 +97,13 @@ def cmd_saturate(args) -> int:
 
 
 def cmd_qhom(args) -> int:
-    theory, sess = _resolve_theory(args, need_input=True)
+    theory, objects = _resolve_theory(args, need_input=True)
     if not args.objects or len(args.objects) != 2:
         raise session.InputValidationError("qhom needs --objects SRC DST")
     for name in args.objects:
-        if name not in sess.objects:
+        if name not in objects:
             raise session.InputValidationError(f"unknown object name: {name}")
-    m, n = (sess.objects[x] for x in args.objects)
+    m, n = (objects[x] for x in args.objects)
     qh = serre.q_hom(theory, m, n)
     result = {"src": args.objects[0], "dst": args.objects[1], "q_hom": qh.describe()}
     exit_code = 0
@@ -209,7 +209,7 @@ def _env_seed() -> int:
 
 # every flag, in --help order
 FLAGS = {
-    "engine": dict(choices=["finite_abelian", "a2_rep", "fixture"]),
+    "engine": dict(choices=list(session.THEORIES)),
     "p": dict(type=int, default=None,
               help="prime for finite_abelian/fixture (fixture accepts 0)"),
     "field": dict(default=None, help="field for a2_rep (f101, f2, q)"),
@@ -218,8 +218,10 @@ FLAGS = {
     "seed": dict(type=int, default=None),
     "n": dict(type=int, default=25),
     "oracle": dict(action="store_true", help="also run the direct-limit Hom oracle"),
-    "candidate": dict(default=None,
-                      choices=["gabriel", "identity", "twisted", "fixture-naive"]),
+    # the generic candidates of serre.make_candidate, then each theory's own
+    "candidate": dict(default=None, choices=list(dict.fromkeys(
+        ["gabriel", "identity", "twisted"]
+        + [cls.canonical_tag for cls in session.THEORIES.values()]))),
     "objects": dict(nargs="*", default=None),
     "format": dict(choices=["json", "text"], default="text"),
     "out": dict(default=None, help="write the JSON report here"),

@@ -18,12 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .category import (
-    MAX_INPUT_SIZE, AbelianEngine, FieldHomGroup, Mor, VectorSpace, entry_from_json,
+    MAX_INPUT_SIZE, AbelianEngine, FieldHomGroup, Mor, TorsionTheory, VectorSpace,
+    entry_from_json,
 )
 from .errors import (
     ContractViolation, EngineMismatch, InputValidationError, NotSaturatedError, ShapeError,
 )
-from .linalg import Mat, _solve, f_mul, f_rref, kron
+from .linalg import QQ, Mat, PrimeField, _solve, f_mul, f_rref, kron
 
 
 @dataclass(frozen=True)
@@ -214,7 +215,22 @@ class A2Engine(AbelianEngine):
         return {"dims": [m.d1, m.d2], "alpha_rank": self.invariants(m)[4]}
 
 
-class SinkSupportTheory:
+def field_from_name(name):
+    if isinstance(name, int):
+        return PrimeField(name)
+    low = str(name).lower()
+    if low in ("q", "qq", "rational", "rationals"):
+        return QQ
+    if low.startswith("f"):
+        low = low[1:]
+    try:
+        p = int(low)
+    except ValueError as exc:
+        raise InputValidationError(f"unknown field name: {name}") from exc
+    return PrimeField(p)
+
+
+class SinkSupportTheory(TorsionTheory):
     """C = representations supported at the source vertex (V2 = 0).
 
     Localizing: the reflection of V is (V2, V2, id) with unit (alpha, id);
@@ -224,14 +240,19 @@ class SinkSupportTheory:
     """
 
     kind = "a2_rep"
+    flag = ("field", "f101")
     canonical_tag = "gabriel"
     size_bound = 3
+    # bound here, as in zmodules, so that perfbench/tracing.py finds it
+    saturate = TorsionTheory.saturate
 
     def __init__(self, field):
         self.field = field
-        self.engine = A2Engine(field)
-        # object -> (W(V), eta_V), as in ZTorsionTheory
-        self._reflections = {}
+        super().__init__(A2Engine(field))
+
+    @classmethod
+    def from_descriptor(cls, desc: dict):
+        return cls(field_from_name(desc.get(*cls.flag)))
 
     def describe(self):
         return {"kind": self.kind, "field": self.field.name}
@@ -244,12 +265,9 @@ class SinkSupportTheory:
         sub = self.engine.obj(k.rows, 0, Mat.zeros(k.rows, 0))
         return self.engine.mor(sub, m, k, Mat.zeros(0, m.d2))
 
-    def saturate(self, m: A2Obj):
-        hit = self._reflections.get(m)
-        if hit is None:
-            w = self.engine.interval(m.d2)
-            hit = self._reflections[m] = w, self.engine.mor(m, w, m.alpha, Mat.identity(m.d2))
-        return hit
+    def _reflect(self, m: A2Obj):
+        w = self.engine.interval(m.d2)
+        return w, self.engine.mor(m, w, m.alpha, Mat.identity(m.d2))
 
     def is_saturated(self, m: A2Obj) -> bool:
         return self.engine.inv(m.alpha) is not None
@@ -277,9 +295,3 @@ class SinkSupportTheory:
         if c == self.field.normalize(0):
             c = self.field.normalize(1)
         return self.engine.scale(eta, c)
-
-    def random_object(self, rng, size_bound=size_bound):
-        return self.engine.random_object(rng, size_bound)
-
-    def random_ses(self, rng, size_bound=size_bound):
-        return self.engine.random_ses(rng, size_bound)

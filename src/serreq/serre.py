@@ -1,17 +1,14 @@
 """Serre quotients, Gabriel monads, and the checker suites.
 
-Everything here is generic over a localizing theory: an engine together
-with the methods is_in_c, h_c, saturate, is_saturated, extend_along_unit,
-c_cogenerators (the objects of C the saturating suite tests W-images
-against), probe_objects, twist_unit, random_object and random_ses, and
-the class attributes canonical_tag and size_bound; random morphisms come
-from the engine.  The quotient category keeps the
-objects of the ambient category; a quotient morphism M -> N is stored by
-its canonical representative M -> W(N), which turns Hom computations and
-equality into single ambient-category questions and avoids the direct
-limit entirely.  The direct-limit construction is still available as an
-independent oracle (q_hom_via_colimit) on theories that also have a
-subobject_embeddings method.
+Everything here is generic over a localizing theory, a
+category.TorsionTheory (whose docstring lists what a theory supplies).
+The quotient category keeps the objects of the ambient category; a
+quotient morphism M -> N is stored by its canonical representative
+M -> W(N), which turns Hom computations and equality into single
+ambient-category questions and avoids the direct limit entirely.  The
+direct-limit construction is still available as an independent oracle
+(q_hom_via_colimit) on theories that also have a subobject_embeddings
+method.
 
 The five saturating axioms checked by the "saturating" suite, for an
 endofunctor W with unit eta over a torsion class C:
@@ -250,12 +247,9 @@ class ColimitHom:
         minimal = admissible[0]
         # the directed system is ordered by reverse inclusion; its terminal
         # stage must factor through every other stage
-        self.transitions = []
         for emb in admissible:
-            inc = e.lift_along_mono(minimal, emb)
-            if inc is None:
+            if e.lift_along_mono(minimal, emb) is None:
                 raise ContractViolation("admissible subobjects must be intersection-closed")
-            self.transitions.append(inc)
         self.stages = len(admissible)
         self.minimal_emb = minimal
         self.group = e.hom_group(minimal.src, nbar)

@@ -2,13 +2,15 @@
 
 The JSON input schema is
 
-    { "engine": {"kind": "finite_abelian"|"a2_rep"|"fixture", ...},
+    { "engine": {"kind": K, ...},
       "objects": {name: payload, ...},
       "morphisms": {name: {"src": name, "dst": name, ...payload}, ...} }
 
-where integer-engine object payloads are {"relations": [[...]], "gens": g}
-and quiver payloads are {"dims": [d1, d2], "alpha": [[...]]} with rational
-entries written "a/b"; each engine owns the codec of its payloads.
+where K is a key of THEORIES, whose class decodes the rest of the
+descriptor.  Integer-engine object payloads are {"relations": [[...]],
+"gens": g} and quiver payloads are {"dims": [d1, d2], "alpha": [[...]]}
+with rational entries written "a/b"; each engine owns the codec of its
+payloads.
 Witnesses serialize enough data to replay one failed check in isolation;
 report documents round-trip through JSON and are byte-identical for
 identical inputs once timing fields are removed.
@@ -20,47 +22,27 @@ import json
 
 from . import __version__, serre
 from .errors import InputValidationError
-from .linalg import PrimeField, QQ
 from .quiver import SinkSupportTheory
 from .zmodules import FixtureTheory, PPrimaryTheory
 
 
 # ---------------------------------------------------------------------------
-# engines and theories
+# theories
 
-
-def field_from_name(name):
-    if isinstance(name, int):
-        return PrimeField(name)
-    low = str(name).lower()
-    if low in ("q", "qq", "rational", "rationals"):
-        return QQ
-    if low.startswith("f"):
-        low = low[1:]
-    try:
-        p = int(low)
-    except ValueError as exc:
-        raise InputValidationError(f"unknown field name: {name}") from exc
-    return PrimeField(p)
+# every theory by its descriptor kind, in --engine order; each class decodes
+# its own descriptor (from_descriptor) and names the one flag it reads
+THEORIES = {cls.kind: cls for cls in (PPrimaryTheory, SinkSupportTheory, FixtureTheory)}
 
 
 def theory_from_descriptor(desc: dict):
     if not isinstance(desc, dict) or "kind" not in desc:
         raise InputValidationError("engine descriptor must be an object with a 'kind'")
     kind = desc["kind"]
-    if kind == "finite_abelian":
-        p = desc.get("p")
-        if not isinstance(p, int):
-            raise InputValidationError("finite_abelian engine needs an integer 'p'")
-        return PPrimaryTheory(p)
-    if kind == "fixture":
-        p = desc.get("p")
-        if not isinstance(p, int):
-            raise InputValidationError("fixture engine needs an integer 'p' (0 = torsion)")
-        return FixtureTheory(p)
-    if kind == "a2_rep":
-        return SinkSupportTheory(field_from_name(desc.get("field", "f101")))
-    raise InputValidationError(f"unknown engine kind: {kind}")
+    # an unhashable kind is unknown too, not a TypeError
+    cls = THEORIES.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise InputValidationError(f"unknown engine kind: {kind}")
+    return cls.from_descriptor(desc)
 
 
 # ---------------------------------------------------------------------------
@@ -128,15 +110,6 @@ def replay_witness(doc: dict) -> dict:
 # session input documents
 
 
-class SessionInput:
-    """Validated engine + named objects + named morphisms."""
-
-    def __init__(self, theory, objects, morphisms):
-        self.theory = theory
-        self.objects = objects
-        self.morphisms = morphisms
-
-
 def input_theory(doc: dict, theory=None):
     """The theory of an input document: its engine, which must agree with
     `theory` (from the flags) when both are given."""
@@ -154,7 +127,9 @@ def input_theory(doc: dict, theory=None):
     return theory
 
 
-def load_session_input(doc: dict, theory=None) -> SessionInput:
+def load_session_input(doc: dict, theory=None):
+    """(theory, {name: object}) of an input document.  Its morphisms are
+    decoded and checked against the objects, but no command reads them."""
     theory = input_theory(doc, theory)
     for key in ("objects", "morphisms"):
         if not isinstance(doc.get(key) or {}, dict):
@@ -162,7 +137,6 @@ def load_session_input(doc: dict, theory=None) -> SessionInput:
     objects = {}
     for name, payload in (doc.get("objects") or {}).items():
         objects[name] = theory.engine.obj_from_payload(payload, f"objects.{name}")
-    morphisms = {}
     for name, payload in (doc.get("morphisms") or {}).items():
         if not isinstance(payload, dict):
             raise InputValidationError(f"morphisms.{name}: payload must be an object")
@@ -171,9 +145,9 @@ def load_session_input(doc: dict, theory=None) -> SessionInput:
             if not isinstance(ref, str) or ref not in objects:
                 raise InputValidationError(
                     f"morphisms.{name}: src/dst must name declared objects")
-        morphisms[name] = theory.engine.mor_between(
+        theory.engine.mor_between(
             objects[src_name], objects[dst_name], payload, f"morphisms.{name}")
-    return SessionInput(theory, objects, morphisms)
+    return theory, objects
 
 
 def load_json_file(path: str):

@@ -19,7 +19,9 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, prod
 
-from .category import MAX_INPUT_SIZE, AbelianEngine, Mor, ZGroup, ZHomGroup, entry_from_json
+from .category import (
+    MAX_INPUT_SIZE, AbelianEngine, Mor, TorsionTheory, ZGroup, ZHomGroup, entry_from_json,
+)
 from .errors import (
     ContractViolation, EngineMismatch, InputValidationError, NotSaturatedError,
     OracleUnsupported,
@@ -304,7 +306,7 @@ def _p_free_part(d: int, p: int) -> int:
     return d
 
 
-class ZTorsionTheory:
+class ZTorsionTheory(TorsionTheory):
     """C = finite p-groups inside a Z-module engine; p = 0 selects the full
     torsion class.
 
@@ -315,6 +317,7 @@ class ZTorsionTheory:
     EngineMismatch on an infinite object.
     """
 
+    flag = ("p", 2)
     zero_p_allowed = False
 
     def __init__(self, p: int):
@@ -322,10 +325,15 @@ class ZTorsionTheory:
             zero = " or 0 for the full torsion class" if self.zero_p_allowed else ""
             raise InputValidationError(f"p must be a prime{zero}, got {p}")
         self.p = p
-        self.engine = self.engine_class()
-        # object -> (W(M), eta_M); it lives as long as the theory, which
-        # each command builds afresh
-        self._reflections = {}
+        super().__init__(self.engine_class())
+
+    @classmethod
+    def from_descriptor(cls, desc: dict):
+        p = desc.get("p")
+        if not isinstance(p, int) or isinstance(p, bool):
+            zero = " (0 = torsion)" if cls.zero_p_allowed else ""
+            raise InputValidationError(f"{cls.kind} engine needs an integer 'p'{zero}")
+        return cls(p)
 
     def describe(self):
         return {"kind": self.kind, "p": self.p}
@@ -354,17 +362,13 @@ class ZTorsionTheory:
         emb_nf = Mor(sub, nf, (Mat(len(orders), nf.gens, tuple(gen_rows)),))
         return self.engine.compose(emb_nf, from_nf)
 
-    def saturate(self, m: ZObj):
-        """(W(M), eta_M): M / H_C(M) in normal form with the projection as
-        unit; ker eta = H_C(M) and coker eta = 0.  For the fixture this is
-        the naive candidate, whose image is not saturated in general.
-        Computed once per object; a call that raises stores nothing."""
-        hit = self._reflections.get(m)
-        if hit is None:
-            proj = self.engine.cokernel_proj(self.h_c(m))
-            nf, to_nf, _ = self.engine.normal_form(proj.dst)
-            hit = self._reflections[m] = nf, self.engine.compose(proj, to_nf)
-        return hit
+    def _reflect(self, m: ZObj):
+        """M / H_C(M) in normal form with the projection as unit; ker eta =
+        H_C(M) and coker eta = 0.  For the fixture this is the naive
+        candidate, whose image is not saturated in general."""
+        proj = self.engine.cokernel_proj(self.h_c(m))
+        nf, to_nf, _ = self.engine.normal_form(proj.dst)
+        return nf, self.engine.compose(proj, to_nf)
 
     def is_saturated(self, m: ZObj) -> bool:
         # gcd(order, 0) = order, so for p = 0 only the zero object is saturated
@@ -391,14 +395,6 @@ class ZTorsionTheory:
         # multiplication by p is a natural automorphism of prime-to-p groups
         return self.engine.scale(eta, self.p or 2)
 
-    def random_object(self, rng, size_bound=None, max_order=None):
-        return self.engine.random_object(
-            rng, self.size_bound if size_bound is None else size_bound, max_order)
-
-    def random_ses(self, rng, size_bound=None):
-        return self.engine.random_ses(
-            rng, self.size_bound if size_bound is None else size_bound)
-
 
 class PPrimaryTheory(ZTorsionTheory):
     """C = finite abelian p-groups inside finite abelian groups.
@@ -413,8 +409,8 @@ class PPrimaryTheory(ZTorsionTheory):
     size_bound = 3
     engine_class = FiniteAbelianEngine
     # each theory binds saturate in its own body, so that perfbench/tracing.py,
-    # which wraps methods class by class, traces the two theories apart
-    saturate = ZTorsionTheory.saturate
+    # which wraps methods class by class, traces the theories apart
+    saturate = TorsionTheory.saturate
 
     def probe_objects(self):
         e = self.engine
@@ -442,7 +438,7 @@ class FixtureTheory(ZTorsionTheory):
     size_bound = 2
     engine_class = ZModuleEngine
     zero_p_allowed = True
-    saturate = ZTorsionTheory.saturate
+    saturate = TorsionTheory.saturate
 
     def probe_objects(self):
         e = self.engine

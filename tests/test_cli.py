@@ -517,6 +517,29 @@ class TestParameterValidation:
                "objects": {"M": {"relations": [[8]], "gens": 1}}}
         assert main(["saturate", "--input", _write(tmp_path, doc)]) == 2
 
+    # a JSON boolean is an int to Python, so p = false must not pass as p = 0
+    BAD_DESCRIPTORS = {
+        "not-an-object": ["finite_abelian"],
+        "no-kind": {"p": 2},
+        "list-kind": {"kind": []},
+        "dict-kind": {"kind": {}},
+        "unknown-kind": {"kind": "nope"},
+        "false-p": {"kind": "fixture", "p": False},
+        "true-p": {"kind": "finite_abelian", "p": True},
+        "string-p": {"kind": "finite_abelian", "p": "2"},
+        "float-p": {"kind": "fixture", "p": 2.0},
+        "missing-p": {"kind": "finite_abelian"},
+        "list-field": {"kind": "a2_rep", "field": ["q"]},
+    }
+
+    @pytest.mark.parametrize("desc", BAD_DESCRIPTORS.values(), ids=BAD_DESCRIPTORS)
+    def test_bad_descriptor_exits_2(self, desc, tmp_path, capsys):
+        with pytest.raises(session.InputValidationError):
+            session.theory_from_descriptor(desc)
+        doc = {"engine": desc, "objects": {}}
+        assert main(["saturate", "--input", _write(tmp_path, doc)]) == 2
+        assert "error:" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flags, message", [
         (["--engine", "a2_rep", "--p", "3"], "--p"),
         (["--engine", "finite_abelian", "--field", "q"], "--field"),

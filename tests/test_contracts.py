@@ -137,6 +137,48 @@ def test_no_hom_carrier_kind():
     assert reads == []
 
 
+def _attribute_stores(tree, attr, scope=()):
+    """Enclosing Class.function path of each assignment to some `x.attr`."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _attribute_stores(node, attr, scope + (node.name,))
+            continue
+        if (isinstance(node, ast.Attribute) and node.attr == attr
+                and isinstance(node.ctx, ast.Store)):
+            yield ".".join(scope)
+        yield from _attribute_stores(node, attr, scope)
+
+
+def test_one_theory_contract():
+    """session.THEORIES is the one list of theories, so cli.py and
+    session.py name no kind; the reflection memo and the samplers are
+    written once, in category.TorsionTheory."""
+    from serreq.quiver import SinkSupportTheory
+    from serreq.session import THEORIES
+    from serreq.zmodules import FixtureTheory, PPrimaryTheory
+
+    kinds = {"finite_abelian", "a2_rep", "fixture"}
+    assert THEORIES == {"finite_abelian": PPrimaryTheory, "a2_rep": SinkSupportTheory,
+                        "fixture": FixtureTheory}
+    named = [(name, node.lineno) for name in ("cli.py", "session.py")
+             for node in ast.walk(_tree(name))
+             if isinstance(node, ast.Constant) and node.value in kinds]
+    assert named == []
+    assert [(path.name, where) for path in SOURCES
+            for where in _attribute_stores(ast.parse(path.read_text(encoding="utf-8")),
+                                           "_reflections")] \
+        == [("category.py", "TorsionTheory.__init__")]
+    assert [(path.name, where) for path in SOURCES
+            for where, _ in _written(ast.parse(path.read_text(encoding="utf-8")),
+                                     {"_reflections"})] \
+        == [("category.py", "TorsionTheory.saturate")]
+    functions = {node.name: {n.name for n in node.body if isinstance(n, ast.FunctionDef)}
+                 for name in ("zmodules.py", "quiver.py") for node in ast.walk(_tree(name))
+                 if isinstance(node, ast.ClassDef)}
+    for name in ("ZTorsionTheory", "PPrimaryTheory", "FixtureTheory", "SinkSupportTheory"):
+        assert functions[name] & {"saturate", "random_object", "random_ses"} == set(), name
+
+
 _CONTAINERS = (ast.Dict, ast.Set, ast.DictComp, ast.SetComp)
 _CONTAINER_CALLS = {"dict", "set", "defaultdict", "OrderedDict",
                     "WeakKeyDictionary", "WeakValueDictionary"}
