@@ -21,7 +21,7 @@ from .errors import (
     CompositeNotZero, ContractViolation, EndpointMismatch, InputValidationError,
     NotInvertible, ShapeError,
 )
-from .linalg import MAX_INPUT_SIZE, Mat, int_solve, presentation_enumerate, unflatten
+from .linalg import MAX_INPUT_SIZE, Mat, _solve, presentation_enumerate, unflatten
 
 
 def rng_for(seed, *tags) -> random.Random:
@@ -92,8 +92,10 @@ class AbelianEngine:
     A morphism of every engine is a Mor with one matrix per vertex of the
     engine's quiver.  A concrete engine supplies the hooks dims (the
     vertex dimensions of an object, rejecting one the engine cannot
-    take), ring (whose reduce_mat normalises entries) and map_keys (the
-    payload key of each vertex matrix); what differs between
+    take), ring (whose reduce_mat normalises entries and whose mul, add,
+    sub and scale are the matrix arithmetic), map_keys (the payload key
+    of each vertex matrix) and _eliminate (the echelon (H, E, pivots),
+    E*A = H, of one matrix over the ring); what differs between
     engines (eq_mor, is_well_defined, is_zero_obj, kernel_emb,
     cokernel_proj, hom_group, ext1_group, random_object); the solvers
     _lift_candidate and _colift_candidate (a morphism solving the lift or
@@ -105,12 +107,51 @@ class AbelianEngine:
     hom_group; and invertibility, whose one procedure, inverse, colifts
     the identity along f; is_iso and invert are read from it.
 
+    The matrix kernels rref, rank, kernel, solve and inv read one
+    memo, `_echelons`, from an input matrix to its echelon.  It lives on
+    the engine, which each command builds afresh, so a command
+    eliminates each matrix once.
+
     Each engine also owns its object format: decode_entry (one matrix
     entry to an engine scalar), obj_to_payload / obj_from_payload and
     describe_invariants (the summary a report prints for an object).
     The morphism codec is written here on top of them.  Decoders raise
     InputValidationError.
     """
+
+    def __init__(self):
+        # input matrix -> its echelon; like the engine, it lives for one
+        # command
+        self._echelons = {}
+
+    # -- matrix kernels: one elimination per matrix and engine ----------------
+
+    def rref(self, A: Mat):
+        """The echelon of A over the ring, eliminated once per engine and
+        equal matrix."""
+        hit = self._echelons.get(A)
+        if hit is None:
+            hit = self._echelons[A] = self._eliminate(A)
+        return hit
+
+    def rank(self, A: Mat) -> int:
+        return len(self.rref(A)[2])
+
+    def kernel(self, A: Mat) -> Mat:
+        """Basis rows of the left kernel {x : x*A = 0}."""
+        _, E, pivots = self.rref(A)
+        rank = len(pivots)
+        return Mat(A.rows - rank, A.rows, E.data[rank:])
+
+    def solve(self, A: Mat, B: Mat):
+        """X with X*A = B, or None if the system is inconsistent."""
+        return _solve(self.ring, A, B, self.rref)
+
+    def inv(self, A: Mat):
+        """Two-sided inverse of a square matrix, or None."""
+        if A.rows != A.cols:
+            return None
+        return self.solve(A, Mat.identity(A.rows))
 
     # -- morphisms -------------------------------------------------------------
 
@@ -132,18 +173,18 @@ class AbelianEngine:
         """f followed by g."""
         if f.dst != g.src:
             raise EndpointMismatch("compose needs target(f) == source(g)")
-        return Mor(f.src, g.dst, tuple(map(self.ring.reduce_mat, map(Mat.mul, f.maps, g.maps))))
+        return Mor(f.src, g.dst, tuple(map(self.ring.mul, f.maps, g.maps)))
 
     def add(self, f: Mor, g: Mor) -> Mor:
         self._same_endpoints(f, g)
-        return Mor(f.src, f.dst, tuple(map(self.ring.reduce_mat, map(Mat.add, f.maps, g.maps))))
+        return Mor(f.src, f.dst, tuple(map(self.ring.add, f.maps, g.maps)))
 
     def sub(self, f: Mor, g: Mor) -> Mor:
         self._same_endpoints(f, g)
-        return Mor(f.src, f.dst, tuple(map(self.ring.reduce_mat, map(Mat.sub, f.maps, g.maps))))
+        return Mor(f.src, f.dst, tuple(map(self.ring.sub, f.maps, g.maps)))
 
     def scale(self, f: Mor, c) -> Mor:
-        return Mor(f.src, f.dst, tuple(self.ring.reduce_mat(a.scale(c)) for a in f.maps))
+        return Mor(f.src, f.dst, tuple(self.ring.scale(a, c) for a in f.maps))
 
     def _same_endpoints(self, f, g):
         if f.src != g.src or f.dst != g.dst:
@@ -452,7 +493,7 @@ class ZHomGroup(HomBasis, ZGroup):
     def _solve_coeffs(self, basis_rows, target):
         # the modulus rows span the payloads of the zero morphism
         modulus = self.engine._hom_modulus(self.src.gens, self.dst)
-        return int_solve(basis_rows.stack_below(modulus), target)
+        return self.engine.solve(basis_rows.stack_below(modulus), target)
 
     def is_bijection(self, src_group, images) -> bool:
         """An isomorphism test between the presented groups."""

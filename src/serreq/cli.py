@@ -36,8 +36,7 @@ def _engine_descriptor(args) -> dict | None:
         return None
     flag, default = session.THEORIES[args.engine].flag
     value = getattr(args, flag)
-    # an empty --field selects the default too
-    return {"kind": args.engine, flag: default if value in (None, "") else value}
+    return {"kind": args.engine, flag: default if value is None else value}
 
 
 def _resolve_theory(args, need_input=False):

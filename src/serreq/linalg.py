@@ -220,13 +220,14 @@ def _hermite(ring, h, e):
 
 def row_echelon(A: Mat):
     """Hermite row echelon form with transform: (H, E, pivots), E*A = H,
-    E unimodular; see _hermite for the shape of H."""
+    E unimodular; see _hermite for the shape of H.  All three are
+    immutable, so an engine may hand one result to many callers."""
     h = A.to_lists()
     e = Mat.identity(A.rows).to_lists()
     pivots = _hermite(ZZ, h, e)
     return (Mat(A.rows, A.cols, tuple(tuple(r) for r in h)),
             Mat(A.rows, A.rows, tuple(tuple(r) for r in e)),
-            pivots)
+            tuple(pivots))
 
 
 def smith(A: Mat):
@@ -273,13 +274,15 @@ def smith(A: Mat):
             Mat(n, n, tuple(zip(*vt))))
 
 
-def int_kernel(A: Mat) -> Mat:
+def int_kernel(A: Mat, echelon=None) -> Mat:
     """Basis of the left kernel lattice {x : x*A = 0} as matrix rows.
 
     The returned rows span a saturated sublattice of Z^rows(A); the row
-    count is rows(A) - rank(A).
+    count is rows(A) - rank(A).  Here and in the lattice helpers below,
+    `echelon` is called in place of row_echelon when given (an engine
+    passes its memo).
     """
-    _, E, pivots = row_echelon(A)
+    _, E, pivots = (echelon or row_echelon)(A)
     rank = len(pivots)
     return Mat(A.rows - rank, A.rows, E.data[rank:])
 
@@ -306,37 +309,37 @@ def _solve(ring, A: Mat, B: Mat, echelon):
         if any(v):
             return None
         out.append(tuple(y))
-    X = ring.reduce_mat(Mat(B.rows, A.rows, tuple(out)).mul(E))
-    if ring.reduce_mat(X.mul(A)).data != B.data:
+    X = ring.mul(Mat(B.rows, A.rows, tuple(out)), E)
+    if ring.mul(X, A).data != B.data:
         raise ContractViolation("solve found X with X*A != B")
     return X
 
 
-def int_solve(A: Mat, B: Mat):
+def int_solve(A: Mat, B: Mat, echelon=None):
     """A particular integer solution X of X*A = B, or None if there is none."""
-    return _solve(ZZ, A, B, row_echelon)
+    return _solve(ZZ, A, B, echelon or row_echelon)
 
 
-def row_basis(A: Mat) -> Mat:
+def row_basis(A: Mat, echelon=None) -> Mat:
     """A canonical basis of the row lattice of A (its Hermite form rows)."""
-    H, _, pivots = row_echelon(A)
+    H, _, pivots = (echelon or row_echelon)(A)
     return Mat(len(pivots), A.cols, H.data[:len(pivots)])
 
 
-def kernel_mod_rows(A: Mat, R: Mat) -> Mat:
+def kernel_mod_rows(A: Mat, R: Mat, echelon=None) -> Mat:
     """Basis for the lattice {x : x*A lies in the row span of R}."""
     if A.cols != R.cols:
         raise ShapeError("kernel_mod_rows needs matching column counts")
-    K = int_kernel(A.stack_below(R))
+    K = int_kernel(A.stack_below(R), echelon)
     proj = K.take_cols(range(A.rows))
-    return row_basis(proj)
+    return row_basis(proj, echelon)
 
 
-def solve_mod_rows(A: Mat, R: Mat, B: Mat):
+def solve_mod_rows(A: Mat, R: Mat, B: Mat, echelon=None):
     """X with X*A congruent to B modulo the row span of R, or None."""
     if A.cols != R.cols:
         raise ShapeError("solve_mod_rows needs matching column counts")
-    sol = int_solve(A.stack_below(R), B)
+    sol = int_solve(A.stack_below(R), B, echelon)
     if sol is None:
         return None
     return sol.take_cols(range(A.rows))
@@ -359,7 +362,11 @@ def presentation_normal_form(rel: Mat):
     g = rel.cols
     diag = [S.data[i][i] if i < rel.rows else 0 for i in range(g)]
     keep = [j for j in range(g) if diag[j] != 1]
-    V_inv = int_solve(V, Mat.identity(g))
+    # V is unimodular, so its Hermite form is the identity and the
+    # transform of that form is V^-1
+    V_inv = row_echelon(V)[1]
+    if V_inv.mul(V).data != Mat.identity(g).data:
+        raise ContractViolation("the Smith transform V is not unimodular")
     to_nf = V.take_cols(keep)
     from_nf = Mat(len(keep), g, tuple(V_inv.data[j] for j in keep))
     divisors = tuple(diag[j] for j in keep if diag[j] != 0)
@@ -437,7 +444,23 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class PrimeField:
+class _Field:
+    """Matrix arithmetic over a field: each result is reduced into it."""
+
+    def mul(self, A: Mat, B: Mat) -> Mat:
+        return self.reduce_mat(A.mul(B))
+
+    def add(self, A: Mat, B: Mat) -> Mat:
+        return self.reduce_mat(A.add(B))
+
+    def sub(self, A: Mat, B: Mat) -> Mat:
+        return self.reduce_mat(A.sub(B))
+
+    def scale(self, A: Mat, c) -> Mat:
+        return self.reduce_mat(A.scale(c))
+
+
+class PrimeField(_Field):
     """The field F_p for a prime p; elements are residues in [0, p)."""
 
     def __init__(self, p):
@@ -483,7 +506,7 @@ class PrimeField:
         return f"PrimeField({self.p})"
 
 
-class RationalField:
+class RationalField(_Field):
     """The field Q; elements are fractions.Fraction values."""
 
     p = 0
@@ -518,10 +541,15 @@ class RationalField:
 
 
 class IntegerRing:
-    """The ring Z: floor division with remainder; a pivot is made positive."""
+    """The ring Z: floor division with remainder; a pivot is made positive.
+    Integer matrices need no reduction, so the matrix arithmetic is Mat's."""
 
     p = 0
     divmod = staticmethod(divmod)
+    mul = staticmethod(Mat.mul)
+    add = staticmethod(Mat.add)
+    sub = staticmethod(Mat.sub)
+    scale = staticmethod(Mat.scale)
 
     def unit(self, a):
         return -1 if a < 0 else 1
@@ -532,10 +560,6 @@ class IntegerRing:
 
 ZZ = IntegerRing()
 QQ = RationalField()
-
-
-def f_mul(field, A: Mat, B: Mat) -> Mat:
-    return field.reduce_mat(A.mul(B))
 
 
 def f_rref(field, A: Mat):

@@ -24,7 +24,7 @@ from .category import (
 from .errors import (
     ContractViolation, EngineMismatch, InputValidationError, NotSaturatedError, ShapeError,
 )
-from .linalg import QQ, Mat, PrimeField, _solve, f_mul, f_rref, kron
+from .linalg import QQ, Mat, PrimeField, f_rref, kron
 
 
 @dataclass(frozen=True)
@@ -46,10 +46,8 @@ class A2Engine(AbelianEngine):
     map_keys = ("f1", "f2")
 
     def __init__(self, field):
+        super().__init__()
         self.field = self.ring = field
-        # input matrix -> its f_rref echelon; like the engine, it lives for
-        # one command
-        self._echelons = {}
 
     # -- constructors ----------------------------------------------------------
 
@@ -75,39 +73,14 @@ class A2Engine(AbelianEngine):
             raise EngineMismatch(f"object over {m.field.name} used in a {self.field.name} engine")
         return (m.d1, m.d2)
 
-    # -- field kernels: one elimination per matrix and engine ----------------
-
-    def rref(self, A: Mat):
-        """f_rref(field, A), eliminated once per engine and equal matrix."""
-        hit = self._echelons.get(A)
-        if hit is None:
-            hit = self._echelons[A] = f_rref(self.field, A)
-        return hit
-
-    def rank(self, A: Mat) -> int:
-        return len(self.rref(A)[2])
-
-    def kernel(self, A: Mat) -> Mat:
-        """Basis rows of the left null space {x : x*A = 0}."""
-        _, E, pivots = self.rref(A)
-        rank = len(pivots)
-        return Mat(A.rows - rank, A.rows, E.data[rank:])
-
-    def solve(self, A: Mat, B: Mat):
-        """X with X*A = B, or None if the system is inconsistent."""
-        return _solve(self.field, A, B, self.rref)
-
-    def inv(self, A: Mat):
-        """Two-sided inverse of a square matrix, or None."""
-        if A.rows != A.cols:
-            return None
-        return self.solve(A, Mat.identity(A.rows))
+    def _eliminate(self, A: Mat):
+        return f_rref(self.field, A)
 
     # -- decidable structure --------------------------------------------------------
 
     def is_well_defined(self, f: Mor) -> bool:
         f1, f2 = f.maps
-        return f_mul(self.field, f1, f.dst.alpha).data == f_mul(self.field, f.src.alpha, f2).data
+        return self.field.mul(f1, f.dst.alpha).data == self.field.mul(f.src.alpha, f2).data
 
     def eq_mor(self, f: Mor, g: Mor) -> bool:
         self._same_endpoints(f, g)
@@ -124,7 +97,7 @@ class A2Engine(AbelianEngine):
     def kernel_emb(self, f: Mor) -> Mor:
         k1, k2 = (self.kernel(a) for a in f.maps)
         # alpha restricts: rows of k1*alpha lie in ker f2
-        restr = self.solve(k2, f_mul(self.field, k1, f.src.alpha))
+        restr = self.solve(k2, self.field.mul(k1, f.src.alpha))
         if restr is None:
             raise ContractViolation("alpha does not restrict to the kernel")
         ker = self.obj(k1.rows, k2.rows, restr)
@@ -132,7 +105,7 @@ class A2Engine(AbelianEngine):
 
     def cokernel_proj(self, f: Mor) -> Mor:
         p1, p2 = (self.kernel(a.transpose()).transpose() for a in f.maps)
-        rhs = f_mul(self.field, f.dst.alpha, p2)
+        rhs = self.field.mul(f.dst.alpha, p2)
         sol = self.solve(p1.transpose(), rhs.transpose())
         if sol is None:
             raise ContractViolation("alpha does not descend to the cokernel")
@@ -252,7 +225,9 @@ class SinkSupportTheory(TorsionTheory):
 
     @classmethod
     def from_descriptor(cls, desc: dict):
-        return cls(field_from_name(desc.get(*cls.flag)))
+        """An absent or empty field name selects the default field."""
+        name = desc.get("field", "")
+        return cls(field_from_name(cls.flag[1] if name == "" else name))
 
     def describe(self):
         return {"kind": self.kind, "field": self.field.name}
@@ -278,7 +253,7 @@ class SinkSupportTheory(TorsionTheory):
             raise NotSaturatedError("extension target must be saturated")
         w, _ = self.saturate(phi.src)
         f2 = phi.maps[1]
-        return self.engine.mor(w, phi.dst, f_mul(self.field, f2, inv), f2)
+        return self.engine.mor(w, phi.dst, self.field.mul(f2, inv), f2)
 
     def c_cogenerators(self):
         """The simple source and its double."""

@@ -27,8 +27,8 @@ from .errors import (
     OracleUnsupported,
 )
 from .linalg import (
-    ZZ, Mat, int_kernel, int_solve, is_prime, kernel_mod_rows, kron,
-    presentation_normal_form, row_basis, solve_mod_rows,
+    ZZ, Mat, is_prime, kernel_mod_rows, kron, presentation_normal_form, row_basis, row_echelon,
+    solve_mod_rows,
 )
 
 
@@ -47,20 +47,9 @@ class ZObj:
         """presentation_normal_form(relations), computed on first use:
         every invariant of the object is read from this one Smith form.
         The cache lives outside the dataclass fields, so equality and
-        hashing still compare relations only."""
+        hashing still compare relations only; an engine keeps one object
+        per relation matrix, so a command computes it once."""
         return presentation_normal_form(self.relations)
-
-    @classmethod
-    def in_normal_form(cls, divisors, free_rank=0) -> "ZObj":
-        """Diagonal relations `divisors` (each > 1 and dividing the next)
-        followed by free_rank free generators.  Such an object is its own
-        normal form with identity transforms, so that is recorded with it
-        instead of being computed again."""
-        k = len(divisors) + free_rank
-        m = cls(diag_rows(divisors, k))
-        m.__dict__["normal_form_data"] = (tuple(divisors), free_rank,
-                                          Mat.identity(k), Mat.identity(k))
-        return m
 
     @property
     def divisors(self) -> tuple:
@@ -93,38 +82,61 @@ class ZModuleEngine(AbelianEngine):
     # a morphism is one generator-image matrix (gens(src) x gens(dst))
     map_keys = ("matrix",)
 
+    def __init__(self):
+        super().__init__()
+        # relation matrix -> the engine's one object presented by it, so
+        # that a command computes each Smith form once
+        self._objects = {}
+
     # -- constructors ----------------------------------------------------------
 
     def obj(self, relations: Mat) -> ZObj:
-        return ZObj(relations)
+        hit = self._objects.get(relations)
+        if hit is None:
+            hit = self._objects[relations] = ZObj(relations)
+        return hit
 
     def obj_from_divisors(self, divisors, free_rank=0) -> ZObj:
         divisors = [d for d in divisors]
         cols = len(divisors) + free_rank
-        return ZObj(diag_rows(divisors, cols))
+        return self.obj(diag_rows(divisors, cols))
+
+    def obj_in_normal_form(self, divisors, free_rank=0) -> ZObj:
+        """Diagonal relations `divisors` (each > 1 and dividing the next)
+        followed by free_rank free generators.  Such an object is its own
+        normal form with identity transforms, so that is recorded with it
+        instead of being computed again."""
+        k = len(divisors) + free_rank
+        m = self.obj(diag_rows(divisors, k))
+        m.__dict__.setdefault("normal_form_data", (tuple(divisors), free_rank,
+                                                   Mat.identity(k), Mat.identity(k)))
+        return m
 
     def zero_object(self) -> ZObj:
-        return ZObj(Mat.zeros(0, 0))
+        return self.obj(Mat.zeros(0, 0))
 
     def free(self, n) -> ZObj:
-        return ZObj(Mat.zeros(0, n))
+        return self.obj(Mat.zeros(0, n))
 
     def cyclic(self, n) -> ZObj:
-        return ZObj(Mat.from_rows([[n]], 1))
+        return self.obj(Mat.from_rows([[n]], 1))
 
     def dims(self, m: ZObj):
         return (m.gens,)
+
+    def _eliminate(self, A: Mat):
+        return row_echelon(A)
 
     # -- decidable structure ------------------------------------------------------
 
     def is_well_defined(self, f: Mor) -> bool:
         """Whether the payload maps source relations into target relations."""
         mapped = f.src.relations.mul(f.maps[0])
-        return int_solve(f.dst.relations, mapped) is not None
+        return self.solve(f.dst.relations, mapped) is not None
 
     def eq_mor(self, f: Mor, g: Mor) -> bool:
         self._same_endpoints(f, g)
-        return int_solve(f.dst.relations, f.maps[0].sub(g.maps[0])) is not None
+        return self.solve(f.dst.relations, f.maps[0].sub(g.maps[0])) is not None
 
     def is_zero_obj(self, m: ZObj) -> bool:
         return m.rank == 0 and not m.divisors
@@ -138,20 +150,21 @@ class ZModuleEngine(AbelianEngine):
     # -- kernels, cokernels, lifts ---------------------------------------------
 
     def kernel_emb(self, f: Mor) -> Mor:
-        lat = kernel_mod_rows(f.maps[0], f.dst.relations)
-        rel = kernel_mod_rows(lat, f.src.relations)
-        return Mor(ZObj(rel), f.src, (lat,))
+        lat = kernel_mod_rows(f.maps[0], f.dst.relations, self.rref)
+        rel = kernel_mod_rows(lat, f.src.relations, self.rref)
+        return Mor(self.obj(rel), f.src, (lat,))
 
     def cokernel_proj(self, f: Mor) -> Mor:
-        coker = ZObj(f.dst.relations.stack_below(f.maps[0]))
+        coker = self.obj(f.dst.relations.stack_below(f.maps[0]))
         return Mor(f.dst, coker, (Mat.identity(f.dst.gens),))
 
     def _lift_candidate(self, f: Mor, mono: Mor):
-        sol = solve_mod_rows(mono.maps[0], mono.dst.relations, f.maps[0])
+        sol = solve_mod_rows(mono.maps[0], mono.dst.relations, f.maps[0], self.rref)
         return None if sol is None else Mor(f.src, mono.src, (sol,))
 
     def _colift_candidate(self, f: Mor, epi: Mor):
-        section = solve_mod_rows(epi.maps[0], epi.dst.relations, Mat.identity(epi.dst.gens))
+        section = solve_mod_rows(epi.maps[0], epi.dst.relations, Mat.identity(epi.dst.gens),
+                                 self.rref)
         return None if section is None else Mor(epi.dst, f.dst, (section.mul(f.maps[0]),))
 
     # -- Hom and Ext --------------------------------------------------------------
@@ -166,12 +179,12 @@ class ZModuleEngine(AbelianEngine):
         g, h = m.gens, n.gens
         cmat = kron(m.relations.transpose(), Mat.identity(h)).stack_below(
             kron(Mat.identity(m.relations.rows).scale(-1), n.relations))
-        sols = int_kernel(cmat).take_cols(range(g * h))
-        lat = row_basis(sols)
+        sols = self.kernel(cmat).take_cols(range(g * h))
+        lat = row_basis(sols, self.rref)
         modulus = self._hom_modulus(g, n)
-        rel = kernel_mod_rows(lat, modulus) if lat.rows else Mat.zeros(0, 0)
+        rel = kernel_mod_rows(lat, modulus, self.rref) if lat.rows else Mat.zeros(0, 0)
         basis = [self._mor_from_vector(m, n, row) for row in lat.data]
-        return ZHomGroup(self, m, n, basis, ZObj(rel))
+        return ZHomGroup(self, m, n, basis, self.obj(rel))
 
     def ext1_group(self, m: ZObj, n: ZObj) -> ZGroup:
         """Ext1(M, N) from the length-one free resolution of M.
@@ -180,10 +193,10 @@ class ZModuleEngine(AbelianEngine):
         0 -> Z^q -B-> Z^g -> M -> 0 and Ext1 is the cokernel of
         Hom(Z^g, N) -> Hom(Z^q, N).
         """
-        b = row_basis(m.relations)
+        b = row_basis(m.relations, self.rref)
         # the images B*F in Hom(Z^q, N) of the payloads F of maps Z^g -> N
         images = kron(b.transpose(), Mat.identity(n.gens))
-        return ZGroup(ZObj(self._hom_modulus(b.rows, n).stack_below(images)))
+        return ZGroup(self.obj(self._hom_modulus(b.rows, n).stack_below(images)))
 
     # -- normal forms ---------------------------------------------------------------
 
@@ -192,7 +205,7 @@ class ZModuleEngine(AbelianEngine):
         order with unit factors dropped; to_nf and from_nf are mutually
         inverse isomorphisms."""
         divisors, free_rank, to_nf, from_nf = m.normal_form_data
-        nf = ZObj.in_normal_form(divisors, free_rank)
+        nf = self.obj_in_normal_form(divisors, free_rank)
         return nf, Mor(m, nf, (to_nf,)), Mor(nf, m, (from_nf,))
 
     # -- randomness -------------------------------------------------------------------
@@ -224,7 +237,7 @@ class ZModuleEngine(AbelianEngine):
             extra_row = [sum(c * rel.data[s][t] for s, c in enumerate(coeffs))
                          for t in range(g)]
             rel = rel.stack_below(Mat.from_rows([extra_row], g))
-        return ZObj(rel)
+        return self.obj(rel)
 
     def _random_divisors(self, rng, size_bound, max_order):
         """Up to size_bound random divisors with product at most max_order
@@ -358,7 +371,7 @@ class ZTorsionTheory(TorsionTheory):
                 gen_rows.append(tuple(vec))
                 orders.append(d // cof)
         # the p-parts of a divisor chain form a divisor chain
-        sub = ZObj.in_normal_form(orders)
+        sub = self.engine.obj_in_normal_form(orders)
         emb_nf = Mor(sub, nf, (Mat(len(orders), nf.gens, tuple(gen_rows)),))
         return self.engine.compose(emb_nf, from_nf)
 
@@ -536,9 +549,9 @@ def finite_subobject_embeddings(engine: ZModuleEngine, m: ZObj, element_cap=256)
     out = []
     for mask in sorted(masks):
         rows = Mat.from_rows(masks[mask], nf.gens)
-        lattice = row_basis(rows.stack_below(nf.relations))
-        rel = kernel_mod_rows(lattice, nf.relations)
-        sub = ZObj(rel)
+        lattice = row_basis(rows.stack_below(nf.relations), engine.rref)
+        rel = kernel_mod_rows(lattice, nf.relations, engine.rref)
+        sub = engine.obj(rel)
         emb = engine.compose(Mor(sub, nf, (lattice,)), from_nf)
         if engine.order(sub) != mask.bit_count():
             raise ContractViolation("a subgroup presentation has the wrong order")

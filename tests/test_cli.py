@@ -570,6 +570,19 @@ class TestParameterValidation:
         assert time.perf_counter() - t0 < 10
         assert read_report(str(out))["command"]["engine"]["field"] == "F1000000000000000003"
 
+    def test_empty_field_selects_the_default_in_flags_and_files(self, tmp_path):
+        """--field "" and "field": "" in an input file name the same theory,
+        F101; the file used to exit 2 with "unknown field name"."""
+        outs = [tmp_path / "flag.json", tmp_path / "file.json"]
+        doc = {"engine": {"kind": "a2_rep", "field": ""}, "objects": {}}
+        sources = [["--engine", "a2_rep", "--field", ""], ["--input", _write(tmp_path, doc)]]
+        for source, out in zip(sources, outs):
+            assert main(["check", *source, "--suite", "ker-q", "--n", "2",
+                         "--out", str(out)]) == 0
+        flag, file = (session.strip_timings(read_report(str(o))) for o in outs)
+        assert flag["command"]["engine"] == {"kind": "a2_rep", "field": "F101"}
+        assert flag == file
+
     def test_negative_n_rejected(self, tmp_path, capsys):
         out = tmp_path / "rep.json"
         assert main(["check", "--engine", "finite_abelian", "--suite", "ker-q",

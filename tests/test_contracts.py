@@ -96,7 +96,10 @@ def test_engines_define_only_what_differs():
     shared = {"lift_along_mono", "colift_along_epi", "random_morphism", "_same_endpoints",
               # the morphism record: construction, arithmetic and codecs
               "mor", "identity", "zero_morphism", "compose", "add", "sub", "scale",
-              "_hom_vector", "_mor_from_vector", "mor_to_payload", "mor_between"}
+              "_hom_vector", "_mor_from_vector", "mor_to_payload", "mor_between",
+              # the matrix kernels around the echelon memo (ZObj.rank is
+              # the free rank of an object, so rank is not listed)
+              "rref", "kernel", "solve", "inv"}
     found = [(name, node.name) for name in ("zmodules.py", "quiver.py")
              for node in ast.walk(_tree(name))
              if isinstance(node, ast.FunctionDef) and node.name in shared]
@@ -257,6 +260,23 @@ def test_echelon_memo_lives_on_the_engine():
     assert isinstance(first.engine._echelons, dict)
     assert first.engine._echelons is not second.engine._echelons
     assert not hasattr(QQ, "_echelons")
+
+
+def test_z_memos_live_on_the_engine():
+    """ZZ is a module singleton too, so the integer engines keep their
+    echelon memo and their one object per relation matrix on each engine
+    a command builds."""
+    from serreq.linalg import ZZ
+    from serreq.session import theory_from_descriptor
+    from serreq.zmodules import ZModuleEngine
+
+    for kind in ("finite_abelian", "fixture"):
+        first, second = (theory_from_descriptor({"kind": kind, "p": 2}) for _ in range(2))
+        assert first.engine.ring is ZZ and second.engine.ring is ZZ
+        for memo in ("_echelons", "_objects"):
+            assert isinstance(getattr(first.engine, memo), dict)
+            assert getattr(first.engine, memo) is not getattr(second.engine, memo)
+            assert not hasattr(ZZ, memo) and not hasattr(ZModuleEngine, memo)
 
 
 def test_identity_table_is_bounded():

@@ -23,6 +23,19 @@ Z = ZModuleEngine()
 TH = PPrimaryTheory(2)
 
 
+def _counting(monkeypatch, module, name):
+    """The arguments of every call of module.name, counted from now on."""
+    calls = []
+    kernel = getattr(module, name)
+
+    def counting(A):
+        calls.append(A)
+        return kernel(A)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 class TestNormalForm:
     def test_scrambled_presentations_normalize(self):
         for i in range(30):
@@ -44,20 +57,20 @@ class TestNormalForm:
 
 class TestOneSmithFormPerObject:
     def test_counted_smith_calls(self, monkeypatch):
-        calls = []
-        smith = linalg.smith
-
-        def counting(A):
-            calls.append(A)
-            return smith(A)
-
-        monkeypatch.setattr(linalg, "smith", counting)
-        TH.h_c(FA.obj_from_divisors([4, 6, 9]))
+        calls = _counting(monkeypatch, linalg, "smith")
+        th = PPrimaryTheory(2)
+        th.h_c(th.engine.obj_from_divisors([4, 6, 9]))
         assert len(calls) == 1
         calls.clear()
-        # h_c of M, then the normal form of its cokernel; a fresh theory,
-        # since TH may hold this reflection from an earlier test
-        PPrimaryTheory(2).saturate(FA.obj_from_divisors([4, 6, 9]))
+        # the engine's one object with these relations already carries its
+        # Smith form, so only the cokernel by H_C(M) needs one
+        th.saturate(th.engine.obj_from_divisors([4, 6, 9]))
+        assert len(calls) == 1
+        calls.clear()
+        # a fresh theory builds a fresh engine: h_c of M, then the normal
+        # form of its cokernel
+        fresh = PPrimaryTheory(2)
+        fresh.saturate(fresh.engine.obj_from_divisors([4, 6, 9]))
         assert len(calls) == 2
 
     def test_saturate_command_object(self, monkeypatch, tmp_path):
@@ -66,14 +79,7 @@ class TestOneSmithFormPerObject:
         import json
 
         from serreq.cli import main
-        calls = []
-        smith = linalg.smith
-
-        def counting(A):
-            calls.append(A)
-            return smith(A)
-
-        monkeypatch.setattr(linalg, "smith", counting)
+        calls = _counting(monkeypatch, linalg, "smith")
         doc = {"engine": {"kind": "finite_abelian", "p": 2},
                "objects": {"M": {"relations": [[4, 6], [2, 9]], "gens": 2}}}
         path = tmp_path / "in.json"
@@ -91,7 +97,8 @@ class TestOneSmithFormPerObject:
                 chain.append(d)
             chains.append((tuple(x for x in chain if x > 1), rng.randrange(0, 3)))
         for divisors, free_rank in chains:
-            m = ZObj.in_normal_form(divisors, free_rank)
+            # a fresh engine, so that the recorded form is the one read
+            m = ZModuleEngine().obj_in_normal_form(divisors, free_rank)
             assert m.normal_form_data == linalg.presentation_normal_form(m.relations)
             assert (m.divisors, m.rank) == (divisors, free_rank)
 
@@ -128,8 +135,8 @@ class TestHomConstraints:
         # hom_group takes the left kernel of C, where vec(F, Y)*C is
         # vec(R_M*F - Y*R_N); _hom_modulus(g, N) sends vec(Y) to vec(Y*R_N)
         seen = []
-        int_kernel = zmodules.int_kernel
-        monkeypatch.setattr(zmodules, "int_kernel", lambda C: seen.append(C) or int_kernel(C))
+        kernel = Z.kernel
+        monkeypatch.setattr(Z, "kernel", lambda C: seen.append(C) or kernel(C))
         rng = random.Random(1011)
 
         def rand(r, c):
@@ -236,19 +243,8 @@ class TestSaturate:
 class TestReflectionMemo:
     """saturate is computed once per object and theory instance."""
 
-    def _count_smith(self, monkeypatch):
-        calls = []
-        smith = linalg.smith
-
-        def counting(A):
-            calls.append(A)
-            return smith(A)
-
-        monkeypatch.setattr(linalg, "smith", counting)
-        return calls
-
     def test_equal_objects_share_one_reflection(self, monkeypatch):
-        calls = self._count_smith(monkeypatch)
+        calls = _counting(monkeypatch, linalg, "smith")
         th = PPrimaryTheory(2)
         rel = Mat.from_rows([[4, 6], [2, 9]])
         first = th.saturate(ZObj(rel))
@@ -257,7 +253,7 @@ class TestReflectionMemo:
         assert len(calls) == 2
 
     def test_a_fresh_theory_recomputes(self, monkeypatch):
-        calls = self._count_smith(monkeypatch)
+        calls = _counting(monkeypatch, linalg, "smith")
         m = ZObj(Mat.from_rows([[4, 6], [2, 9]]))
         PPrimaryTheory(2).saturate(m)
         calls.clear()
@@ -344,6 +340,106 @@ class TestDenseUnits:
         for _ in range(50):
             divisors = [rng.randint(1, 30) for _ in range(rng.randint(6, 8))]
             self.assert_reflection(_dense(rng, divisors, 12))
+
+
+class TestEchelonMemo:
+    """Each integer elimination and each Smith form runs once per matrix
+    and engine."""
+
+    def test_equal_matrices_share_one_elimination(self, monkeypatch):
+        calls = _counting(monkeypatch, zmodules, "row_echelon")
+        eng = FiniteAbelianEngine()
+        a, b = Mat.from_rows([[4, 6], [2, 9]]), Mat.from_rows([[4, 6], [2, 9]])
+        assert a is not b
+        eng.kernel(a)
+        eng.rank(b)
+        assert eng.solve(a, Mat.from_rows([[8, 12]])) == Mat.from_rows([[2, 0]])
+        assert eng.inv(b) is None
+        assert linalg.row_basis(b, eng.rref) == linalg.row_basis(a)
+        assert len(calls) == 1
+
+    def test_equal_relations_share_one_smith_form(self, monkeypatch):
+        calls = _counting(monkeypatch, linalg, "smith")
+        th = PPrimaryTheory(2)
+        eng = th.engine
+        payload = {"relations": [[4, 6], [2, 9]], "gens": 2}
+        m, n = eng.obj_from_payload(payload), eng.obj(Mat.from_rows([[4, 6], [2, 9]]))
+        assert m is n
+        eng.invariants(m)
+        eng.normal_form(n)
+        assert th.is_in_c(n) is False and th.is_saturated(m) is False
+        th.h_c(n)
+        assert len(calls) == 1
+        # the cokernel by H_C(M) is the one new matrix
+        th.saturate(eng.obj_from_payload(payload))
+        assert len(calls) == 2
+
+    def test_a_fresh_engine_recomputes(self, monkeypatch):
+        echelons = _counting(monkeypatch, zmodules, "row_echelon")
+        smiths = _counting(monkeypatch, linalg, "smith")
+        rel = Mat.from_rows([[4, 6], [2, 9]])
+        for _ in range(2):
+            eng = FiniteAbelianEngine()
+            eng.rank(rel)
+            eng.invariants(eng.obj(rel))
+        assert (len(echelons), len(smiths)) == (2, 2)
+
+    @pytest.mark.parametrize("engine", [FiniteAbelianEngine, ZModuleEngine],
+                             ids=["finite_abelian", "fpmod_z"])
+    def test_warm_engine_agrees_with_fresh(self, engine):
+        warm = engine()
+        cases = []
+        for i in range(200):
+            rng = rng_for(919, engine.name, i)
+            m = warm.random_object(rng, 3)
+            rel = m.relations
+            k = rng.randrange(1, 3)
+            B = Mat(k, rel.cols, tuple(tuple(rng.randint(-9, 9) for _ in range(rel.cols))
+                                       for _ in range(k)))
+            if rng.randrange(2):
+                # half the right-hand sides lie in the relation lattice
+                B = Mat(k, rel.rows, tuple(tuple(rng.randint(-3, 3) for _ in range(rel.rows))
+                                           for _ in range(k))).mul(rel)
+            cases.append((m, B))
+        for m, B in cases:
+            warm.solve(m.relations, B)
+            warm.kernel(m.relations)
+            warm.normal_form(m)
+        for m, B in cases:
+            rel = Mat(m.relations.rows, m.relations.cols, m.relations.data)
+            fresh = engine()
+            assert warm.obj(rel) is m
+            assert warm.solve(rel, B) == fresh.solve(rel, B) == linalg.int_solve(rel, B)
+            assert warm.kernel(rel) == fresh.kernel(rel) == linalg.int_kernel(rel)
+            assert (m.normal_form_data == fresh.obj(rel).normal_form_data
+                    == linalg.presentation_normal_form(rel))
+
+
+class TestSmithInverse:
+    """presentation_normal_form reads V^-1 off the Hermite form of V."""
+
+    def test_inverse_of_v_on_dense_presentations(self):
+        from sympy import Matrix
+
+        rng = random.Random(1414)
+        for _ in range(60):
+            divisors = [rng.randint(1, 30) for _ in range(rng.randint(1, 8))]
+            rel = _dense(rng, divisors, rng.randint(0, 12))
+            _, _, V = linalg.smith(rel)
+            H, V_inv, _ = linalg.row_echelon(V)
+            assert H == Mat.identity(rel.cols)
+            assert V_inv.mul(V) == V.mul(V_inv) == Mat.identity(rel.cols)
+            assert {Matrix(V.to_lists()).det(), Matrix(V_inv.to_lists()).det()} <= {1, -1}
+            _, _, to_nf, from_nf = linalg.presentation_normal_form(rel)
+            assert from_nf.mul(to_nf) == Mat.identity(to_nf.cols)
+
+    def test_a_transform_that_is_not_unimodular_is_refused(self, monkeypatch):
+        from serreq.errors import ContractViolation
+
+        smith = linalg.smith
+        monkeypatch.setattr(linalg, "smith", lambda A: (*smith(A)[:2], Mat.from_rows([[2]])))
+        with pytest.raises(ContractViolation):
+            linalg.presentation_normal_form(Mat.from_rows([[4]]))
 
 
 class TestIsSaturated:
@@ -462,7 +558,7 @@ class TestSubobjectEnumeration:
 
     def test_images_are_the_distinct_subgroups(self):
         for divisors in divisor_chains(24):
-            embs = finite_subobject_embeddings(FA, ZObj.in_normal_form(divisors))
+            embs = finite_subobject_embeddings(FA, FA.obj_in_normal_form(divisors))
             images = [generated(emb.maps[0].data, divisors) for emb in embs]
             assert len(set(map(frozenset, images))) == len(images), divisors
             for image, emb in zip(images, embs):
