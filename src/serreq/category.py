@@ -24,6 +24,10 @@ from .errors import (
 from .linalg import MAX_INPUT_SIZE, Mat, _solve, presentation_enumerate, unflatten
 
 
+# a memo's marker for "not computed yet", since None is a stored result
+_MISS = object()
+
+
 def rng_for(seed, *tags) -> random.Random:
     """Deterministic RNG derived from a seed and a tag path.
 
@@ -107,10 +111,14 @@ class AbelianEngine:
     hom_group; and invertibility, whose one procedure, inverse, colifts
     the identity along f; is_iso and invert are read from it.
 
-    The matrix kernels rref, rank, kernel, solve and inv read one
-    memo, `_echelons`, from an input matrix to its echelon.  It lives on
-    the engine, which each command builds afresh, so a command
-    eliminates each matrix once.
+    Three memos live on the engine, which each command builds afresh:
+    `_echelons` from an input matrix to its echelon (read by rref, rank,
+    kernel, solve and inv), `_solutions` from a system (A, B) to its
+    checked solution X or None (read by solve and inv), and `_inverses`
+    from a morphism to its checked two-sided inverse or None (read by
+    inverse, is_iso and invert).  So a command eliminates each matrix,
+    solves each system and inverts each morphism once; a call that
+    raises stores nothing.
 
     Each engine also owns its object format: decode_entry (one matrix
     entry to an engine scalar), obj_to_payload / obj_from_payload and
@@ -120,9 +128,11 @@ class AbelianEngine:
     """
 
     def __init__(self):
-        # input matrix -> its echelon; like the engine, it lives for one
-        # command
+        # the memos of the class docstring; like the engine, they live for
+        # one command
         self._echelons = {}
+        self._solutions = {}
+        self._inverses = {}
 
     # -- matrix kernels: one elimination per matrix and engine ----------------
 
@@ -144,8 +154,12 @@ class AbelianEngine:
         return Mat(A.rows - rank, A.rows, E.data[rank:])
 
     def solve(self, A: Mat, B: Mat):
-        """X with X*A = B, or None if the system is inconsistent."""
-        return _solve(self.ring, A, B, self.rref)
+        """X with X*A = B, or None if the system is inconsistent; solved
+        and checked once per engine and equal system."""
+        hit = self._solutions.get((A, B), _MISS)
+        if hit is _MISS:
+            hit = self._solutions[A, B] = _solve(self.ring, A, B, self.rref)
+        return hit
 
     def inv(self, A: Mat):
         """Two-sided inverse of a square matrix, or None."""
@@ -242,11 +256,15 @@ class AbelianEngine:
         """The two-sided inverse of f, or None when f is not an isomorphism.
 
         colift_along_epi returns only a g with f;g = id, so g;f = id is
-        the one check left."""
-        inv = self.colift_along_epi(self.identity(f.src), f)
-        if inv is None or not self.eq_mor(self.compose(inv, f), self.identity(f.dst)):
-            return None
-        return inv
+        the one check left.  Computed once per engine and equal morphism."""
+        hit = self._inverses.get(f, _MISS)
+        if hit is _MISS:
+            inv = self.colift_along_epi(self.identity(f.src), f)
+            if inv is not None and not self.eq_mor(self.compose(inv, f),
+                                                   self.identity(f.dst)):
+                inv = None
+            hit = self._inverses[f] = inv
+        return hit
 
     def is_iso(self, f) -> bool:
         return self.inverse(f) is not None

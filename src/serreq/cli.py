@@ -127,9 +127,15 @@ def cmd_qhom(args) -> int:
     return exit_code
 
 
+# the largest --n: a check's work and its command's memos grow with n, so
+# the bound keeps every run finite while staying far above the default 25
+MAX_SAMPLES = 1000
+
+
 def cmd_check(args) -> int:
-    if args.n < 0:
-        raise session.InputValidationError(f"--n must be at least 0, got {args.n}")
+    if not 0 <= args.n <= MAX_SAMPLES:
+        raise session.InputValidationError(
+            f"--n must be from 0 to {MAX_SAMPLES}, got {args.n}")
     theory, _ = _resolve_theory(args)
     suite = args.suite or "all"
     reports = serre.run_suite(theory, suite, args.seed, args.n, args.candidate)
@@ -215,7 +221,8 @@ FLAGS = {
     "input": dict(default=None, help="JSON input file"),
     "suite": dict(default=None, choices=list(serre.SUITES) + ["all"]),
     "seed": dict(type=int, default=None),
-    "n": dict(type=int, default=25),
+    "n": dict(type=int, default=25,
+              help=f"random samples per check, from 0 to {MAX_SAMPLES} (default 25)"),
     "oracle": dict(action="store_true", help="also run the direct-limit Hom oracle"),
     # the generic candidates of serre.make_candidate, then each theory's own
     "candidate": dict(default=None, choices=list(dict.fromkeys(

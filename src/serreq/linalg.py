@@ -574,27 +574,7 @@ def f_rref(field, A: Mat):
             tuple(pivots))
 
 
-def f_rank(field, A: Mat) -> int:
-    _, _, pivots = f_rref(field, A)
-    return len(pivots)
-
-
-def f_kernel(field, A: Mat) -> Mat:
-    """Basis rows of the left null space {x : x*A = 0} over the field."""
-    _, E, pivots = f_rref(field, A)
-    rank = len(pivots)
-    return Mat(A.rows - rank, A.rows, E.data[rank:])
-
-
 def f_solve(field, A: Mat, B: Mat):
     """X with X*A = B over the field, or None if the system is inconsistent."""
     return _solve(field, A, B, partial(f_rref, field))
-
-
-def f_inv(field, A: Mat):
-    """Two-sided inverse of a square matrix over the field, or None."""
-    if A.rows != A.cols:
-        return None
-    X = f_solve(field, A, Mat.identity(A.rows))
-    return X
 

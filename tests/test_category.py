@@ -2,8 +2,9 @@
 
 import pytest
 
+from serreq import category
 from serreq.category import hom_map_is_bijective, rng_for
-from serreq.errors import CompositeNotZero, EndpointMismatch, NotInvertible
+from serreq.errors import CompositeNotZero, ContractViolation, EndpointMismatch, NotInvertible
 from serreq.linalg import QQ, Mat, PrimeField
 from serreq.quiver import A2Engine, SinkSupportTheory
 from serreq.zmodules import FiniteAbelianEngine, FixtureTheory, PPrimaryTheory, ZModuleEngine
@@ -198,6 +199,87 @@ class TestMonoEpiIso:
                     assert eng.eq_mor(eng.compose(g, f), eng.identity(f.dst))
         # isomorphisms beyond the identities, and morphisms that are not ones
         assert 150 < isos < 600
+
+
+def _z_memo_case():
+    """A fresh integer engine with a consistent and an inconsistent system
+    and an invertible and a non-invertible morphism."""
+    eng = FiniteAbelianEngine()
+    A = Mat.from_rows([[2, 0], [0, 3]])
+    c6 = eng.cyclic(6)
+    return (eng, A, Mat.from_rows([[4, 6]]), Mat.from_rows([[1, 0]]),
+            eng.mor(c6, c6, Mat.from_rows([[5]])), eng.mor(c6, c6, Mat.from_rows([[2]])))
+
+
+def _a2_memo_case():
+    """The same over Q in the quiver engine."""
+    eng = A2Engine(QQ)
+    A = Mat.from_rows([[1, 2], [2, 4]])
+    m = eng.interval(2)
+    return (eng, A, Mat.from_rows([[3, 6]]), Mat.from_rows([[1, 0]]),
+            eng.scale(eng.identity(m), 2), eng.zero_morphism(m, m))
+
+
+def _count(monkeypatch, owner, name):
+    """Count the calls of owner.name (the original still runs)."""
+    calls, original = [], getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("case", [_z_memo_case, _a2_memo_case], ids=["z", "a2-q"])
+class TestSolutionAndInverseMemos:
+    """An engine solves each system and inverts each morphism once; a repeat
+    returns the checked value the first call stored."""
+
+    def test_a_repeat_solve_returns_the_stored_solution(self, case, monkeypatch):
+        eng, A, B, B_bad, _, _ = case()
+        solves = _count(monkeypatch, category, "_solve")
+        X = eng.solve(A, B)
+        assert X is not None and eng.ring.mul(X, A).data == eng.ring.reduce_mat(B).data
+        assert eng.solve(Mat(A.rows, A.cols, A.data), Mat(B.rows, B.cols, B.data)) is X
+        assert eng.solve(A, B_bad) is None and eng.solve(A, B_bad) is None
+        assert len(solves) == 2
+        assert eng._solutions == {(A, B): X, (A, B_bad): None}
+        # inv reads the same memo
+        assert eng.inv(A) is eng.inv(A)
+        assert len(solves) == 3
+
+    def test_a_repeat_inverse_returns_the_stored_inverse(self, case, monkeypatch):
+        eng, _, _, _, iso, non_iso = case()
+        colifts = _count(monkeypatch, eng, "_colift_candidate")
+        g = eng.inverse(iso)
+        assert g is not None and eng.eq_mor(eng.compose(g, iso), eng.identity(iso.dst))
+        assert eng.invert(iso) is g and eng.is_iso(iso)
+        assert eng.inverse(non_iso) is None and not eng.is_iso(non_iso)
+        with pytest.raises(NotInvertible):
+            eng.invert(non_iso)
+        assert len(colifts) == 2
+        assert eng._inverses == {iso: g, non_iso: None}
+
+    def test_a_wrong_solution_raises_and_is_not_stored(self, case, monkeypatch):
+        eng, A, B, _, _, _ = case()
+        H, E, pivots = eng._eliminate(A)
+        # an echelon whose transform is off by a factor 2 gives X*A = 2B
+        wrong = (H, eng.ring.scale(E, 2), pivots)
+        monkeypatch.setattr(eng, "_eliminate", lambda _: wrong)
+        for _ in range(2):
+            with pytest.raises(ContractViolation):
+                eng.solve(A, B)
+        assert eng._solutions == {}
+
+    def test_inverse_checks_the_other_side(self, case, monkeypatch):
+        # a colift is kept as the inverse of f only if it also inverts f on
+        # the other side
+        eng, _, _, _, iso, _ = case()
+        monkeypatch.setattr(eng, "colift_along_epi",
+                            lambda f, epi: eng.zero_morphism(epi.dst, f.dst))
+        assert eng.inverse(iso) is None and eng._inverses == {iso: None}
 
 
 class TestHomGroup:

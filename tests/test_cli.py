@@ -590,6 +590,25 @@ class TestParameterValidation:
         assert "--n" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_n_above_the_cap_rejected(self, tmp_path, capsys, monkeypatch):
+        """--n is bounded, so no check command runs without end; a suite is
+        never started, and the bound itself is accepted."""
+        from serreq import cli, serre
+
+        def no_suite(*args):
+            raise AssertionError("the suite ran")
+
+        monkeypatch.setattr(serre, "run_suite", no_suite)
+        out = tmp_path / "rep.json"
+        argv = ["check", "--engine", "finite_abelian", "--p", "2", "--suite", "all",
+                "--out", str(out), "--n"]
+        assert main([*argv, str(cli.MAX_SAMPLES + 1)]) == 2
+        assert f"--n must be from 0 to {cli.MAX_SAMPLES}" in capsys.readouterr().err
+        assert not out.exists()
+        monkeypatch.setattr(serre, "run_suite", lambda *args: [])
+        assert main([*argv, str(cli.MAX_SAMPLES)]) == 0
+        assert read_report(str(out))["command"]["n"] == cli.MAX_SAMPLES
+
     def test_zero_n_allowed(self, tmp_path):
         out = tmp_path / "rep.json"
         assert main(["check", "--engine", "finite_abelian", "--suite", "all",

@@ -249,23 +249,25 @@ def test_no_cache_outlives_one_command():
 
 
 def test_echelon_memo_lives_on_the_engine():
-    """QQ is a module singleton that outlives a command, so the echelon
-    memo is kept on each engine a command builds, never on the field."""
+    """QQ is a module singleton that outlives a command, so the echelon,
+    solution and inverse memos are kept on each engine a command builds,
+    never on the field."""
     from serreq.linalg import QQ
     from serreq.session import theory_from_descriptor
 
     first, second = (theory_from_descriptor({"kind": "a2_rep", "field": "q"})
                      for _ in range(2))
     assert first.field is QQ and second.field is QQ
-    assert isinstance(first.engine._echelons, dict)
-    assert first.engine._echelons is not second.engine._echelons
-    assert not hasattr(QQ, "_echelons")
+    for memo in ("_echelons", "_solutions", "_inverses"):
+        assert isinstance(getattr(first.engine, memo), dict)
+        assert getattr(first.engine, memo) is not getattr(second.engine, memo)
+        assert not hasattr(QQ, memo)
 
 
 def test_z_memos_live_on_the_engine():
     """ZZ is a module singleton too, so the integer engines keep their
-    echelon memo and their one object per relation matrix on each engine
-    a command builds."""
+    echelon, solution and inverse memos and their one object per relation
+    matrix on each engine a command builds."""
     from serreq.linalg import ZZ
     from serreq.session import theory_from_descriptor
     from serreq.zmodules import ZModuleEngine
@@ -273,7 +275,7 @@ def test_z_memos_live_on_the_engine():
     for kind in ("finite_abelian", "fixture"):
         first, second = (theory_from_descriptor({"kind": kind, "p": 2}) for _ in range(2))
         assert first.engine.ring is ZZ and second.engine.ring is ZZ
-        for memo in ("_echelons", "_objects"):
+        for memo in ("_echelons", "_solutions", "_inverses", "_objects"):
             assert isinstance(getattr(first.engine, memo), dict)
             assert getattr(first.engine, memo) is not getattr(second.engine, memo)
             assert not hasattr(ZZ, memo) and not hasattr(ZModuleEngine, memo)

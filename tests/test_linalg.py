@@ -8,10 +8,29 @@ from hypothesis import strategies as st
 
 from serreq.errors import InputValidationError, ShapeError
 from serreq.linalg import (
-    MR_BOUND, Mat, PrimeField, QQ, f_inv, f_kernel, f_rank, f_rref, f_solve, int_kernel,
+    MR_BOUND, Mat, PrimeField, QQ, f_rref, f_solve, int_kernel,
     int_solve, is_prime, kernel_mod_rows, kron, presentation_enumerate,
     presentation_normal_form, row_basis, smith, solve_mod_rows,
 )
+
+
+# Reference field kernels on linalg's f_rref and f_solve alone; the engines
+# compute theirs, memoized, in category.AbelianEngine.
+
+
+def f_rank(field, A: Mat) -> int:
+    return len(f_rref(field, A)[2])
+
+
+def f_kernel(field, A: Mat) -> Mat:
+    """Basis rows of the left null space {x : x*A = 0} over the field."""
+    _, E, pivots = f_rref(field, A)
+    return Mat(A.rows - len(pivots), A.rows, E.data[len(pivots):])
+
+
+def f_inv(field, A: Mat):
+    """Two-sided inverse of a square matrix over the field, or None."""
+    return f_solve(field, A, Mat.identity(A.rows)) if A.rows == A.cols else None
 
 
 def det(A: Mat) -> int:

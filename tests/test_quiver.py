@@ -8,7 +8,7 @@ import pytest
 from serreq import quiver
 from serreq.category import rng_for
 from serreq.errors import EngineMismatch, InputValidationError, NotSaturatedError
-from serreq.linalg import Mat, PrimeField, QQ, f_inv, f_kernel, f_rank, f_rref, f_solve
+from serreq.linalg import Mat, PrimeField, QQ, f_rref, f_solve
 from serreq.quiver import A2Engine, SinkSupportTheory
 
 F = PrimeField(101)
@@ -243,12 +243,17 @@ class TestEchelonMemo:
         results = {"solve": 0, "inv": 0}
         for A, B in cases:
             A = dataclasses.replace(A)
-            assert warm.kernel(A) == f_kernel(field, A)
-            assert warm.rank(A) == f_rank(field, A)
+            # the reference kernel, rank and inverse, read off a fresh f_rref
+            _, E, pivots = f_rref(field, A)
+            rank = len(pivots)
+            assert warm.kernel(A) == Mat(A.rows - rank, A.rows, E.data[rank:])
+            assert warm.rank(A) == rank
+            inverse = f_solve(field, A, Mat.identity(A.rows)) if A.rows == A.cols else None
+            # a second call reads the memo the first one filled
             x = warm.solve(A, B)
-            assert x == f_solve(field, A, B)
+            assert x == warm.solve(dataclasses.replace(A), B) == f_solve(field, A, B)
             y = warm.inv(A)
-            assert y == f_inv(field, A)
+            assert y == warm.inv(dataclasses.replace(A)) == inverse
             results["solve"] += x is None
             results["inv"] += y is None
         # both kinds of result occur, None included

@@ -409,7 +409,12 @@ class TestEchelonMemo:
             rel = Mat(m.relations.rows, m.relations.cols, m.relations.data)
             fresh = engine()
             assert warm.obj(rel) is m
-            assert warm.solve(rel, B) == fresh.solve(rel, B) == linalg.int_solve(rel, B)
+            # a second call reads the memo the first one filled
+            assert (warm.solve(rel, B) == warm.solve(rel, B) == fresh.solve(rel, B)
+                    == linalg.int_solve(rel, B))
+            inverse = (linalg.int_solve(rel, Mat.identity(rel.rows))
+                       if rel.rows == rel.cols else None)
+            assert warm.inv(rel) == warm.inv(rel) == fresh.inv(rel) == inverse
             assert warm.kernel(rel) == fresh.kernel(rel) == linalg.int_kernel(rel)
             assert (m.normal_form_data == fresh.obj(rel).normal_form_data
                     == linalg.presentation_normal_form(rel))
