@@ -307,16 +307,6 @@ class AbelianEngine:
         pi = self.cokernel_proj(iota)
         return ShortExactSequence(iota, pi)
 
-    def is_exact_ses(self, ses: ShortExactSequence) -> bool:
-        if ses.iota.dst != ses.pi.src:
-            return False
-        if not self.eq_mor(self.compose(ses.iota, ses.pi),
-                           self.zero_morphism(ses.sub, ses.quot)):
-            return False
-        if not self.is_mono(ses.iota) or not self.is_epi(ses.pi):
-            return False
-        return self.is_zero_obj(self.homology_at(ses.iota, ses.pi))
-
     # -- JSON codecs shared by the engines ----------------------------------------
 
     def mat_to_json(self, m: Mat):

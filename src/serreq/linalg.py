@@ -2,8 +2,9 @@
 
 Row-vector convention throughout the package: a matrix A represents the
 map x -> x*A on row vectors, kernels are left kernels {x : x*A = 0}, and
-composites multiply left to right.  All arithmetic is exact (python ints,
-fractions.Fraction, residues mod p); floats never appear.  Intermediate
+composites multiply left to right.  All arithmetic is exact (python ints;
+over Q an int for each integral entry and a fractions.Fraction for any
+other; residues mod p); floats never appear.  Intermediate
 Smith-form entries can grow well past machine width, which is why the
 integer routines insist on arbitrary precision.  One row reduction,
 _hermite, serves all three rings, each supplying its entry arithmetic.
@@ -153,10 +154,11 @@ def _xgcd(a, b):
 
 
 def _minus(x, q, y, p):
-    """The row x - q*y, reduced mod p when p is nonzero."""
+    """The row x - q*y, reduced mod p when p is nonzero; an entry of x
+    facing a zero of y is kept as it is."""
     if p:
-        return [(a - q * b) % p for a, b in zip(x, y)]
-    return [a - q * b for a, b in zip(x, y)]
+        return [(a - q * b) % p if b else a for a, b in zip(x, y)]
+    return [a - q * b if b else a for a, b in zip(x, y)]
 
 
 def _hermite(ring, h, e):
@@ -507,24 +509,39 @@ class PrimeField(_Field):
 
 
 class RationalField(_Field):
-    """The field Q; elements are fractions.Fraction values."""
+    """The field Q; an integral element is an int, any other a Fraction.
+
+    That form is canonical, so integral matrices multiply at integer speed,
+    and it compares and hashes as the value does: Fraction(2) == 2 and both
+    hash alike.
+    """
 
     p = 0
 
     def normalize(self, x):
-        return Fraction(x)
+        if type(x) is not Fraction:
+            x = Fraction(x)
+        return x.numerator if x.denominator == 1 else x
 
     def divmod(self, b, a):
-        return b / a, 0
+        """The exact quotient b/a, an int when it is integral."""
+        if type(a) is int and type(b) is int:
+            q, r = divmod(b, a)
+            return (Fraction(b, a) if r else q), 0
+        # one of them is a Fraction, so b / a is one too
+        return self.normalize(b / a), 0
 
     def unit(self, a):
-        return 1 / a
+        return self.divmod(1, a)[0]
 
     def reduce_mat(self, A: Mat) -> Mat:
-        """A with its entries as Fractions; A itself when they already are."""
-        if all(type(a) is Fraction for r in A.data for a in r):
+        """A with its entries in canonical form; A itself when they already are."""
+        if all(type(a) is int or (type(a) is Fraction and a.denominator != 1)
+               for r in A.data for a in r):
             return A
-        return Mat(A.rows, A.cols, tuple(tuple(Fraction(a) for a in r) for r in A.data))
+        norm = self.normalize
+        return Mat(A.rows, A.cols, tuple(tuple(a if type(a) is int else norm(a) for a in r)
+                                         for r in A.data))
 
     @property
     def name(self):
@@ -564,13 +581,14 @@ QQ = RationalField()
 
 def f_rref(field, A: Mat):
     """Reduced row echelon form with transform: returns (R, E, pivots),
-    E*A = R; it is the Hermite form over the field (see _hermite).  All
-    three are immutable, so an engine may hand one result to many callers."""
+    E*A = R; it is the Hermite form over the field (see _hermite), with R
+    and E reduced by the field.  All three are immutable, so an engine may
+    hand one result to many callers."""
     r = field.reduce_mat(A).to_lists()
     e = Mat.identity(A.rows).to_lists()
     pivots = _hermite(field, r, e)
-    return (Mat(A.rows, A.cols, tuple(tuple(x) for x in r)),
-            Mat(A.rows, A.rows, tuple(tuple(x) for x in e)),
+    return (field.reduce_mat(Mat(A.rows, A.cols, tuple(tuple(x) for x in r))),
+            field.reduce_mat(Mat(A.rows, A.rows, tuple(tuple(x) for x in e))),
             tuple(pivots))
 
 

@@ -134,12 +134,6 @@ def qmor_eq(theory, f: QuotientMorphism, g: QuotientMorphism) -> bool:
     return theory.engine.eq_mor(f.rep, g.rep)
 
 
-def qmor_add(theory, f: QuotientMorphism, g: QuotientMorphism) -> QuotientMorphism:
-    if f.src != g.src or f.dst != g.dst:
-        raise EndpointMismatch("quotient morphisms have different endpoints")
-    return QuotientMorphism(f.src, f.dst, theory.engine.add(f.rep, g.rep))
-
-
 def q_compose(theory, f: QuotientMorphism, g: QuotientMorphism) -> QuotientMorphism:
     """Composite of canonical representatives via mu at the final target."""
     if f.dst != g.src:

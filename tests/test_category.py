@@ -26,6 +26,18 @@ def image_factor(eng, f):
     return eng.lift_along_mono(f, emb), emb
 
 
+def is_exact_ses(eng, ses) -> bool:
+    """Whether iota;pi is a short exact sequence: iota mono, pi epi, the
+    composite zero and the homology at the middle zero."""
+    if ses.iota.dst != ses.pi.src:
+        return False
+    if not eng.eq_mor(eng.compose(ses.iota, ses.pi), eng.zero_morphism(ses.sub, ses.quot)):
+        return False
+    if not eng.is_mono(ses.iota) or not eng.is_epi(ses.pi):
+        return False
+    return eng.is_zero_obj(eng.homology_at(ses.iota, ses.pi))
+
+
 def random_coeffs(eng, hom, rng):
     """A random coefficient row of the Hom carrier hom of engine eng."""
     return tuple(eng._random_entry(rng) for _ in range(hom.ngens))
@@ -393,7 +405,7 @@ class TestHomology:
         for eng, size in ENGINES:
             for i in range(40):
                 ses = eng.random_ses(rng_for(101, "ses", eng.name, i), size)
-                assert eng.is_exact_ses(ses)
+                assert is_exact_ses(eng, ses)
                 assert eng.is_zero_obj(eng.kernel_emb(ses.iota).src)
                 assert eng.is_zero_obj(eng.homology_at(ses.iota, ses.pi))
                 assert eng.is_zero_obj(eng.cokernel_proj(ses.pi).dst)

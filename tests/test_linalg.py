@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from serreq import linalg
 from serreq.errors import InputValidationError, ShapeError
 from serreq.linalg import (
     MR_BOUND, Mat, PrimeField, QQ, f_rref, f_solve, int_kernel,
@@ -462,14 +463,22 @@ class TestFieldEntries:
     def test_reduced_matrices_are_returned_as_they_are(self):
         A = Mat.from_rows([[0, 1, 100], [4, 0, 7]])
         assert PrimeField(101).reduce_mat(A) is A
-        Q = Mat.from_rows([[Fraction(0), Fraction(1, 2)], [Fraction(-3), Fraction(5, 7)]])
+        assert QQ.reduce_mat(A) is A
+        Q = Mat.from_rows([[0, Fraction(1, 2)], [-3, Fraction(5, 7)]])
         assert QQ.reduce_mat(Q) is Q
         assert QQ.reduce_mat(Mat.zeros(0, 3)).data == ()
+        # an integral Fraction, or a bool, is not in canonical form
+        for x in (Fraction(0), Fraction(-3), Fraction(4, 2), True):
+            M = Mat.from_rows([[Fraction(1, 2), x]])
+            assert QQ.reduce_mat(M) is not M
 
     def test_mixed_rational_entries_normalise(self):
-        R = QQ.reduce_mat(Mat.from_rows([[1, Fraction(1, 2)], [Fraction(4, 2), -3]]))
-        assert R.data == ((1, Fraction(1, 2)), (2, -3))
-        assert all(type(x) is Fraction for r in R.data for x in r)
+        R = QQ.reduce_mat(Mat.from_rows([[1, Fraction(1, 2)], [Fraction(4, 2), -3],
+                                         [True, Fraction(-6, 4)], [Fraction(0), False]]))
+        assert R.data == ((1, Fraction(1, 2)), (2, -3), (1, Fraction(-3, 2)), (0, 0))
+        # an entry is an int exactly when it is integral, otherwise a Fraction
+        assert [[type(x) for x in r] for r in R.data] == \
+            [[int, Fraction], [int, int], [int, Fraction], [int, int]]
 
     def test_unreduced_residues_normalise(self):
         F = PrimeField(7)
@@ -478,6 +487,106 @@ class TestFieldEntries:
             R = F.reduce_mat(Mat.from_rows([row]))
             assert R.data == (expected,)
             assert all(type(x) is int for x in R.data[0])
+
+
+class _AllFractionQ:
+    """Q with every element a Fraction: the entry arithmetic RationalField
+    had before it kept integral elements as ints."""
+
+    p = 0
+
+    def divmod(self, b, a):
+        return b / a, 0
+
+    def unit(self, a):
+        return 1 / a
+
+
+def reference_rref(A: Mat):
+    """(R, E, pivots) of _hermite run on A's entries as Fractions."""
+    r = [[Fraction(x) for x in row] for row in A.data]
+    e = Mat.identity(A.rows).to_lists()
+    pivots = linalg._hermite(_AllFractionQ(), r, e)
+    return r, e, pivots
+
+
+def is_canonical(M: Mat) -> bool:
+    """Every entry an int when it is integral and a Fraction otherwise."""
+    return all(type(x) is int or (type(x) is Fraction and x.denominator != 1)
+               for r in M.data for x in r)
+
+
+def seeded_q_matrices(seed, count):
+    """Integer and rational matrices up to 6x6, with no rows or columns,
+    zero rows and columns, and rows dependent on earlier ones; a rational
+    entry may be an integral Fraction such as Fraction(4, 2)."""
+    rng = random.Random(seed)
+    for i in range(count):
+        m, n = rng.randrange(0, 7), rng.randrange(0, 7)
+        if i % 2:
+            def entry():
+                return rng.randint(-3, 3)
+        else:
+            def entry():
+                return Fraction(rng.randint(-7, 7), rng.randint(1, 3))
+        rows = [[entry() if rng.randrange(3) else 0 for _ in range(n)] for _ in range(m)]
+        for k, r in enumerate(rows):
+            if rng.randrange(6) == 0:
+                r[:] = [0] * n
+            elif k and rng.randrange(3) == 0:
+                r[:] = [2 * x - y for x, y in zip(rows[0], rows[k - 1])]
+        if n and rng.randrange(4) == 0:
+            j = rng.randrange(n)
+            for r in rows:
+                r[j] = 0
+        yield Mat(m, n, tuple(tuple(r) for r in rows))
+
+
+class TestRationalEntries:
+    """Over Q an integral element is an int, any other a Fraction."""
+
+    def test_rref_matches_the_all_fraction_elimination(self):
+        shapes = set()
+        for A in seeded_q_matrices(1616, 400):
+            R, E, pivots = f_rref(QQ, A)
+            r, e, ref_pivots = reference_rref(A)
+            assert [list(x) for x in R.data] == r, A
+            assert [list(x) for x in E.data] == e, A
+            assert list(pivots) == ref_pivots, A
+            assert is_canonical(R) and is_canonical(E), A
+            shapes.add((len(pivots) < min(A.rows, A.cols), A.rows == 0 or A.cols == 0))
+        # rank-deficient and full-rank inputs, with and without entries
+        assert shapes == {(False, False), (True, False), (False, True)}
+
+    def test_field_arithmetic_returns_canonical_entries(self):
+        mats = list(seeded_q_matrices(77, 120))
+        rng = random.Random(78)
+        for A in mats:
+            assert is_canonical(QQ.reduce_mat(A))
+            same = [B for B in mats if (B.rows, B.cols) == (A.rows, A.cols)]
+            chained = [B for B in mats if B.rows == A.cols]
+            B, C = rng.choice(same), rng.choice(chained)
+            c = rng.choice([Fraction(1, 3), Fraction(-3, 2), 2, Fraction(6, 3), 0])
+            for M in (QQ.add(A, B), QQ.sub(A, B), QQ.mul(A, C), QQ.scale(A, c)):
+                assert is_canonical(M), (A, B, C, c)
+        # a product of non-integral entries that is integral is an int
+        half = Mat.from_rows([[Fraction(1, 2), Fraction(3, 2)]])
+        product = QQ.mul(half, Mat.from_rows([[2], [Fraction(2, 3)]]))
+        assert product.data == ((2,),) and type(product.data[0][0]) is int
+        assert [type(x) for x in QQ.scale(half, 2).data[0]] == [int, int]
+
+    def test_division_is_exact_never_a_float(self):
+        for b, a, q in ((1, 3, Fraction(1, 3)), (-7, 2, Fraction(-7, 2)), (6, 3, 2),
+                        (6, -3, -2), (0, 5, 0), (Fraction(4), 2, 2),
+                        (Fraction(1, 2), Fraction(1, 4), 2), (3, Fraction(2, 3), Fraction(9, 2))):
+            got, rem = QQ.divmod(b, a)
+            assert got == q and rem == 0
+            assert type(got) is (int if Fraction(q).denominator == 1 else Fraction)
+        assert QQ.divmod(1, 3) == (Fraction(1, 3), 0) and type(QQ.divmod(1, 3)[0]) is Fraction
+        assert QQ.unit(3) == Fraction(1, 3) and type(QQ.unit(3)) is Fraction
+        assert QQ.unit(-1) == -1 and type(QQ.unit(-1)) is int
+        assert QQ.unit(Fraction(1, 2)) == 2 and type(QQ.unit(Fraction(1, 2))) is int
+        assert QQ.normalize(Fraction(6, 3)) == 2 and type(QQ.normalize(Fraction(6, 3))) is int
 
 
 class TestIsPrime:

@@ -215,6 +215,15 @@ class TestEchelonMemo:
             A2Engine(F).rank(a)
         assert len(calls) == 2
 
+    def test_integral_fractions_hit_the_int_entry(self, monkeypatch):
+        calls = self._count_rrefs(monkeypatch)
+        eng = A2Engine(QQ)
+        a = Mat.from_rows([[Fraction(2), Fraction(1, 2)], [Fraction(-3), 0]])
+        b = Mat.from_rows([[2, Fraction(1, 2)], [-3, 0]])
+        assert a == b and hash(a) == hash(b)
+        assert eng.rref(a) is eng.rref(b)
+        assert len(calls) == 1 and list(eng._echelons) == [a]
+
     @pytest.mark.parametrize("field", [QQ, PrimeField(2), F], ids=["q", "f2", "f101"])
     def test_warm_engine_agrees_with_linalg(self, field):
         def entry(rng):
@@ -337,4 +346,7 @@ class TestFields:
         assert th.is_in_c(eq.kernel_emb(eta).src)
         for i in range(10):
             ses = th.random_ses(rng_for(16, "qq", i), 2)
-            assert eq.is_exact_ses(ses)
+            # exact: homology_at checks the endpoints and that the
+            # composite vanishes
+            assert eq.is_mono(ses.iota) and eq.is_epi(ses.pi)
+            assert eq.is_zero_obj(eq.homology_at(ses.iota, ses.pi))

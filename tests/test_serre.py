@@ -4,12 +4,14 @@ import pytest
 
 from serreq import session
 from serreq.category import rng_for
-from serreq.errors import InputValidationError, NotSaturatedError, OracleUnsupported
+from serreq.errors import (
+    EndpointMismatch, InputValidationError, NotSaturatedError, OracleUnsupported,
+)
 from serreq.linalg import Mat, PrimeField
 from serreq.quiver import SinkSupportTheory
 from serreq.serre import (
     QuotientMorphism, cokernel_in_sat, colift_H, make_candidate, monad_at, q_compose,
-    q_eq, q_hom, q_hom_via_colimit, q_id, q_is_iso, q_is_zero, q_of, qmor_add, qmor_eq,
+    q_eq, q_hom, q_hom_via_colimit, q_id, q_is_iso, q_is_zero, q_of, qmor_eq,
     quotient_invert, run_suite, w_on_morphism,
 )
 from serreq.zmodules import FixtureTheory, PPrimaryTheory
@@ -18,6 +20,13 @@ FA = PPrimaryTheory(2)
 A2 = SinkSupportTheory(PrimeField(101))
 E = FA.engine
 THEORIES = [FA, A2]
+
+
+def qmor_add(theory, f: QuotientMorphism, g: QuotientMorphism) -> QuotientMorphism:
+    """The sum of two quotient morphisms, added on their representatives."""
+    if f.src != g.src or f.dst != g.dst:
+        raise EndpointMismatch("quotient morphisms have different endpoints")
+    return QuotientMorphism(f.src, f.dst, theory.engine.add(f.rep, g.rep))
 
 
 def random_qmor(th, qh, rng):
