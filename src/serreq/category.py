@@ -24,8 +24,25 @@ from .errors import (
 from .linalg import MAX_INPUT_SIZE, Mat, _solve, presentation_enumerate, unflatten
 
 
-# a memo's marker for "not computed yet", since None is a stored result
-_MISS = object()
+class Memo(dict):
+    """A cache that lives as long as its owner, an engine or a theory that
+    one command builds.
+
+    memo(key, compute) returns the value stored under key, None included;
+    on a miss it stores compute(key) and returns it, and a computation
+    that raises stores nothing.  The computation is passed on each call
+    rather than kept, so a memo holds no reference back to its owner and
+    reference counting alone frees both.
+    """
+
+    __slots__ = ()
+
+    def __call__(self, key, compute):
+        try:
+            return self[key]
+        except KeyError:
+            value = self[key] = compute(key)
+            return value
 
 
 def rng_for(seed, *tags) -> random.Random:
@@ -111,14 +128,13 @@ class AbelianEngine:
     hom_group; and invertibility, whose one procedure, inverse, colifts
     the identity along f; is_iso and invert are read from it.
 
-    Three memos live on the engine, which each command builds afresh:
+    Three Memos live on the engine, which each command builds afresh:
     `_echelons` from an input matrix to its echelon (read by rref, rank,
     kernel, solve and inv), `_solutions` from a system (A, B) to its
     checked solution X or None (read by solve and inv), and `_inverses`
     from a morphism to its checked two-sided inverse or None (read by
     inverse, is_iso and invert).  So a command eliminates each matrix,
-    solves each system and inverts each morphism once; a call that
-    raises stores nothing.
+    solves each system and inverts each morphism once.
 
     Each engine also owns its object format: decode_entry (one matrix
     entry to an engine scalar), obj_to_payload / obj_from_payload and
@@ -130,19 +146,16 @@ class AbelianEngine:
     def __init__(self):
         # the memos of the class docstring; like the engine, they live for
         # one command
-        self._echelons = {}
-        self._solutions = {}
-        self._inverses = {}
+        self._echelons = Memo()
+        self._solutions = Memo()
+        self._inverses = Memo()
 
     # -- matrix kernels: one elimination per matrix and engine ----------------
 
     def rref(self, A: Mat):
         """The echelon of A over the ring, eliminated once per engine and
         equal matrix."""
-        hit = self._echelons.get(A)
-        if hit is None:
-            hit = self._echelons[A] = self._eliminate(A)
-        return hit
+        return self._echelons(A, self._eliminate)
 
     def rank(self, A: Mat) -> int:
         return len(self.rref(A)[2])
@@ -156,10 +169,7 @@ class AbelianEngine:
     def solve(self, A: Mat, B: Mat):
         """X with X*A = B, or None if the system is inconsistent; solved
         and checked once per engine and equal system."""
-        hit = self._solutions.get((A, B), _MISS)
-        if hit is _MISS:
-            hit = self._solutions[A, B] = _solve(self.ring, A, B, self.rref)
-        return hit
+        return self._solutions((A, B), lambda _: _solve(self.ring, A, B, self.rref))
 
     def inv(self, A: Mat):
         """Two-sided inverse of a square matrix, or None."""
@@ -257,14 +267,13 @@ class AbelianEngine:
 
         colift_along_epi returns only a g with f;g = id, so g;f = id is
         the one check left.  Computed once per engine and equal morphism."""
-        hit = self._inverses.get(f, _MISS)
-        if hit is _MISS:
-            inv = self.colift_along_epi(self.identity(f.src), f)
-            if inv is not None and not self.eq_mor(self.compose(inv, f),
-                                                   self.identity(f.dst)):
-                inv = None
-            hit = self._inverses[f] = inv
-        return hit
+        return self._inverses(f, self._inverse)
+
+    def _inverse(self, f):
+        inv = self.colift_along_epi(self.identity(f.src), f)
+        if inv is None or not self.eq_mor(self.compose(inv, f), self.identity(f.dst)):
+            return None
+        return inv
 
     def is_iso(self, f) -> bool:
         return self.inverse(f) is not None
@@ -380,22 +389,17 @@ class TorsionTheory:
     _reflect (W(M) and the unit eta_M), is_saturated, extend_along_unit,
     c_cogenerators (the objects of C the saturating suite tests W-images
     against), probe_objects and twist_unit.  Random morphisms come from
-    the engine.
+    the engine.  The Memo `_reflections`, from an object to (W(M),
+    eta_M), lives on the theory, which each command builds afresh.
     """
 
     def __init__(self, engine):
         self.engine = engine
-        # object -> (W(M), eta_M); it lives as long as the theory, which
-        # each command builds afresh
-        self._reflections = {}
+        self._reflections = Memo()
 
     def saturate(self, m):
-        """(W(M), eta_M), computed once per object; a call that raises
-        stores nothing."""
-        hit = self._reflections.get(m)
-        if hit is None:
-            hit = self._reflections[m] = self._reflect(m)
-        return hit
+        """(W(M), eta_M), computed once per object."""
+        return self._reflections(m, self._reflect)
 
     def random_object(self, rng, size_bound=None, **bounds):
         """An engine sample; bounds (max_order) go to the engine."""

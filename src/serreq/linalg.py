@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+
 from .errors import ContractViolation, InputValidationError, ShapeError
 
 
@@ -276,19 +276,6 @@ def smith(A: Mat):
             Mat(n, n, tuple(zip(*vt))))
 
 
-def int_kernel(A: Mat, echelon=None) -> Mat:
-    """Basis of the left kernel lattice {x : x*A = 0} as matrix rows.
-
-    The returned rows span a saturated sublattice of Z^rows(A); the row
-    count is rows(A) - rank(A).  Here and in the lattice helpers below,
-    `echelon` is called in place of row_echelon when given (an engine
-    passes its memo).
-    """
-    _, E, pivots = (echelon or row_echelon)(A)
-    rank = len(pivots)
-    return Mat(A.rows - rank, A.rows, E.data[rank:])
-
-
 def _solve(ring, A: Mat, B: Mat, echelon):
     """X with X*A = B over `ring`, or None; echelon(A) is (H, E, pivots)
     with E*A = H, and X = Y*E for Y with Y*H = B found pivot by pivot."""
@@ -317,34 +304,9 @@ def _solve(ring, A: Mat, B: Mat, echelon):
     return X
 
 
-def int_solve(A: Mat, B: Mat, echelon=None):
+def int_solve(A: Mat, B: Mat):
     """A particular integer solution X of X*A = B, or None if there is none."""
-    return _solve(ZZ, A, B, echelon or row_echelon)
-
-
-def row_basis(A: Mat, echelon=None) -> Mat:
-    """A canonical basis of the row lattice of A (its Hermite form rows)."""
-    H, _, pivots = (echelon or row_echelon)(A)
-    return Mat(len(pivots), A.cols, H.data[:len(pivots)])
-
-
-def kernel_mod_rows(A: Mat, R: Mat, echelon=None) -> Mat:
-    """Basis for the lattice {x : x*A lies in the row span of R}."""
-    if A.cols != R.cols:
-        raise ShapeError("kernel_mod_rows needs matching column counts")
-    K = int_kernel(A.stack_below(R), echelon)
-    proj = K.take_cols(range(A.rows))
-    return row_basis(proj, echelon)
-
-
-def solve_mod_rows(A: Mat, R: Mat, B: Mat, echelon=None):
-    """X with X*A congruent to B modulo the row span of R, or None."""
-    if A.cols != R.cols:
-        raise ShapeError("solve_mod_rows needs matching column counts")
-    sol = int_solve(A.stack_below(R), B, echelon)
-    if sol is None:
-        return None
-    return sol.take_cols(range(A.rows))
+    return _solve(ZZ, A, B, row_echelon)
 
 
 # ---------------------------------------------------------------------------
@@ -590,9 +552,4 @@ def f_rref(field, A: Mat):
     return (field.reduce_mat(Mat(A.rows, A.cols, tuple(tuple(x) for x in r))),
             field.reduce_mat(Mat(A.rows, A.rows, tuple(tuple(x) for x in e))),
             tuple(pivots))
-
-
-def f_solve(field, A: Mat, B: Mat):
-    """X with X*A = B over the field, or None if the system is inconsistent."""
-    return _solve(field, A, B, partial(f_rref, field))
 

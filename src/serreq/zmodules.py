@@ -20,16 +20,13 @@ from functools import cached_property
 from math import gcd, prod
 
 from .category import (
-    MAX_INPUT_SIZE, AbelianEngine, Mor, TorsionTheory, ZGroup, ZHomGroup, entry_from_json,
+    MAX_INPUT_SIZE, AbelianEngine, Memo, Mor, TorsionTheory, ZGroup, ZHomGroup, entry_from_json,
 )
 from .errors import (
     ContractViolation, EngineMismatch, InputValidationError, NotSaturatedError,
-    OracleUnsupported,
+    OracleUnsupported, ShapeError,
 )
-from .linalg import (
-    ZZ, Mat, is_prime, kernel_mod_rows, kron, presentation_normal_form, row_basis, row_echelon,
-    solve_mod_rows,
-)
+from .linalg import ZZ, Mat, is_prime, kron, presentation_normal_form, row_echelon
 
 
 @dataclass(frozen=True)
@@ -75,7 +72,13 @@ def diag_rows(divisors, cols=None):
 
 
 class ZModuleEngine(AbelianEngine):
-    """The abelian category of finitely presented Z-modules."""
+    """The abelian category of finitely presented Z-modules.
+
+    Its lattice operations (row_basis, kernel_mod_rows, solve_mod_rows)
+    are built on the engine's memoized rref, kernel and solve.  The Memo
+    `_objects` keeps one object per relation matrix, so that a command
+    computes each Smith form once.
+    """
 
     name = "fpmod_z"
     ring = ZZ
@@ -84,17 +87,12 @@ class ZModuleEngine(AbelianEngine):
 
     def __init__(self):
         super().__init__()
-        # relation matrix -> the engine's one object presented by it, so
-        # that a command computes each Smith form once
-        self._objects = {}
+        self._objects = Memo()
 
     # -- constructors ----------------------------------------------------------
 
     def obj(self, relations: Mat) -> ZObj:
-        hit = self._objects.get(relations)
-        if hit is None:
-            hit = self._objects[relations] = ZObj(relations)
-        return hit
+        return self._objects(relations, ZObj)
 
     def obj_from_divisors(self, divisors, free_rank=0) -> ZObj:
         divisors = [d for d in divisors]
@@ -127,6 +125,27 @@ class ZModuleEngine(AbelianEngine):
     def _eliminate(self, A: Mat):
         return row_echelon(A)
 
+    # -- lattices: row spans in Z^n ---------------------------------------------
+
+    def row_basis(self, A: Mat) -> Mat:
+        """A canonical basis of the row lattice of A (its Hermite form rows)."""
+        H, _, pivots = self.rref(A)
+        return Mat(len(pivots), A.cols, H.data[:len(pivots)])
+
+    def kernel_mod_rows(self, A: Mat, R: Mat) -> Mat:
+        """Basis for the lattice {x : x*A lies in the row span of R}."""
+        if A.cols != R.cols:
+            raise ShapeError("kernel_mod_rows needs matching column counts")
+        K = self.kernel(A.stack_below(R))
+        return self.row_basis(K.take_cols(range(A.rows)))
+
+    def solve_mod_rows(self, A: Mat, R: Mat, B: Mat):
+        """X with X*A congruent to B modulo the row span of R, or None."""
+        if A.cols != R.cols:
+            raise ShapeError("solve_mod_rows needs matching column counts")
+        sol = self.solve(A.stack_below(R), B)
+        return None if sol is None else sol.take_cols(range(A.rows))
+
     # -- decidable structure ------------------------------------------------------
 
     def is_well_defined(self, f: Mor) -> bool:
@@ -150,8 +169,8 @@ class ZModuleEngine(AbelianEngine):
     # -- kernels, cokernels, lifts ---------------------------------------------
 
     def kernel_emb(self, f: Mor) -> Mor:
-        lat = kernel_mod_rows(f.maps[0], f.dst.relations, self.rref)
-        rel = kernel_mod_rows(lat, f.src.relations, self.rref)
+        lat = self.kernel_mod_rows(f.maps[0], f.dst.relations)
+        rel = self.kernel_mod_rows(lat, f.src.relations)
         return Mor(self.obj(rel), f.src, (lat,))
 
     def cokernel_proj(self, f: Mor) -> Mor:
@@ -159,12 +178,12 @@ class ZModuleEngine(AbelianEngine):
         return Mor(f.dst, coker, (Mat.identity(f.dst.gens),))
 
     def _lift_candidate(self, f: Mor, mono: Mor):
-        sol = solve_mod_rows(mono.maps[0], mono.dst.relations, f.maps[0], self.rref)
+        sol = self.solve_mod_rows(mono.maps[0], mono.dst.relations, f.maps[0])
         return None if sol is None else Mor(f.src, mono.src, (sol,))
 
     def _colift_candidate(self, f: Mor, epi: Mor):
-        section = solve_mod_rows(epi.maps[0], epi.dst.relations, Mat.identity(epi.dst.gens),
-                                 self.rref)
+        section = self.solve_mod_rows(epi.maps[0], epi.dst.relations,
+                                      Mat.identity(epi.dst.gens))
         return None if section is None else Mor(epi.dst, f.dst, (section.mul(f.maps[0]),))
 
     # -- Hom and Ext --------------------------------------------------------------
@@ -180,9 +199,9 @@ class ZModuleEngine(AbelianEngine):
         cmat = kron(m.relations.transpose(), Mat.identity(h)).stack_below(
             kron(Mat.identity(m.relations.rows).scale(-1), n.relations))
         sols = self.kernel(cmat).take_cols(range(g * h))
-        lat = row_basis(sols, self.rref)
+        lat = self.row_basis(sols)
         modulus = self._hom_modulus(g, n)
-        rel = kernel_mod_rows(lat, modulus, self.rref) if lat.rows else Mat.zeros(0, 0)
+        rel = self.kernel_mod_rows(lat, modulus) if lat.rows else Mat.zeros(0, 0)
         basis = [self._mor_from_vector(m, n, row) for row in lat.data]
         return ZHomGroup(self, m, n, basis, self.obj(rel))
 
@@ -193,7 +212,7 @@ class ZModuleEngine(AbelianEngine):
         0 -> Z^q -B-> Z^g -> M -> 0 and Ext1 is the cokernel of
         Hom(Z^g, N) -> Hom(Z^q, N).
         """
-        b = row_basis(m.relations, self.rref)
+        b = self.row_basis(m.relations)
         # the images B*F in Hom(Z^q, N) of the payloads F of maps Z^g -> N
         images = kron(b.transpose(), Mat.identity(n.gens))
         return ZGroup(self.obj(self._hom_modulus(b.rows, n).stack_below(images)))
@@ -549,8 +568,8 @@ def finite_subobject_embeddings(engine: ZModuleEngine, m: ZObj, element_cap=256)
     out = []
     for mask in sorted(masks):
         rows = Mat.from_rows(masks[mask], nf.gens)
-        lattice = row_basis(rows.stack_below(nf.relations), engine.rref)
-        rel = kernel_mod_rows(lattice, nf.relations, engine.rref)
+        lattice = engine.row_basis(rows.stack_below(nf.relations))
+        rel = engine.kernel_mod_rows(lattice, nf.relations)
         sub = engine.obj(rel)
         emb = engine.compose(Mor(sub, nf, (lattice,)), from_nf)
         if engine.order(sub) != mask.bit_count():

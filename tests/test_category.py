@@ -244,6 +244,29 @@ def _count(monkeypatch, owner, name):
     return calls
 
 
+class TestMemo:
+    def test_computes_once_per_key_none_included(self):
+        memo, calls = category.Memo(), []
+
+        def compute(key):
+            calls.append(key)
+            return None if key == "none" else key * 2
+
+        assert [memo(k, compute) for k in ("a", "none", "a", "none")] == ["aa", None] * 2
+        assert calls == ["a", "none"] and memo == {"a": "aa", "none": None}
+
+    def test_a_computation_that_raises_stores_nothing(self):
+        memo = category.Memo()
+
+        def fail(key):
+            raise ContractViolation(key)
+
+        for _ in range(2):
+            with pytest.raises(ContractViolation):
+                memo("k", fail)
+        assert memo == {} and memo("k", str.upper) == "K"
+
+
 @pytest.mark.parametrize("case", [_z_memo_case, _a2_memo_case], ids=["z", "a2-q"])
 class TestSolutionAndInverseMemos:
     """An engine solves each system and inverts each morphism once; a repeat

@@ -2,10 +2,13 @@
 errors, never asserts (which python -O removes), the Smith form of a
 presentation is computed in one place, one row reduction serves Z, Q and
 F_p with one back-substitution, what every engine shares is written
-once in category.py, and no cache outlives the theory that one command
-builds."""
+once in category.py, linalg holds pure kernels that know no engine,
+every cache is a category.Memo, and no cache outlives the theory that
+one command builds."""
 
 import ast
+import gc
+import weakref
 from pathlib import Path
 
 import serreq
@@ -67,10 +70,12 @@ def test_one_integer_row_reduction():
         assert [callee for _, callee in _calls(functions[name], {"_hermite"})], name
     assert [node.name for node in ast.walk(functions["smith"])
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))] == ["smith"]
-    # one back-substitution: both solvers call the same private function
-    solvers = [{callee for _, callee in _calls(functions[name], set(functions))
-                if callee.startswith("_")} for name in ("int_solve", "f_solve")]
-    assert solvers[0] == solvers[1] and len(solvers[0]) == 1
+    # one back-substitution: linalg's standalone integer solve and the
+    # engines' memoized solve call the same private function, and no other
+    assert {callee for _, callee in _calls(functions["int_solve"], set(functions))
+            if callee.startswith("_")} == {"_solve"}
+    assert {where for where, _ in _calls(_tree("category.py"), {"_solve"})} \
+        == {"AbelianEngine.solve"}
     # and one pivot loop in the module
     assert [name for name, node in functions.items()
             if any(isinstance(loop, (ast.For, ast.While)) and _swaps_rows(loop)
@@ -172,8 +177,8 @@ def test_one_theory_contract():
                                            "_reflections")] \
         == [("category.py", "TorsionTheory.__init__")]
     assert [(path.name, where) for path in SOURCES
-            for where, _ in _written(ast.parse(path.read_text(encoding="utf-8")),
-                                     {"_reflections"})] \
+            for where, _ in _calls(ast.parse(path.read_text(encoding="utf-8")),
+                                   {"_reflections"})] \
         == [("category.py", "TorsionTheory.saturate")]
     functions = {node.name: {n.name for n in node.body if isinstance(n, ast.FunctionDef)}
                  for name in ("zmodules.py", "quiver.py") for node in ast.walk(_tree(name))
@@ -248,6 +253,78 @@ def test_no_cache_outlives_one_command():
     assert writes == [("linalg.py", "Mat.identity", "_IDENTITIES")]
 
 
+def _instance_caches(tree, scope=()):
+    """(enclosing Class.function path, attribute, what is assigned) for each
+    assignment of a dict, a set or a Memo to some `x.attribute`."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _instance_caches(node, scope + (node.name,))
+            continue
+        if isinstance(node, ast.Assign):
+            value = node.value
+            made = ast.unparse(value.func) if isinstance(value, ast.Call) else None
+            if isinstance(value, _CONTAINERS) or made in _CONTAINER_CALLS | {"Memo"}:
+                yield from ((".".join(scope), t.attr, ast.unparse(value))
+                            for t in node.targets if isinstance(t, ast.Attribute))
+        yield from _instance_caches(node, scope)
+
+
+def test_every_cache_is_one_memo():
+    """Each engine and theory cache is a category.Memo made in an
+    __init__, and it is filled only by calling it: no sentinel, no store
+    of its own."""
+    caches = {(path.name, where, attr, made) for path in SOURCES
+              for where, attr, made in _instance_caches(
+                  ast.parse(path.read_text(encoding="utf-8")))}
+    assert caches == {("category.py", "AbelianEngine.__init__", "_echelons", "Memo()"),
+                      ("category.py", "AbelianEngine.__init__", "_solutions", "Memo()"),
+                      ("category.py", "AbelianEngine.__init__", "_inverses", "Memo()"),
+                      ("category.py", "TorsionTheory.__init__", "_reflections", "Memo()"),
+                      ("zmodules.py", "ZModuleEngine.__init__", "_objects", "Memo()")}
+    names = {attr for _, _, attr, _ in caches}
+    assert [(path.name, where, name) for path in SOURCES
+            for where, name in _written(ast.parse(path.read_text(encoding="utf-8")),
+                                        names)] == []
+    assert [path.name for path in SOURCES
+            if "_MISS" in path.read_text(encoding="utf-8")] == []
+
+
+def test_linalg_knows_no_engine():
+    """The lattice operations live on the integer engine, over its memoized
+    rref, kernel and solve; linalg keeps only pure kernels, none of which
+    takes an echelon to call in place of its own."""
+    functions = [node for node in ast.walk(_tree("linalg.py"))
+                 if isinstance(node, ast.FunctionDef)]
+    assert [f.name for f in functions
+            if "echelon" in {a.arg for a in f.args.args + f.args.kwonlyargs}] == ["_solve"]
+    assert {f.name for f in functions} & {"int_kernel", "row_basis", "kernel_mod_rows",
+                                          "solve_mod_rows", "f_solve"} == set()
+    engines = _class_defs(_tree("zmodules.py"))
+    assert {"row_basis", "kernel_mod_rows", "solve_mod_rows"} <= engines["ZModuleEngine"]
+
+
+def test_no_memo_keeps_its_owner_alive():
+    """A memo that stored a bound method of its owner would make a cycle
+    that only the cyclic collector frees, so every command's engine and
+    theory would outlive it; reference counting alone must free them."""
+    from serreq import serre, session
+
+    descriptors = [{"kind": "finite_abelian", "p": 2}, {"kind": "a2_rep", "field": "q"},
+                   {"kind": "fixture", "p": 0}]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for desc in descriptors:
+            theory = session.theory_from_descriptor(desc)
+            refs = weakref.ref(theory), weakref.ref(theory.engine)
+            serre.run_suite(theory, "all", 1, 3)
+            del theory
+            assert [ref() for ref in refs] == [None, None], desc
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_echelon_memo_lives_on_the_engine():
     """QQ is a module singleton that outlives a command, so the echelon,
     solution and inverse memos are kept on each engine a command builds,
@@ -292,14 +369,16 @@ def test_identity_table_is_bounded():
 
 def test_subgroup_enumeration_is_independent_of_linalg():
     """The direct-limit oracle checks the HNF and Smith code, so the
-    enumeration of subgroups it rests on uses none of linalg."""
+    enumeration of subgroups it rests on uses none of linalg and none of
+    the integer engine's lattice methods."""
     linalg = {node.name for node in _tree("linalg.py").body
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-    assert {"_hermite", "row_echelon", "smith", "row_basis",
+    assert {"_hermite", "row_echelon", "smith", "kron",
             "presentation_normal_form", "Mat"} <= linalg
     helper = next(node for node in _tree("zmodules.py").body
                   if isinstance(node, ast.FunctionDef) and node.name == "_subgroup_masks")
     assert [a.arg for a in helper.args.args] == ["divisors"]
-    assert list(_calls(helper, linalg)) == []
+    lattice = {"rref", "kernel", "solve", "row_basis", "kernel_mod_rows", "solve_mod_rows"}
+    assert list(_calls(helper, linalg | lattice)) == []
     callers = {where for where, _ in _calls(_tree("zmodules.py"), {"_subgroup_masks"})}
     assert callers == {"finite_subobject_embeddings"}

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, product
 
 import pytest
@@ -9,14 +10,19 @@ from hypothesis import strategies as st
 from serreq import linalg
 from serreq.errors import InputValidationError, ShapeError
 from serreq.linalg import (
-    MR_BOUND, Mat, PrimeField, QQ, f_rref, f_solve, int_kernel,
-    int_solve, is_prime, kernel_mod_rows, kron, presentation_enumerate,
-    presentation_normal_form, row_basis, smith, solve_mod_rows,
+    MR_BOUND, Mat, PrimeField, QQ, _solve, f_rref, int_solve, is_prime, kron,
+    presentation_enumerate, presentation_normal_form, smith,
 )
+from serreq.zmodules import ZModuleEngine
 
 
-# Reference field kernels on linalg's f_rref and f_solve alone; the engines
-# compute theirs, memoized, in category.AbelianEngine.
+# Reference field kernels on linalg's f_rref and back-substitution alone;
+# the engines compute theirs, memoized, in category.AbelianEngine.
+
+
+def f_solve(field, A: Mat, B: Mat):
+    """X with X*A = B over the field, or None if the system is inconsistent."""
+    return _solve(field, A, B, partial(f_rref, field))
 
 
 def f_rank(field, A: Mat) -> int:
@@ -163,9 +169,12 @@ class TestSmith:
 
 
 class TestIntKernel:
+    """The left kernel lattice of the integer engine, read off its
+    memoized echelon."""
+
     def test_worked_example(self):
         A = Mat.from_rows([[2], [-1]])
-        K = int_kernel(A)
+        K = ZModuleEngine().kernel(A)
         assert K.rows == 1
         assert not any(map(any, K.mul(A).data))
         # brute-force: every small kernel vector must be an integer combination
@@ -176,11 +185,11 @@ class TestIntKernel:
 
     def test_invertible_gives_empty(self):
         A = Mat.from_rows([[1, 2], [0, 1]])
-        assert int_kernel(A).rows == 0
+        assert ZModuleEngine().kernel(A).rows == 0
 
     def test_zero_matrix_full_kernel(self):
         A = Mat.zeros(2, 3)
-        K = int_kernel(A)
+        K = ZModuleEngine().kernel(A)
         assert K.rows == 2
         assert abs(det(K)) == 1
 
@@ -190,7 +199,7 @@ class TestIntKernel:
             m = rng.randrange(1, 6)
             n = rng.randrange(1, 6)
             A = Mat.from_rows([[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)], n)
-            K = int_kernel(A)
+            K = ZModuleEngine().kernel(A)
             assert not any(map(any, K.mul(A).data))
             S, _, _ = smith(K)
             assert all(S.data[i][i] in (0, 1) for i in range(min(K.rows, K.cols)))
@@ -243,22 +252,24 @@ class TestIntSolve:
 
 
 class TestLatticeHelpers:
+    """The integer engine's lattice methods."""
+
     def test_row_basis_spans(self):
         A = Mat.from_rows([[2, 0], [4, 0], [0, 3]])
-        B = row_basis(A)
+        B = ZModuleEngine().row_basis(A)
         assert B.rows == 2
         for r in A.data:
             assert int_solve(B, Mat.from_rows([list(r)], 2)) is not None
 
     def test_kernel_mod_rows(self):
         # x*[1] in span of [3]  <=>  x divisible by 3
-        K = kernel_mod_rows(Mat.from_rows([[1]]), Mat.from_rows([[3]]))
+        K = ZModuleEngine().kernel_mod_rows(Mat.from_rows([[1]]), Mat.from_rows([[3]]))
         assert K.rows == 1 and abs(K.data[0][0]) == 3
 
     def test_solve_mod_rows(self):
         A = Mat.from_rows([[2]])
         R = Mat.from_rows([[5]])
-        X = solve_mod_rows(A, R, Mat.from_rows([[1]]))
+        X = ZModuleEngine().solve_mod_rows(A, R, Mat.from_rows([[1]]))
         assert X is not None
         assert (X.data[0][0] * 2 - 1) % 5 == 0
 

@@ -2,13 +2,14 @@
 
 import dataclasses
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 from serreq import quiver
 from serreq.category import rng_for
 from serreq.errors import EngineMismatch, InputValidationError, NotSaturatedError
-from serreq.linalg import Mat, PrimeField, QQ, f_rref, f_solve
+from serreq.linalg import Mat, PrimeField, QQ, _solve, f_rref
 from serreq.quiver import A2Engine, SinkSupportTheory
 
 F = PrimeField(101)
@@ -252,15 +253,17 @@ class TestEchelonMemo:
         results = {"solve": 0, "inv": 0}
         for A, B in cases:
             A = dataclasses.replace(A)
-            # the reference kernel, rank and inverse, read off a fresh f_rref
+            # the reference kernel, rank, solve and inverse, read off a fresh f_rref
             _, E, pivots = f_rref(field, A)
             rank = len(pivots)
             assert warm.kernel(A) == Mat(A.rows - rank, A.rows, E.data[rank:])
             assert warm.rank(A) == rank
-            inverse = f_solve(field, A, Mat.identity(A.rows)) if A.rows == A.cols else None
+            fresh = partial(f_rref, field)
+            inverse = (_solve(field, A, Mat.identity(A.rows), fresh) if A.rows == A.cols
+                       else None)
             # a second call reads the memo the first one filled
             x = warm.solve(A, B)
-            assert x == warm.solve(dataclasses.replace(A), B) == f_solve(field, A, B)
+            assert x == warm.solve(dataclasses.replace(A), B) == _solve(field, A, B, fresh)
             y = warm.inv(A)
             assert y == warm.inv(dataclasses.replace(A)) == inverse
             results["solve"] += x is None

@@ -7,7 +7,7 @@ from math import gcd, prod
 
 import pytest
 
-from serreq import linalg, zmodules
+from serreq import category, linalg, zmodules
 from serreq.category import rng_for
 from serreq.errors import (
     EngineMismatch, InputValidationError, NotSaturatedError, OracleUnsupported,
@@ -267,6 +267,7 @@ class TestReflectionMemo:
         for _ in range(3):
             with pytest.raises(EngineMismatch):
                 th.saturate(z)
+        assert z not in th._reflections
 
     @pytest.mark.parametrize("theory, p", [(PPrimaryTheory, 2), (PPrimaryTheory, 3),
                                            (FixtureTheory, 0), (FixtureTheory, 2)],
@@ -355,8 +356,32 @@ class TestEchelonMemo:
         eng.rank(b)
         assert eng.solve(a, Mat.from_rows([[8, 12]])) == Mat.from_rows([[2, 0]])
         assert eng.inv(b) is None
-        assert linalg.row_basis(b, eng.rref) == linalg.row_basis(a)
+        # the lattice methods read the same memo; a full-rank row basis is H
+        assert eng.row_basis(b) == eng.row_basis(a) == linalg.row_echelon(a)[0]
         assert len(calls) == 1
+
+    def test_a_repeated_lift_solves_its_system_once(self, monkeypatch):
+        systems = []
+
+        def counting(ring, A, B, echelon):
+            systems.append((A, B))
+            return solve(ring, A, B, echelon)
+
+        solve = category._solve
+        monkeypatch.setattr(category, "_solve", counting)
+        eng = FiniteAbelianEngine()
+        m = eng.obj(Mat.from_rows([[4, 6], [2, 9]]))
+        mono = eng.kernel_emb(eng.scale(eng.identity(m), 2))
+        f = eng.compose(eng.scale(eng.identity(mono.src), 3), mono)
+        systems.clear()
+        first = eng.lift_along_mono(f, mono)
+        assert first is not None and systems
+        # the lift's own system: the mono stacked on its target's relations
+        stacked = (mono.maps[0].stack_below(m.relations), f.maps[0])
+        assert systems.count(stacked) == 1 and stacked in eng._solutions
+        solved = len(systems)
+        assert eng.lift_along_mono(f, mono) == first
+        assert len(systems) == solved
 
     def test_equal_relations_share_one_smith_form(self, monkeypatch):
         calls = _counting(monkeypatch, linalg, "smith")
@@ -415,7 +440,9 @@ class TestEchelonMemo:
             inverse = (linalg.int_solve(rel, Mat.identity(rel.rows))
                        if rel.rows == rel.cols else None)
             assert warm.inv(rel) == warm.inv(rel) == fresh.inv(rel) == inverse
-            assert warm.kernel(rel) == fresh.kernel(rel) == linalg.int_kernel(rel)
+            _, E, pivots = linalg.row_echelon(rel)
+            kernel = Mat(rel.rows - len(pivots), rel.rows, E.data[len(pivots):])
+            assert warm.kernel(rel) == fresh.kernel(rel) == kernel
             assert (m.normal_form_data == fresh.obj(rel).normal_form_data
                     == linalg.presentation_normal_form(rel))
 
