@@ -416,18 +416,20 @@ class TorsionTheory:
 
 
 class ZGroup:
-    """A finitely presented abelian group, held as the integer engine's
-    object `obj` (Z^k modulo its relation rows, with its invariants
-    computed once).  The integer engine returns Ext1 as one."""
+    """A finitely presented abelian group, held as the object `obj` of an
+    integer `engine` (Z^k modulo its relation rows, with its invariants
+    computed once); whether it is zero is the engine's question, which
+    needs no Smith form.  The integer engine returns Ext1 as one."""
 
-    def __init__(self, obj):
+    def __init__(self, engine, obj):
+        self.engine = engine
         self.obj = obj
 
     def invariants(self):
         return ("Z", self.obj.rank, self.obj.divisors)
 
     def is_zero_group(self) -> bool:
-        return self.obj.rank == 0 and not self.obj.divisors
+        return self.engine.is_zero_obj(self.obj)
 
     def describe(self):
         return {"kind": "Z", "rank": self.obj.rank, "divisors": list(self.obj.divisors)}
@@ -500,7 +502,7 @@ class ZHomGroup(HomBasis, ZGroup):
 
     def __init__(self, engine, src, dst, basis_mors, obj):
         HomBasis.__init__(self, engine, src, dst, basis_mors)
-        ZGroup.__init__(self, obj)
+        ZGroup.__init__(self, engine, obj)
 
     def _solve_coeffs(self, basis_rows, target):
         # the modulus rows span the payloads of the zero morphism

@@ -219,7 +219,9 @@ class ColimitHom:
     the terminal stage of the resulting directed system (the intersection
     of all admissible subobjects), and evaluates Hom(M'_min, N/H_C(N))
     there.  Entirely independent of the reflection shortcut apart from
-    the comparison map.
+    the comparison map.  M is finite, so M/M' lies in C exactly when the
+    theory's order_in_c holds for |M| / |M'|, the predicate its is_in_c
+    reads too; no cokernel is built for a subobject.
     """
 
     def __init__(self, theory, m, n):
@@ -233,8 +235,9 @@ class ColimitHom:
         nbar = self.nbar_proj.dst
 
         embs = theory.subobject_embeddings(m)
+        order = e.order(m)
         admissible = [emb for emb in embs
-                      if theory.is_in_c(e.cokernel_proj(emb).dst)]
+                      if theory.order_in_c(order // e.order(emb.src))]
         if not admissible:
             raise ContractViolation("M itself is always an admissible stage")
         admissible.sort(key=lambda emb: e.order(emb.src))

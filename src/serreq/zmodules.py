@@ -42,10 +42,12 @@ class ZObj:
     @cached_property
     def normal_form_data(self):
         """presentation_normal_form(relations), computed on first use:
-        every invariant of the object is read from this one Smith form.
-        The cache lives outside the dataclass fields, so equality and
-        hashing still compare relations only; an engine keeps one object
-        per relation matrix, so a command computes it once."""
+        the divisors, the free rank and the normal-form transforms are
+        read from this one Smith form.  The order alone does not need it
+        (see ZModuleEngine.order).  The cache lives outside the dataclass
+        fields, so equality and hashing still compare relations only; an
+        engine keeps one object per relation matrix, so a command computes
+        it at most once."""
         return presentation_normal_form(self.relations)
 
     @property
@@ -77,7 +79,11 @@ class ZModuleEngine(AbelianEngine):
     Its lattice operations (row_basis, kernel_mod_rows, solve_mod_rows)
     are built on the engine's memoized rref, kernel and solve.  The Memo
     `_objects` keeps one object per relation matrix, so that a command
-    computes each Smith form once.
+    computes each Smith form once.  The order, and with it every yes/no
+    question about it (is_zero_obj, membership in C, saturation), is read
+    from the memoized Hermite basis of the relations unless the Smith
+    form is already known, so a Smith form runs only where divisors or
+    normal-form transforms are read.
     """
 
     name = "fpmod_z"
@@ -158,13 +164,26 @@ class ZModuleEngine(AbelianEngine):
         return self.solve(f.dst.relations, f.maps[0].sub(g.maps[0])) is not None
 
     def is_zero_obj(self, m: ZObj) -> bool:
-        return m.rank == 0 and not m.divisors
+        return self.order(m) == 1
 
     def invariants(self, m: ZObj):
         return ("Z", m.rank, m.divisors)
 
     def order(self, m: ZObj):
-        return None if m.rank else prod(m.divisors)
+        """|M|, or None when M is infinite.  It is read from the Smith form
+        when the object already carries one, and otherwise from the
+        Hermite basis of the relations: M is finite exactly when every
+        generator column has a pivot, and then |M| is the index of the
+        relation lattice, the product of the pivots (Cohen, GTM 138,
+        2.4.3)."""
+        known = m.__dict__.get("normal_form_data")
+        if known is not None:
+            divisors, free_rank = known[:2]
+            return None if free_rank else prod(divisors)
+        H, _, pivots = self.rref(m.relations)
+        if len(pivots) < m.gens:
+            return None
+        return prod(H.data[r][c] for r, c in pivots)
 
     # -- kernels, cokernels, lifts ---------------------------------------------
 
@@ -215,7 +234,7 @@ class ZModuleEngine(AbelianEngine):
         b = self.row_basis(m.relations)
         # the images B*F in Hom(Z^q, N) of the payloads F of maps Z^g -> N
         images = kron(b.transpose(), Mat.identity(n.gens))
-        return ZGroup(self.obj(self._hom_modulus(b.rows, n).stack_below(images)))
+        return ZGroup(self, self.obj(self._hom_modulus(b.rows, n).stack_below(images)))
 
     # -- normal forms ---------------------------------------------------------------
 
@@ -306,15 +325,25 @@ class ZModuleEngine(AbelianEngine):
         return {"rank": rank, "divisors": list(divisors)}
 
 
+_INFINITE = "the finite-abelian engine only handles finite objects"
+
+
 class FiniteAbelianEngine(ZModuleEngine):
-    """Finitely presented Z-modules of finite order (rank zero)."""
+    """Finitely presented Z-modules of finite order (rank zero); the
+    invariants or the order of an infinite object are an EngineMismatch."""
 
     name = "finite_abelian"
 
     def invariants(self, m: ZObj):
         if m.rank:
-            raise EngineMismatch("the finite-abelian engine only handles finite objects")
+            raise EngineMismatch(_INFINITE)
         return super().invariants(m)
+
+    def order(self, m: ZObj) -> int:
+        order = super().order(m)
+        if order is None:
+            raise EngineMismatch(_INFINITE)
+        return order
 
     def random_object(self, rng, size_bound, max_order=None) -> ZObj:
         """As in the general engine, with free rank 0 and no draw for it."""
@@ -323,7 +352,9 @@ class FiniteAbelianEngine(ZModuleEngine):
 
     def obj_from_payload(self, payload, where="object") -> ZObj:
         obj = super().obj_from_payload(payload, where)
-        if self.order(obj) is None:
+        # every loaded object needs its Smith form later, so the finiteness
+        # test reads it rather than eliminating the relations once more
+        if obj.rank:
             raise InputValidationError(f"{where}: object is not finite")
         return obj
 
@@ -345,8 +376,10 @@ class ZTorsionTheory(TorsionTheory):
     Subclasses supply only data: kind, canonical_tag, size_bound,
     engine_class, zero_p_allowed, probe_objects and, where subobjects can
     be enumerated, subobject_embeddings.  The engine decides what an
-    object may be: the finite-abelian engine's invariants raise
-    EngineMismatch on an infinite object.
+    object may be: the finite-abelian engine's invariants and order raise
+    EngineMismatch on an infinite object.  Membership in C and saturation
+    depend on the order alone, and order_in_c is the one definition of C
+    that is_in_c and the direct-limit oracle share.
     """
 
     flag = ("p", 2)
@@ -370,10 +403,14 @@ class ZTorsionTheory(TorsionTheory):
     def describe(self):
         return {"kind": self.kind, "p": self.p}
 
+    def order_in_c(self, order: int) -> bool:
+        """Whether a finite group of this order lies in C: every order for
+        the full torsion class, a power of p otherwise."""
+        return self.p == 0 or _p_free_part(order, self.p) == 1
+
     def is_in_c(self, m: ZObj) -> bool:
-        _, rank, divisors = self.engine.invariants(m)
-        return rank == 0 and (self.p == 0
-                              or all(_p_free_part(d, self.p) == 1 for d in divisors))
+        order = self.engine.order(m)
+        return order is not None and self.order_in_c(order)
 
     def h_c(self, m: ZObj) -> Mor:
         """Embedding of the p-primary part of the torsion of M (the whole
@@ -404,8 +441,8 @@ class ZTorsionTheory(TorsionTheory):
 
     def is_saturated(self, m: ZObj) -> bool:
         # gcd(order, 0) = order, so for p = 0 only the zero object is saturated
-        _, rank, divisors = self.engine.invariants(m)
-        return rank == 0 and gcd(prod(divisors), self.p) == 1
+        order = self.engine.order(m)
+        return order is not None and gcd(order, self.p) == 1
 
     def extend_along_unit(self, phi: Mor) -> Mor:
         """The unique psi with psi after eta_{src(phi)} equal to phi."""
@@ -558,7 +595,9 @@ def finite_subobject_embeddings(engine: ZModuleEngine, m: ZObj, element_cap=256)
 
     Each subgroup is presented by its generators stacked on the relations
     of the normal form; the Hermite basis of that full-rank lattice is
-    unique, so it does not depend on which generators were recorded.
+    unique, so it does not depend on which generators were recorded.  The
+    subgroup's relations are a Hermite basis too, so its order check reads
+    their pivots and starts no Smith form.
     """
     order = engine.order(m)
     if order is None or order > element_cap:

@@ -124,6 +124,65 @@ class TestOneSmithFormPerObject:
             assert Z.invariants(ZObj(rel)) == expected, data
 
 
+def _counting_kernels(monkeypatch):
+    """The inputs of every linalg.smith and linalg.row_echelon call from
+    now on, wherever serreq calls them (zmodules imports row_echelon by
+    name)."""
+    calls = {"smith": [], "row_echelon": []}
+    for name, seen in calls.items():
+        kernel = getattr(linalg, name)
+
+        def counting(A, kernel=kernel, seen=seen):
+            seen.append(A)
+            return kernel(A)
+
+        monkeypatch.setattr(linalg, name, counting)
+        if hasattr(zmodules, name):
+            monkeypatch.setattr(zmodules, name, counting)
+    return calls
+
+
+def _run_cli(tmp_path, kind, objects, argv):
+    import json
+
+    from serreq.cli import main
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"engine": {"kind": kind, "p": 2}, "objects": {
+        name: {"relations": rel, "gens": len(rel[0])} for name, rel in objects.items()}}),
+        encoding="utf-8")
+    return main([*argv, "--input", str(path), "--out", str(tmp_path / "out.json")])
+
+
+class TestWorkCounts:
+    """Eliminations made by whole commands, counted around cli.main."""
+
+    M = [[4, 6, 0], [2, 9, 3], [0, 3, 6]]   # Z/4 x Z/27 up to isomorphism
+    N = [[6, 3], [3, 6]]                    # Z/3 x Z/9
+    DENSE = [[6, 4, 10, 2, 7, 3], [3, 9, 0, 6, 1, 8], [2, 8, 4, 12, 5, 5],
+             [5, 1, 7, 3, 9, 2], [8, 2, 6, 4, 0, 11], [1, 7, 3, 5, 2, 6]]
+
+    def test_oracle_starts_no_smith_form_for_a_subgroup(self, monkeypatch, tmp_path):
+        m = FiniteAbelianEngine().obj(Mat.from_rows(self.M))
+        subgroups = {emb.src.relations for emb in finite_subobject_embeddings(FA, m)}
+        assert len(subgroups) == 27
+        calls = _counting_kernels(monkeypatch)
+        argv = ["qhom", "--objects", "M", "N", "--oracle"]
+        assert _run_cli(tmp_path, "finite_abelian", {"M": self.M, "N": self.N}, argv) == 0
+        assert [A for A in calls["smith"] if A in subgroups] == []
+        # the two inputs, the two Hom groups (shortcut and direct limit)
+        # and the cokernel of M by H_C(M), whatever the number of subgroups
+        assert len(calls["smith"]) == 5
+
+    @pytest.mark.parametrize("kind", ["finite_abelian", "fixture"])
+    def test_saturate_eliminations(self, monkeypatch, tmp_path, kind):
+        # one Smith form of the input and one of its cokernel by H_C(M),
+        # each with the one elimination that inverts its transform V
+        calls = _counting_kernels(monkeypatch)
+        assert _run_cli(tmp_path, kind, {"D": self.DENSE}, ["saturate"]) == 0
+        assert {name: len(seen) for name, seen in calls.items()} == {
+            "smith": 2, "row_echelon": 2}
+
+
 def _vec(*mats):
     """The matrices flattened row by row and in turn, as one row vector."""
     flat = tuple(x for a in mats for row in a.data for x in row)
@@ -174,6 +233,102 @@ class TestMembership:
             mid = TH.is_in_c(ses.mid)
             ends = TH.is_in_c(ses.sub) and TH.is_in_c(ses.quot)
             assert mid == ends
+
+
+def _relation_matrices(seed, count):
+    """Relation matrices up to 6 x 6 with entries in [-9, 9]: the empty
+    shapes, zero matrices and rows, free objects (fewer rows than
+    columns) and extra rows that are integer combinations of the others."""
+    rng = random.Random(seed)
+    out = [Mat.zeros(0, 0), Mat.zeros(0, 3), Mat.zeros(3, 0), Mat.zeros(2, 2),
+           Mat.from_rows([[0, 0], [0, 5]]), Mat.from_rows([[1]])]
+    while len(out) < count:
+        cols = rng.randrange(0, 7)
+        rows = [[rng.randint(-9, 9) for _ in range(cols)]
+                for _ in range(rng.randrange(0, 6))]
+        if rows and rng.randrange(3) == 0:
+            rows[rng.randrange(len(rows))] = [0] * cols
+        if rows and rng.randrange(3) == 0:
+            coeffs = [rng.randint(-2, 2) for _ in rows]
+            rows.append([sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(cols)])
+        out.append(Mat(len(rows), cols, tuple(map(tuple, rows))))
+    return out
+
+
+def _is_power(d, p):
+    while d % p == 0:
+        d //= p
+    return d == 1
+
+
+class TestOrderFromHermite:
+    """The order, and every question that needs no more than the order, is
+    read from the Hermite basis of the relations unless the Smith form is
+    known; both ways must give what the Smith form and sympy give."""
+
+    THEORIES = [(PPrimaryTheory, 2), (PPrimaryTheory, 3),
+                (FixtureTheory, 0), (FixtureTheory, 2), (FixtureTheory, 3)]
+
+    @staticmethod
+    def _sympy_order(rel):
+        from sympy import Matrix, ZZ
+        from sympy.matrices.normalforms import invariant_factors
+
+        flat = [x for row in rel.data for x in row]
+        nonzero = [int(d) for d in invariant_factors(Matrix(rel.rows, rel.cols, flat),
+                                                     domain=ZZ) if d]
+        return prod(nonzero) if len(nonzero) == rel.cols else None
+
+    @staticmethod
+    def _order_answers(engine, m):
+        return (engine.order(m), engine.is_zero_obj(m),
+                category.ZGroup(engine, m).is_zero_group())
+
+    def test_engines_agree_with_smith_and_sympy(self):
+        for rel in _relation_matrices(18, 300):
+            divisors, free_rank, _, _ = linalg.presentation_normal_form(rel)
+            order = None if free_rank else prod(divisors)
+            assert order == self._sympy_order(rel), rel
+            expected = (order, order == 1, order == 1)
+            for engine in (ZModuleEngine(), FiniteAbelianEngine()):
+                m = engine.obj(rel)
+                if order is None and isinstance(engine, FiniteAbelianEngine):
+                    for question in (engine.order, engine.is_zero_obj,
+                                     lambda m: category.ZGroup(engine, m).is_zero_group()):
+                        with pytest.raises(EngineMismatch):
+                            question(m)
+                    continue
+                assert self._order_answers(engine, m) == expected, rel
+                # the answers came from the Hermite basis, not a Smith form
+                assert "normal_form_data" not in m.__dict__, rel
+                assert m.normal_form_data[:2] == (divisors, free_rank)
+                assert self._order_answers(engine, m) == expected, rel
+
+    def test_theories_agree_with_smith(self):
+        for rel in _relation_matrices(19, 200):
+            divisors, free_rank, _, _ = linalg.presentation_normal_form(rel)
+            for cls, p in self.THEORIES:
+                th = cls(p)
+                m = th.engine.obj(rel)
+                if free_rank and cls is PPrimaryTheory:
+                    for question in (th.is_in_c, th.is_saturated):
+                        with pytest.raises(EngineMismatch):
+                            question(m)
+                    continue
+                in_c = free_rank == 0 and (p == 0 or all(_is_power(d, p) for d in divisors))
+                saturated = free_rank == 0 and gcd(prod(divisors), p) == 1
+                assert (th.is_in_c(m), th.is_saturated(m)) == (in_c, saturated), (rel, p)
+                assert "normal_form_data" not in m.__dict__, rel
+                m.normal_form_data
+                assert (th.is_in_c(m), th.is_saturated(m)) == (in_c, saturated), (rel, p)
+
+    def test_infinite_rejected_by_the_finite_engine(self):
+        for p in (2, 3):
+            th = PPrimaryTheory(p)
+            for question in (th.is_in_c, th.is_saturated, th.engine.order,
+                             th.engine.is_zero_obj):
+                with pytest.raises(EngineMismatch):
+                    question(FA.free(1))
 
 
 class TestHC:
