@@ -4,10 +4,11 @@ An engine supplies presented objects, morphisms with decidable equality,
 kernels, cokernels, lifts, Hom- and Ext1-groups, and seeded random
 generators.  Everything here is derived from those primitives and
 works uniformly in every engine: images, mono/epi/iso tests, inversion,
-homology, short exact sequences, and the HomGroup carrier machinery.
+homology, short exact sequences, and the Hom and Ext carriers.
 
-All values are immutable; no operation mutates shared state, so
-independent checks can be evaluated concurrently.
+All values are immutable.  The engine and the theory keep memos that
+fill while one command runs; that command's checks share them and run
+one after the other.
 """
 
 from __future__ import annotations
@@ -417,22 +418,22 @@ class TorsionTheory:
 
 class ZGroup:
     """A finitely presented abelian group, held as the object `obj` of an
-    integer `engine` (Z^k modulo its relation rows, with its invariants
-    computed once); whether it is zero is the engine's question, which
-    needs no Smith form.  The integer engine returns Ext1 as one."""
+    integer `engine` (Z^k modulo its relation rows); its invariants,
+    summary and whether it is zero are the engine's answers for `obj`.
+    The integer engine returns Ext1 as one."""
 
     def __init__(self, engine, obj):
         self.engine = engine
         self.obj = obj
 
     def invariants(self):
-        return ("Z", self.obj.rank, self.obj.divisors)
+        return self.engine.invariants(self.obj)
 
     def is_zero_group(self) -> bool:
         return self.engine.is_zero_obj(self.obj)
 
     def describe(self):
-        return {"kind": "Z", "rank": self.obj.rank, "divisors": list(self.obj.divisors)}
+        return {"kind": "Z", **self.engine.describe_invariants(self.obj)}
 
 
 class VectorSpace:
@@ -454,43 +455,45 @@ class VectorSpace:
 
 
 class HomBasis:
-    """Hom(src, dst) with a fixed basis of morphisms.
+    """Hom(src, dst) with a fixed basis, held as the matrix `rows` that
+    hom_group computes: row i is the Hom vector of basis element i (its
+    vertex matrices flattened in turn).
 
-    Elements are coefficient rows over the basis; decode and encode
-    translate between coefficient rows and morphisms, and encode respects
-    morphism addition.  A carrier supplies _solve_coeffs (a row whose
-    first ngens entries are the coefficients of the target row in the
-    basis rows, up to the carrier's relations, or None), is_bijection
-    (whether the coefficient rows of basis images from another carrier of
-    the same engine give a bijection onto this one) and
-    enumerate_elements (every coefficient row of a small finite carrier,
-    one per element, or None).
+    Elements are coefficient rows over the basis.  decode multiplies a
+    coefficient row by `rows` and reads the product as a morphism;
+    encode solves for a morphism's Hom vector against `rows`, and it
+    respects morphism addition.  `basis` decodes every row, on each read.
+    A carrier supplies _solve_coeffs (a row whose first ngens entries are
+    the coefficients of the target row in the basis rows, up to the
+    carrier's relations, or None), is_bijection (whether the coefficient
+    rows of basis images from another carrier of the same engine give a
+    bijection onto this one) and enumerate_elements (every coefficient
+    row of a small finite carrier, one per element, or None).
     """
 
-    def __init__(self, engine, src, dst, basis_mors):
+    def __init__(self, engine, src, dst, rows: Mat):
         self.engine = engine
         self.src = src
         self.dst = dst
-        self.basis = list(basis_mors)
+        self.rows = rows
 
     @property
     def ngens(self):
-        return len(self.basis)
+        return self.rows.rows
+
+    @property
+    def basis(self):
+        return [self.engine._mor_from_vector(self.src, self.dst, row) for row in self.rows.data]
 
     def decode(self, coeffs):
-        f = self.engine.zero_morphism(self.src, self.dst)
-        for c, b in zip(coeffs, self.basis):
-            if c:
-                f = self.engine.add(f, self.engine.scale(b, c))
-        return f
+        vec = self.engine.ring.mul(Mat.from_rows([coeffs], self.ngens), self.rows)
+        return self.engine._mor_from_vector(self.src, self.dst, vec.data[0])
 
     def encode(self, mor):
         if mor.src != self.src or mor.dst != self.dst:
             raise EndpointMismatch("morphism does not belong to this Hom-group")
         vec = self.engine._hom_vector(mor)
-        basis_rows = Mat.from_rows([self.engine._hom_vector(b) for b in self.basis],
-                                   len(vec))
-        x = self._solve_coeffs(basis_rows, Mat.from_rows([vec], len(vec)))
+        x = self._solve_coeffs(self.rows, Mat.from_rows([vec], len(vec)))
         if x is None:
             raise ContractViolation("a morphism is not in the span of the Hom basis")
         return tuple(x.data[0][:self.ngens])
@@ -500,14 +503,14 @@ class ZHomGroup(HomBasis, ZGroup):
     """Hom(M, N) as a finitely presented abelian group: coefficient rows
     are taken modulo the relations of `obj`."""
 
-    def __init__(self, engine, src, dst, basis_mors, obj):
-        HomBasis.__init__(self, engine, src, dst, basis_mors)
+    def __init__(self, engine, src, dst, rows, obj):
+        HomBasis.__init__(self, engine, src, dst, rows)
         ZGroup.__init__(self, engine, obj)
 
-    def _solve_coeffs(self, basis_rows, target):
+    def _solve_coeffs(self, rows, target):
         # the modulus rows span the payloads of the zero morphism
         modulus = self.engine._hom_modulus(self.src.gens, self.dst)
-        return self.engine.solve(basis_rows.stack_below(modulus), target)
+        return self.engine.solve(rows.stack_below(modulus), target)
 
     def is_bijection(self, src_group, images) -> bool:
         """An isomorphism test between the presented groups."""
@@ -522,12 +525,12 @@ class ZHomGroup(HomBasis, ZGroup):
 class FieldHomGroup(HomBasis, VectorSpace):
     """Hom(V, U) as a finite-dimensional vector space over the base field."""
 
-    def __init__(self, engine, src, dst, basis_mors):
-        HomBasis.__init__(self, engine, src, dst, basis_mors)
+    def __init__(self, engine, src, dst, rows):
+        HomBasis.__init__(self, engine, src, dst, rows)
         VectorSpace.__init__(self, engine.field, self.ngens)
 
-    def _solve_coeffs(self, basis_rows, target):
-        return self.engine.solve(basis_rows, target)
+    def _solve_coeffs(self, rows, target):
+        return self.engine.solve(rows, target)
 
     def is_bijection(self, src_group, images) -> bool:
         """A rank check."""

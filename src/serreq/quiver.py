@@ -134,9 +134,7 @@ class A2Engine(AbelianEngine):
             kron(m.alpha.transpose(), Mat.identity(n.d2).scale(-1))))
 
     def hom_group(self, m: A2Obj, n: A2Obj) -> FieldHomGroup:
-        cmat = self._constraint_matrix(m, n)
-        basis = [self._mor_from_vector(m, n, row) for row in self.kernel(cmat).data]
-        return FieldHomGroup(self, m, n, basis)
+        return FieldHomGroup(self, m, n, self.kernel(self._constraint_matrix(m, n)))
 
     def ext1_group(self, m: A2Obj, n: A2Obj) -> VectorSpace:
         """Ext1 from the standard projective resolution

@@ -131,13 +131,15 @@ def load_session_input(doc: dict, theory=None):
     """(theory, {name: object}) of an input document.  Its morphisms are
     decoded and checked against the objects, but no command reads them."""
     theory = input_theory(doc, theory)
-    for key in ("objects", "morphisms"):
-        if not isinstance(doc.get(key) or {}, dict):
+    # an absent section is empty; a present one, null included, is a mapping
+    sections = {key: doc.get(key, {}) for key in ("objects", "morphisms")}
+    for key, section in sections.items():
+        if not isinstance(section, dict):
             raise InputValidationError(f"'{key}' must map names to payloads")
     objects = {}
-    for name, payload in (doc.get("objects") or {}).items():
+    for name, payload in sections["objects"].items():
         objects[name] = theory.engine.obj_from_payload(payload, f"objects.{name}")
-    for name, payload in (doc.get("morphisms") or {}).items():
+    for name, payload in sections["morphisms"].items():
         if not isinstance(payload, dict):
             raise InputValidationError(f"morphisms.{name}: payload must be an object")
         src_name, dst_name = payload.get("src"), payload.get("dst")

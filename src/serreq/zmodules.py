@@ -221,8 +221,7 @@ class ZModuleEngine(AbelianEngine):
         lat = self.row_basis(sols)
         modulus = self._hom_modulus(g, n)
         rel = self.kernel_mod_rows(lat, modulus) if lat.rows else Mat.zeros(0, 0)
-        basis = [self._mor_from_vector(m, n, row) for row in lat.data]
-        return ZHomGroup(self, m, n, basis, self.obj(rel))
+        return ZHomGroup(self, m, n, lat, self.obj(rel))
 
     def ext1_group(self, m: ZObj, n: ZObj) -> ZGroup:
         """Ext1(M, N) from the length-one free resolution of M.
@@ -488,8 +487,8 @@ class PPrimaryTheory(ZTorsionTheory):
         return [e.zero_object(), e.cyclic(p), e.cyclic(p * p), e.cyclic(q),
                 e.cyclic(p * q), e.obj_from_divisors([p, q * q])]
 
-    def subobject_embeddings(self, m: ZObj, element_cap=256):
-        return finite_subobject_embeddings(self.engine, m, element_cap)
+    def subobject_embeddings(self, m: ZObj):
+        return finite_subobject_embeddings(self.engine, m)
 
 
 class FixtureTheory(ZTorsionTheory):
@@ -522,9 +521,10 @@ class FixtureTheory(ZTorsionTheory):
 # exhaustive subobject enumeration (finite objects only)
 
 
-# The most subgroups the oracle enumerates.  The 25 pairs of the
-# qhom-oracle benchmark have 497 between them, while (Z/2)^8 passes the
-# order cap of 256 elements with 417,199.
+# The largest order, and the most subgroups, of an object the oracle
+# enumerates.  The 25 pairs of the qhom-oracle benchmark have 497
+# subgroups between them, while (Z/2)^8 passes the order cap with 417,199.
+ELEMENT_CAP = 256
 SUBGROUP_CAP = 4096
 
 
@@ -589,7 +589,7 @@ def _subgroup_masks(divisors):
     return known
 
 
-def finite_subobject_embeddings(engine: ZModuleEngine, m: ZObj, element_cap=256):
+def finite_subobject_embeddings(engine: ZModuleEngine, m: ZObj):
     """One embedding per subgroup of the finite object M, in the order of
     the subgroups' element masks (see _subgroup_masks).
 
@@ -600,7 +600,7 @@ def finite_subobject_embeddings(engine: ZModuleEngine, m: ZObj, element_cap=256)
     their pivots and starts no Smith form.
     """
     order = engine.order(m)
-    if order is None or order > element_cap:
+    if order is None or order > ELEMENT_CAP:
         raise OracleUnsupported("object too large for exhaustive subobject enumeration")
     nf, _, from_nf = engine.normal_form(m)
     masks = _subgroup_masks(list(m.divisors))

@@ -354,6 +354,41 @@ class TestHomGroup:
                 assert eng.eq_mor(hom.decode(hom.encode(fsum)),
                                   hom.decode(tuple(x + y for x, y in zip(a, b))))
 
+    def test_decode_is_the_basis_combination(self):
+        # decode multiplies by the basis rows; the sum of the scaled basis
+        # morphisms is the same morphism, entry for entry
+        z, a2q = ZModuleEngine(), A2Engine(QQ)
+        infinite = (z, z.free(1), z.obj_from_divisors([6], free_rank=1))
+        zero = [(z, z.cyclic(2), z.free(1)), (A2, A2.simple_source(), A2.interval())]
+        assert z.hom_group(*infinite[1:]).invariants() == ("Z", 1, (6,))
+        assert [eng.hom_group(m, n).ngens for eng, m, n in zero] == [0, 0]
+        cases = [infinite, *zero]
+        for k, (eng, size) in enumerate(ENGINES + [(a2q, 2)]):
+            for i in range(10):
+                rng = rng_for(75, "codec", k, i)
+                cases.append((eng, eng.random_object(rng, size), eng.random_object(rng, size)))
+        for j, (eng, m, n) in enumerate(cases):
+            hom = eng.hom_group(m, n)
+            rng = rng_for(76, "codec", j)
+            for _ in range(5):
+                coeffs = random_coeffs(eng, hom, rng)
+                total = eng.zero_morphism(m, n)
+                for c, b in zip(coeffs, hom.basis):
+                    total = eng.add(total, eng.scale(b, c))
+                assert hom.decode(coeffs) == total
+
+    def test_only_decode_builds_morphisms(self, monkeypatch):
+        for eng, m, n in [(FA, FA.cyclic(4), FA.cyclic(6)), (A2, A2.interval(2), A2.interval())]:
+            calls = []
+            build = eng._mor_from_vector
+            monkeypatch.setattr(eng, "_mor_from_vector",
+                                lambda *args: calls.append(args) or build(*args))
+            hom = eng.hom_group(m, n)
+            assert not hom.is_zero_group() and hom.describe()
+            assert calls == []
+            hom.decode((1,) * hom.ngens)
+            assert len(calls) == 1
+
     def test_carrier_bijections(self):
         # the identity of Hom(M, N) read in a second copy of the carrier is
         # bijective; the zero map only on the zero carrier

@@ -618,8 +618,13 @@ class TestParameterValidation:
 _FA2 = {"kind": "finite_abelian", "p": 2}
 
 
+# a present section that is no mapping is an error, however empty it looks
+_FALSY = {"empty-list": [], "zero": 0, "false": False, "empty-string": "", "null": None}
+
+
 class TestMalformedDocuments:
-    """Each of these documents used to end in a traceback."""
+    """Each of these documents used to end in a traceback, or in an exit 0
+    that read a falsy section as an empty one."""
 
     @pytest.mark.parametrize("command, text", [
         ("replay", json.dumps({"engine": _FA2, "check": "nope", "data": {}})),
@@ -635,9 +640,12 @@ class TestMalformedDocuments:
                      '"objects": {"M": {"relations": [[' + "1" * 4401 + ']], "gens": 1}}}'),
         ("saturate", json.dumps({"engine": {"kind": "a2_rep", "field": "f101"},
                                  "objects": {"V": {"dims": [True, 1], "alpha": [[1]]}}})),
-    ], ids=["unknown-check", "data-lacks-key", "unknown-candidate", "checks-not-a-list",
-            "suite-checks-not-a-list", "witness-not-an-object", "objects-not-a-mapping",
-            "4401-digit-integer", "boolean-dims"])
+    ] + [("saturate", json.dumps({"engine": _FA2, key: value}))
+         for key in ("objects", "morphisms") for value in _FALSY.values()],
+        ids=["unknown-check", "data-lacks-key", "unknown-candidate", "checks-not-a-list",
+             "suite-checks-not-a-list", "witness-not-an-object", "objects-not-a-mapping",
+             "4401-digit-integer", "boolean-dims"]
+        + [f"{key}-{name}" for key in ("objects", "morphisms") for name in _FALSY])
     def test_exits_2_with_a_message(self, command, text, tmp_path, capsys):
         path = tmp_path / "in.json"
         path.write_text(text, encoding="utf-8")

@@ -714,7 +714,7 @@ class TestSubobjectEnumeration:
 
     def test_too_large_rejected(self):
         with pytest.raises(ValueError):
-            finite_subobject_embeddings(FA, FA.cyclic(512), element_cap=256)
+            finite_subobject_embeddings(FA, FA.cyclic(512))
 
     def test_too_many_subgroups_rejected(self):
         # (Z/2)^7 has 29,212 subgroups
