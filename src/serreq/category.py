@@ -16,6 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 
 from .errors import (
@@ -387,11 +388,15 @@ class TorsionTheory:
     default), canonical_tag (the label of its own candidate monad) and
     size_bound (the default size of its random samples); the descriptor
     codec from_descriptor and describe; and the methods is_in_c, h_c,
-    _reflect (W(M) and the unit eta_M), is_saturated, extend_along_unit,
+    _reflect (the pair (W(M), eta_M), or a tuple subclass of it that
+    carries more, as the integer theories' section of the unit),
+    is_saturated, extend_along_unit (the psi with eta_M;psi = phi for a
+    phi into a saturated object, ContractViolation when none is found),
     c_cogenerators (the objects of C the saturating suite tests W-images
     against), probe_objects and twist_unit.  Random morphisms come from
-    the engine.  The Memo `_reflections`, from an object to (W(M),
-    eta_M), lives on the theory, which each command builds afresh.
+    the engine.  The Memo `_reflections`, from an object to what _reflect
+    returned for it, lives on the theory, which each command builds
+    afresh; saturate returns that stored value.
     """
 
     def __init__(self, engine):
@@ -501,11 +506,18 @@ class HomBasis:
 
 class ZHomGroup(HomBasis, ZGroup):
     """Hom(M, N) as a finitely presented abelian group: coefficient rows
-    are taken modulo the relations of `obj`."""
+    are taken modulo the relations of `obj`.  That presentation is built
+    when it is first read (invariants, is_zero_group, describe,
+    is_bijection, enumerate_elements); decode and encode do not read it,
+    so a random morphism never builds it."""
 
-    def __init__(self, engine, src, dst, rows, obj):
-        HomBasis.__init__(self, engine, src, dst, rows)
-        ZGroup.__init__(self, engine, obj)
+    @cached_property
+    def obj(self):
+        # the coefficient rows whose morphism is zero
+        eng = self.engine
+        if not self.ngens:
+            return eng.obj(Mat.zeros(0, 0))
+        return eng.obj(eng.kernel_mod_rows(self.rows, eng._hom_modulus(self.src.gens, self.dst)))
 
     def _solve_coeffs(self, rows, target):
         # the modulus rows span the payloads of the zero morphism

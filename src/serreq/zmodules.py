@@ -218,10 +218,7 @@ class ZModuleEngine(AbelianEngine):
         cmat = kron(m.relations.transpose(), Mat.identity(h)).stack_below(
             kron(Mat.identity(m.relations.rows).scale(-1), n.relations))
         sols = self.kernel(cmat).take_cols(range(g * h))
-        lat = self.row_basis(sols)
-        modulus = self._hom_modulus(g, n)
-        rel = self.kernel_mod_rows(lat, modulus) if lat.rows else Mat.zeros(0, 0)
-        return ZHomGroup(self, m, n, lat, self.obj(rel))
+        return ZHomGroup(self, m, n, self.row_basis(sols))
 
     def ext1_group(self, m: ZObj, n: ZObj) -> ZGroup:
         """Ext1(M, N) from the length-one free resolution of M.
@@ -362,6 +359,19 @@ class FiniteAbelianEngine(ZModuleEngine):
 # torsion theories
 
 
+class Reflection(tuple):
+    """The pair (W(M), eta_M), which unpacks and indexes as a tuple, with
+    `section`: a generator-image matrix S from W(M) to M such that S
+    followed by eta_M is the identity morphism of W(M).  S need not respect the
+    relations of M, but every psi with eta_M;psi = phi equals
+    S;eta_M;psi = S;phi, so an extension along the unit is one product."""
+
+    def __new__(cls, w, eta, section: Mat):
+        self = super().__new__(cls, (w, eta))
+        self.section = section
+        return self
+
+
 def _p_free_part(d: int, p: int) -> int:
     while d % p == 0:
         d //= p
@@ -433,10 +443,14 @@ class ZTorsionTheory(TorsionTheory):
     def _reflect(self, m: ZObj):
         """M / H_C(M) in normal form with the projection as unit; ker eta =
         H_C(M) and coker eta = 0.  For the fixture this is the naive
-        candidate, whose image is not saturated in general."""
+        candidate, whose image is not saturated in general.
+
+        The cokernel keeps the generators of M, so the matrix of the
+        normal form's from_nf is a section of eta on generators; it is
+        handed back with the pair (see Reflection)."""
         proj = self.engine.cokernel_proj(self.h_c(m))
-        nf, to_nf, _ = self.engine.normal_form(proj.dst)
-        return nf, self.engine.compose(proj, to_nf)
+        nf, to_nf, from_nf = self.engine.normal_form(proj.dst)
+        return Reflection(nf, self.engine.compose(proj, to_nf), from_nf.maps[0])
 
     def is_saturated(self, m: ZObj) -> bool:
         # gcd(order, 0) = order, so for p = 0 only the zero object is saturated
@@ -444,12 +458,19 @@ class ZTorsionTheory(TorsionTheory):
         return order is not None and gcd(order, self.p) == 1
 
     def extend_along_unit(self, phi: Mor) -> Mor:
-        """The unique psi with psi after eta_{src(phi)} equal to phi."""
+        """The unique psi with psi after eta_{src(phi)} equal to phi.
+
+        eta is epic, so psi is the unit's section followed by phi, one
+        product with no elimination of its own.  The two checks of
+        colift_along_epi run on it: psi must be a morphism and eta;psi
+        must equal phi."""
         if not self.is_saturated(phi.dst):
             raise NotSaturatedError("extension target must be saturated")
-        _, eta = self.saturate(phi.src)
-        psi = self.engine.colift_along_epi(phi, eta)
-        if psi is None:
+        unit = self.saturate(phi.src)
+        w, eta = unit
+        eng = self.engine
+        psi = Mor(w, phi.dst, (unit.section.mul(phi.maps[0]),))
+        if not (eng.is_well_defined(psi) and eng.eq_mor(eng.compose(eta, psi), phi)):
             raise ContractViolation("a map to a saturated object must extend along the unit")
         return psi
 

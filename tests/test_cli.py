@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from serreq import session
+from serreq import serre, session
 from serreq.category import MAX_INPUT_SIZE
 from serreq.cli import main
 from serreq.zmodules import FixtureTheory
@@ -672,6 +672,8 @@ _FOREIGN_ENGINES = [
     {"kind": "finite_abelian", "p": 0}, {"kind": "fixture", "p": 0},
     {"kind": "fixture", "p": -5}, {"kind": "nope"}, {"field": "q"},
 ]
+_FIELD_NAMES = ["q", "f2", "f3", "f101", "f4", "F7", ""]
+_CHECK_NAMES = sorted(serre.CHECKS) + ["precondition-saturating", "nope", ""]
 # a huge integer is written into the file as raw digits, since json.dumps
 # refuses integers over Python's digit limit
 _HUGE_DIGITS = [19, 300, 4301, 6000]
@@ -752,4 +754,32 @@ class TestReplayFuzz:
         if code == 2:
             assert not out.exists()
         else:
+            assert read_report(str(out))["exit"] == code
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_fixture_witness_with_other_fields(self, data, real_witnesses,
+                                               tmp_path_factory):
+        """A fixture witness whose engine, check name or payload integers are
+        replaced by well-typed values: other theories and primes, every check
+        name, and entries a morphism or object may not accept."""
+        fixture = [w for w in real_witnesses if w["engine"]["kind"] == "fixture"]
+        doc = copy.deepcopy(data.draw(st.sampled_from(fixture), label="witness"))
+        if data.draw(st.booleans(), label="swap engine"):
+            kind = data.draw(st.sampled_from(sorted(session.THEORIES)), label="kind")
+            value = (data.draw(st.sampled_from(_FIELD_NAMES), label="field")
+                     if kind == "a2_rep" else data.draw(st.integers(-2, 7), label="p"))
+            doc["engine"] = {"kind": kind, session.THEORIES[kind].flag[0]: value}
+        if data.draw(st.booleans(), label="swap check"):
+            doc["check"] = data.draw(st.sampled_from(_CHECK_NAMES), label="check")
+        leaves = [path for path, value in _nodes(doc["data"])
+                  if isinstance(value, int) and not isinstance(value, bool)]
+        for path in data.draw(st.lists(st.sampled_from(leaves), max_size=4), label="leaves"):
+            _set(doc["data"], path, data.draw(st.integers(-40, 40), label="entry"))
+        tmp = tmp_path_factory.mktemp("fields")
+        path, out = tmp / "w.json", tmp / "out.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code = main(["replay", "--input", str(path), "--out", str(out)])
+        assert code in (0, 1, 2)
+        if code != 2:
             assert read_report(str(out))["exit"] == code

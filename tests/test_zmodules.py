@@ -8,9 +8,10 @@ from math import gcd, prod
 import pytest
 
 from serreq import category, linalg, zmodules
-from serreq.category import rng_for
+from serreq.category import Mor, rng_for
 from serreq.errors import (
-    EngineMismatch, InputValidationError, NotSaturatedError, OracleUnsupported,
+    ContractViolation, EngineMismatch, InputValidationError, NotSaturatedError,
+    OracleUnsupported,
 )
 from serreq.linalg import Mat
 from serreq.zmodules import (
@@ -156,7 +157,7 @@ def _run_cli(tmp_path, kind, objects, argv):
 class TestWorkCounts:
     """Eliminations made by whole commands, counted around cli.main."""
 
-    M = [[4, 6, 0], [2, 9, 3], [0, 3, 6]]   # Z/4 x Z/27 up to isomorphism
+    M = [[4, 6, 0], [2, 9, 3], [0, 3, 6]]   # Z/3 x Z/36 up to isomorphism
     N = [[6, 3], [3, 6]]                    # Z/3 x Z/9
     DENSE = [[6, 4, 10, 2, 7, 3], [3, 9, 0, 6, 1, 8], [2, 8, 4, 12, 5, 5],
              [5, 1, 7, 3, 9, 2], [8, 2, 6, 4, 0, 11], [1, 7, 3, 5, 2, 6]]
@@ -181,6 +182,43 @@ class TestWorkCounts:
         assert _run_cli(tmp_path, kind, {"D": self.DENSE}, ["saturate"]) == 0
         assert {name: len(seen) for name, seen in calls.items()} == {
             "smith": 2, "row_echelon": 2}
+
+    def test_a_random_morphism_builds_no_hom_presentation(self, monkeypatch):
+        eng = FiniteAbelianEngine()
+        m, n = eng.obj(Mat.from_rows(self.M)), eng.obj(Mat.from_rows(self.N))
+        made, presentations = [], []
+        hom_group, kernel_mod_rows = eng.hom_group, eng.kernel_mod_rows
+
+        def recording_hom_group(a, b):
+            made.append(hom_group(a, b))
+            return made[-1]
+
+        def counting_kernel_mod_rows(A, R):
+            presentations.append(A)
+            return kernel_mod_rows(A, R)
+
+        monkeypatch.setattr(eng, "hom_group", recording_hom_group)
+        monkeypatch.setattr(eng, "kernel_mod_rows", counting_kernel_mod_rows)
+        eng.random_morphism(rng_for(3, "hom"), m, n)
+        [hom] = made
+        assert "obj" not in hom.__dict__ and presentations == []
+        # the first read builds it, and later reads share it
+        assert not hom.is_zero_group()
+        assert hom.invariants() == ("Z", 0, (3, 3, 3, 9))
+        assert presentations == [hom.rows] and hom.__dict__["obj"] is hom.obj
+
+    def test_a_warm_extension_eliminates_no_unit_system(self, monkeypatch):
+        th = PPrimaryTheory(2)
+        eng = th.engine
+        m, t = eng.obj(Mat.from_rows(self.M)), eng.obj(Mat.from_rows(self.N))
+        phi = eng.random_morphism(rng_for(4, "ext"), m, t)
+        w, eta = th.saturate(m)
+        calls = _counting_kernels(monkeypatch)
+        psi = th.extend_along_unit(phi)
+        assert eng.eq_mor(eng.compose(eta, psi), phi)
+        # the colift along eta solves against eta's matrix over W's relations
+        assert eta.maps[0].stack_below(w.relations) not in calls["row_echelon"]
+        assert calls["smith"] == []
 
 
 def _vec(*mats):
@@ -692,6 +730,71 @@ class TestExtendAlongUnit:
                 other = hom.decode(coeffs)
                 if FA.eq_mor(FA.compose(eta, other), phi):
                     assert FA.eq_mor(other, psi)
+
+
+_EXTENSION_THEORIES = pytest.mark.parametrize(
+    "theory, p", [(PPrimaryTheory, 2), (PPrimaryTheory, 3), (FixtureTheory, 0),
+                  (FixtureTheory, 2)],
+    ids=["finite_abelian-2", "finite_abelian-3", "fixture-0", "fixture-2"])
+
+
+def _saturated_target(th, rng):
+    """A scrambled finite object of order prime to p; for the full torsion
+    class (p = 0) only the zero object is saturated."""
+    units = [d for d in range(2, 16) if th.p and gcd(d, th.p) == 1]
+    divisors = [d for d in units if rng.randrange(4) == 0][:3]
+    return th.engine._scrambled_from_divisors(rng, divisors)
+
+
+class TestExtensionBySection:
+    """extend_along_unit reads the unit's section off the normal form that
+    saturate already computed; it must agree with the generic colift."""
+
+    @_EXTENSION_THEORIES
+    def test_agrees_with_the_generic_colift(self, theory, p):
+        th = theory(p)
+        eng = th.engine
+        for i in range(40):
+            rng = rng_for(2020, theory.kind, p, i)
+            m, t = th.random_object(rng), _saturated_target(th, rng)
+            phi = eng.random_morphism(rng, m, t)
+            unit = th.saturate(m)
+            w, eta = unit
+            section = Mor(w, m, (unit.section,))
+            assert eng.eq_mor(eng.compose(section, eta), eng.identity(w))
+            assert eng.eq_mor(th.extend_along_unit(phi), eng.colift_along_epi(phi, eta))
+
+    def _with_section(self, monkeypatch, wrong):
+        reflect = zmodules.ZTorsionTheory._reflect
+
+        def wrong_reflect(self, m):
+            w, eta = unit = reflect(self, m)
+            return zmodules.Reflection(w, eta, wrong(unit.section))
+
+        monkeypatch.setattr(zmodules.ZTorsionTheory, "_reflect", wrong_reflect)
+        th = PPrimaryTheory(2)
+        m = th.engine.obj_from_divisors([3, 9])
+        return th, th.engine.mor(m, th.engine.cyclic(9), Mat.from_rows([[3], [1]]))
+
+    def test_a_section_giving_no_morphism_is_refused(self, monkeypatch):
+        # with the rows swapped, the generator of order 3 goes to one of
+        # order 9; eq_mor accepts everything, so only the check that psi
+        # is a morphism can refuse it
+        th, phi = self._with_section(
+            monkeypatch, lambda s: Mat(s.rows, s.cols, s.data[::-1]))
+        unit = th.saturate(phi.src)
+        assert not th.engine.is_well_defined(
+            Mor(unit[0], phi.dst, (unit.section.mul(phi.maps[0]),)))
+        monkeypatch.setattr(th.engine, "eq_mor", lambda f, g: True)
+        with pytest.raises(ContractViolation):
+            th.extend_along_unit(phi)
+
+    def test_a_section_giving_another_morphism_is_refused(self, monkeypatch):
+        # the zero section gives the zero morphism, which is well defined,
+        # so only the check that eta;psi equals phi can refuse it
+        th, phi = self._with_section(monkeypatch, lambda s: Mat.zeros(s.rows, s.cols))
+        with pytest.raises(ContractViolation):
+            th.extend_along_unit(phi)
 
 
 class TestCogenerators:

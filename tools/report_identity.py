@@ -1,0 +1,95 @@
+"""Check that two serreq checkouts write the same reports for every
+benchmark op.
+
+    python3 tools/report_identity.py OLD NEW --seeds 1,5
+
+OLD and NEW are checkout directories (each with src/serreq and
+perfbench/workloads.py).  For each checkout and seed, a child process
+builds the ops of every workload from that checkout's
+perfbench/workloads.py, runs them in order through that checkout's
+serreq.cli.main in a fresh temporary directory, and records each op's exit
+code and its report with timing fields removed (serreq.session
+.strip_timings) and the temporary directory's path replaced by a fixed
+token.  Nothing else of perfbench runs: no timing, no answer check.  The
+script prints every op whose exit code or report differs and exits 1 if
+any does, 0 if none does.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+TMP_TOKEN = "<tmp>"
+
+
+def run_checkout(root: Path, seed: int) -> dict:
+    """{workload/index/op name: [exit code, report text]} for one checkout
+    and seed; runs in the child process."""
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    from serreq import cli, session
+    from workloads import WORKLOADS
+
+    out = {}
+    for workload, (build, _) in WORKLOADS.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            for i, op in enumerate(build(tmp, seed)):
+                sink = io.StringIO()
+                with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                    try:
+                        rc = cli.main(op.argv)
+                    except Exception as exc:  # a traceback is an outcome to compare too
+                        rc = f"raised {type(exc).__name__}"
+                try:
+                    with open(op.out, encoding="utf-8") as fh:
+                        report = session.canonical_json(session.strip_timings(json.load(fh)))
+                except FileNotFoundError:
+                    report = None
+                if report is not None:
+                    report = report.replace(tmp, TMP_TOKEN)
+                out[f"{workload}/{i}/{op.name}"] = [rc, report]
+    return out
+
+
+def collect(root: Path, seed: int) -> dict:
+    proc = subprocess.run([sys.executable, __file__, "--child", str(root), str(seed)],
+                          capture_output=True, text=True, check=False)
+    if proc.returncode != 0:
+        sys.exit(f"error: the run of {root} at seed {seed} failed:\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def main(argv=None) -> int:
+    if argv is None and sys.argv[1:2] == ["--child"]:
+        json.dump(run_checkout(Path(sys.argv[2]).resolve(), int(sys.argv[3])), sys.stdout)
+        return 0
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("old", type=Path)
+    parser.add_argument("new", type=Path)
+    parser.add_argument("--seeds", default="1,5", help="comma-separated workload seeds")
+    args = parser.parse_args(argv)
+    failed = False
+    for seed in (int(s) for s in args.seeds.split(",")):
+        old, new = collect(args.old.resolve(), seed), collect(args.new.resolve(), seed)
+        keys = list(dict.fromkeys([*old, *new]))
+        differ = 0
+        for key in keys:
+            a, b = old.get(key), new.get(key)
+            if a != b:
+                differ += 1
+                what = "op missing" if a is None or b is None else (
+                    "exit code" if a[0] != b[0] else "report")
+                print(f"seed {seed} {key}: {what} differs")
+        print(f"seed {seed}: {len(keys)} ops, {differ} differ")
+        failed |= differ > 0
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
