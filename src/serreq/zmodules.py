@@ -364,7 +364,8 @@ class Reflection(tuple):
     `section`: a generator-image matrix S from W(M) to M such that S
     followed by eta_M is the identity morphism of W(M).  S need not respect the
     relations of M, but every psi with eta_M;psi = phi equals
-    S;eta_M;psi = S;phi, so an extension along the unit is one product."""
+    S;eta_M;psi = S;phi, so an extension along the unit is one product.
+    All three are read off the normal form of M (ZTorsionTheory._reflect)."""
 
     def __new__(cls, w, eta, section: Mat):
         self = super().__new__(cls, (w, eta))
@@ -421,36 +422,47 @@ class ZTorsionTheory(TorsionTheory):
         order = self.engine.order(m)
         return order is not None and self.order_in_c(order)
 
+    def _cofactors(self, divisors) -> list:
+        """The prime-to-p part of each divisor of M's normal form (1 for
+        the full torsion class): in normal-form coordinates H_C(M) is
+        spanned by the cofactors[i] * e_i."""
+        return [_p_free_part(d, self.p) if self.p else 1 for d in divisors]
+
     def h_c(self, m: ZObj) -> Mor:
         """Embedding of the p-primary part of the torsion of M (the whole
-        torsion part when p = 0), the maximal subobject in C."""
+        torsion part when p = 0), the maximal subobject in C.  Its
+        generators are the elements cofactors[i] * e_i of order > 1, so
+        generator i goes to cofactors[i] times row i of from_nf."""
         divisors = self.engine.invariants(m)[2]
-        nf, _, from_nf = self.engine.normal_form(m)
-        gen_rows = []
-        orders = []
-        for i, d in enumerate(divisors):
-            cof = _p_free_part(d, self.p) if self.p else 1
-            if cof != d:
-                vec = [0] * nf.gens
-                vec[i] = cof
-                gen_rows.append(tuple(vec))
-                orders.append(d // cof)
+        from_nf = m.normal_form_data[3]
+        cofactors = self._cofactors(divisors)
+        gens = [i for i, (d, c) in enumerate(zip(divisors, cofactors)) if c != d]
+        rows = tuple(tuple(cofactors[i] * x for x in from_nf.data[i]) for i in gens)
         # the p-parts of a divisor chain form a divisor chain
-        sub = self.engine.obj_in_normal_form(orders)
-        emb_nf = Mor(sub, nf, (Mat(len(orders), nf.gens, tuple(gen_rows)),))
-        return self.engine.compose(emb_nf, from_nf)
+        sub = self.engine.obj_in_normal_form([divisors[i] // cofactors[i] for i in gens])
+        return Mor(sub, m, (Mat(len(rows), from_nf.cols, rows),))
 
     def _reflect(self, m: ZObj):
-        """M / H_C(M) in normal form with the projection as unit; ker eta =
-        H_C(M) and coker eta = 0.  For the fixture this is the naive
-        candidate, whose image is not saturated in general.
-
-        The cokernel keeps the generators of M, so the matrix of the
-        normal form's from_nf is a section of eta on generators; it is
-        handed back with the pair (see Reflection)."""
-        proj = self.engine.cokernel_proj(self.h_c(m))
-        nf, to_nf, from_nf = self.engine.normal_form(proj.dst)
-        return Reflection(nf, self.engine.compose(proj, to_nf), from_nf.maps[0])
+        """W(M) = M / H_C(M), its unit and a section, read off the normal
+        form of M with no elimination of its own.  In normal-form
+        coordinates M is the sum of the Z/d_i and Z^r, so W(M) is the sum
+        of the Z/cofactors[i] > 1 and Z^r, and eta_M is the projection
+        onto those coordinates: the kept columns of to_nf, with the kept
+        rows of from_nf as a section (from_nf * to_nf = I).  So
+        ker eta = H_C(M) and coker eta = 0.  For the fixture this is the
+        naive candidate, whose image is not saturated in general."""
+        # the engine's invariants first: an infinite M is an EngineMismatch
+        # on the finite-abelian engine
+        _, free_rank, divisors = self.engine.invariants(m)
+        to_nf, from_nf = m.normal_form_data[2:]
+        cofactors = self._cofactors(divisors)
+        torsion = [i for i, c in enumerate(cofactors) if c > 1]
+        keep = torsion + list(range(len(divisors), len(divisors) + free_rank))
+        # the prime-to-p parts of a divisor chain form a divisor chain,
+        # and those equal to 1 come first
+        w = self.engine.obj_in_normal_form([cofactors[i] for i in torsion], free_rank)
+        section = Mat(len(keep), from_nf.cols, tuple(from_nf.data[i] for i in keep))
+        return Reflection(w, Mor(m, w, (to_nf.take_cols(keep),)), section)
 
     def is_saturated(self, m: ZObj) -> bool:
         # gcd(order, 0) = order, so for p = 0 only the zero object is saturated

@@ -64,19 +64,16 @@ class TestOneSmithFormPerObject:
         assert len(calls) == 1
         calls.clear()
         # the engine's one object with these relations already carries its
-        # Smith form, so only the cokernel by H_C(M) needs one
+        # Smith form, and the reflection is read off it
         th.saturate(th.engine.obj_from_divisors([4, 6, 9]))
-        assert len(calls) == 1
-        calls.clear()
-        # a fresh theory builds a fresh engine: h_c of M, then the normal
-        # form of its cokernel
+        assert len(calls) == 0
+        # a fresh theory builds a fresh engine: M's Smith form and nothing else
         fresh = PPrimaryTheory(2)
         fresh.saturate(fresh.engine.obj_from_divisors([4, 6, 9]))
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     def test_saturate_command_object(self, monkeypatch, tmp_path):
-        # the input and its cokernel by H_C(M); W(M) and H_C(M) are built in
-        # normal form and carry it
+        # the input only; W(M) and H_C(M) are built in normal form and carry it
         import json
 
         from serreq.cli import main
@@ -86,7 +83,7 @@ class TestOneSmithFormPerObject:
         path = tmp_path / "in.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["saturate", "--input", str(path), "--out", str(tmp_path / "o.json")]) == 0
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     def test_recorded_normal_form_matches_smith(self):
         rng = random.Random(515)
@@ -170,18 +167,18 @@ class TestWorkCounts:
         argv = ["qhom", "--objects", "M", "N", "--oracle"]
         assert _run_cli(tmp_path, "finite_abelian", {"M": self.M, "N": self.N}, argv) == 0
         assert [A for A in calls["smith"] if A in subgroups] == []
-        # the two inputs, the two Hom groups (shortcut and direct limit)
-        # and the cokernel of M by H_C(M), whatever the number of subgroups
-        assert len(calls["smith"]) == 5
+        # the two inputs and the two Hom groups (shortcut and direct
+        # limit), whatever the number of subgroups
+        assert len(calls["smith"]) == 4
 
     @pytest.mark.parametrize("kind", ["finite_abelian", "fixture"])
     def test_saturate_eliminations(self, monkeypatch, tmp_path, kind):
-        # one Smith form of the input and one of its cokernel by H_C(M),
-        # each with the one elimination that inverts its transform V
+        # one Smith form of the input, with the one elimination that
+        # inverts its transform V; the reflection is read off it
         calls = _counting_kernels(monkeypatch)
         assert _run_cli(tmp_path, kind, {"D": self.DENSE}, ["saturate"]) == 0
         assert {name: len(seen) for name, seen in calls.items()} == {
-            "smith": 2, "row_echelon": 2}
+            "smith": 1, "row_echelon": 1}
 
     def test_a_random_morphism_builds_no_hom_presentation(self, monkeypatch):
         eng = FiniteAbelianEngine()
@@ -433,26 +430,102 @@ class TestSaturate:
             assert TH.is_saturated(m) == FA.is_iso(eta)
 
 
+class TestReflectionFromNormalForm:
+    """The reflection read off M's normal form against the one built as
+    the cokernel of h_c(M) and brought to normal form: W(M) is the same
+    object, and the two units differ by an automorphism of W(M)."""
+
+    over_theories = pytest.mark.parametrize(
+        "theory, p", [(PPrimaryTheory, 2), (PPrimaryTheory, 3), (FixtureTheory, 0),
+                      (FixtureTheory, 2)],
+        ids=["finite_abelian-2", "finite_abelian-3", "fixture-0", "fixture-2"])
+
+    @staticmethod
+    def _objects(th, seed):
+        """Seeded objects, with free ranks 0 to 2 on the general engine."""
+        eng = th.engine
+        out = [eng.zero_object(), eng.cyclic(12), eng.obj_from_divisors([2, 6, 36])]
+        if not isinstance(eng, FiniteAbelianEngine):
+            out += [eng.free(2), eng.obj_from_divisors([3, 6], free_rank=2)]
+        for i in range(60):
+            rng = rng_for(seed, th.kind, th.p, i)
+            divisors = eng._random_divisors(rng, 4, None)
+            free_rank = 0 if isinstance(eng, FiniteAbelianEngine) else rng.randrange(0, 3)
+            out.append(eng._scrambled_from_divisors(rng, divisors, free_rank))
+        return out
+
+    @over_theories
+    def test_agrees_with_the_cokernel_of_h_c(self, theory, p):
+        th = theory(p)
+        eng = th.engine
+        for m in self._objects(th, 2121):
+            unit = th.saturate(m)
+            w, eta = unit
+            hc = th.h_c(m)
+            proj = eng.cokernel_proj(hc)
+            old_w, to_nf, _ = eng.normal_form(proj.dst)
+            old_eta = eng.compose(proj, to_nf)
+            assert w == old_w, m
+            assert eng.is_well_defined(eta), m
+            iso = eng.colift_along_epi(old_eta, eta)
+            assert iso is not None and eng.is_iso(iso), m
+            section = Mor(w, m, (unit.section,))
+            assert eng.eq_mor(eng.compose(section, eta), eng.identity(w)), m
+            assert eng.eq_mor(eng.compose(hc, eta), eng.zero_morphism(hc.src, w)), m
+            assert eng.is_zero_obj(eng.cokernel_proj(eta).dst), m
+
+    @over_theories
+    def test_h_c_is_the_normal_form_embedding(self, theory, p):
+        # h_c is the embedding of the p-parts into the normal form followed
+        # by from_nf, entry for entry
+        th = theory(p)
+        eng = th.engine
+        for m in self._objects(th, 2122):
+            nf, _, from_nf = eng.normal_form(m)
+            # p ** bit_length(d) exceeds d, so the gcd is the p-part of d
+            cofactors = [1 if p == 0 else d // gcd(d, p ** d.bit_length()) for d in nf.divisors]
+            gens = [i for i, (d, c) in enumerate(zip(nf.divisors, cofactors)) if c != d]
+            sub = eng.obj_from_divisors([nf.divisors[i] // cofactors[i] for i in gens])
+            emb = Mat(len(gens), nf.gens, tuple(
+                tuple(cofactors[i] if j == i else 0 for j in range(nf.gens)) for i in gens))
+            assert th.h_c(m) == eng.compose(Mor(sub, nf, (emb,)), from_nf), m
+
+
 class TestReflectionMemo:
     """saturate is computed once per object and theory instance."""
 
+    @staticmethod
+    def _count_reflections(monkeypatch, th):
+        """The objects th._reflect is called on from now on."""
+        calls = []
+        reflect = th._reflect
+
+        def counting(m):
+            calls.append(m)
+            return reflect(m)
+
+        monkeypatch.setattr(th, "_reflect", counting)
+        return calls
+
     def test_equal_objects_share_one_reflection(self, monkeypatch):
-        calls = _counting(monkeypatch, linalg, "smith")
         th = PPrimaryTheory(2)
+        calls = self._count_reflections(monkeypatch, th)
         rel = Mat.from_rows([[4, 6], [2, 9]])
         first = th.saturate(ZObj(rel))
-        # the Smith forms of M and of M / H_C(M), once for both instances
-        assert th.saturate(ZObj(Mat.from_rows([[4, 6], [2, 9]]))) == first
-        assert len(calls) == 2
+        # one reflection for both instances, and the memo's own value
+        assert th.saturate(ZObj(Mat.from_rows([[4, 6], [2, 9]]))) is first
+        assert len(calls) == 1
 
     def test_a_fresh_theory_recomputes(self, monkeypatch):
-        calls = _counting(monkeypatch, linalg, "smith")
         m = ZObj(Mat.from_rows([[4, 6], [2, 9]]))
-        PPrimaryTheory(2).saturate(m)
-        calls.clear()
-        # M's own normal form is cached on the object; its cokernel is new
-        PPrimaryTheory(2).saturate(m)
-        assert len(calls) == 1
+        counts = []
+        for _ in range(2):
+            th = PPrimaryTheory(2)
+            calls = self._count_reflections(monkeypatch, th)
+            th.saturate(m)
+            th.saturate(m)
+            counts.append(len(calls))
+        assert counts == [1, 1]
 
     def test_a_failed_call_is_not_stored(self):
         th = PPrimaryTheory(2)
@@ -587,10 +660,9 @@ class TestEchelonMemo:
         eng.normal_form(n)
         assert th.is_in_c(n) is False and th.is_saturated(m) is False
         th.h_c(n)
-        assert len(calls) == 1
-        # the cokernel by H_C(M) is the one new matrix
+        # the reflection is read off the same Smith form
         th.saturate(eng.obj_from_payload(payload))
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     def test_a_fresh_engine_recomputes(self, monkeypatch):
         echelons = _counting(monkeypatch, zmodules, "row_echelon")

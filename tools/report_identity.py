@@ -11,8 +11,10 @@ serreq.cli.main in a fresh temporary directory, and records each op's exit
 code and its report with timing fields removed (serreq.session
 .strip_timings) and the temporary directory's path replaced by a fixed
 token.  Nothing else of perfbench runs: no timing, no answer check.  The
-script prints every op whose exit code or report differs and exits 1 if
-any does, 0 if none does.
+script prints every op whose exit code or report differs, with the first
+JSON paths at which a report differs (such as results[0].eta.matrix), and
+per seed how many reports differ at each path.  It exits 1 if any op
+differs, 0 if none does.
 """
 
 from __future__ import annotations
@@ -27,6 +29,26 @@ import tempfile
 from pathlib import Path
 
 TMP_TOKEN = "<tmp>"
+SHOWN_PATHS = 3
+
+
+def differing_paths(a, b, path=""):
+    """The JSON paths at which a and b differ, depth first.  Objects and
+    lists of objects of one length are compared member by member; any
+    other value, a matrix or a vector included, is compared whole."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in dict.fromkeys([*a, *b]):
+            sub = f"{path}.{key}" if path else key
+            if key in a and key in b:
+                yield from differing_paths(a[key], b[key], sub)
+            else:
+                yield sub
+    elif (isinstance(a, list) and isinstance(b, list) and len(a) == len(b)
+          and all(isinstance(x, dict) for x in a + b)):
+        for i, (x, y) in enumerate(zip(a, b)):
+            yield from differing_paths(x, y, f"{path}[{i}]")
+    elif a != b:
+        yield path or "$"
 
 
 def run_checkout(root: Path, seed: int) -> dict:
@@ -79,14 +101,28 @@ def main(argv=None) -> int:
         old, new = collect(args.old.resolve(), seed), collect(args.new.resolve(), seed)
         keys = list(dict.fromkeys([*old, *new]))
         differ = 0
+        tally = {}
         for key in keys:
             a, b = old.get(key), new.get(key)
-            if a != b:
-                differ += 1
-                what = "op missing" if a is None or b is None else (
-                    "exit code" if a[0] != b[0] else "report")
-                print(f"seed {seed} {key}: {what} differs")
+            if a == b:
+                continue
+            differ += 1
+            if a is None or b is None:
+                print(f"seed {seed} {key}: op missing")
+            elif a[0] != b[0]:
+                print(f"seed {seed} {key}: exit code differs")
+            elif None in (a[1], b[1]):
+                print(f"seed {seed} {key}: report missing")
+            else:
+                paths = list(differing_paths(json.loads(a[1]), json.loads(b[1])))
+                for path in paths:
+                    tally[path] = tally.get(path, 0) + 1
+                more = f" and {len(paths) - SHOWN_PATHS} more" if len(paths) > SHOWN_PATHS else ""
+                print(f"seed {seed} {key}: report differs at "
+                      f"{', '.join(paths[:SHOWN_PATHS])}{more}")
         print(f"seed {seed}: {len(keys)} ops, {differ} differ")
+        for path, count in sorted(tally.items(), key=lambda item: -item[1]):
+            print(f"seed {seed}:   {count} reports differ at {path}")
         failed |= differ > 0
     return 1 if failed else 0
 
