@@ -30,16 +30,16 @@ class Memo(dict):
     """A cache that lives as long as its owner, an engine or a theory that
     one command builds.
 
-    memo(key, compute) returns the value stored under key, None included;
-    on a miss it stores compute(key) and returns it, and a computation
-    that raises stores nothing.  The computation is passed on each call
-    rather than kept, so a memo holds no reference back to its owner and
-    reference counting alone frees both.
+    memo.get_or(key, compute) returns the value stored under key, None
+    included; on a miss it stores compute(key) and returns it, and a
+    computation that raises stores nothing.  The computation is passed on
+    each call rather than kept, so a memo holds no reference back to its
+    owner and reference counting alone frees both.
     """
 
     __slots__ = ()
 
-    def __call__(self, key, compute):
+    def get_or(self, key, compute):
         try:
             return self[key]
         except KeyError:
@@ -157,7 +157,7 @@ class AbelianEngine:
     def rref(self, A: Mat):
         """The echelon of A over the ring, eliminated once per engine and
         equal matrix."""
-        return self._echelons(A, self._eliminate)
+        return self._echelons.get_or(A, self._eliminate)
 
     def rank(self, A: Mat) -> int:
         return len(self.rref(A)[2])
@@ -171,7 +171,7 @@ class AbelianEngine:
     def solve(self, A: Mat, B: Mat):
         """X with X*A = B, or None if the system is inconsistent; solved
         and checked once per engine and equal system."""
-        return self._solutions((A, B), lambda _: _solve(self.ring, A, B, self.rref))
+        return self._solutions.get_or((A, B), lambda _: _solve(self.ring, A, B, self.rref))
 
     def inv(self, A: Mat):
         """Two-sided inverse of a square matrix, or None."""
@@ -269,7 +269,7 @@ class AbelianEngine:
 
         colift_along_epi returns only a g with f;g = id, so g;f = id is
         the one check left.  Computed once per engine and equal morphism."""
-        return self._inverses(f, self._inverse)
+        return self._inverses.get_or(f, self._inverse)
 
     def _inverse(self, f):
         inv = self.colift_along_epi(self.identity(f.src), f)
@@ -405,7 +405,7 @@ class TorsionTheory:
 
     def saturate(self, m):
         """(W(M), eta_M), computed once per object."""
-        return self._reflections(m, self._reflect)
+        return self._reflections.get_or(m, self._reflect)
 
     def random_object(self, rng, size_bound=None, **bounds):
         """An engine sample; bounds (max_order) go to the engine."""

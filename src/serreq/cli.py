@@ -6,12 +6,13 @@
     serre replay   --input WITNESS_FILE
 
 Every command also takes --seed, --format and --out, and each takes only
-the flags it reads.  Engines: finite_abelian (with --p), a2_rep (with
---field, e.g. f101 or q), fixture (with --p; 0 selects the full torsion
-class); --p and --field are invalid input without an engine that uses
-them.  SERRE_SEED provides the default seed; flags override it.  Exit
-code 0 means every requested check passed, 1 means some check failed, 2
-means invalid input.
+the flags it reads; a call builds the flags of its own command only.
+Engines: finite_abelian (with --p), a2_rep (with --field, e.g. f101 or
+q), fixture (with --p; 0 selects the full torsion class); --p and --field
+are invalid input without an engine that uses them.  SERRE_SEED provides
+the default seed; flags override it.  Exit code 0 means every requested
+check passed, 1 means some check failed, 2 means invalid input, an --out
+that cannot be written included.
 """
 
 from __future__ import annotations
@@ -57,10 +58,14 @@ def _resolve_theory(args, need_input=False):
 
 
 def _emit(doc, args):
-    text = session.canonical_json(doc)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    try:
+        text = session.canonical_json(doc)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+    except (OSError, ValueError) as exc:  # ValueError: an integer over the digit limit
+        raise session.InputValidationError(
+            f"cannot write {args.out or 'the report'}: {exc}") from exc
     if args.format == "json":
         sys.stdout.write(text)
 
@@ -245,7 +250,12 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, with flags only on `command`'s, or on
+    every subcommand's when `command` names none.  The top level takes no
+    positional and no option with a value, so an argv whose first word is
+    a command is always parsed by that command's subparser, and help,
+    usage and errors read the same as with every flag built."""
     parser = argparse.ArgumentParser(
         prog="serre",
         description="Serre quotient computations and monad checker suites")
@@ -254,6 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (fn, flags) in COMMANDS.items():
         p = sub.add_parser(name)
         p.set_defaults(fn=fn)
+        if command in COMMANDS and name != command:
+            continue
         for flag, spec in FLAGS.items():
             if flag in flags:
                 p.add_argument(f"--{flag}", **spec)
@@ -261,7 +273,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     started = time.perf_counter()
     args._elapsed_ms = lambda: round((time.perf_counter() - started) * 1000, 3)
     try:

@@ -98,7 +98,7 @@ class ZModuleEngine(AbelianEngine):
     # -- constructors ----------------------------------------------------------
 
     def obj(self, relations: Mat) -> ZObj:
-        return self._objects(relations, ZObj)
+        return self._objects.get_or(relations, ZObj)
 
     def obj_from_divisors(self, divisors, free_rank=0) -> ZObj:
         divisors = [d for d in divisors]

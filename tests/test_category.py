@@ -252,7 +252,7 @@ class TestMemo:
             calls.append(key)
             return None if key == "none" else key * 2
 
-        assert [memo(k, compute) for k in ("a", "none", "a", "none")] == ["aa", None] * 2
+        assert [memo.get_or(k, compute) for k in ("a", "none", "a", "none")] == ["aa", None] * 2
         assert calls == ["a", "none"] and memo == {"a": "aa", "none": None}
 
     def test_a_computation_that_raises_stores_nothing(self):
@@ -263,8 +263,8 @@ class TestMemo:
 
         for _ in range(2):
             with pytest.raises(ContractViolation):
-                memo("k", fail)
-        assert memo == {} and memo("k", str.upper) == "K"
+                memo.get_or("k", fail)
+        assert memo == {} and memo.get_or("k", str.upper) == "K"
 
 
 @pytest.mark.parametrize("case", [_z_memo_case, _a2_memo_case], ids=["z", "a2-q"])

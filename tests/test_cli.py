@@ -1,8 +1,10 @@
 """The serre command-line front end."""
 
+import argparse
 import copy
 import json
 import re
+import sys
 import time
 
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 
 from serreq import serre, session
 from serreq.category import MAX_INPUT_SIZE
-from serreq.cli import main
+from serreq.cli import COMMANDS, _emit, build_parser, main
 from serreq.zmodules import FixtureTheory
 
 
@@ -276,6 +278,138 @@ class TestFlags:
             main(["replay", "--input", str(out), "--engine", "a2_rep", "--suite", "zigzag",
                   "--oracle", "--candidate", "twisted", "--n", "9"])
         assert exc.value.code == 2
+
+
+def _parse(parser, argv, capsys):
+    """(the parsed namespace, or the exit code, and what was printed)."""
+    try:
+        result = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    printed = capsys.readouterr()
+    return result, printed.out, printed.err
+
+
+class TestPerCommandParser:
+    """A call builds only the flags of the command its argv names, and
+    parses, helps and fails exactly as the parser with every flag built."""
+
+    VALID = [
+        ["saturate", "--input", "in.json"],
+        ["saturate", "--engine", "finite_abelian", "--p", "3", "--input", "in.json",
+         "--objects", "M", "N", "--seed", "4", "--format", "json", "--out", "r.json"],
+        ["saturate", "--inp", "in.json", "--obj"],
+        ["qhom", "--input", "in.json", "--objects", "M", "N", "--oracle"],
+        ["qhom", "--engine", "a2_rep", "--field", "q", "--input=a.json", "--objects", "V", "V"],
+        ["check", "--engine", "finite_abelian", "--p", "2"],
+        ["check", "--engine", "fixture", "--p", "0", "--suite", "all", "--n", "0",
+         "--candidate", "identity", "--seed", "-3", "--format", "text"],
+        ["check", "--input", "in.json", "--suite", "zigzag", "--candidate", "fixture-naive"],
+        ["replay", "--input", "w.json"],
+        ["replay", "--input=w.json", "--seed=9", "--out", "o.json", "--format", "json"],
+    ]
+    ERRORS = [
+        [], ["-h"], ["--version"], ["bogus"], ["bogus", "--input", "x"],
+        ["-h", "saturate"], ["--version", "check"],
+        ["saturate", "-h"], ["check", "--help"], ["replay", "-h"],
+        ["replay", "--input", "w.json", "--oracle"],
+        ["saturate", "--input", "in.json", "stray"],
+        ["saturate", "--version"], ["saturate", "--o", "x"], ["qhom", "--n", "3"],
+        ["check", "--engine", "bogus"], ["check", "--n", "many"], ["check", "--p"],
+    ]
+
+    def test_help_is_the_same(self):
+        def subparsers(parser):
+            return next(a for a in parser._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+
+        full = build_parser()
+        for command in COMMANDS:
+            own = build_parser(command)
+            assert own.format_help() == full.format_help()
+            assert subparsers(own)[command].format_help() \
+                == subparsers(full)[command].format_help()
+
+    @pytest.mark.parametrize("argv", VALID, ids=" ".join)
+    def test_valid_argv_parses_the_same(self, argv, capsys):
+        own = _parse(build_parser(argv[0]), argv, capsys)
+        assert own == _parse(build_parser(), argv, capsys)
+        assert own[0]["command"] == argv[0]
+
+    @pytest.mark.parametrize("argv", ERRORS, ids=lambda argv: " ".join(argv) or "none")
+    def test_exits_print_the_same(self, argv, capsys):
+        full = _parse(build_parser(), argv, capsys)
+        assert full[0][0] == "exit"
+        assert _parse(build_parser(argv[0] if argv else None), argv, capsys) == full
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        printed = capsys.readouterr()
+        assert (("exit", exc.value.code), printed.out, printed.err) == full
+
+    def test_a_stray_positional_is_reported_by_the_top_level(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["saturate", "--input", "in.json", "stray"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert err.startswith("usage: serre [-h] [--version] {saturate,qhom,check,replay} ...")
+        assert err.endswith("serre: error: unrecognized arguments: stray\n")
+
+    @staticmethod
+    def _options_added(monkeypatch):
+        """The first option string of every argument added from now on."""
+        added, original = [], argparse._ActionsContainer.add_argument
+
+        def counted(self, *args, **kwargs):
+            added.append(args[0])
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counted)
+        return added
+
+    @pytest.mark.parametrize("via", ["argv", "sys.argv"])
+    def test_saturate_builds_only_its_eight_flags(self, via, fa_input, tmp_path,
+                                                  monkeypatch):
+        argv = ["saturate", "--input", fa_input, "--out", str(tmp_path / "r.json")]
+        added = self._options_added(monkeypatch)
+        if via == "argv":
+            assert main(argv) == 0
+        else:
+            monkeypatch.setattr(sys, "argv", ["serre", *argv])
+            assert main() == 0
+        # one -h per parser: the top level and all four subcommands
+        assert added.count("-h") == 5 and added.count("--version") == 1
+        assert [a for a in added if a not in ("-h", "--version")] == [
+            "--engine", "--p", "--field", "--input", "--seed", "--objects", "--format",
+            "--out"]
+
+    @pytest.mark.parametrize("command", [None, "bogus", "-h", "--version"])
+    def test_no_command_builds_every_flag(self, command, monkeypatch):
+        added = self._options_added(monkeypatch)
+        build_parser(command)
+        assert len([a for a in added if a not in ("-h", "--version")]) == 31
+
+
+class TestUnwritableReport:
+    @pytest.mark.parametrize("command", ["saturate", "check"])
+    def test_out_in_a_missing_directory_exits_2(self, command, fa_input, tmp_path, capsys):
+        out = tmp_path / "no" / "such" / "r.json"
+        flags = (["--input", fa_input] if command == "saturate" else
+                 ["--engine", "finite_abelian", "--p", "2", "--suite", "ker-q", "--n", "2"])
+        assert main([command, *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+        assert not out.parent.exists()
+
+    def test_an_integer_over_the_digit_limit_is_input_error(self, tmp_path):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            out = tmp_path / "r.json"
+            with pytest.raises(session.InputValidationError,
+                               match=f"^cannot write {re.escape(str(out))}: "):
+                _emit({"x": 10 ** 5000}, argparse.Namespace(out=str(out), format="json"))
+            assert not out.exists()
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestDeterminism:

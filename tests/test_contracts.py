@@ -145,16 +145,17 @@ def test_no_hom_carrier_kind():
     assert reads == []
 
 
-def _attribute_stores(tree, attr, scope=()):
-    """Enclosing Class.function path of each assignment to some `x.attr`."""
+def _attribute_uses(tree, attr, ctx=ast.Store, scope=()):
+    """Enclosing Class.function path of each assignment to some `x.attr`,
+    or of each read of it with ctx=ast.Load."""
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield from _attribute_stores(node, attr, scope + (node.name,))
+            yield from _attribute_uses(node, attr, ctx, scope + (node.name,))
             continue
         if (isinstance(node, ast.Attribute) and node.attr == attr
-                and isinstance(node.ctx, ast.Store)):
+                and isinstance(node.ctx, ctx)):
             yield ".".join(scope)
-        yield from _attribute_stores(node, attr, scope)
+        yield from _attribute_uses(node, attr, ctx, scope)
 
 
 def test_one_theory_contract():
@@ -172,14 +173,16 @@ def test_one_theory_contract():
              for node in ast.walk(_tree(name))
              if isinstance(node, ast.Constant) and node.value in kinds]
     assert named == []
-    assert [(path.name, where) for path in SOURCES
-            for where in _attribute_stores(ast.parse(path.read_text(encoding="utf-8")),
-                                           "_reflections")] \
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    assert [(name, where) for name, tree in trees.items()
+            for where in _attribute_uses(tree, "_reflections")] \
         == [("category.py", "TorsionTheory.__init__")]
-    assert [(path.name, where) for path in SOURCES
-            for where, _ in _calls(ast.parse(path.read_text(encoding="utf-8")),
-                                   {"_reflections"})] \
+    assert [(name, where) for name, tree in trees.items()
+            for where in _attribute_uses(tree, "_reflections", ast.Load)] \
         == [("category.py", "TorsionTheory.saturate")]
+    assert [ast.unparse(node.func) for node in ast.walk(trees["category.py"])
+            if isinstance(node, ast.Call) and "_reflections" in ast.unparse(node.func)] \
+        == ["self._reflections.get_or"]
     functions = {node.name: {n.name for n in node.body if isinstance(n, ast.FunctionDef)}
                  for name in ("zmodules.py", "quiver.py") for node in ast.walk(_tree(name))
                  if isinstance(node, ast.ClassDef)}

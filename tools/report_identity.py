@@ -8,13 +8,14 @@ perfbench/workloads.py).  For each checkout and seed, a child process
 builds the ops of every workload from that checkout's
 perfbench/workloads.py, runs them in order through that checkout's
 serreq.cli.main in a fresh temporary directory, and records each op's exit
-code and its report with timing fields removed (serreq.session
-.strip_timings) and the temporary directory's path replaced by a fixed
-token.  Nothing else of perfbench runs: no timing, no answer check.  The
-script prints every op whose exit code or report differs, with the first
-JSON paths at which a report differs (such as results[0].eta.matrix), and
-per seed how many reports differ at each path.  It exits 1 if any op
-differs, 0 if none does.
+code, its report with timing fields removed (serreq.session
+.strip_timings) and what it printed to stdout and stderr, with the
+temporary directory's path replaced by a fixed token.  Nothing else of
+perfbench runs: no timing, no answer check.  The script prints every op
+whose exit code, report or printed output differs, with the first JSON
+paths at which a report differs (such as results[0].eta.matrix), and per
+seed how many reports differ at each path.  It exits 1 if any op differs,
+0 if none does.
 """
 
 from __future__ import annotations
@@ -51,32 +52,59 @@ def differing_paths(a, b, path=""):
         yield path or "$"
 
 
-def run_checkout(root: Path, seed: int) -> dict:
-    """{workload/index/op name: [exit code, report text]} for one checkout
-    and seed; runs in the child process."""
-    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+def run_op(op, tmp: str) -> list:
+    """[exit code, report text, printed text] of one op run in the
+    temporary directory tmp, with tmp's path replaced by TMP_TOKEN."""
     from serreq import cli, session
+
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        try:
+            rc = cli.main(op.argv)
+        except Exception as exc:  # a traceback is an outcome to compare too
+            rc = f"raised {type(exc).__name__}"
+    try:
+        with open(op.out, encoding="utf-8") as fh:
+            report = session.canonical_json(session.strip_timings(json.load(fh)))
+    except FileNotFoundError:
+        report = None
+    if report is not None:
+        report = report.replace(tmp, TMP_TOKEN)
+    return [rc, report, sink.getvalue().replace(tmp, TMP_TOKEN)]
+
+
+def run_checkout(root: Path, seed: int) -> dict:
+    """{workload/index/op name: run_op's outcome} for one checkout and
+    seed; runs in the child process."""
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     from workloads import WORKLOADS
 
     out = {}
     for workload, (build, _) in WORKLOADS.items():
         with tempfile.TemporaryDirectory() as tmp:
             for i, op in enumerate(build(tmp, seed)):
-                sink = io.StringIO()
-                with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-                    try:
-                        rc = cli.main(op.argv)
-                    except Exception as exc:  # a traceback is an outcome to compare too
-                        rc = f"raised {type(exc).__name__}"
-                try:
-                    with open(op.out, encoding="utf-8") as fh:
-                        report = session.canonical_json(session.strip_timings(json.load(fh)))
-                except FileNotFoundError:
-                    report = None
-                if report is not None:
-                    report = report.replace(tmp, TMP_TOKEN)
-                out[f"{workload}/{i}/{op.name}"] = [rc, report]
+                out[f"{workload}/{i}/{op.name}"] = run_op(op, tmp)
     return out
+
+
+def difference(a, b) -> tuple[str, list]:
+    """(what differs, the JSON paths at which the reports differ) between
+    two outcomes of one op, either of them None if the op is missing."""
+    if a is None or b is None:
+        return "op missing", []
+    if a[0] != b[0]:
+        return "exit code differs", []
+    notes, paths = [], []
+    if a[1] != b[1]:
+        if None in (a[1], b[1]):
+            notes.append("report missing")
+        else:
+            paths = list(differing_paths(json.loads(a[1]), json.loads(b[1])))
+            more = f" and {len(paths) - SHOWN_PATHS} more" if len(paths) > SHOWN_PATHS else ""
+            notes.append(f"report differs at {', '.join(paths[:SHOWN_PATHS])}{more}")
+    if a[2] != b[2]:
+        notes.append("printed output differs")
+    return "; ".join(notes), paths
 
 
 def collect(root: Path, seed: int) -> dict:
@@ -107,19 +135,10 @@ def main(argv=None) -> int:
             if a == b:
                 continue
             differ += 1
-            if a is None or b is None:
-                print(f"seed {seed} {key}: op missing")
-            elif a[0] != b[0]:
-                print(f"seed {seed} {key}: exit code differs")
-            elif None in (a[1], b[1]):
-                print(f"seed {seed} {key}: report missing")
-            else:
-                paths = list(differing_paths(json.loads(a[1]), json.loads(b[1])))
-                for path in paths:
-                    tally[path] = tally.get(path, 0) + 1
-                more = f" and {len(paths) - SHOWN_PATHS} more" if len(paths) > SHOWN_PATHS else ""
-                print(f"seed {seed} {key}: report differs at "
-                      f"{', '.join(paths[:SHOWN_PATHS])}{more}")
+            what, paths = difference(a, b)
+            for path in paths:
+                tally[path] = tally.get(path, 0) + 1
+            print(f"seed {seed} {key}: {what}")
         print(f"seed {seed}: {len(keys)} ops, {differ} differ")
         for path, count in sorted(tally.items(), key=lambda item: -item[1]):
             print(f"seed {seed}:   {count} reports differ at {path}")
