@@ -58,6 +58,10 @@ def _resolve_theory(args, need_input=False):
 
 
 def _emit(doc, args):
+    """Write the report to --out (if given) and, with --format json, to
+    stdout.  A command prints its text lines only after this returns, so
+    a result that cannot be written (an integer over Python's int-to-str
+    digit limit) is reported here, once, as invalid input."""
     try:
         text = session.canonical_json(doc)
         if args.out:
@@ -90,13 +94,13 @@ def cmd_saturate(args) -> int:
             "saturated": theory.is_saturated(m),
             "in_c": theory.is_in_c(m),
         })
-        if args.format == "text":
-            print(f"{name}: W = {results[-1]['w']}, H_C = {results[-1]['h_c']}, "
-                  f"saturated = {results[-1]['saturated']}")
     doc = session.build_document(
         {"name": "saturate", "engine": theory.describe(), "objects": names},
         args.seed, results, [], 0, {"wall_ms": args._elapsed_ms()})
     _emit(doc, args)
+    if args.format == "text":
+        for r in results:
+            print(f"{r['name']}: W = {r['w']}, H_C = {r['h_c']}, saturated = {r['saturated']}")
     return 0
 
 
@@ -119,16 +123,16 @@ def cmd_qhom(args) -> int:
         result["oracle_agrees"] = agree
         if not agree:
             exit_code = 1
-    if args.format == "text":
-        line = f"q_hom({args.objects[0]}, {args.objects[1]}) = {result['q_hom']}"
-        if args.oracle:
-            line += f"; direct-limit oracle agrees: {result['oracle_agrees']}"
-        print(line)
     doc = session.build_document(
         {"name": "qhom", "engine": theory.describe(), "objects": args.objects,
          "oracle": bool(args.oracle)},
         args.seed, [result], [], exit_code, {"wall_ms": args._elapsed_ms()})
     _emit(doc, args)
+    if args.format == "text":
+        line = f"q_hom({args.objects[0]}, {args.objects[1]}) = {result['q_hom']}"
+        if args.oracle:
+            line += f"; direct-limit oracle agrees: {result['oracle_agrees']}"
+        print(line)
     return exit_code
 
 
@@ -145,12 +149,6 @@ def cmd_check(args) -> int:
     suite = args.suite or "all"
     reports = serre.run_suite(theory, suite, args.seed, args.n, args.candidate)
     exit_code = 0 if all(r.passed for r in reports) else 1
-    if args.format == "text":
-        for r in reports:
-            for item in r.items:
-                status = "PASS" if item.passed else "FAIL"
-                extra = f" ({item.detail})" if item.detail else ""
-                print(f"[{status}] {r.suite}/{item.label} samples={item.samples}{extra}")
     doc = session.build_document(
         {"name": "check", "engine": theory.describe(), "suite": suite,
          "candidate": args.candidate or "gabriel", "n": args.n},
@@ -158,6 +156,12 @@ def cmd_check(args) -> int:
     if not args.out:
         args.out = "serre-report.json"
     _emit(doc, args)
+    if args.format == "text":
+        for r in reports:
+            for item in r.items:
+                status = "PASS" if item.passed else "FAIL"
+                extra = f" ({item.detail})" if item.detail else ""
+                print(f"[{status}] {r.suite}/{item.label} samples={item.samples}{extra}")
     return exit_code
 
 
@@ -186,25 +190,25 @@ def cmd_replay(args) -> int:
     is_witness = isinstance(doc, dict) and "check" in doc and "data" in doc
     witness = doc if is_witness else _first_witness(doc)
     if witness is None:
-        if args.format == "text":
-            print("nothing to replay: no failure witness in the input")
         doc = session.build_document({"name": "replay", "input": args.input},
                                      args.seed, [{"status": "nothing-to-replay"}],
                                      [], 0, {"wall_ms": args._elapsed_ms()})
         _emit(doc, args)
+        if args.format == "text":
+            print("nothing to replay: no failure witness in the input")
         return 0
     result = session.replay_witness(witness)
+    exit_code = 0 if result["reproduced"] else 1
+    doc = session.build_document({"name": "replay", "input": args.input},
+                                 args.seed, [result], [], exit_code,
+                                 {"wall_ms": args._elapsed_ms()})
+    _emit(doc, args)
     if args.format == "text":
         word = "reproduced" if result["reproduced"] else "NOT reproduced"
         print(f"replay {result['check']}: failure {word}"
               + (f" ({result['detail']})" if result["detail"] else ""))
         if result["version_mismatch"]:
             print("note: witness was produced by a different package version")
-    exit_code = 0 if result["reproduced"] else 1
-    doc = session.build_document({"name": "replay", "input": args.input},
-                                 args.seed, [result], [], exit_code,
-                                 {"wall_ms": args._elapsed_ms()})
-    _emit(doc, args)
     return exit_code
 
 

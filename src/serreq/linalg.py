@@ -239,9 +239,8 @@ def smith(A: Mat):
     nonnegative entries d1 | d2 | ... and zero rows/columns trailing.
     Hermite forms of the rows and of the columns alternate until one is
     diagonal (Kannan and Bachem 1979).  The first makes the pivots
-    positive, and a diagonal Hermite form has its zeros last.  Then each
-    pair of diagonal entries a, b becomes gcd, lcm by one 2x2 unimodular
-    transform per side.
+    positive, and a diagonal Hermite form has its zeros last.  Then
+    divisor_chain turns the nonzero diagonal entries into a divisor chain.
     """
     m, n = A.rows, A.cols
     s = A.to_lists()
@@ -256,6 +255,21 @@ def smith(A: Mat):
         # other side's transform (V transposed, then U again)
         s, e, f, cols = [[r[j] for r in s] for j in range(cols)], f, e, len(s)
     d = [s[i][i] for i, _ in pivots]
+    divisor_chain(d, vt, u)
+    s = [[0] * n for _ in range(m)]
+    for i, x in enumerate(d):
+        s[i][i] = x
+    return (Mat(m, n, tuple(tuple(r) for r in s)),
+            Mat(m, m, tuple(tuple(r) for r in u)),
+            Mat(n, n, tuple(zip(*vt))))
+
+
+def divisor_chain(d, vt, u=None, v_inv=None):
+    """Turn the positive entries d into a divisor chain in place: each
+    pair a, b with a not dividing b becomes gcd, lcm by one 2x2 unimodular
+    transform per side.  The rows vt of V^T, the rows u of U (when given)
+    and the rows v_inv of V^-1 (when given) follow, so that U*A*V = diag(d)
+    stays true of the matrix A they transform and v_inv stays V^-1."""
     for i in range(len(d)):
         for j in range(i + 1, len(d)):
             if d[j] % d[i]:
@@ -264,16 +278,15 @@ def smith(A: Mat):
                 g, x, y = _xgcd(d[i], d[j])
                 ag, bg = d[i] // g, d[j] // g
                 d[i], d[j] = g, d[i] * bg
-                u[i], u[j] = ([p + q for p, q in zip(u[i], u[j])],
-                              [-y * bg * p + x * ag * q for p, q in zip(u[i], u[j])])
+                if u is not None:
+                    u[i], u[j] = ([p + q for p, q in zip(u[i], u[j])],
+                                  [-y * bg * p + x * ag * q for p, q in zip(u[i], u[j])])
                 vt[i], vt[j] = ([x * p + y * q for p, q in zip(vt[i], vt[j])],
                                 [-bg * p + ag * q for p, q in zip(vt[i], vt[j])])
-    s = [[0] * n for _ in range(m)]
-    for i, x in enumerate(d):
-        s[i][i] = x
-    return (Mat(m, n, tuple(tuple(r) for r in s)),
-            Mat(m, m, tuple(tuple(r) for r in u)),
-            Mat(n, n, tuple(zip(*vt))))
+                if v_inv is not None:
+                    # the inverse of [[x, -b/g], [y, a/g]] is [[a/g, b/g], [-y, x]]
+                    v_inv[i], v_inv[j] = ([ag * p + bg * q for p, q in zip(v_inv[i], v_inv[j])],
+                                          [-y * p + x * q for p, q in zip(v_inv[i], v_inv[j])])
 
 
 def _solve(ring, A: Mat, B: Mat, echelon):

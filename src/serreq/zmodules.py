@@ -26,12 +26,21 @@ from .errors import (
     ContractViolation, EngineMismatch, InputValidationError, NotSaturatedError,
     OracleUnsupported, ShapeError,
 )
-from .linalg import ZZ, Mat, is_prime, kron, presentation_normal_form, row_echelon
+from .linalg import (
+    ZZ, Mat, divisor_chain, is_prime, kron, presentation_normal_form, row_echelon,
+)
 
 
 @dataclass(frozen=True)
 class ZObj:
-    """Z^gens modulo the rows of `relations` (relations x gens)."""
+    """Z^gens modulo the rows of `relations` (relations x gens).
+
+    Two facts about it are computed on first use and kept outside the
+    fields: normal_form_data, the Smith form of the relations unless the
+    object was built in normal form or sampled from its divisors (both
+    record theirs, so no Smith form runs for them), and moduli, the
+    generators' moduli when the relations are diagonal.
+    """
 
     relations: Mat
 
@@ -44,11 +53,25 @@ class ZObj:
         """presentation_normal_form(relations), computed on first use:
         the divisors, the free rank and the normal-form transforms are
         read from this one Smith form.  The order alone does not need it
-        (see ZModuleEngine.order).  The cache lives outside the dataclass
-        fields, so equality and hashing still compare relations only; an
-        engine keeps one object per relation matrix, so a command computes
-        it at most once."""
+        (see ZModuleEngine.order), and an object built in normal form or
+        sampled from its divisors records it instead, so no Smith form
+        runs for either.  The cache lives outside the dataclass fields, so
+        equality and hashing still compare relations only; an engine keeps
+        one object per relation matrix, so a command computes it at most
+        once."""
         return presentation_normal_form(self.relations)
+
+    @cached_property
+    def moduli(self):
+        """The modulus of each generator when the relations are diagonal:
+        |d_j| for the relation d_j*e_j, 0 for a generator with no relation
+        row.  A row then lies in the relation lattice exactly when each of
+        its entries is a multiple of its generator's modulus.  None when an
+        entry off the diagonal is nonzero.  Kept like normal_form_data."""
+        data = self.relations.data
+        if any(x for i, row in enumerate(data) for j, x in enumerate(row) if i != j):
+            return None
+        return tuple(abs(data[j][j]) if j < len(data) else 0 for j in range(self.gens))
 
     @property
     def divisors(self) -> tuple:
@@ -83,7 +106,11 @@ class ZModuleEngine(AbelianEngine):
     question about it (is_zero_obj, membership in C, saturation), is read
     from the memoized Hermite basis of the relations unless the Smith
     form is already known, so a Smith form runs only where divisors or
-    normal-form transforms are read.
+    normal-form transforms are read, and never for a sampled object or
+    one built in normal form, which record theirs.  Equality of
+    morphisms and well-definedness ask whether rows lie in a target's
+    relation lattice (in_relation_lattice); for a diagonal target, such
+    as every W(M), that is a divisibility test with no elimination.
     """
 
     name = "fpmod_z"
@@ -154,14 +181,23 @@ class ZModuleEngine(AbelianEngine):
 
     # -- decidable structure ------------------------------------------------------
 
+    def in_relation_lattice(self, n: ZObj, B: Mat) -> bool:
+        """Whether every row of B lies in the relation lattice of N: entry
+        by entry divisibility by N's moduli when its relations are
+        diagonal, and otherwise whether B solves against them."""
+        moduli = n.moduli
+        if moduli is None or B.cols != n.gens:
+            # solve also raises the ShapeError of a B of the wrong width
+            return self.solve(n.relations, B) is not None
+        return not any(x % d if d else x for row in B.data for x, d in zip(row, moduli))
+
     def is_well_defined(self, f: Mor) -> bool:
         """Whether the payload maps source relations into target relations."""
-        mapped = f.src.relations.mul(f.maps[0])
-        return self.solve(f.dst.relations, mapped) is not None
+        return self.in_relation_lattice(f.dst, f.src.relations.mul(f.maps[0]))
 
     def eq_mor(self, f: Mor, g: Mor) -> bool:
         self._same_endpoints(f, g)
-        return self.solve(f.dst.relations, f.maps[0].sub(g.maps[0])) is not None
+        return self.in_relation_lattice(f.dst, f.maps[0].sub(g.maps[0]))
 
     def is_zero_obj(self, m: ZObj) -> bool:
         return self.order(m) == 1
@@ -244,8 +280,12 @@ class ZModuleEngine(AbelianEngine):
 
     # -- randomness -------------------------------------------------------------------
 
-    def _random_unimodular(self, rng, n) -> Mat:
+    def _random_unimodular(self, rng, n):
+        """(V, V^-1) for a random product V of 2n elementary row
+        operations: each row operation on V is undone by the inverse
+        column operation on V^-1, kept here as the rows of its transpose."""
         u = Mat.identity(n).to_lists()
+        wt = Mat.identity(n).to_lists()
         for _ in range(2 * n):
             op = rng.randrange(3)
             if n < 2:
@@ -253,25 +293,47 @@ class ZModuleEngine(AbelianEngine):
             i, j = rng.sample(range(n), 2)
             if op == 0:
                 c = rng.choice([-2, -1, 1, 2])
-                for t in range(n):
-                    u[i][t] += c * u[j][t]
+                u[i] = [a + c * b for a, b in zip(u[i], u[j])]
+                wt[j] = [a - c * b for a, b in zip(wt[j], wt[i])]
             elif op == 1:
                 u[i], u[j] = u[j], u[i]
+                wt[i], wt[j] = wt[j], wt[i]
             else:
                 u[i] = [-x for x in u[i]]
-        return Mat(n, n, tuple(tuple(r) for r in u))
+                wt[i] = [-x for x in wt[i]]
+        return Mat(n, n, tuple(tuple(r) for r in u)), Mat(n, n, tuple(zip(*wt)))
 
     def _scrambled_from_divisors(self, rng, divisors, free_rank=0) -> ZObj:
+        """diag(divisors) and free_rank free generators in the coordinates
+        of a random unimodular V, sometimes with one more relation drawn
+        from the others, which keeps the lattice.  The object records its
+        normal form, so no Smith form runs for it: x -> x*V^-1 carries the
+        relations onto the diagonal ones, divisor_chain continues that
+        column transform to the divisor chain (V^-1 Q, with inverse
+        Q^-1 V), and to_nf and from_nf are its kept columns and the kept
+        rows of its inverse.  As presentation_normal_form does, it checks
+        V^-1 V = I and from_nf to_nf = I."""
         g = len(divisors) + free_rank
-        base = diag_rows(divisors, g)
-        v = self._random_unimodular(rng, g)
-        rel = base.mul(v)
+        v, v_inv = self._random_unimodular(rng, g)
+        rel = Mat(len(divisors), g, tuple(tuple(d * x for x in row)
+                                          for d, row in zip(divisors, v.data)))
         if rel.rows and rng.randrange(2):
             coeffs = [rng.randint(-1, 1) for _ in range(rel.rows)]
             extra_row = [sum(c * rel.data[s][t] for s, c in enumerate(coeffs))
                          for t in range(g)]
             rel = rel.stack_below(Mat.from_rows([extra_row], g))
-        return self.obj(rel)
+        chain, to_t, from_rows = list(divisors), v_inv.transpose().to_lists(), v.to_lists()
+        divisor_chain(chain, to_t, v_inv=from_rows)
+        keep = [j for j in range(g) if j >= len(chain) or chain[j] != 1]
+        to_nf = Mat(g, g, tuple(zip(*to_t))).take_cols(keep)
+        from_nf = Mat(len(keep), g, tuple(tuple(from_rows[j]) for j in keep))
+        if (v_inv.mul(v).data != Mat.identity(g).data
+                or from_nf.mul(to_nf).data != Mat.identity(len(keep)).data):
+            raise ContractViolation("a sampled object's normal-form transforms are not inverse")
+        m = self.obj(rel)
+        m.__dict__.setdefault("normal_form_data", (
+            tuple(chain[j] for j in keep if j < len(chain)), free_rank, to_nf, from_nf))
+        return m
 
     def _random_divisors(self, rng, size_bound, max_order):
         """Up to size_bound random divisors with product at most max_order

@@ -399,6 +399,25 @@ class TestUnwritableReport:
         assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
         assert not out.parent.exists()
 
+    @pytest.mark.parametrize("argv", [["saturate"], ["qhom", "--objects", "M", "M"]],
+                             ids=["saturate", "qhom"])
+    def test_a_text_result_over_the_digit_limit_exits_2(self, argv, tmp_path, capsys):
+        # at p = 2, W(M) has the one divisor 7**5000 * 11**4000 of about
+        # 8,400 digits, which the text line could not print either
+        doc = {"engine": {"kind": "finite_abelian", "p": 2},
+               "objects": {"M": {"relations": [[7 ** 5000, 0], [0, 11 ** 4000]], "gens": 2}}}
+        path = tmp_path / "big.json"
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            assert main([*argv, "--input", str(path)]) == 2
+        finally:
+            sys.set_int_max_str_digits(limit)
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: cannot write the report: Exceeds the limit")
+
     def test_an_integer_over_the_digit_limit_is_input_error(self, tmp_path):
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(4300)

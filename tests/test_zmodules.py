@@ -11,7 +11,7 @@ from serreq import category, linalg, zmodules
 from serreq.category import Mor, rng_for
 from serreq.errors import (
     ContractViolation, EngineMismatch, InputValidationError, NotSaturatedError,
-    OracleUnsupported,
+    OracleUnsupported, ShapeError,
 )
 from serreq.linalg import Mat
 from serreq.zmodules import (
@@ -35,6 +35,22 @@ def _counting(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, counting)
     return calls
+
+
+def _in_lattice(rel: Mat, B: Mat) -> bool:
+    return linalg.int_solve(rel, B) is not None
+
+
+def _assert_valid_normal_form(rel: Mat, normal_form_data):
+    """to_nf and from_nf are inverse isomorphisms between Z^gens/rel and
+    the diagonal normal form with these divisors and free rank."""
+    divisors, free_rank, to_nf, from_nf = normal_form_data
+    k = len(divisors) + free_rank
+    nf = diag_rows(divisors, k)
+    assert from_nf.mul(to_nf) == Mat.identity(k)
+    assert _in_lattice(nf, rel.mul(to_nf))
+    assert _in_lattice(rel, nf.mul(from_nf))
+    assert _in_lattice(rel, to_nf.mul(from_nf).sub(Mat.identity(rel.cols)))
 
 
 class TestNormalForm:
@@ -179,6 +195,39 @@ class TestWorkCounts:
         assert _run_cli(tmp_path, kind, {"D": self.DENSE}, ["saturate"]) == 0
         assert {name: len(seen) for name, seen in calls.items()} == {
             "smith": 1, "row_echelon": 1}
+
+    def test_saturating_suite_solves_against_no_diagonal_target(self, monkeypatch, tmp_path):
+        # equality and well-definedness into a diagonal target, such as
+        # every W(M), are divisibility tests; sampled objects carry the
+        # normal form they were built from, so only the fixed probes and
+        # cogenerators, and what is built from them, take a Smith form
+        from serreq.cli import main
+        calls = _counting_kernels(monkeypatch)
+        asking, systems = [], []
+        for name in ("eq_mor", "is_well_defined"):
+            method = getattr(ZModuleEngine, name)
+
+            def asked(self, *args, method=method):
+                asking.append(method)
+                try:
+                    return method(self, *args)
+                finally:
+                    asking.pop()
+
+            monkeypatch.setattr(ZModuleEngine, name, asked)
+        solve = category._solve
+
+        def recording(ring, A, B, echelon):
+            if asking:
+                systems.append(A)
+            return solve(ring, A, B, echelon)
+
+        monkeypatch.setattr(category, "_solve", recording)
+        argv = ["check", "--engine", "finite_abelian", "--p", "2", "--suite", "saturating",
+                "--seed", "1", "--out", str(tmp_path / "r.json")]
+        assert main(argv) == 0
+        assert [A for A in systems if ZObj(A).moduli is not None] == []
+        assert len(calls["smith"]) == 16
 
     def test_a_random_morphism_builds_no_hom_presentation(self, monkeypatch):
         eng = FiniteAbelianEngine()
@@ -708,8 +757,154 @@ class TestEchelonMemo:
             _, E, pivots = linalg.row_echelon(rel)
             kernel = Mat(rel.rows - len(pivots), rel.rows, E.data[len(pivots):])
             assert warm.kernel(rel) == fresh.kernel(rel) == kernel
-            assert (m.normal_form_data == fresh.obj(rel).normal_form_data
-                    == linalg.presentation_normal_form(rel))
+            # the sampled object carries a normal form of its own; its
+            # transforms need not be the Smith form's, only valid
+            assert (m.normal_form_data[:2] == fresh.obj(rel).normal_form_data[:2]
+                    == linalg.presentation_normal_form(rel)[:2])
+            _assert_valid_normal_form(rel, m.normal_form_data)
+
+
+class TestSampledNormalForms:
+    """A sampled object records the normal form it was built from (V^-1
+    and the divisor chain of its divisors) instead of taking a Smith
+    form."""
+
+    @pytest.mark.parametrize("engine", [FiniteAbelianEngine, ZModuleEngine],
+                             ids=["finite_abelian", "fpmod_z"])
+    def test_carried_forms_match_sympy(self, engine, monkeypatch):
+        from sympy import Matrix, ZZ
+        from sympy.matrices.normalforms import invariant_factors
+
+        smiths = _counting(monkeypatch, linalg, "smith")
+        eng = engine()
+        for i in range(500):
+            m = eng.random_object(rng_for(2323, engine.name, i), i % 5)
+            rel = m.relations
+            data = m.normal_form_data
+            assert smiths == []
+            flat = [x for row in rel.data for x in row]
+            factors = [int(d) for d in invariant_factors(Matrix(rel.rows, rel.cols, flat),
+                                                          domain=ZZ)]
+            nonzero = [d for d in factors if d]
+            assert data[:2] == (tuple(d for d in nonzero if d != 1),
+                                rel.cols - len(nonzero)), rel
+            _assert_valid_normal_form(rel, data)
+
+    def test_a_corrupted_inverse_of_v_is_refused(self, monkeypatch):
+        eng = FiniteAbelianEngine()
+        unimodular = eng._random_unimodular
+
+        def corrupted(rng, n):
+            v, v_inv = unimodular(rng, n)
+            # one column operation of V^-1 made twice
+            rows = [(r[0], r[1] + r[0], *r[2:]) for r in v_inv.data]
+            return v, Mat(n, n, tuple(rows))
+
+        monkeypatch.setattr(eng, "_random_unimodular", corrupted)
+        with pytest.raises(ContractViolation):
+            eng._scrambled_from_divisors(random.Random(1), [4, 6, 5])
+
+    def test_a_corrupted_inverse_of_q_is_refused(self, monkeypatch):
+        chain = linalg.divisor_chain
+
+        def corrupted(d, vt, u=None, v_inv=None):
+            chain(d, vt, u, v_inv)
+            v_inv[0] = [x + y for x, y in zip(v_inv[0], v_inv[1])]
+
+        monkeypatch.setattr(zmodules, "divisor_chain", corrupted)
+        # the chain of (4, 6) is (2, 12), so both rows of Q^-1 are kept
+        with pytest.raises(ContractViolation):
+            FiniteAbelianEngine()._scrambled_from_divisors(random.Random(1), [4, 6])
+
+    def test_draws_are_unchanged(self):
+        def reference(rng, n):
+            # the sampler as it was before it kept V^-1
+            u = Mat.identity(n).to_lists()
+            for _ in range(2 * n):
+                op = rng.randrange(3)
+                if n < 2:
+                    break
+                i, j = rng.sample(range(n), 2)
+                if op == 0:
+                    c = rng.choice([-2, -1, 1, 2])
+                    for t in range(n):
+                        u[i][t] += c * u[j][t]
+                elif op == 1:
+                    u[i], u[j] = u[j], u[i]
+                else:
+                    u[i] = [-x for x in u[i]]
+            return Mat.from_rows(u, n)
+
+        for n in range(6):
+            for seed in range(20):
+                a, b = random.Random(seed), random.Random(seed)
+                v, v_inv = FA._random_unimodular(a, n)
+                assert v == reference(b, n) and a.getstate() == b.getstate()
+                assert v_inv.mul(v) == v.mul(v_inv) == Mat.identity(n)
+
+
+class TestDivisibilityMembership:
+    """in_relation_lattice decides a diagonal target by divisibility and
+    agrees with solving against its relations."""
+
+    @staticmethod
+    def _diagonal(rng, rows, cols):
+        return Mat(rows, cols, tuple(tuple(rng.randint(-12, 12) if i == j else 0
+                                           for j in range(cols)) for i in range(rows)))
+
+    def _agrees(self, monkeypatch, rel, rng, diagonal):
+        eng = ZModuleEngine()
+        n = eng.obj(rel)
+        solves = []
+        solve = eng.solve
+
+        def counting(A, B):
+            solves.append(A)
+            return solve(A, B)
+
+        monkeypatch.setattr(eng, "solve", counting)
+        for _ in range(6):
+            k = rng.randrange(0, 4)
+            B = Mat(k, rel.cols, tuple(tuple(rng.randint(-12, 12) for _ in range(rel.cols))
+                                       for _ in range(k)))
+            if rng.randrange(2):
+                # a combination of the relations, so it lies in the lattice
+                B = Mat(k, rel.rows, tuple(tuple(rng.randint(-3, 3) for _ in range(rel.rows))
+                                           for _ in range(k))).mul(rel)
+            expected = linalg.int_solve(rel, B) is not None
+            assert eng.in_relation_lattice(n, B) is expected, (rel, B)
+            assert (ZModuleEngine().solve(rel, B) is not None) is expected
+        assert (solves == []) is diagonal
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 3), (5, 3), (4, 4), (1, 5), (0, 3), (0, 0)])
+    def test_diagonal_targets_agree_with_solve(self, monkeypatch, shape):
+        rng = random.Random(f"diag-{shape}")
+        for _ in range(40):
+            rel = self._diagonal(rng, *shape)
+            assert ZObj(rel).moduli == tuple(
+                abs(rel.data[j][j]) if j < rel.rows else 0 for j in range(rel.cols))
+            self._agrees(monkeypatch, rel, rng, diagonal=True)
+
+    def test_fixed_moduli(self):
+        eng = ZModuleEngine()
+        n = eng.obj(Mat.from_rows([[0, 0, 0], [0, 1, 0], [0, 0, -6], [0, 0, 0]]))
+        assert n.moduli == (0, 1, 6)
+        assert eng.in_relation_lattice(n, Mat.from_rows([[0, 7, -12], [0, -1, 6]]))
+        assert not eng.in_relation_lattice(n, Mat.from_rows([[1, 0, 0]]))
+        assert not eng.in_relation_lattice(n, Mat.from_rows([[0, 0, 3]]))
+        assert eng.in_relation_lattice(n, Mat(0, 3, ()))
+        with pytest.raises(ShapeError):
+            eng.in_relation_lattice(n, Mat.from_rows([[0, 6]]))
+
+    def test_other_targets_take_the_solve_path(self, monkeypatch):
+        rng = random.Random("dense")
+        for rows, cols in [(2, 2), (3, 2), (2, 3), (3, 3)]:
+            for _ in range(20):
+                data = [[rng.randint(-12, 12) for _ in range(cols)] for _ in range(rows)]
+                data[0][1] = data[0][1] or 5
+                rel = Mat.from_rows(data)
+                assert ZObj(rel).moduli is None
+                self._agrees(monkeypatch, rel, rng, diagonal=False)
 
 
 class TestSmithInverse:
