@@ -337,18 +337,30 @@ def presentation_normal_form(rel: Mat):
     """
     S, _, V = smith(rel)
     g = rel.cols
-    diag = [S.data[i][i] if i < rel.rows else 0 for i in range(g)]
-    keep = [j for j in range(g) if diag[j] != 1]
     # V is unimodular, so its Hermite form is the identity and the
     # transform of that form is V^-1
-    V_inv = row_echelon(V)[1]
+    return diagonal_normal_form([S.data[i][i] if i < rel.rows else 0 for i in range(g)],
+                                tuple(zip(*V.data)), row_echelon(V)[1].data)
+
+
+def diagonal_normal_form(d, vt, v_inv):
+    """presentation_normal_form of relations that x -> x*V, for a
+    unimodular V, carries onto the lattice of the rows d_j*e_j, with the
+    positive entries of d first and zeros after them.  vt are the rows
+    of V^T and v_inv the rows of V^-1.  divisor_chain turns the positive
+    entries into a divisor chain and moves V and V^-1 along; V^-1*V = I
+    is checked, and to_nf and from_nf are the columns of V and the rows
+    of V^-1 whose entry is not 1."""
+    g = len(d)
+    k = g - d.count(0)
+    chain, vt, v_inv = list(d[:k]), list(vt), list(v_inv)
+    divisor_chain(chain, vt, v_inv=v_inv)
+    V, V_inv = Mat(g, g, tuple(zip(*vt))), Mat(g, g, tuple(map(tuple, v_inv)))
     if V_inv.mul(V).data != Mat.identity(g).data:
-        raise ContractViolation("the Smith transform V is not unimodular")
-    to_nf = V.take_cols(keep)
-    from_nf = Mat(len(keep), g, tuple(V_inv.data[j] for j in keep))
-    divisors = tuple(diag[j] for j in keep if diag[j] != 0)
-    free_rank = sum(1 for j in keep if diag[j] == 0)
-    return divisors, free_rank, to_nf, from_nf
+        raise ContractViolation("a normal-form transform is not unimodular")
+    keep = [j for j in range(g) if j >= k or chain[j] != 1]
+    return (tuple(chain[j] for j in keep if j < k), g - k, V.take_cols(keep),
+            Mat(len(keep), g, tuple(V_inv.data[j] for j in keep)))
 
 
 def presentation_enumerate(rel: Mat, cap=4096):

@@ -158,7 +158,9 @@ def load_json_file(path: str):
             return json.load(fh)
     except OSError as exc:
         raise InputValidationError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, an integer over the digit limit, or nesting
+        # deeper than the decoder's recursion limit
         raise InputValidationError(f"{path} is not valid JSON: {exc}") from exc
 
 

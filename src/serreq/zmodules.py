@@ -27,7 +27,7 @@ from .errors import (
     OracleUnsupported, ShapeError,
 )
 from .linalg import (
-    ZZ, Mat, divisor_chain, is_prime, kron, presentation_normal_form, row_echelon,
+    ZZ, Mat, diagonal_normal_form, is_prime, kron, presentation_normal_form, row_echelon,
 )
 
 
@@ -36,10 +36,8 @@ class ZObj:
     """Z^gens modulo the rows of `relations` (relations x gens).
 
     Two facts about it are computed on first use and kept outside the
-    fields: normal_form_data, the Smith form of the relations unless the
-    object was built in normal form or sampled from its divisors (both
-    record theirs, so no Smith form runs for them), and moduli, the
-    generators' moduli when the relations are diagonal.
+    fields: normal_form_data and moduli, the generators' moduli when the
+    relations are diagonal.
     """
 
     relations: Mat
@@ -50,15 +48,24 @@ class ZObj:
 
     @cached_property
     def normal_form_data(self):
-        """presentation_normal_form(relations), computed on first use:
-        the divisors, the free rank and the normal-form transforms are
-        read from this one Smith form.  The order alone does not need it
-        (see ZModuleEngine.order), and an object built in normal form or
-        sampled from its divisors records it instead, so no Smith form
-        runs for either.  The cache lives outside the dataclass fields, so
-        equality and hashing still compare relations only; an engine keeps
-        one object per relation matrix, so a command computes it at most
-        once."""
+        """presentation_normal_form(relations), computed on first use.
+        Diagonal relations with their nonzero moduli first take no
+        elimination (Smith's first Hermite pass would be diagonal with
+        V = I): a divisor chain of moduli > 1 is its own normal form, and
+        other moduli are put in one by diagonal_normal_form.  Any other
+        relations take a Smith form, unless the object was sampled, which
+        records its normal form.  The cache lives outside the dataclass
+        fields, so equality and hashing still compare relations only; an
+        engine keeps one object per relation matrix, so a command computes
+        it at most once."""
+        moduli = self.moduli
+        if moduli is not None:
+            d = [x for x in moduli if x]
+            if not any(moduli[len(d):]):
+                g = self.gens
+                if all(x > 1 for x in d) and all(b % a == 0 for a, b in zip(d, d[1:])):
+                    return tuple(d), g - len(d), Mat.identity(g), Mat.identity(g)
+                return diagonal_normal_form(moduli, Mat.identity(g).data, Mat.identity(g).data)
         return presentation_normal_form(self.relations)
 
     @cached_property
@@ -102,15 +109,15 @@ class ZModuleEngine(AbelianEngine):
     Its lattice operations (row_basis, kernel_mod_rows, solve_mod_rows)
     are built on the engine's memoized rref, kernel and solve.  The Memo
     `_objects` keeps one object per relation matrix, so that a command
-    computes each Smith form once.  The order, and with it every yes/no
+    computes each normal form once.  The order, and with it every yes/no
     question about it (is_zero_obj, membership in C, saturation), is read
-    from the memoized Hermite basis of the relations unless the Smith
-    form is already known, so a Smith form runs only where divisors or
-    normal-form transforms are read, and never for a sampled object or
-    one built in normal form, which record theirs.  Equality of
-    morphisms and well-definedness ask whether rows lie in a target's
-    relation lattice (in_relation_lattice); for a diagonal target, such
-    as every W(M), that is a divisibility test with no elimination.
+    from a known normal form or diagonal relations, and otherwise from the
+    memoized Hermite basis of the relations.  So a Smith form runs only
+    where the divisors or normal-form transforms of a presentation that is
+    neither diagonal nor sampled are read.  Equality of morphisms and
+    well-definedness ask whether rows lie in a target's relation lattice
+    (in_relation_lattice); for a diagonal target, such as every W(M),
+    that is a divisibility test with no elimination.
     """
 
     name = "fpmod_z"
@@ -128,20 +135,7 @@ class ZModuleEngine(AbelianEngine):
         return self._objects.get_or(relations, ZObj)
 
     def obj_from_divisors(self, divisors, free_rank=0) -> ZObj:
-        divisors = [d for d in divisors]
-        cols = len(divisors) + free_rank
-        return self.obj(diag_rows(divisors, cols))
-
-    def obj_in_normal_form(self, divisors, free_rank=0) -> ZObj:
-        """Diagonal relations `divisors` (each > 1 and dividing the next)
-        followed by free_rank free generators.  Such an object is its own
-        normal form with identity transforms, so that is recorded with it
-        instead of being computed again."""
-        k = len(divisors) + free_rank
-        m = self.obj(diag_rows(divisors, k))
-        m.__dict__.setdefault("normal_form_data", (tuple(divisors), free_rank,
-                                                   Mat.identity(k), Mat.identity(k)))
-        return m
+        return self.obj(diag_rows(divisors, len(divisors) + free_rank))
 
     def zero_object(self) -> ZObj:
         return self.obj(Mat.zeros(0, 0))
@@ -206,16 +200,17 @@ class ZModuleEngine(AbelianEngine):
         return ("Z", m.rank, m.divisors)
 
     def order(self, m: ZObj):
-        """|M|, or None when M is infinite.  It is read from the Smith form
-        when the object already carries one, and otherwise from the
-        Hermite basis of the relations: M is finite exactly when every
-        generator column has a pivot, and then |M| is the index of the
-        relation lattice, the product of the pivots (Cohen, GTM 138,
+        """|M|, or None when M is infinite.  It is the product of the
+        moduli of the normal form when the object already carries one, or
+        of its relations when they are diagonal, and otherwise it is read
+        from the Hermite basis of the relations: M is finite exactly when
+        every generator column has a pivot, and then |M| is the index of
+        the relation lattice, the product of the pivots (Cohen, GTM 138,
         2.4.3)."""
         known = m.__dict__.get("normal_form_data")
-        if known is not None:
-            divisors, free_rank = known[:2]
-            return None if free_rank else prod(divisors)
+        moduli = m.moduli if known is None else known[0] + (0,) * known[1]
+        if moduli is not None:
+            return prod(moduli) if all(moduli) else None
         H, _, pivots = self.rref(m.relations)
         if len(pivots) < m.gens:
             return None
@@ -275,7 +270,7 @@ class ZModuleEngine(AbelianEngine):
         order with unit factors dropped; to_nf and from_nf are mutually
         inverse isomorphisms."""
         divisors, free_rank, to_nf, from_nf = m.normal_form_data
-        nf = self.obj_in_normal_form(divisors, free_rank)
+        nf = self.obj_from_divisors(divisors, free_rank)
         return nf, Mor(m, nf, (to_nf,)), Mor(nf, m, (from_nf,))
 
     # -- randomness -------------------------------------------------------------------
@@ -308,11 +303,8 @@ class ZModuleEngine(AbelianEngine):
         of a random unimodular V, sometimes with one more relation drawn
         from the others, which keeps the lattice.  The object records its
         normal form, so no Smith form runs for it: x -> x*V^-1 carries the
-        relations onto the diagonal ones, divisor_chain continues that
-        column transform to the divisor chain (V^-1 Q, with inverse
-        Q^-1 V), and to_nf and from_nf are its kept columns and the kept
-        rows of its inverse.  As presentation_normal_form does, it checks
-        V^-1 V = I and from_nf to_nf = I."""
+        relations onto the diagonal ones, and diagonal_normal_form reads
+        the normal form off that transform."""
         g = len(divisors) + free_rank
         v, v_inv = self._random_unimodular(rng, g)
         rel = Mat(len(divisors), g, tuple(tuple(d * x for x in row)
@@ -322,17 +314,9 @@ class ZModuleEngine(AbelianEngine):
             extra_row = [sum(c * rel.data[s][t] for s, c in enumerate(coeffs))
                          for t in range(g)]
             rel = rel.stack_below(Mat.from_rows([extra_row], g))
-        chain, to_t, from_rows = list(divisors), v_inv.transpose().to_lists(), v.to_lists()
-        divisor_chain(chain, to_t, v_inv=from_rows)
-        keep = [j for j in range(g) if j >= len(chain) or chain[j] != 1]
-        to_nf = Mat(g, g, tuple(zip(*to_t))).take_cols(keep)
-        from_nf = Mat(len(keep), g, tuple(tuple(from_rows[j]) for j in keep))
-        if (v_inv.mul(v).data != Mat.identity(g).data
-                or from_nf.mul(to_nf).data != Mat.identity(len(keep)).data):
-            raise ContractViolation("a sampled object's normal-form transforms are not inverse")
         m = self.obj(rel)
-        m.__dict__.setdefault("normal_form_data", (
-            tuple(chain[j] for j in keep if j < len(chain)), free_rank, to_nf, from_nf))
+        m.__dict__.setdefault("normal_form_data", diagonal_normal_form(
+            list(divisors) + [0] * free_rank, v_inv.transpose().data, v.data))
         return m
 
     def _random_divisors(self, rng, size_bound, max_order):
@@ -410,7 +394,7 @@ class FiniteAbelianEngine(ZModuleEngine):
 
     def obj_from_payload(self, payload, where="object") -> ZObj:
         obj = super().obj_from_payload(payload, where)
-        # every loaded object needs its Smith form later, so the finiteness
+        # every loaded object needs its normal form later, so the finiteness
         # test reads it rather than eliminating the relations once more
         if obj.rank:
             raise InputValidationError(f"{where}: object is not finite")
@@ -501,7 +485,7 @@ class ZTorsionTheory(TorsionTheory):
         gens = [i for i, (d, c) in enumerate(zip(divisors, cofactors)) if c != d]
         rows = tuple(tuple(cofactors[i] * x for x in from_nf.data[i]) for i in gens)
         # the p-parts of a divisor chain form a divisor chain
-        sub = self.engine.obj_in_normal_form([divisors[i] // cofactors[i] for i in gens])
+        sub = self.engine.obj_from_divisors([divisors[i] // cofactors[i] for i in gens])
         return Mor(sub, m, (Mat(len(rows), from_nf.cols, rows),))
 
     def _reflect(self, m: ZObj):
@@ -522,7 +506,7 @@ class ZTorsionTheory(TorsionTheory):
         keep = torsion + list(range(len(divisors), len(divisors) + free_rank))
         # the prime-to-p parts of a divisor chain form a divisor chain,
         # and those equal to 1 come first
-        w = self.engine.obj_in_normal_form([cofactors[i] for i in torsion], free_rank)
+        w = self.engine.obj_from_divisors([cofactors[i] for i in torsion], free_rank)
         section = Mat(len(keep), from_nf.cols, tuple(from_nf.data[i] for i in keep))
         return Reflection(w, Mor(m, w, (to_nf.take_cols(keep),)), section)
 

@@ -495,6 +495,15 @@ class TestValidation:
         doc = json.loads(capsys.readouterr().out)
         assert doc["command"]["name"] == "saturate"
 
+    @pytest.mark.parametrize("command", ["saturate", "check", "replay"])
+    def test_deeply_nested_input_exits_2(self, command, tmp_path, capsys):
+        # nesting past the decoder's recursion limit is invalid JSON, not a traceback
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000, encoding="utf-8")
+        assert main([command, "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "is not valid JSON" in err
+
 
 class TestFixtureZigzag:
     """The fixture's zigzag suite reports a failed item; it used to exit 2."""

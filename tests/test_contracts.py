@@ -49,6 +49,47 @@ def test_smith_form_has_one_caller_outside_linalg():
     assert found == [("zmodules.py", "ZObj.normal_form_data", "presentation_normal_form")]
 
 
+def _scoped(tree, scope=()):
+    """(enclosing Class.function path, node) for every node of the tree."""
+    for node in ast.iter_child_nodes(tree):
+        yield ".".join(scope), node
+        inner = scope + (node.name,) if isinstance(
+            node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) else scope
+        yield from _scoped(node, inner)
+
+
+def _writes_normal_form(node):
+    """Whether a node stores an object's normal_form_data: by setdefault,
+    __setitem__ or setattr with that key, by item assignment or by
+    attribute assignment."""
+    key = "normal_form_data"
+    if isinstance(node, ast.Call):
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        return name in {"setdefault", "__setitem__", "setattr"} and any(
+            isinstance(a, ast.Constant) and a.value == key for a in node.args)
+    if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+        return isinstance(node.slice, ast.Constant) and node.slice.value == key
+    return isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store) \
+        and node.attr == key
+
+
+def test_one_normal_form_routine():
+    """A Z object's normal form is obtained in ZObj.normal_form_data: only
+    the sampler, which knows its transform, records one, and the
+    divisor-chain tail runs only in smith and diagonal_normal_form."""
+    chains = sorted((path.name, where) for path in SOURCES
+                    for where, _ in _calls(ast.parse(path.read_text(encoding="utf-8")),
+                                           {"divisor_chain"}))
+    assert chains == [("linalg.py", "diagonal_normal_form"), ("linalg.py", "smith")]
+    writers = [(path.name, where) for path in SOURCES
+               for where, node in _scoped(ast.parse(path.read_text(encoding="utf-8")))
+               if _writes_normal_form(node)]
+    assert writers == [("zmodules.py", "ZModuleEngine._scrambled_from_divisors")]
+    assert [path.name for path in SOURCES
+            if "obj_in_normal_form" in path.read_text(encoding="utf-8")] == []
+
+
 def _swaps_rows(loop):
     """Whether a loop body exchanges two entries of one list, x[i], x[j] =
     x[j], x[i]: the row swap of a pivot search."""

@@ -76,17 +76,24 @@ class TestOneSmithFormPerObject:
     def test_counted_smith_calls(self, monkeypatch):
         calls = _counting(monkeypatch, linalg, "smith")
         th = PPrimaryTheory(2)
-        th.h_c(th.engine.obj_from_divisors([4, 6, 9]))
+        M = Mat.from_rows([[4, 6], [2, 9]])
+        th.h_c(th.engine.obj(M))
         assert len(calls) == 1
         calls.clear()
         # the engine's one object with these relations already carries its
         # Smith form, and the reflection is read off it
-        th.saturate(th.engine.obj_from_divisors([4, 6, 9]))
+        th.saturate(th.engine.obj(M))
         assert len(calls) == 0
         # a fresh theory builds a fresh engine: M's Smith form and nothing else
         fresh = PPrimaryTheory(2)
-        fresh.saturate(fresh.engine.obj_from_divisors([4, 6, 9]))
+        fresh.saturate(fresh.engine.obj(M))
         assert len(calls) == 1
+        calls.clear()
+        # diagonal relations are put in normal form with no Smith form
+        diagonal = PPrimaryTheory(2)
+        diagonal.h_c(diagonal.engine.obj_from_divisors([4, 6, 9]))
+        diagonal.saturate(diagonal.engine.obj_from_divisors([4, 6, 9]))
+        assert len(calls) == 0
 
     def test_saturate_command_object(self, monkeypatch, tmp_path):
         # the input only; W(M) and H_C(M) are built in normal form and carry it
@@ -111,8 +118,8 @@ class TestOneSmithFormPerObject:
                 chain.append(d)
             chains.append((tuple(x for x in chain if x > 1), rng.randrange(0, 3)))
         for divisors, free_rank in chains:
-            # a fresh engine, so that the recorded form is the one read
-            m = ZModuleEngine().obj_in_normal_form(divisors, free_rank)
+            # a fresh engine, so that this call computes the normal form
+            m = ZModuleEngine().obj_from_divisors(divisors, free_rank)
             assert m.normal_form_data == linalg.presentation_normal_form(m.relations)
             assert (m.divisors, m.rank) == (divisors, free_rank)
 
@@ -199,8 +206,8 @@ class TestWorkCounts:
     def test_saturating_suite_solves_against_no_diagonal_target(self, monkeypatch, tmp_path):
         # equality and well-definedness into a diagonal target, such as
         # every W(M), are divisibility tests; sampled objects carry the
-        # normal form they were built from, so only the fixed probes and
-        # cogenerators, and what is built from them, take a Smith form
+        # normal form they were built from and diagonal ones need none, so
+        # only the other objects the checks build take a Smith form
         from serreq.cli import main
         calls = _counting_kernels(monkeypatch)
         asking, systems = [], []
@@ -227,7 +234,7 @@ class TestWorkCounts:
                 "--seed", "1", "--out", str(tmp_path / "r.json")]
         assert main(argv) == 0
         assert [A for A in systems if ZObj(A).moduli is not None] == []
-        assert len(calls["smith"]) == 16
+        assert len(calls["smith"]) == 9
 
     def test_a_random_morphism_builds_no_hom_presentation(self, monkeypatch):
         eng = FiniteAbelianEngine()
@@ -811,7 +818,7 @@ class TestSampledNormalForms:
             chain(d, vt, u, v_inv)
             v_inv[0] = [x + y for x, y in zip(v_inv[0], v_inv[1])]
 
-        monkeypatch.setattr(zmodules, "divisor_chain", corrupted)
+        monkeypatch.setattr(linalg, "divisor_chain", corrupted)
         # the chain of (4, 6) is (2, 12), so both rows of Q^-1 are kept
         with pytest.raises(ContractViolation):
             FiniteAbelianEngine()._scrambled_from_divisors(random.Random(1), [4, 6])
@@ -841,6 +848,94 @@ class TestSampledNormalForms:
                 v, v_inv = FA._random_unimodular(a, n)
                 assert v == reference(b, n) and a.getstate() == b.getstate()
                 assert v_inv.mul(v) == v.mul(v_inv) == Mat.identity(n)
+
+
+class TestDiagonalNormalForms:
+    """Diagonal relations with their nonzero moduli first are put in
+    normal form with no elimination, and the result is the one the Smith
+    form gives: a divisor chain of moduli > 1 is its own normal form (case
+    A), and other moduli go through diagonal_normal_form (case B)."""
+
+    @staticmethod
+    def _diagonals(rng, count):
+        out = [Mat.zeros(0, 4), Mat.zeros(4, 0), Mat.zeros(0, 0), Mat.zeros(3, 2), Mat.zeros(1, 5)]
+        while len(out) < count:
+            rows, cols = rng.randrange(1, 7), rng.randrange(1, 7)
+            n = min(rows, cols)
+            if rng.randrange(3):
+                entries = [rng.randint(-12, 12) if rng.randrange(4) else 0 for _ in range(n)]
+            else:
+                # a divisor chain up to sign, perhaps with zeros after it
+                entries, x = [], rng.randint(2, 4)
+                for _ in range(n):
+                    x *= rng.choice([1, 2, 3])
+                    entries.append(rng.choice([-1, 1]) * x)
+                k = rng.randrange(n + 1)
+                entries[k:] = [0] * (n - k)
+            if rng.randrange(4) == 0:
+                entries.sort(key=lambda x: x == 0)
+            out.append(Mat(rows, cols, tuple(tuple(entries[i] if i == j else 0
+                                                   for j in range(cols))
+                                             for i in range(rows))))
+        return out
+
+    @staticmethod
+    def _case(moduli):
+        d = [x for x in moduli if x]
+        if any(moduli[len(d):]):
+            return "smith"
+        if all(x > 1 for x in d) and all(b % a == 0 for a, b in zip(d, d[1:])):
+            return "A"
+        return "B"
+
+    def test_equal_to_smith_and_sympy(self, monkeypatch):
+        from sympy import Matrix, ZZ
+        from sympy.matrices.normalforms import invariant_factors
+
+        counts = {name: _counting(monkeypatch, linalg, name) for name in ("smith", "row_echelon")}
+        cases = {"A": 0, "B": 0, "smith": 0}
+        for rel in self._diagonals(random.Random(2424), 600):
+            for seen in counts.values():
+                seen.clear()
+            m = ZObj(rel)
+            data = m.normal_form_data
+            case = self._case(m.moduli)
+            cases[case] += 1
+            expected_calls = 1 if case == "smith" else 0
+            assert {name: len(seen) for name, seen in counts.items()} == {
+                "smith": expected_calls, "row_echelon": expected_calls}, rel
+            assert data == linalg.presentation_normal_form(rel), rel
+            flat = [x for row in rel.data for x in row]
+            factors = [int(d) for d in invariant_factors(Matrix(rel.rows, rel.cols, flat),
+                                                          domain=ZZ)]
+            nonzero = [d for d in factors if d]
+            assert data[:2] == (tuple(d for d in nonzero if d != 1),
+                                rel.cols - len(nonzero)), rel
+        assert min(cases.values()) >= 80, cases
+
+    def test_fixed_cases(self, monkeypatch):
+        smiths = _counting(monkeypatch, linalg, "smith")
+        # case A: its own normal form, also with negative entries and zero rows
+        rel = Mat.from_rows([[-2, 0, 0], [0, 6, 0], [0, 0, 0], [0, 0, 0]])
+        assert ZObj(rel).normal_form_data == ((2, 6), 1, Mat.identity(3), Mat.identity(3))
+        # case B: units dropped and the divisor chain formed
+        assert ZObj(Mat.from_rows([[1, 0], [0, 5]])).normal_form_data[:2] == ((5,), 0)
+        assert ZObj(Mat.from_rows([[4, 0], [0, -6]])).normal_form_data[:2] == ((2, 12), 0)
+        assert smiths == []
+        # a zero before a nonzero modulus: the Smith form permutes the columns
+        assert ZObj(Mat.from_rows([[0, 0], [0, 3]])).normal_form_data[:2] == ((3,), 1)
+        assert len(smiths) == 1
+
+    def test_a_corrupted_inverse_is_refused(self, monkeypatch):
+        chain = linalg.divisor_chain
+
+        def corrupted(d, vt, u=None, v_inv=None):
+            chain(d, vt, u, v_inv)
+            v_inv[0] = [x + y for x, y in zip(v_inv[0], v_inv[1])]
+
+        monkeypatch.setattr(linalg, "divisor_chain", corrupted)
+        with pytest.raises(ContractViolation):
+            ZObj(Mat.from_rows([[4, 0], [0, 6]])).normal_form_data
 
 
 class TestDivisibilityMembership:
@@ -1115,7 +1210,7 @@ class TestSubobjectEnumeration:
 
     def test_images_are_the_distinct_subgroups(self):
         for divisors in divisor_chains(24):
-            embs = finite_subobject_embeddings(FA, FA.obj_in_normal_form(divisors))
+            embs = finite_subobject_embeddings(FA, FA.obj_from_divisors(divisors))
             images = [generated(emb.maps[0].data, divisors) for emb in embs]
             assert len(set(map(frozenset, images))) == len(images), divisors
             for image, emb in zip(images, embs):
