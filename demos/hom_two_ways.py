@@ -3,9 +3,10 @@
 The quotient Hom-group can be computed as Hom(M, W(N)) in one ambient
 Hom computation, or from its definition as a direct limit over the
 subobjects M' <= M with M/M' in the torsion class.  The second route
-enumerates every subgroup of M exhaustively, locates the terminal stage
-of the directed system, and evaluates there; it is the independent
-oracle for the first.
+enumerates every subgroup of M exhaustively, and the theory's
+terminal_stage picks out the terminal stage of the directed system, the
+intersection of the admissible subgroups; Hom is evaluated there.  It
+is the independent oracle for the first.
 
 Run:  python3 demos/hom_two_ways.py
 """
@@ -22,8 +23,9 @@ m = eng.cyclic(12)
 embs = finite_subobject_embeddings(eng, m)
 orders = sorted(eng.order(e.src) for e in embs)
 print(f"  subgroup orders: {orders}")
-admissible = [e for e in embs if theory.is_in_c(eng.cokernel_proj(e).dst)]
-print(f"  stages with 2-group quotient: {sorted(eng.order(e.src) for e in admissible)}")
+stage, stages = theory.terminal_stage(m)
+print(f"  stages with 2-group quotient: {stages}")
+print(f"  terminal stage, their intersection: order {eng.order(stage.src)}")
 print("  (the smallest stage, the odd part, is where the direct limit settles)")
 
 print("\n== the two computations agree ==")

@@ -7,8 +7,7 @@ quotient morphism M -> N is stored by its canonical representative
 M -> W(N), which turns Hom computations and equality into single
 ambient-category questions and avoids the direct limit entirely.  The
 direct-limit construction is still available as an independent oracle
-(q_hom_via_colimit) on theories that also have a subobject_embeddings
-method.
+(q_hom_via_colimit) on theories that also have a terminal_stage method.
 
 The five saturating axioms checked by the "saturating" suite, for an
 endofunctor W with unit eta over a torsion class C:
@@ -215,17 +214,17 @@ def cokernel_in_sat(theory, f):
 class ColimitHom:
     """Hom in the quotient computed from its direct-limit description.
 
-    Enumerates all subobjects M' <= M whose quotient lies in C, locates
-    the terminal stage of the resulting directed system (the intersection
-    of all admissible subobjects), and evaluates Hom(M'_min, N/H_C(N))
-    there.  Entirely independent of the reflection shortcut apart from
-    the comparison map.  M is finite, so M/M' lies in C exactly when the
-    theory's order_in_c holds for |M| / |M'|, the predicate its is_in_c
-    reads too; no cokernel is built for a subobject.
+    The stages of the directed system are the subobjects M' <= M whose
+    quotient lies in C, ordered by reverse inclusion, and its terminal
+    stage is their intersection.  The theory's terminal_stage hook
+    returns that stage's embedding and the number of stages; Hom is
+    evaluated there as Hom(M'_min, N/H_C(N)).  Entirely independent of
+    the reflection shortcut apart from the comparison map.  The stage is
+    checked once here, with the engine's own cokernel: it must lie in C.
     """
 
     def __init__(self, theory, m, n):
-        if not hasattr(theory, "subobject_embeddings"):
+        if not hasattr(theory, "terminal_stage"):
             raise OracleUnsupported("engine cannot enumerate subobjects exhaustively")
         e = theory.engine
         self.theory = theory
@@ -234,22 +233,10 @@ class ColimitHom:
         self.nbar_proj = e.cokernel_proj(theory.h_c(n))
         nbar = self.nbar_proj.dst
 
-        embs = theory.subobject_embeddings(m)
-        order = e.order(m)
-        admissible = [emb for emb in embs
-                      if theory.order_in_c(order // e.order(emb.src))]
-        if not admissible:
-            raise ContractViolation("M itself is always an admissible stage")
-        admissible.sort(key=lambda emb: e.order(emb.src))
-        minimal = admissible[0]
-        # the directed system is ordered by reverse inclusion; its terminal
-        # stage must factor through every other stage
-        for emb in admissible:
-            if e.lift_along_mono(minimal, emb) is None:
-                raise ContractViolation("admissible subobjects must be intersection-closed")
-        self.stages = len(admissible)
-        self.minimal_emb = minimal
-        self.group = e.hom_group(minimal.src, nbar)
+        self.minimal_emb, self.stages = theory.terminal_stage(m)
+        if not theory.is_in_c(e.cokernel_proj(self.minimal_emb).dst):
+            raise ContractViolation("the terminal stage must have its quotient in C")
+        self.group = e.hom_group(self.minimal_emb.src, nbar)
 
     def invariants(self):
         return self.group.invariants()

@@ -431,11 +431,12 @@ class ZTorsionTheory(TorsionTheory):
 
     Subclasses supply only data: kind, canonical_tag, size_bound,
     engine_class, zero_p_allowed, probe_objects and, where subobjects can
-    be enumerated, subobject_embeddings.  The engine decides what an
-    object may be: the finite-abelian engine's invariants and order raise
-    EngineMismatch on an infinite object.  Membership in C and saturation
-    depend on the order alone, and order_in_c is the one definition of C
-    that is_in_c and the direct-limit oracle share.
+    be enumerated, terminal_stage, the direct-limit oracle's hook.  The
+    engine decides what an object may be: the finite-abelian engine's
+    invariants and order raise EngineMismatch on an infinite object.
+    Membership in C and saturation depend on the order alone, and
+    order_in_c is the one definition of C that is_in_c and terminal_stage
+    share.
     """
 
     flag = ("p", 2)
@@ -566,8 +567,20 @@ class PPrimaryTheory(ZTorsionTheory):
         return [e.zero_object(), e.cyclic(p), e.cyclic(p * p), e.cyclic(q),
                 e.cyclic(p * q), e.obj_from_divisors([p, q * q])]
 
-    def subobject_embeddings(self, m: ZObj):
-        return finite_subobject_embeddings(self.engine, m)
+    def terminal_stage(self, m: ZObj):
+        """(emb, stages) for the direct-limit oracle: the embedding of the
+        intersection of the admissible subgroups S <= M, those with M/S in
+        C, and how many there are.  Both are read off the subgroups'
+        element masks: |S| is the popcount of the mask of S, so S is
+        admissible when order_in_c holds for |M| / |S|, and the least
+        admissible mask must lie inside every other one.  Only that
+        subgroup is turned into an embedding."""
+        order, masks = _finite_subgroups(self.engine, m)
+        admissible = [mask for mask in masks if self.order_in_c(order // mask.bit_count())]
+        least = min(admissible, key=int.bit_count)
+        if any(least & ~mask for mask in admissible):
+            raise ContractViolation("admissible subobjects must be intersection-closed")
+        return _subgroup_embedding(self.engine, m, least, masks[least]), len(admissible)
 
 
 class FixtureTheory(ZTorsionTheory):
@@ -668,29 +681,35 @@ def _subgroup_masks(divisors):
     return known
 
 
-def finite_subobject_embeddings(engine: ZModuleEngine, m: ZObj):
-    """One embedding per subgroup of the finite object M, in the order of
-    the subgroups' element masks (see _subgroup_masks).
-
-    Each subgroup is presented by its generators stacked on the relations
-    of the normal form; the Hermite basis of that full-rank lattice is
-    unique, so it does not depend on which generators were recorded.  The
-    subgroup's relations are a Hermite basis too, so its order check reads
-    their pivots and starts no Smith form.
-    """
+def _finite_subgroups(engine: ZModuleEngine, m: ZObj):
+    """(|M|, _subgroup_masks of the divisors of M) for a finite M within
+    ELEMENT_CAP: the one entry to the enumeration."""
     order = engine.order(m)
     if order is None or order > ELEMENT_CAP:
         raise OracleUnsupported("object too large for exhaustive subobject enumeration")
+    return order, _subgroup_masks(list(m.divisors))
+
+
+def _subgroup_embedding(engine: ZModuleEngine, m: ZObj, mask: int, gens) -> Mor:
+    """The embedding into M of the subgroup with this element mask and
+    these generators in the normal form of M.
+
+    The generators are stacked on the relations of the normal form; the
+    Hermite basis of that full-rank lattice is unique, so it does not
+    depend on which generators were recorded.  The subgroup's relations
+    are a Hermite basis too, so its order check reads their pivots and
+    starts no Smith form.
+    """
     nf, _, from_nf = engine.normal_form(m)
-    masks = _subgroup_masks(list(m.divisors))
-    out = []
-    for mask in sorted(masks):
-        rows = Mat.from_rows(masks[mask], nf.gens)
-        lattice = engine.row_basis(rows.stack_below(nf.relations))
-        rel = engine.kernel_mod_rows(lattice, nf.relations)
-        sub = engine.obj(rel)
-        emb = engine.compose(Mor(sub, nf, (lattice,)), from_nf)
-        if engine.order(sub) != mask.bit_count():
-            raise ContractViolation("a subgroup presentation has the wrong order")
-        out.append(emb)
-    return out
+    lattice = engine.row_basis(Mat.from_rows(gens, nf.gens).stack_below(nf.relations))
+    sub = engine.obj(engine.kernel_mod_rows(lattice, nf.relations))
+    if engine.order(sub) != mask.bit_count():
+        raise ContractViolation("a subgroup presentation has the wrong order")
+    return engine.compose(Mor(sub, nf, (lattice,)), from_nf)
+
+
+def finite_subobject_embeddings(engine: ZModuleEngine, m: ZObj):
+    """One embedding per subgroup of the finite object M, in the order of
+    the subgroups' element masks (see _subgroup_masks)."""
+    _, masks = _finite_subgroups(engine, m)
+    return [_subgroup_embedding(engine, m, mask, masks[mask]) for mask in sorted(masks)]

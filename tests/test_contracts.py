@@ -425,4 +425,19 @@ def test_subgroup_enumeration_is_independent_of_linalg():
     lattice = {"rref", "kernel", "solve", "row_basis", "kernel_mod_rows", "solve_mod_rows"}
     assert list(_calls(helper, linalg | lattice)) == []
     callers = {where for where, _ in _calls(_tree("zmodules.py"), {"_subgroup_masks"})}
-    assert callers == {"finite_subobject_embeddings"}
+    assert callers == {"_finite_subgroups"}
+
+
+def test_the_oracle_reads_no_z_orders():
+    """ColimitHom takes its terminal stage from the theory, so serre.py,
+    generic over theories, names none of the Z theory's order methods."""
+    names = set()
+    for node in ast.walk(_tree("serre.py")):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    assert "terminal_stage" in names
+    assert names & {"order", "order_in_c", "subobject_embeddings"} == set()

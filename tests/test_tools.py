@@ -4,10 +4,17 @@ import importlib.util
 from pathlib import Path
 from types import SimpleNamespace
 
-_SPEC = importlib.util.spec_from_file_location(
-    "report_identity", Path(__file__).resolve().parents[1] / "tools" / "report_identity.py")
-report_identity = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(report_identity)
+
+def _load_tool(name):
+    spec = importlib.util.spec_from_file_location(
+        name, Path(__file__).resolve().parents[1] / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+report_identity = _load_tool("report_identity")
+line_count = _load_tool("line_count")
 
 
 class TestDifferingPaths:
@@ -61,3 +68,41 @@ def test_an_op_keeps_what_it_printed(tmp_path):
     assert (rc, report) == (2, None)
     assert printed.startswith(f"error: cannot read {report_identity.TMP_TOKEN}/missing.json")
     assert str(tmp_path) not in printed
+
+
+class TestLineCount:
+    SOURCE = '''"""A module docstring
+over two lines."""
+
+# a comment
+import os  # a trailing comment
+
+
+def f(x):
+    """A function docstring."""
+
+    y = """a string that is
+not a docstring"""
+    return x, y
+
+
+class C:
+    """A class docstring."""
+    z = 1
+'''
+
+    def test_docstrings_comments_and_blank_lines_are_not_code(self):
+        # import, def, the two lines of y, return, class and z
+        assert line_count.count(self.SOURCE) == (18, 7)
+
+    def test_two_checkouts(self, tmp_path, capsys):
+        for name, body in (("old", "x = 1\n"), ("new", self.SOURCE)):
+            package = tmp_path / name / "src" / "serreq"
+            package.mkdir(parents=True)
+            (package / "a.py").write_text(body, encoding="utf-8")
+        assert line_count.main([str(tmp_path / "new")]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "a.py       18 /      7", "total      18 /      7"]
+        assert line_count.main([str(tmp_path / "old"), str(tmp_path / "new")]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "total      18 /      7   was      1 /      1      +17 /     +6")

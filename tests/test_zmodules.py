@@ -194,6 +194,21 @@ class TestWorkCounts:
         # limit), whatever the number of subgroups
         assert len(calls["smith"]) == 4
 
+    def test_an_oracle_query_builds_one_subgroup_embedding(self, monkeypatch, tmp_path):
+        # Z/12 has 6 subgroups, but only the terminal stage becomes an
+        # embedding, and no stage is lifted into another
+        counts = {"_subgroup_embedding": 0, "lift_along_mono": 0}
+        for owner, name in ((zmodules, "_subgroup_embedding"),
+                            (category.AbelianEngine, "lift_along_mono")):
+            def counting(*args, original=getattr(owner, name), name=name):
+                counts[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(owner, name, counting)
+        argv = ["qhom", "--objects", "M", "N", "--oracle"]
+        assert _run_cli(tmp_path, "finite_abelian", {"M": [[12]], "N": [[9]]}, argv) == 0
+        assert counts == {"_subgroup_embedding": 1, "lift_along_mono": 0}
+
     @pytest.mark.parametrize("kind", ["finite_abelian", "fixture"])
     def test_saturate_eliminations(self, monkeypatch, tmp_path, kind):
         # one Smith form of the input, with the one elimination that
@@ -1216,6 +1231,47 @@ class TestSubobjectEnumeration:
             for image, emb in zip(images, embs):
                 assert len(image) == FA.order(emb.src)
                 assert {add(x, y, divisors) for x in image for y in image} == image
+
+
+class TestTerminalStage:
+    """PPrimaryTheory.terminal_stage, the direct-limit oracle's hook."""
+
+    def test_agrees_with_the_lifts_between_stages(self):
+        # the construction the hook replaced: every subgroup embedded, the
+        # admissible ones by order_in_c, the least of them by order, and a
+        # lift of it into each admissible one
+        for divisors in divisor_chains(64):
+            embs = finite_subobject_embeddings(FA, FA.obj_from_divisors(divisors))
+            order = prod(divisors)
+            for p in (2, 3, 5):
+                th = PPrimaryTheory(p)
+                admissible = [e for e in embs if th.order_in_c(order // FA.order(e.src))]
+                least = sorted(admissible, key=lambda e: FA.order(e.src))[0]
+                assert all(FA.lift_along_mono(least, e) is not None for e in admissible)
+                m = th.engine.obj_from_divisors(divisors)
+                assert th.terminal_stage(m) == (least, len(admissible)), (divisors, p)
+
+    def test_masks_that_are_not_intersection_closed_are_refused(self, monkeypatch):
+        # at p = 2 every subgroup of (Z/2)^2 is admissible; without the zero
+        # subgroup the least mask is one of three of order 2, inside neither
+        # of the other two
+        masks = zmodules._subgroup_masks
+        monkeypatch.setattr(zmodules, "_subgroup_masks", lambda divisors: {
+            mask: gens for mask, gens in masks(divisors).items() if mask != 1})
+        th = PPrimaryTheory(2)
+        with pytest.raises(ContractViolation, match="intersection-closed"):
+            th.terminal_stage(th.engine.obj_from_divisors([2, 2]))
+
+    def test_a_stage_with_its_quotient_outside_c_is_refused(self, monkeypatch, tmp_path):
+        # the zero subgroup of Z/12 leaves the quotient Z/12, not a 2-group
+        from serreq.serre import q_hom_via_colimit
+        monkeypatch.setattr(PPrimaryTheory, "terminal_stage", lambda th, m: (
+            th.engine.zero_morphism(th.engine.zero_object(), m), 1))
+        th = PPrimaryTheory(2)
+        with pytest.raises(ContractViolation, match="quotient in C"):
+            q_hom_via_colimit(th, th.engine.cyclic(12), th.engine.cyclic(9))
+        argv = ["qhom", "--objects", "M", "N", "--oracle"]
+        assert _run_cli(tmp_path, "finite_abelian", {"M": [[12]], "N": [[9]]}, argv) == 2
 
 
 def divisors_of(n):
