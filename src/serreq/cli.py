@@ -6,13 +6,15 @@
     serre replay   --input WITNESS_FILE
 
 Every command also takes --seed, --format and --out, and each takes only
-the flags it reads; a call builds the flags of its own command only.
-Engines: finite_abelian (with --p), a2_rep (with --field, e.g. f101 or
-q), fixture (with --p; 0 selects the full torsion class); --p and --field
-are invalid input without an engine that uses them.  SERRE_SEED provides
-the default seed; flags override it.  Exit code 0 means every requested
-check passed, 1 means some check failed, 2 means invalid input, an --out
-that cannot be written included.
+the flags it reads.  A call whose first word is a command builds that
+command's parser only; the full parser is built for any other argv and
+for a word that the command leaves over.  Engines: finite_abelian (with
+--p), a2_rep (with --field, e.g. f101 or q), fixture (with --p; 0 selects
+the full torsion class); --p and --field are invalid input without an
+engine that uses them.  SERRE_SEED provides the default seed; flags
+override it.  Exit code 0 means every requested check passed, 1 means
+some check failed, 2 means invalid input, an --out that cannot be
+written included.
 """
 
 from __future__ import annotations
@@ -254,32 +256,52 @@ COMMANDS = {
 }
 
 
-def build_parser(command=None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, with flags only on `command`'s, or on
-    every subcommand's when `command` names none.  The top level takes no
-    positional and no option with a value, so an argv whose first word is
-    a command is always parsed by that command's subparser, and help,
-    usage and errors read the same as with every flag built."""
+def _add_command(parser, name) -> argparse.ArgumentParser:
+    """`parser` with the defaults and the flags of command `name`."""
+    fn, flags = COMMANDS[name]
+    parser.set_defaults(fn=fn, command=name)
+    for flag, spec in FLAGS.items():
+        if flag in flags:
+            parser.add_argument(f"--{flag}", **spec)
+    return parser
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full parser: the top level and every subcommand with the flags
+    it reads.  `parse_args` builds it only where the top level answers."""
     parser = argparse.ArgumentParser(
         prog="serre",
         description="Serre quotient computations and monad checker suites")
     parser.add_argument("--version", action="version", version=f"serre {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (fn, flags) in COMMANDS.items():
-        p = sub.add_parser(name)
-        p.set_defaults(fn=fn)
-        if command in COMMANDS and name != command:
-            continue
-        for flag, spec in FLAGS.items():
-            if flag in flags:
-                p.add_argument(f"--{flag}", **spec)
+    for name in COMMANDS:
+        _add_command(sub.add_parser(name), name)
     return parser
+
+
+def parse_args(argv) -> argparse.Namespace:
+    """The namespace of `argv`, parsed, helped and failed exactly as by the
+    full parser.
+
+    An argv whose first word is a command goes to that command's parser
+    alone, built as `add_parser` builds it: the full parser would hand it
+    the rest of argv and let it print help, usage and errors.  The top
+    level answers itself only for a word the command leaves over and for a
+    word starting "--=", which it finds ambiguous between --help and
+    --version before it dispatches.  Those argvs, and every argv that
+    names no command, go to the full parser."""
+    if argv and argv[0] in COMMANDS and not any(w.startswith("--=") for w in argv):
+        own = _add_command(argparse.ArgumentParser(prog=f"serre {argv[0]}"), argv[0])
+        args, left = own.parse_known_args(argv[1:])
+        if not left:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = parse_args(argv)
     started = time.perf_counter()
     args._elapsed_ms = lambda: round((time.perf_counter() - started) * 1000, 3)
     try:

@@ -1,7 +1,9 @@
 """The serre command-line front end."""
 
 import argparse
+import contextlib
 import copy
+import io
 import json
 import re
 import sys
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 
 from serreq import serre, session
 from serreq.category import MAX_INPUT_SIZE
-from serreq.cli import COMMANDS, _emit, build_parser, main
+from serreq.cli import COMMANDS, FLAGS, _emit, build_parser, main, parse_args
 from serreq.zmodules import FixtureTheory
 
 
@@ -280,19 +282,37 @@ class TestFlags:
         assert exc.value.code == 2
 
 
-def _parse(parser, argv, capsys):
+def _parse(parse, argv):
     """(the parsed namespace, or the exit code, and what was printed)."""
-    try:
-        result = vars(parser.parse_args(argv))
-    except SystemExit as exc:
-        result = ("exit", exc.code)
-    printed = capsys.readouterr()
-    return result, printed.out, printed.err
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse(argv))
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+def _full(argv):
+    return build_parser().parse_args(argv)
+
+
+# words a property test draws after the command: every flag whole, cut
+# short and with "=", values of every kind, and the words the top level
+# treats apart
+_VALUES = ["in.json", "M", "3", "0", "-1", "many", "json", "text", "all", "zigzag",
+           "finite_abelian", "a2_rep", "fixture", "q", "identity", "stray"]
+_WORDS = sorted(
+    {f"--{flag}" for flag in FLAGS}
+    | {f"--{flag}"[:k] for flag in FLAGS for k in range(3, len(flag) + 2)}
+    | {f"--{flag}={value}" for flag in FLAGS for value in ("3", "x")}
+    | {"--in=in.json", "--o=x", "--vers", "--version", "--ver=1", "-h", "--help", "--he",
+       "--", "-", "-x", "--=x", "--=", "---"}) + _VALUES
 
 
 class TestPerCommandParser:
-    """A call builds only the flags of the command its argv names, and
-    parses, helps and fails exactly as the parser with every flag built."""
+    """A call whose first word is a command builds that command's parser
+    alone, and parses, helps and fails exactly as the full parser."""
 
     VALID = [
         ["saturate", "--input", "in.json"],
@@ -305,46 +325,52 @@ class TestPerCommandParser:
         ["check", "--engine", "fixture", "--p", "0", "--suite", "all", "--n", "0",
          "--candidate", "identity", "--seed", "-3", "--format", "text"],
         ["check", "--input", "in.json", "--suite", "zigzag", "--candidate", "fixture-naive"],
+        ["check", "--seed", "-1", "--n=3"],
         ["replay", "--input", "w.json"],
         ["replay", "--input=w.json", "--seed=9", "--out", "o.json", "--format", "json"],
     ]
     ERRORS = [
         [], ["-h"], ["--version"], ["bogus"], ["bogus", "--input", "x"],
         ["-h", "saturate"], ["--version", "check"],
-        ["saturate", "-h"], ["check", "--help"], ["replay", "-h"],
+        ["saturate", "-h"], ["qhom", "-h"], ["check", "--help"], ["replay", "-h"],
         ["replay", "--input", "w.json", "--oracle"],
         ["saturate", "--input", "in.json", "stray"],
-        ["saturate", "--version"], ["saturate", "--o", "x"], ["qhom", "--n", "3"],
+        ["saturate", "--input", "a", "--", "x"], ["replay", "--input", "w.json", "--"],
+        ["saturate", "stray", "-h"],
+        ["saturate", "--version"], ["saturate", "--o", "x"], ["qhom", "--o", "x"],
+        ["qhom", "--n", "3"], ["qhom", "--vers"],
         ["check", "--engine", "bogus"], ["check", "--n", "many"], ["check", "--p"],
+        ["saturate", "--=x"], ["check", "--input", "--=", "--n", "3"],
     ]
 
-    def test_help_is_the_same(self):
-        def subparsers(parser):
-            return next(a for a in parser._actions
-                        if isinstance(a, argparse._SubParsersAction)).choices
-
-        full = build_parser()
-        for command in COMMANDS:
-            own = build_parser(command)
-            assert own.format_help() == full.format_help()
-            assert subparsers(own)[command].format_help() \
-                == subparsers(full)[command].format_help()
+    @pytest.mark.parametrize("command", [None, *COMMANDS])
+    def test_help_is_the_same(self, command):
+        argv = [command, "-h"] if command else ["-h"]
+        help_text = _parse(parse_args, argv)
+        assert help_text == _parse(_full, argv)
+        assert help_text[1].startswith(f"usage: serre {command or ''}".rstrip())
 
     @pytest.mark.parametrize("argv", VALID, ids=" ".join)
-    def test_valid_argv_parses_the_same(self, argv, capsys):
-        own = _parse(build_parser(argv[0]), argv, capsys)
-        assert own == _parse(build_parser(), argv, capsys)
+    def test_valid_argv_parses_the_same(self, argv):
+        own = _parse(parse_args, argv)
+        assert own == _parse(_full, argv)
         assert own[0]["command"] == argv[0]
 
     @pytest.mark.parametrize("argv", ERRORS, ids=lambda argv: " ".join(argv) or "none")
     def test_exits_print_the_same(self, argv, capsys):
-        full = _parse(build_parser(), argv, capsys)
+        full = _parse(_full, argv)
         assert full[0][0] == "exit"
-        assert _parse(build_parser(argv[0] if argv else None), argv, capsys) == full
+        assert _parse(parse_args, argv) == full
         with pytest.raises(SystemExit) as exc:
             main(argv)
         printed = capsys.readouterr()
         assert (("exit", exc.value.code), printed.out, printed.err) == full
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(list(COMMANDS)), st.lists(st.sampled_from(_WORDS), max_size=6))
+    def test_any_argv_after_a_command_parses_the_same(self, command, words):
+        argv = [command, *words]
+        assert _parse(parse_args, argv) == _parse(_full, argv)
 
     def test_a_stray_positional_is_reported_by_the_top_level(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -355,37 +381,73 @@ class TestPerCommandParser:
         assert err.endswith("serre: error: unrecognized arguments: stray\n")
 
     @staticmethod
-    def _options_added(monkeypatch):
-        """The first option string of every argument added from now on."""
-        added, original = [], argparse._ActionsContainer.add_argument
+    def _built(monkeypatch):
+        """The prog of every parser built from now on, and the first option
+        string of every argument added."""
+        progs, added = [], []
+        init = argparse.ArgumentParser.__init__
+        add_argument = argparse._ActionsContainer.add_argument
+
+        def counted_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            progs.append(self.prog)
 
         def counted(self, *args, **kwargs):
             added.append(args[0])
-            return original(self, *args, **kwargs)
+            return add_argument(self, *args, **kwargs)
 
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
         monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counted)
-        return added
+        return progs, added
 
-    @pytest.mark.parametrize("via", ["argv", "sys.argv"])
-    def test_saturate_builds_only_its_eight_flags(self, via, fa_input, tmp_path,
+    OWN_FLAGS = {
+        "saturate": ["--engine", "--p", "--field", "--input", "--seed", "--objects",
+                     "--format", "--out"],
+        "qhom": ["--engine", "--p", "--field", "--input", "--seed", "--oracle", "--objects",
+                 "--format", "--out"],
+        "check": ["--engine", "--p", "--field", "--input", "--suite", "--seed", "--n",
+                  "--candidate", "--format", "--out"],
+        "replay": ["--input", "--seed", "--format", "--out"],
+    }
+
+    @pytest.mark.parametrize("command, via", [
+        ("saturate", "argv"), ("saturate", "sys.argv"), ("qhom", "argv"), ("check", "argv"),
+        ("replay", "argv")])
+    def test_a_command_builds_only_its_own_parser(self, command, via, fa_input, tmp_path,
                                                   monkeypatch):
-        argv = ["saturate", "--input", fa_input, "--out", str(tmp_path / "r.json")]
-        added = self._options_added(monkeypatch)
+        argv = {"saturate": ["saturate", "--input", fa_input],
+                "qhom": ["qhom", "--input", fa_input, "--objects", "M", "N"],
+                "check": ["check", "--engine", "finite_abelian", "--p", "2",
+                          "--suite", "idempotent", "--n", "1"],
+                "replay": ["replay", "--input", fa_input]}[command]
+        argv += ["--out", str(tmp_path / "r.json")]
+        progs, added = self._built(monkeypatch)
         if via == "argv":
             assert main(argv) == 0
         else:
             monkeypatch.setattr(sys, "argv", ["serre", *argv])
             assert main() == 0
-        # one -h per parser: the top level and all four subcommands
-        assert added.count("-h") == 5 and added.count("--version") == 1
-        assert [a for a in added if a not in ("-h", "--version")] == [
-            "--engine", "--p", "--field", "--input", "--seed", "--objects", "--format",
-            "--out"]
+        assert progs == [f"serre {command}"]
+        assert added == ["-h", *self.OWN_FLAGS[command]]
+        assert [len(flags) for flags in self.OWN_FLAGS.values()] == [8, 9, 10, 4]
 
-    @pytest.mark.parametrize("command", [None, "bogus", "-h", "--version"])
-    def test_no_command_builds_every_flag(self, command, monkeypatch):
-        added = self._options_added(monkeypatch)
-        build_parser(command)
+    def test_a_stray_word_builds_the_full_parser_after_its_own(self, fa_input, monkeypatch,
+                                                               capsys):
+        progs, added = self._built(monkeypatch)
+        with pytest.raises(SystemExit):
+            main(["saturate", "--input", fa_input, "stray"])
+        assert progs == ["serre saturate", "serre",
+                         *(f"serre {name}" for name in COMMANDS)]
+        assert added.count("-h") == 6 and added.count("--version") == 1
+        assert len([a for a in added if a not in ("-h", "--version")]) == 8 + 31
+
+    @pytest.mark.parametrize("argv", [[], ["bogus"], ["-h"], ["--version"]],
+                             ids=["None", "bogus", "-h", "--version"])
+    def test_no_command_builds_every_flag(self, argv, monkeypatch, capsys):
+        progs, added = self._built(monkeypatch)
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert progs == ["serre", *(f"serre {name}" for name in COMMANDS)]
         assert len([a for a in added if a not in ("-h", "--version")]) == 31
 
 
