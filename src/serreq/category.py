@@ -89,7 +89,7 @@ class ShortExactSequence:
 
 def entry_to_json(x):
     """A matrix entry as JSON: an integer, or "a/b" for a proper fraction."""
-    if isinstance(x, Fraction):
+    if type(x) is Fraction:
         return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
     return int(x)
 
@@ -143,6 +143,15 @@ class AbelianEngine:
     describe_invariants (the summary a report prints for an object).
     The morphism codec is written here on top of them.  Decoders raise
     InputValidationError.
+
+    Every matrix an engine holds is canonical: the ring's reduce_mat
+    returns it as it is.  Entries are reduced where they come in (mor and
+    the engine's object constructor reduce the matrices a caller gives,
+    decode_entry returns canonical scalars), and the ring's arithmetic on
+    canonical operands returns canonical results in the pass that builds
+    them.  So kernels, cokernels, lift and colift candidates and decoded
+    Hom vectors are built as Mor directly, with no second pass, and
+    eq_mor may compare matrices entry by entry.
     """
 
     def __init__(self):
@@ -222,9 +231,11 @@ class AbelianEngine:
         return tuple(x for a in f.maps for row in a.data for x in row)
 
     def _mor_from_vector(self, m, n, vec) -> Mor:
+        """The morphism m -> n with Hom vector vec, whose entries are
+        canonical: a row of a Hom basis or a product of one."""
         maps, at = [], 0
         for r, c in zip(self.dims(m), self.dims(n)):
-            maps.append(self.ring.reduce_mat(unflatten(vec[at:at + r * c], r, c)))
+            maps.append(unflatten(vec[at:at + r * c], r, c))
             at += r * c
         return Mor(m, n, tuple(maps))
 

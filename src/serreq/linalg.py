@@ -37,6 +37,12 @@ class Mat:
     cols: int
     data: tuple
 
+    def __init__(self, rows, cols, data):
+        # the fields go straight into the instance dict, so only a later
+        # write meets the frozen __setattr__ guard
+        d = self.__dict__
+        d["rows"], d["cols"], d["data"] = rows, cols, data
+
     def __hash__(self):
         # the dataclass hash, computed on first use and kept outside the
         # fields, so that a memo hit does not rehash every entry
@@ -71,19 +77,7 @@ class Mat:
         return Mat(rows, cols, tuple(tuple(0 for _ in range(cols)) for _ in range(rows)))
 
     def mul(self, other: "Mat") -> "Mat":
-        if self.cols != other.rows:
-            raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        od = other.data
-        out = []
-        for row in self.data:
-            acc = [0] * other.cols
-            for k, x in enumerate(row):
-                if x:
-                    orow = od[k]
-                    for j in range(other.cols):
-                        acc[j] += x * orow[j]
-            out.append(tuple(acc))
-        return Mat(self.rows, other.cols, tuple(out))
+        return Mat(self.rows, other.cols, tuple(map(tuple, _product_rows(self, other))))
 
     def add(self, other: "Mat") -> "Mat":
         self._same_shape(other)
@@ -119,6 +113,21 @@ class Mat:
     def _same_shape(self, other):
         if self.rows != other.rows or self.cols != other.cols:
             raise ShapeError(f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
+
+
+def _product_rows(A: Mat, B: Mat):
+    """The rows of A*B, each a list built as it is yielded."""
+    if A.cols != B.rows:
+        raise ShapeError(f"cannot multiply {A.rows}x{A.cols} by {B.rows}x{B.cols}")
+    bd, cols = B.data, range(B.cols)
+    for row in A.data:
+        acc = [0] * B.cols
+        for k, x in enumerate(row):
+            if x:
+                brow = bd[k]
+                for j in cols:
+                    acc[j] += x * brow[j]
+        yield acc
 
 
 def unflatten(vec, rows, cols) -> Mat:
@@ -434,19 +443,29 @@ def is_prime(n: int) -> bool:
 
 
 class _Field:
-    """Matrix arithmetic over a field: each result is reduced into it."""
+    """Matrix arithmetic over a field.  reduce_mat puts entries into the
+    field's canonical form where they come in; on canonical operands mul,
+    add, sub and scale put each result row into that form as they build
+    it (_canonical_row), so no result is scanned a second time."""
 
     def mul(self, A: Mat, B: Mat) -> Mat:
-        return self.reduce_mat(A.mul(B))
+        return Mat(A.rows, B.cols, tuple(map(self._canonical_row, _product_rows(A, B))))
 
     def add(self, A: Mat, B: Mat) -> Mat:
-        return self.reduce_mat(A.add(B))
+        A._same_shape(B)
+        canon = self._canonical_row
+        return Mat(A.rows, A.cols, tuple(canon([a + b for a, b in zip(r, s)])
+                                         for r, s in zip(A.data, B.data)))
 
     def sub(self, A: Mat, B: Mat) -> Mat:
-        return self.reduce_mat(A.sub(B))
+        A._same_shape(B)
+        canon = self._canonical_row
+        return Mat(A.rows, A.cols, tuple(canon([a - b for a, b in zip(r, s)])
+                                         for r, s in zip(A.data, B.data)))
 
     def scale(self, A: Mat, c) -> Mat:
-        return self.reduce_mat(A.scale(c))
+        c, canon = self.normalize(c), self._canonical_row
+        return Mat(A.rows, A.cols, tuple(canon([c * a for a in r]) for r in A.data))
 
 
 class PrimeField(_Field):
@@ -460,11 +479,15 @@ class PrimeField(_Field):
     def normalize(self, x):
         """x mod p; a Fraction a/b is a times the inverse of b mod p."""
         p = self.p
-        if isinstance(x, Fraction):
+        if type(x) is Fraction:
             if x.denominator % p == 0:
                 raise InputValidationError(f"entry {x} has no value in {self.name}")
             return x.numerator * pow(x.denominator, -1, p) % p
         return int(x) % p
+
+    def _canonical_row(self, row):
+        p = self.p
+        return tuple([a % p for a in row])
 
     def divmod(self, b, a):
         return b * pow(a, -1, self.p) % self.p, 0
@@ -506,9 +529,16 @@ class RationalField(_Field):
     p = 0
 
     def normalize(self, x):
+        if type(x) is int:
+            return x
         if type(x) is not Fraction:
             x = Fraction(x)
         return x.numerator if x.denominator == 1 else x
+
+    @staticmethod
+    def _canonical_row(row):
+        # an int is canonical, and a Fraction unless it is integral
+        return tuple([a if type(a) is int or a.denominator != 1 else a.numerator for a in row])
 
     def divmod(self, b, a):
         """The exact quotient b/a, an int when it is integral."""
@@ -569,12 +599,15 @@ QQ = RationalField()
 def f_rref(field, A: Mat):
     """Reduced row echelon form with transform: returns (R, E, pivots),
     E*A = R; it is the Hermite form over the field (see _hermite), with R
-    and E reduced by the field.  All three are immutable, so an engine may
+    and E in the field's canonical form.  All three are immutable, so an engine may
     hand one result to many callers."""
     r = field.reduce_mat(A).to_lists()
     e = Mat.identity(A.rows).to_lists()
     pivots = _hermite(field, r, e)
-    return (field.reduce_mat(Mat(A.rows, A.cols, tuple(tuple(x) for x in r))),
-            field.reduce_mat(Mat(A.rows, A.rows, tuple(tuple(x) for x in e))),
-            tuple(pivots))
+    R, E = Mat(A.rows, A.cols, tuple(map(tuple, r))), Mat(A.rows, A.rows, tuple(map(tuple, e)))
+    if not field.p:
+        # over F_p _hermite keeps residues; over Q an entry it computes
+        # may be an integral Fraction
+        R, E = field.reduce_mat(R), field.reduce_mat(E)
+    return R, E, tuple(pivots)
 

@@ -52,6 +52,8 @@ class A2Engine(AbelianEngine):
     # -- constructors ----------------------------------------------------------
 
     def obj(self, d1: int, d2: int, alpha: Mat) -> A2Obj:
+        """The object with a caller's alpha, shape-checked and reduced
+        into the field."""
         if alpha.rows != d1 or alpha.cols != d2:
             raise ShapeError(f"alpha must be {d1}x{d2}, got {alpha.rows}x{alpha.cols}")
         return A2Obj(d1, d2, self.field.reduce_mat(alpha), self.field)
@@ -100,8 +102,8 @@ class A2Engine(AbelianEngine):
         restr = self.solve(k2, self.field.mul(k1, f.src.alpha))
         if restr is None:
             raise ContractViolation("alpha does not restrict to the kernel")
-        ker = self.obj(k1.rows, k2.rows, restr)
-        return self.mor(ker, f.src, k1, k2)
+        ker = A2Obj(k1.rows, k2.rows, restr, self.field)
+        return Mor(ker, f.src, (k1, k2))
 
     def cokernel_proj(self, f: Mor) -> Mor:
         p1, p2 = (self.kernel(a.transpose()).transpose() for a in f.maps)
@@ -109,29 +111,30 @@ class A2Engine(AbelianEngine):
         sol = self.solve(p1.transpose(), rhs.transpose())
         if sol is None:
             raise ContractViolation("alpha does not descend to the cokernel")
-        coker = self.obj(p1.cols, p2.cols, sol.transpose())
-        return self.mor(f.dst, coker, p1, p2)
+        coker = A2Obj(p1.cols, p2.cols, sol.transpose(), self.field)
+        return Mor(f.dst, coker, (p1, p2))
 
     def _lift_candidate(self, f: Mor, mono: Mor):
         sols = [self.solve(a, b) for a, b in zip(mono.maps, f.maps)]
         if any(x is None for x in sols):
             return None
-        return self.mor(f.src, mono.src, *sols)
+        return Mor(f.src, mono.src, tuple(sols))
 
     def _colift_candidate(self, f: Mor, epi: Mor):
         sols = [self.solve(a.transpose(), b.transpose()) for a, b in zip(epi.maps, f.maps)]
         if any(x is None for x in sols):
             return None
-        return self.mor(epi.dst, f.dst, *(x.transpose() for x in sols))
+        return Mor(epi.dst, f.dst, tuple(x.transpose() for x in sols))
 
     # -- Hom and Ext ------------------------------------------------------------
 
     def _constraint_matrix(self, m: A2Obj, n: A2Obj) -> Mat:
         """Rows index (f1, f2) unknowns, columns the entries of
         f1*alpha_n - alpha_m*f2; Hom is the left kernel and Ext1 the
-        cokernel of this map."""
-        return self.field.reduce_mat(kron(Mat.identity(m.d1), n.alpha).stack_below(
-            kron(m.alpha.transpose(), Mat.identity(n.d2).scale(-1))))
+        cokernel of this map.  The sign sits on alpha_m, so that the
+        Kronecker products of canonical matrices are canonical."""
+        return kron(Mat.identity(m.d1), n.alpha).stack_below(
+            kron(self.field.scale(m.alpha.transpose(), -1), Mat.identity(n.d2)))
 
     def hom_group(self, m: A2Obj, n: A2Obj) -> FieldHomGroup:
         return FieldHomGroup(self, m, n, self.kernel(self._constraint_matrix(m, n)))
@@ -156,14 +159,15 @@ class A2Engine(AbelianEngine):
         d2 = rng.randrange(0, max(1, size_bound) + 1)
         alpha = Mat(d1, d2, tuple(tuple(self._random_entry(rng) for _ in range(d2))
                                   for _ in range(d1)))
-        return self.obj(d1, d2, alpha)
+        # _random_entry draws canonical elements
+        return A2Obj(d1, d2, alpha, self.field)
 
     # -- JSON codecs ------------------------------------------------------------------
 
     def decode_entry(self, x):
-        """Over F_p an entry "a/b" is a times the inverse of b mod p."""
-        q = entry_from_json(x)
-        return self.field.normalize(q) if self.field.p else q
+        """An entry in the field's canonical form: over F_p "a/b" is a
+        times the inverse of b mod p, over Q "4/2" is the int 2."""
+        return self.field.normalize(entry_from_json(x))
 
     def obj_to_payload(self, m: A2Obj):
         return {"dims": [m.d1, m.d2], "alpha": self.mat_to_json(m.alpha)}
@@ -251,7 +255,7 @@ class SinkSupportTheory(TorsionTheory):
             raise NotSaturatedError("extension target must be saturated")
         w, _ = self.saturate(phi.src)
         f2 = phi.maps[1]
-        return self.engine.mor(w, phi.dst, self.field.mul(f2, inv), f2)
+        return Mor(w, phi.dst, (self.field.mul(f2, inv), f2))
 
     def c_cogenerators(self):
         """The simple source and its double."""

@@ -304,7 +304,8 @@ class ZModuleEngine(AbelianEngine):
         from the others, which keeps the lattice.  The object records its
         normal form, so no Smith form runs for it: x -> x*V^-1 carries the
         relations onto the diagonal ones, and diagonal_normal_form reads
-        the normal form off that transform."""
+        the normal form off that transform.  An object the engine already
+        holds keeps the normal form it has, and none is computed."""
         g = len(divisors) + free_rank
         v, v_inv = self._random_unimodular(rng, g)
         rel = Mat(len(divisors), g, tuple(tuple(d * x for x in row)
@@ -315,8 +316,9 @@ class ZModuleEngine(AbelianEngine):
                          for t in range(g)]
             rel = rel.stack_below(Mat.from_rows([extra_row], g))
         m = self.obj(rel)
-        m.__dict__.setdefault("normal_form_data", diagonal_normal_form(
-            list(divisors) + [0] * free_rank, v_inv.transpose().data, v.data))
+        if "normal_form_data" not in m.__dict__:
+            m.__dict__["normal_form_data"] = diagonal_normal_form(
+                list(divisors) + [0] * free_rank, v_inv.transpose().data, v.data)
         return m
 
     def _random_divisors(self, rng, size_bound, max_order):
@@ -341,7 +343,7 @@ class ZModuleEngine(AbelianEngine):
 
     def decode_entry(self, x) -> int:
         q = entry_from_json(x)
-        if isinstance(q, Fraction):
+        if type(q) is Fraction:
             if q.denominator != 1:
                 raise InputValidationError(f"integer payloads need integer entries, got {x!r}")
             return int(q)

@@ -627,6 +627,26 @@ class TestEntryDecoding:
         assert main(["saturate", "--input", _write(tmp_path, doc), "--out", str(out)]) == 0
         assert read_report(str(out))["results"][0]["w"] == {"rank": 0, "divisors": [3]}
 
+    def test_integral_fractions_over_q_read_as_integers(self, tmp_path, capsys):
+        def q_session(two, minus_two):
+            return {"engine": {"kind": "a2_rep", "field": "q"},
+                    "objects": {"V": {"dims": [1, 1], "alpha": [[two]]},
+                                "U": {"dims": [1, 1], "alpha": [[minus_two]]},
+                                "W": {"dims": [2, 1], "alpha": [[two], ["1/2"]]}},
+                    "morphisms": {"f": {"src": "U", "dst": "V",
+                                        "f1": [[minus_two]], "f2": [[two]]}}}
+
+        outputs = []
+        for doc in (q_session("4/2", "-6/3"), q_session(2, -2)):
+            path, out = _write(tmp_path, doc), str(tmp_path / "rep.json")
+            for argv in (["saturate", "--input", path], ["qhom", "--input", path,
+                                                         "--objects", "U", "V"]):
+                assert main([*argv, "--out", out]) == 0
+                report = session.canonical_json(session.strip_timings(read_report(out)))
+                outputs.append((report, capsys.readouterr().out))
+        assert outputs[:2] == outputs[2:]
+        assert '"f1":[[-2]]' in outputs[0][0] and '"1/2"' in outputs[0][0]
+
     @pytest.mark.parametrize("doc", [
         _a2("f5", [["1/5"]]),
         _a2("f5", [["2/10"]]),

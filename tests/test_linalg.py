@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from functools import partial
@@ -498,6 +499,69 @@ class TestFieldEntries:
             R = F.reduce_mat(Mat.from_rows([row]))
             assert R.data == (expected,)
             assert all(type(x) is int for x in R.data[0])
+
+
+def entries_with_types(M: Mat):
+    """M's entries with their types, since Fraction(2) == 2."""
+    return [[(type(x), x) for x in r] for r in M.data]
+
+
+class TestFusedFieldArithmetic:
+    """A field's mul, add, sub and scale reduce each row as they build it;
+    on canonical operands that must give what reducing Mat's own result
+    gives."""
+
+    FIELDS = (PrimeField(2), PrimeField(3), PrimeField(101), QQ)
+
+    @staticmethod
+    def canonical(field, rng, rows, cols):
+        def entry():
+            if field.p:
+                return rng.randrange(field.p)
+            if rng.randrange(2):
+                return rng.randint(-4, 4)
+            return QQ.normalize(Fraction(rng.randint(-7, 7), rng.randint(1, 4)))
+        return Mat(rows, cols, tuple(tuple(entry() if rng.randrange(4) else 0 for _ in range(cols))
+                                     for _ in range(rows)))
+
+    def test_agrees_with_reducing_mats_own_result(self):
+        rng = random.Random(2701)
+        shapes = set()
+        for i in range(400):
+            field = self.FIELDS[i % len(self.FIELDS)]
+            r, k, c = (rng.randrange(0, 4) for _ in range(3))
+            A, B = self.canonical(field, rng, r, k), self.canonical(field, rng, r, k)
+            C = self.canonical(field, rng, k, c)
+            x = self.canonical(field, rng, 1, 1).data[0][0]
+            for fused, plain in ((field.mul(A, C), A.mul(C)), (field.add(A, B), A.add(B)),
+                                 (field.sub(A, B), A.sub(B)), (field.scale(A, x), A.scale(x))):
+                expected = field.reduce_mat(plain)
+                assert (fused.rows, fused.cols) == (expected.rows, expected.cols)
+                assert entries_with_types(fused) == entries_with_types(expected), (field, A, B, C, x)
+                assert field.reduce_mat(fused) is fused
+            shapes.update({(r, k), (k, c)})
+        assert {(0, 0), (0, 3), (3, 0)} <= shapes
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda k: k.name)
+    def test_mismatched_shapes_raise(self, field):
+        two_by_three, three_by_two = Mat.zeros(2, 3), Mat.zeros(3, 2)
+        for op, a, b in ((field.mul, two_by_three, two_by_three),
+                         (field.mul, Mat.zeros(0, 3), Mat.zeros(2, 1)),
+                         (field.add, two_by_three, three_by_two),
+                         (field.sub, two_by_three, Mat.zeros(2, 0))):
+            with pytest.raises(ShapeError):
+                op(a, b)
+
+    def test_mat_stays_a_frozen_dataclass(self):
+        A = Mat.from_rows([[1, Fraction(1, 2)]])
+        assert repr(A) == f"Mat(rows=1, cols=2, data={A.data!r})"
+        B = dataclasses.replace(A, data=((3, 4),))
+        assert (B.rows, B.cols, B.data) == (1, 2, ((3, 4),))
+        assert dataclasses.replace(A) == A
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            A.rows = 2
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del A.data
 
 
 class _AllFractionQ:

@@ -127,6 +127,68 @@ class TestSaturate:
                 assert hom_v.encode(back) is not None
 
 
+class TestCanonicalEntries:
+    """Every matrix the engine returns is canonical in its field, so
+    eq_mor may compare vertex matrices entry by entry."""
+
+    @staticmethod
+    def matrices(*values):
+        for v in values:
+            if isinstance(v, quiver.A2Obj):
+                yield v.alpha
+            elif isinstance(v, Mat):
+                yield v
+            else:
+                yield from v.maps
+
+    @pytest.mark.parametrize("field", [PrimeField(2), PrimeField(3), F, QQ],
+                             ids=lambda k: k.name)
+    def test_every_result_is_canonical(self, field):
+        eng, th = A2Engine(field), SinkSupportTheory(field)
+        scalars = ([-1, field.p - 1, 2] if field.p else
+                   [-1, Fraction(1, 2), Fraction(-3, 2), 2])
+        entries = 0
+        for i in range(30):
+            rng = rng_for(2727, field.name, i)
+            m, n, t = (eng.random_object(rng, 3) for _ in range(3))
+            if not field.p and i % 2:
+                # rational alphas, given with integral Fractions
+                m = eng.obj(m.d1, m.d2, Mat(m.d1, m.d2, tuple(
+                    tuple(Fraction(2 * x, rng.choice([1, 2, 3])) for x in r)
+                    for r in m.alpha.data)))
+            hom = eng.hom_group(m, n)
+            f, g = eng.random_morphism(rng, m, n), eng.random_morphism(rng, m, n)
+            h = eng.random_morphism(rng, n, t)
+            c = rng.choice(scalars)
+            kernel, coker = eng.kernel_emb(f), eng.cokernel_proj(f)
+            # a morphism that factors through the kernel, and one through
+            # the cokernel, so that the lift and the colift exist
+            x = eng.random_morphism(rng, t, kernel.src)
+            y = eng.random_morphism(rng, coker.dst, t)
+            lift = eng.lift_along_mono(eng.compose(x, kernel), kernel)
+            colift = eng.colift_along_epi(eng.compose(coker, y), coker)
+            assert lift is not None and colift is not None
+            w, eta = th.saturate(m)
+            wn, _ = th.saturate(n)
+            phi = eng.random_morphism(rng, m, wn)
+            R, E_, _ = f_rref(field, eng._constraint_matrix(m, n))
+            values = [m, n, t, *hom.basis, f, g, h, eng.compose(f, h), eng.add(f, g),
+                      eng.sub(f, g), eng.scale(f, c), eng.scale(eng.scale(f, c), c),
+                      kernel, kernel.src, coker, coker.dst, lift, colift, w, eta,
+                      th.extend_along_unit(phi), R, E_]
+            for a in self.matrices(*values):
+                assert field.reduce_mat(a) is a, (i, a)
+                entries += a.rows * a.cols
+        # the samples hold matrices with entries, not only empty ones
+        assert entries > 1000
+
+    def test_decoded_entries_are_canonical(self):
+        for field, entry, expected in ((QQ, "4/2", 2), (QQ, "-6/3", -2), (QQ, "1/2", Fraction(1, 2)),
+                                       (QQ, 7, 7), (F, "1/2", 51), (F, -1, 100)):
+            got = A2Engine(field).decode_entry(entry)
+            assert got == expected and type(got) is type(expected), (field, entry)
+
+
 class TestReflectionMemo:
     """saturate is computed once per object and theory instance."""
 

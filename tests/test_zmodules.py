@@ -812,6 +812,23 @@ class TestSampledNormalForms:
                                 rel.cols - len(nonzero)), rel
             _assert_valid_normal_form(rel, data)
 
+    def test_a_memo_hit_computes_no_normal_form(self, monkeypatch):
+        calls = []
+        normal_form = zmodules.diagonal_normal_form
+        monkeypatch.setattr(zmodules, "diagonal_normal_form",
+                            lambda *args: calls.append(args) or normal_form(*args))
+        eng = ZModuleEngine()
+        first = eng._scrambled_from_divisors(random.Random(5), [2, 6], 1)
+        data = first.normal_form_data
+        assert len(calls) == 1
+        # the same draw again finds the object, normal form and all, in
+        # the engine's memo; the RNG draws are those of a fresh engine
+        rng, fresh_rng = random.Random(5), random.Random(5)
+        again = eng._scrambled_from_divisors(rng, [2, 6], 1)
+        assert again is first and again.normal_form_data is data and len(calls) == 1
+        ZModuleEngine()._scrambled_from_divisors(fresh_rng, [2, 6], 1)
+        assert rng.getstate() == fresh_rng.getstate() and len(calls) == 2
+
     def test_a_corrupted_inverse_of_v_is_refused(self, monkeypatch):
         eng = FiniteAbelianEngine()
         unimodular = eng._random_unimodular
