@@ -14,6 +14,7 @@ one after the other.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -94,17 +95,29 @@ def entry_to_json(x):
     return int(x)
 
 
+def int_from_text(text):
+    """The integer that `text` writes as an optional "-" and ASCII digits,
+    else None: int() alone also reads "_", "+", surrounding spaces and the
+    digits of other scripts."""
+    if re.fullmatch("-?[0-9]+", text):
+        try:
+            return int(text)
+        except ValueError:  # over the int-to-str digit limit
+            pass
+    return None
+
+
 def entry_from_json(x):
     """A JSON matrix entry (an integer, or a string "a" or "a/b") as an int
     or a Fraction; anything else is an InputValidationError."""
     if isinstance(x, int) and not isinstance(x, bool):
         return x
     if isinstance(x, str):
-        num, _, den = x.partition("/")
-        try:
-            return Fraction(int(num), int(den or "1"))
-        except (ValueError, ZeroDivisionError):
-            pass
+        num, slash, den = x.partition("/")
+        num, den = int_from_text(num), int_from_text(den) if slash else 1
+        # den is None where no integer follows the "/", and 0 is no denominator
+        if num is not None and den:
+            return Fraction(num, den)
     raise InputValidationError(
         f"matrix entries must be integers or 'a/b' with b != 0, got {x!r}")
 

@@ -12,9 +12,14 @@ for a word that the command leaves over.  Engines: finite_abelian (with
 --p), a2_rep (with --field, e.g. f101 or q), fixture (with --p; 0 selects
 the full torsion class); --p and --field are invalid input without an
 engine that uses them.  SERRE_SEED provides the default seed; flags
-override it.  Exit code 0 means every requested check passed, 1 means
-some check failed, 2 means invalid input, an --out that cannot be
-written included.
+override it.
+
+A command computes and returns its report's parts and its text lines;
+`main` times it, writes the report (to --out, and to stdout with --format
+json) and only then prints the text lines.  Exit code 0 means every
+requested check passed, 1 means some check failed, 2 means invalid
+input, an --out that cannot be written or a result too large to write
+included.
 """
 
 from __future__ import annotations
@@ -28,41 +33,43 @@ from . import __version__, serre, session
 from .errors import SerreqError
 
 
-def _engine_descriptor(args) -> dict | None:
-    """The engine named by the flags; --p and --field only with an engine
-    that reads them."""
+def _flag_theory(args):
+    """The theory that the engine flags name, or None; --p and --field
+    only with an engine that reads them."""
     for flag in ("p", "field"):
         readers = [kind for kind, cls in session.THEORIES.items() if cls.flag[0] == flag]
         if getattr(args, flag) is not None and args.engine not in readers:
             raise session.InputValidationError(f"--{flag} needs --engine {' or '.join(readers)}")
     if args.engine is None:
         return None
-    flag, default = session.THEORIES[args.engine].flag
+    cls = session.THEORIES[args.engine]
+    flag, default = cls.flag
     value = getattr(args, flag)
-    return {"kind": args.engine, flag: default if value is None else value}
+    return cls.from_descriptor({"kind": args.engine, flag: default if value is None else value})
 
 
-def _resolve_theory(args, need_input=False):
-    """(theory, {name: object}): the input file is decoded only when the
-    command needs its objects; otherwise only its engine is read."""
-    desc = _engine_descriptor(args)
-    theory = session.theory_from_descriptor(desc) if desc else None
-    if args.input:
-        doc = session.load_json_file(args.input)
-        if not need_input:
-            return session.input_theory(doc, theory), None
-        return session.load_session_input(doc, theory)
-    if need_input:
+def _named_objects(args, usage=None):
+    """(theory, names, objects) of the input file: the names of --objects,
+    by default every object's in name order, each of which must name an
+    object, and those objects.  A command that reads a fixed list of
+    objects gives its usage, such as "SRC DST", which --objects must fit."""
+    theory = _flag_theory(args)
+    if not args.input:
         raise session.InputValidationError("this command needs --input FILE")
-    if theory is None:
-        raise session.InputValidationError("no engine given (use --engine or an input file)")
-    return theory, None
+    theory, objects = session.load_session_input(session.load_json_file(args.input), theory)
+    if usage and len(args.objects or ()) != len(usage.split()):
+        raise session.InputValidationError(f"{args.command} needs --objects {usage}")
+    names = args.objects or sorted(objects)
+    for name in names:
+        if name not in objects:
+            raise session.InputValidationError(f"unknown object name: {name}")
+    return theory, names, [objects[name] for name in names]
 
 
 def _emit(doc, args):
     """Write the report to --out (if given) and, with --format json, to
-    stdout.  A command prints its text lines only after this returns, so
-    a result that cannot be written (an integer over Python's int-to-str
+    stdout.  `main` prints the text lines only after this returns, so a
+    result that cannot be written (an integer over Python's int-to-str
     digit limit) is reported here, once, as invalid input."""
     try:
         text = session.canonical_json(doc)
@@ -76,15 +83,16 @@ def _emit(doc, args):
         sys.stdout.write(text)
 
 
-def cmd_saturate(args) -> int:
-    theory, objects = _resolve_theory(args, need_input=True)
+# Each command returns (command descriptor, results, check reports, exit
+# code, text lines) and `main` reports them.  Lines that format a result
+# come from a generator, so they are formatted only as `main` prints them.
+
+
+def cmd_saturate(args):
+    theory, names, objects = _named_objects(args)
     e = theory.engine
-    names = args.objects or sorted(objects)
     results = []
-    for name in names:
-        if name not in objects:
-            raise session.InputValidationError(f"unknown object name: {name}")
-        m = objects[name]
+    for name, m in zip(names, objects):
         w, eta = theory.saturate(m)
         hc = theory.h_c(m)
         results.append({
@@ -96,46 +104,27 @@ def cmd_saturate(args) -> int:
             "saturated": theory.is_saturated(m),
             "in_c": theory.is_in_c(m),
         })
-    doc = session.build_document(
-        {"name": "saturate", "engine": theory.describe(), "objects": names},
-        args.seed, results, [], 0, {"wall_ms": args._elapsed_ms()})
-    _emit(doc, args)
-    if args.format == "text":
-        for r in results:
-            print(f"{r['name']}: W = {r['w']}, H_C = {r['h_c']}, saturated = {r['saturated']}")
-    return 0
+    lines = (f"{r['name']}: W = {r['w']}, H_C = {r['h_c']}, saturated = {r['saturated']}"
+             for r in results)
+    return ({"name": "saturate", "engine": theory.describe(), "objects": names},
+            results, [], 0, lines)
 
 
-def cmd_qhom(args) -> int:
-    theory, objects = _resolve_theory(args, need_input=True)
-    if not args.objects or len(args.objects) != 2:
-        raise session.InputValidationError("qhom needs --objects SRC DST")
-    for name in args.objects:
-        if name not in objects:
-            raise session.InputValidationError(f"unknown object name: {name}")
-    m, n = (objects[x] for x in args.objects)
+def cmd_qhom(args):
+    theory, names, (m, n) = _named_objects(args, "SRC DST")
     qh = serre.q_hom(theory, m, n)
-    result = {"src": args.objects[0], "dst": args.objects[1], "q_hom": qh.describe()}
-    exit_code = 0
+    result = {"src": names[0], "dst": names[1], "q_hom": qh.describe()}
     if args.oracle:
         col = serre.q_hom_via_colimit(theory, m, n)
-        agree = (col.invariants() == qh.invariants()
-                 and col.comparison_is_bijective(qh))
         result["oracle"] = col.describe()
-        result["oracle_agrees"] = agree
-        if not agree:
-            exit_code = 1
-    doc = session.build_document(
-        {"name": "qhom", "engine": theory.describe(), "objects": args.objects,
-         "oracle": bool(args.oracle)},
-        args.seed, [result], [], exit_code, {"wall_ms": args._elapsed_ms()})
-    _emit(doc, args)
-    if args.format == "text":
-        line = f"q_hom({args.objects[0]}, {args.objects[1]}) = {result['q_hom']}"
-        if args.oracle:
-            line += f"; direct-limit oracle agrees: {result['oracle_agrees']}"
-        print(line)
-    return exit_code
+        result["oracle_agrees"] = (col.invariants() == qh.invariants()
+                                   and col.comparison_is_bijective(qh))
+    lines = (f"q_hom({r['src']}, {r['dst']}) = {r['q_hom']}"
+             + (f"; direct-limit oracle agrees: {r['oracle_agrees']}" if args.oracle else "")
+             for r in [result])
+    return ({"name": "qhom", "engine": theory.describe(), "objects": names,
+             "oracle": bool(args.oracle)},
+            [result], [], 0 if result.get("oracle_agrees", True) else 1, lines)
 
 
 # the largest --n: a check's work and its command's memos grow with n, so
@@ -143,28 +132,24 @@ def cmd_qhom(args) -> int:
 MAX_SAMPLES = 1000
 
 
-def cmd_check(args) -> int:
+def cmd_check(args):
     if not 0 <= args.n <= MAX_SAMPLES:
         raise session.InputValidationError(
             f"--n must be from 0 to {MAX_SAMPLES}, got {args.n}")
-    theory, _ = _resolve_theory(args)
+    theory = _flag_theory(args)
+    if args.input:
+        theory = session.input_theory(session.load_json_file(args.input), theory)
+    elif theory is None:
+        raise session.InputValidationError("no engine given (use --engine or an input file)")
     suite = args.suite or "all"
     reports = serre.run_suite(theory, suite, args.seed, args.n, args.candidate)
-    exit_code = 0 if all(r.passed for r in reports) else 1
-    doc = session.build_document(
-        {"name": "check", "engine": theory.describe(), "suite": suite,
-         "candidate": args.candidate or "gabriel", "n": args.n},
-        args.seed, [], reports, exit_code, {"wall_ms": args._elapsed_ms()})
-    if not args.out:
-        args.out = "serre-report.json"
-    _emit(doc, args)
-    if args.format == "text":
-        for r in reports:
-            for item in r.items:
-                status = "PASS" if item.passed else "FAIL"
-                extra = f" ({item.detail})" if item.detail else ""
-                print(f"[{status}] {r.suite}/{item.label} samples={item.samples}{extra}")
-    return exit_code
+    args.out = args.out or "serre-report.json"
+    lines = (f"[{'PASS' if item.passed else 'FAIL'}] {r.suite}/{item.label} "
+             f"samples={item.samples}" + (f" ({item.detail})" if item.detail else "")
+             for r in reports for item in r.items)
+    return ({"name": "check", "engine": theory.describe(), "suite": suite,
+             "candidate": args.candidate or "gabriel", "n": args.n},
+            [], reports, 0 if all(r.passed for r in reports) else 1, lines)
 
 
 def _list_of_objects(value, where):
@@ -185,33 +170,24 @@ def _first_witness(doc):
     return None
 
 
-def cmd_replay(args) -> int:
+def cmd_replay(args):
     if not args.input:
         raise session.InputValidationError("replay needs --input WITNESS_FILE")
     doc = session.load_json_file(args.input)
     is_witness = isinstance(doc, dict) and "check" in doc and "data" in doc
     witness = doc if is_witness else _first_witness(doc)
+    command = {"name": "replay", "input": args.input}
     if witness is None:
-        doc = session.build_document({"name": "replay", "input": args.input},
-                                     args.seed, [{"status": "nothing-to-replay"}],
-                                     [], 0, {"wall_ms": args._elapsed_ms()})
-        _emit(doc, args)
-        if args.format == "text":
-            print("nothing to replay: no failure witness in the input")
-        return 0
+        return (command, [{"status": "nothing-to-replay"}], [], 0,
+                ["nothing to replay: no failure witness in the input"])
     result = session.replay_witness(witness)
-    exit_code = 0 if result["reproduced"] else 1
-    doc = session.build_document({"name": "replay", "input": args.input},
-                                 args.seed, [result], [], exit_code,
-                                 {"wall_ms": args._elapsed_ms()})
-    _emit(doc, args)
-    if args.format == "text":
-        word = "reproduced" if result["reproduced"] else "NOT reproduced"
-        print(f"replay {result['check']}: failure {word}"
-              + (f" ({result['detail']})" if result["detail"] else ""))
-        if result["version_mismatch"]:
-            print("note: witness was produced by a different package version")
-    return exit_code
+    # these lines hold only strings, so they may be formatted before the report
+    word = "reproduced" if result["reproduced"] else "NOT reproduced"
+    lines = [f"replay {result['check']}: failure {word}"
+             + (f" ({result['detail']})" if result["detail"] else "")]
+    if result["version_mismatch"]:
+        lines.append("note: witness was produced by a different package version")
+    return command, [result], [], 0 if result["reproduced"] else 1, lines
 
 
 def _env_seed() -> int:
@@ -299,18 +275,26 @@ def parse_args(argv) -> argparse.Namespace:
 
 
 def main(argv=None) -> int:
+    """Run one command and report it: time the command, build its report,
+    write it, and only then, with --format text, print its lines."""
     if argv is None:
         argv = sys.argv[1:]
     args = parse_args(argv)
     started = time.perf_counter()
-    args._elapsed_ms = lambda: round((time.perf_counter() - started) * 1000, 3)
     try:
         if args.seed is None:
             args.seed = _env_seed()
-        return args.fn(args)
+        command, results, reports, exit_code, lines = args.fn(args)
+        timings = {"wall_ms": round((time.perf_counter() - started) * 1000, 3)}
+        _emit(session.build_document(command, args.seed, results, reports, exit_code,
+                                     timings), args)
     except SerreqError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.format == "text":
+        for line in lines:
+            print(line)
+    return exit_code
 
 
 if __name__ == "__main__":

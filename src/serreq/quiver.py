@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .category import (
     MAX_INPUT_SIZE, AbelianEngine, FieldHomGroup, Mor, TorsionTheory, VectorSpace,
-    entry_from_json,
+    entry_from_json, int_from_text,
 )
 from .errors import (
     ContractViolation, EngineMismatch, InputValidationError, NotSaturatedError, ShapeError,
@@ -196,12 +196,9 @@ def field_from_name(name):
     low = str(name).lower()
     if low in ("q", "qq", "rational", "rationals"):
         return QQ
-    if low.startswith("f"):
-        low = low[1:]
-    try:
-        p = int(low)
-    except ValueError as exc:
-        raise InputValidationError(f"unknown field name: {name}") from exc
+    p = int_from_text(low[1:] if low.startswith("f") else low)
+    if p is None:
+        raise InputValidationError(f"unknown field name: {name}")
     return PrimeField(p)
 
 

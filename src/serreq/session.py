@@ -71,29 +71,22 @@ def witness_to_jsonable(witness: dict) -> dict:
     return out
 
 
-def witness_from_jsonable(doc: dict):
-    """Decode a witness document; returns (theory, candidate_tag, check, data,
-    version_mismatch)."""
+def replay_witness(doc: dict) -> dict:
+    """Decode a witness document and re-run its one check."""
     if not isinstance(doc, dict):
         raise InputValidationError("a witness must be a JSON object")
     for key in ("engine", "check", "data"):
         if key not in doc:
             raise InputValidationError(f"witness document lacks '{key}'")
     theory = theory_from_descriptor(doc["engine"])
-    raw = doc["data"]
-    if not isinstance(raw, dict):
+    if not isinstance(doc["data"], dict):
         raise InputValidationError("witness 'data' must be an object")
     data = {}
-    for key, value in raw.items():
+    for key, value in doc["data"].items():
         if key in _WITNESS_CODECS:
             value = getattr(theory.engine, _WITNESS_CODECS[key][1])(value, f"witness.{key}")
         data[key] = value
-    mismatch = doc.get("version") != __version__
-    return theory, doc.get("candidate"), doc["check"], data, mismatch
-
-
-def replay_witness(doc: dict) -> dict:
-    theory, tag, check, data, mismatch = witness_from_jsonable(doc)
+    tag, check = doc.get("candidate"), doc["check"]
     passed, detail = serre.replay_check(theory, tag, check, data)
     return {
         "check": check,
@@ -102,7 +95,7 @@ def replay_witness(doc: dict) -> dict:
         "pass": passed,
         "reproduced": not passed,
         "detail": detail,
-        "version_mismatch": mismatch,
+        "version_mismatch": doc.get("version") != __version__,
     }
 
 

@@ -452,13 +452,25 @@ class TestPerCommandParser:
 
 
 class TestUnwritableReport:
-    @pytest.mark.parametrize("command", ["saturate", "check"])
+    @pytest.mark.parametrize("command", ["saturate", "qhom", "check", "replay"])
     def test_out_in_a_missing_directory_exits_2(self, command, fa_input, tmp_path, capsys):
+        """Every command writes its report before it prints a text line."""
         out = tmp_path / "no" / "such" / "r.json"
-        flags = (["--input", fa_input] if command == "saturate" else
-                 ["--engine", "finite_abelian", "--p", "2", "--suite", "ker-q", "--n", "2"])
-        assert main([command, *flags, "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+        witness = tmp_path / "fix.json"
+        if command == "replay":
+            assert main(["check", "--engine", "fixture", "--p", "2", "--suite", "saturating",
+                         "--seed", "3", "--n", "4", "--out", str(witness)]) == 1
+            capsys.readouterr()
+        flags = {
+            "saturate": ["--input", fa_input],
+            "qhom": ["--input", fa_input, "--objects", "M", "N"],
+            "check": ["--engine", "finite_abelian", "--p", "2", "--suite", "ker-q", "--n", "2"],
+            "replay": ["--input", str(witness)],
+        }[command]
+        assert main([command, *flags, "--format", "text", "--out", str(out)]) == 2
+        printed, err = capsys.readouterr()
+        assert err.startswith(f"error: cannot write {out}: ")
+        assert printed == ""
         assert not out.parent.exists()
 
     @pytest.mark.parametrize("argv", [["saturate"], ["qhom", "--objects", "M", "M"]],
@@ -661,6 +673,12 @@ class TestEntryDecoding:
         _fa([["1/2"]]),
         _fa([[4]], f={"matrix": [["1/2"]]}),
         _fa([[4]], f={"matrix": [[True]]}),
+        # int() reads all of these; an entry is only "-", ASCII digits and one "/"
+        _fa([["1_0"]]),
+        _a2("q", [[" 3 "]]),
+        _a2("f5", [["\u0663/\u0664"]]),
+        _a2("q", [["+3"]]),
+        _fa([["3/"]]),
     ], ids=lambda doc: json.dumps(doc, sort_keys=True))
     def test_bad_entries_exit_2_with_a_message(self, doc, tmp_path, capsys):
         assert main(["saturate", "--input", _write(tmp_path, doc)]) == 2
@@ -774,6 +792,8 @@ class TestParameterValidation:
         "float-p": {"kind": "fixture", "p": 2.0},
         "missing-p": {"kind": "finite_abelian"},
         "list-field": {"kind": "a2_rep", "field": ["q"]},
+        "underscore-field": {"kind": "a2_rep", "field": "f1_01"},
+        "arabic-indic-field": {"kind": "a2_rep", "field": "F\u0667"},
     }
 
     @pytest.mark.parametrize("desc", BAD_DESCRIPTORS.values(), ids=BAD_DESCRIPTORS)

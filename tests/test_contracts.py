@@ -3,8 +3,8 @@ errors, never asserts (which python -O removes), the Smith form of a
 presentation is computed in one place, one row reduction serves Z, Q and
 F_p with one back-substitution, what every engine shares is written
 once in category.py, linalg holds pure kernels that know no engine,
-every cache is a category.Memo, and no cache outlives the theory that
-one command builds."""
+every cache is a category.Memo, no cache outlives the theory that
+one command builds, and cli.main alone builds and writes reports."""
 
 import ast
 import gc
@@ -47,6 +47,17 @@ def test_smith_form_has_one_caller_outside_linalg():
              for where, name in _calls(ast.parse(path.read_text(encoding="utf-8")),
                                        {"smith", "presentation_normal_form"})]
     assert found == [("zmodules.py", "ZObj.normal_form_data", "presentation_normal_form")]
+
+
+def test_one_report_path():
+    """Commands return their report's parts and text lines, and cli.main
+    alone builds the report, writes it and then prints, so no command
+    grows a report path of its own."""
+    found = sorted((path.name, where, name)
+                   for path in SOURCES
+                   for where, name in _calls(ast.parse(path.read_text(encoding="utf-8")),
+                                             {"build_document", "_emit"}))
+    assert found == [("cli.py", "main", "_emit"), ("cli.py", "main", "build_document")]
 
 
 def _scoped(tree, scope=()):

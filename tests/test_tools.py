@@ -4,6 +4,8 @@ import importlib.util
 from pathlib import Path
 from types import SimpleNamespace
 
+import pytest
+
 
 def _load_tool(name):
     spec = importlib.util.spec_from_file_location(
@@ -68,6 +70,25 @@ def test_an_op_keeps_what_it_printed(tmp_path):
     assert (rc, report) == (2, None)
     assert printed.startswith(f"error: cannot read {report_identity.TMP_TOKEN}/missing.json")
     assert str(tmp_path) not in printed
+
+
+class TestSeedList:
+    def test_a_list_of_seeds(self):
+        assert report_identity.seed_list("1,5") == [1, 5]
+        assert report_identity.seed_list("7") == [7]
+
+    @pytest.mark.parametrize("seeds", ["1,,5", "1,x", ""])
+    def test_a_malformed_list_is_a_usage_error(self, seeds, monkeypatch, capsys):
+        """It exits 2 before either checkout runs; exit 1 means that
+        reports differ."""
+        def no_run(*args):
+            raise AssertionError("a checkout ran")
+
+        monkeypatch.setattr(report_identity, "collect", no_run)
+        with pytest.raises(SystemExit) as exc:
+            report_identity.main(["old", "new", "--seeds", seeds])
+        assert exc.value.code == 2
+        assert "--seeds: not a comma-separated list of integers" in capsys.readouterr().err
 
 
 class TestLineCount:

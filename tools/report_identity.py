@@ -115,6 +115,15 @@ def collect(root: Path, seed: int) -> dict:
     return json.loads(proc.stdout)
 
 
+def seed_list(text: str) -> list[int]:
+    """The seeds of a comma-separated list such as "1,5"."""
+    try:
+        return [int(s) for s in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a comma-separated list of integers: {text!r}") from None
+
+
 def main(argv=None) -> int:
     if argv is None and sys.argv[1:2] == ["--child"]:
         json.dump(run_checkout(Path(sys.argv[2]).resolve(), int(sys.argv[3])), sys.stdout)
@@ -122,10 +131,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old", type=Path)
     parser.add_argument("new", type=Path)
-    parser.add_argument("--seeds", default="1,5", help="comma-separated workload seeds")
+    parser.add_argument("--seeds", type=seed_list, default="1,5",
+                        help="comma-separated workload seeds")
     args = parser.parse_args(argv)
     failed = False
-    for seed in (int(s) for s in args.seeds.split(",")):
+    for seed in args.seeds:
         old, new = collect(args.old.resolve(), seed), collect(args.new.resolve(), seed)
         keys = list(dict.fromkeys([*old, *new]))
         differ = 0
