@@ -12,7 +12,8 @@ for a word that the command leaves over.  Engines: finite_abelian (with
 --p), a2_rep (with --field, e.g. f101 or q), fixture (with --p; 0 selects
 the full torsion class); --p and --field are invalid input without an
 engine that uses them.  SERRE_SEED provides the default seed; flags
-override it.
+override it.  --p, --seed, --n and SERRE_SEED are an optional "-" and
+ASCII digits, as input integers are (category.int_from_text).
 
 A command computes and returns its report's parts and its text lines;
 `main` times it, writes the report (to --out, and to stdout with --format
@@ -30,6 +31,7 @@ import sys
 import time
 
 from . import __version__, serre, session
+from .category import int_from_text
 from .errors import SerreqError
 
 
@@ -192,23 +194,31 @@ def cmd_replay(args):
 
 def _env_seed() -> int:
     text = os.environ.get("SERRE_SEED", "0")
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise session.InputValidationError(
-            f"SERRE_SEED must be an integer, got {text!r}") from exc
+    value = int_from_text(text)
+    if value is None:
+        raise session.InputValidationError(f"SERRE_SEED must be an integer, got {text!r}")
+    return value
+
+
+def _int_flag(text) -> int:
+    """The value of an integer flag, written as the input decoders write
+    integers (category.int_from_text)."""
+    value = int_from_text(text)
+    if value is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return value
 
 
 # every flag, in --help order
 FLAGS = {
     "engine": dict(choices=list(session.THEORIES)),
-    "p": dict(type=int, default=None,
+    "p": dict(type=_int_flag, default=None,
               help="prime for finite_abelian/fixture (fixture accepts 0)"),
     "field": dict(default=None, help="field for a2_rep (f101, f2, q)"),
     "input": dict(default=None, help="JSON input file"),
     "suite": dict(default=None, choices=list(serre.SUITES) + ["all"]),
-    "seed": dict(type=int, default=None),
-    "n": dict(type=int, default=25,
+    "seed": dict(type=_int_flag, default=None),
+    "n": dict(type=_int_flag, default=25,
               help=f"random samples per check, from 0 to {MAX_SAMPLES} (default 25)"),
     "oracle": dict(action="store_true", help="also run the direct-limit Hom oracle"),
     # the generic candidates of serre.make_candidate, then each theory's own

@@ -170,9 +170,10 @@ def _minus(x, q, y, p):
     return [a - q * b if b else a for a, b in zip(x, y)]
 
 
-def _hermite(ring, h, e):
+def _hermite(ring, h, e, inv=None):
     """Reduce the rows h to Hermite form over `ring` in place, applying
-    each row operation to the rows e too; returns the pivots (row, col).
+    each row operation to the rows e too (unless e is None); returns the
+    pivots (row, col).
 
     The ring supplies divmod(b, a), unit(a) (the factor that normalises a
     pivot) and p (row operations are reduced mod p when it is nonzero).
@@ -181,6 +182,12 @@ def _hermite(ring, h, e):
     [0, pivot), and an inexact division takes a 2x2 unimodular gcd
     transform, which keeps entries small.  Over a field every division is
     exact, so the result is the reduced row echelon form.
+
+    inv, given with e over Z, are rows that take the inverse transpose of
+    each operation: r_i -= q*r_k becomes r_k += q*r_i, the gcd transform
+    [[x, y], [-b/g, a/g]] becomes [[a/g, b/g], [-y, x]], and a swap or a
+    sign change stays itself.  So if e are the rows of V^T and inv those
+    of V^-1 when the pass starts, inv are still those of V^-1 after it.
     """
     dm, unit, p = ring.divmod, ring.unit, ring.p
     m = len(h)
@@ -197,7 +204,10 @@ def _hermite(ring, h, e):
         if piv is None:
             continue
         h[row], h[piv] = h[piv], h[row]
-        e[row], e[piv] = e[piv], e[row]
+        if e is not None:
+            e[row], e[piv] = e[piv], e[row]
+            if inv is not None:
+                inv[row], inv[piv] = inv[piv], inv[row]
         for i in range(row + 1, m):
             b = h[i][col]
             if not b:
@@ -206,24 +216,38 @@ def _hermite(ring, h, e):
             q, rem = dm(b, a)
             if not rem:
                 h[i] = _minus(h[i], q, h[row], p)
-                e[i] = _minus(e[i], q, e[row], p)
+                if e is not None:
+                    e[i] = _minus(e[i], q, e[row], p)
+                    if inv is not None:
+                        inv[row] = _minus(inv[row], -q, inv[i], p)
             else:
                 g, xx, yy = _xgcd(a, b)
                 ag, bg = a // g, b // g
                 h[row], h[i] = ([xx * s + yy * t for s, t in zip(h[row], h[i])],
                                 [-bg * s + ag * t for s, t in zip(h[row], h[i])])
-                e[row], e[i] = ([xx * s + yy * t for s, t in zip(e[row], e[i])],
-                                [-bg * s + ag * t for s, t in zip(e[row], e[i])])
+                if e is not None:
+                    e[row], e[i] = ([xx * s + yy * t for s, t in zip(e[row], e[i])],
+                                    [-bg * s + ag * t for s, t in zip(e[row], e[i])])
+                    if inv is not None:
+                        inv[row], inv[i] = ([ag * s + bg * t for s, t in zip(inv[row], inv[i])],
+                                            [-yy * s + xx * t for s, t in zip(inv[row], inv[i])])
         u = unit(h[row][col])
         if u != 1:
             h[row] = [u * x % p if p else u * x for x in h[row]]
-            e[row] = [u * x % p if p else u * x for x in e[row]]
+            if e is not None:
+                e[row] = [u * x % p if p else u * x for x in e[row]]
+                if inv is not None:
+                    # u = -1 over Z, its own inverse
+                    inv[row] = [u * x for x in inv[row]]
         a = h[row][col]
         for i in range(row):
             q = dm(h[i][col], a)[0]
             if q:
                 h[i] = _minus(h[i], q, h[row], p)
-                e[i] = _minus(e[i], q, e[row], p)
+                if e is not None:
+                    e[i] = _minus(e[i], q, e[row], p)
+                    if inv is not None:
+                        inv[row] = _minus(inv[row], -q, inv[i], p)
         pivots.append((row, col))
         row += 1
     return pivots
@@ -242,43 +266,47 @@ def row_echelon(A: Mat):
 
 
 def smith(A: Mat):
-    """Smith normal form with transforms.
+    """Smith normal form with its column transform and that transform's
+    inverse.
 
-    Returns (S, U, V) with U*A*V = S, U and V unimodular, S diagonal with
-    nonnegative entries d1 | d2 | ... and zero rows/columns trailing.
-    Hermite forms of the rows and of the columns alternate until one is
-    diagonal (Kannan and Bachem 1979).  The first makes the pivots
-    positive, and a diagonal Hermite form has its zeros last.  Then
-    divisor_chain turns the nonzero diagonal entries into a divisor chain.
+    Returns (S, V, V^-1) with V unimodular and U*A*V = S for some
+    unimodular U, S diagonal with nonnegative entries d1 | d2 | ... and
+    zero rows/columns trailing.  Hermite forms of the rows and of the
+    columns alternate until one is diagonal (Kannan and Bachem 1979).  The
+    first makes the pivots positive, and a diagonal Hermite form has its
+    zeros last.  Then divisor_chain turns the nonzero diagonal entries
+    into a divisor chain.  No caller reads U, so the row passes keep no
+    transform; each column pass applies its operations to the rows of V^T
+    and their inverse transposes to the rows of V^-1 (see _hermite), so
+    no second elimination is needed to invert V.
     """
     m, n = A.rows, A.cols
     s = A.to_lists()
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
     vt = [[int(i == j) for j in range(n)] for i in range(n)]
-    e, f, cols = u, vt, n
+    v_inv = [[int(i == j) for j in range(n)] for i in range(n)]
+    columns, cols = False, n
     while True:
-        pivots = _hermite(ZZ, s, e)
+        pivots = _hermite(ZZ, s, vt, v_inv) if columns else _hermite(ZZ, s, None)
         if all(i == j and not any(s[i][j + 1:]) for i, j in pivots):
             break
-        # the columns of s become the rows; their operations go to the
-        # other side's transform (V transposed, then U again)
-        s, e, f, cols = [[r[j] for r in s] for j in range(cols)], f, e, len(s)
+        # the columns of s become the rows
+        s, columns, cols = [[r[j] for r in s] for j in range(cols)], not columns, len(s)
     d = [s[i][i] for i, _ in pivots]
-    divisor_chain(d, vt, u)
+    divisor_chain(d, vt, v_inv)
     s = [[0] * n for _ in range(m)]
     for i, x in enumerate(d):
         s[i][i] = x
     return (Mat(m, n, tuple(tuple(r) for r in s)),
-            Mat(m, m, tuple(tuple(r) for r in u)),
-            Mat(n, n, tuple(zip(*vt))))
+            Mat(n, n, tuple(zip(*vt))),
+            Mat(n, n, tuple(map(tuple, v_inv))))
 
 
-def divisor_chain(d, vt, u=None, v_inv=None):
+def divisor_chain(d, vt, v_inv):
     """Turn the positive entries d into a divisor chain in place: each
     pair a, b with a not dividing b becomes gcd, lcm by one 2x2 unimodular
-    transform per side.  The rows vt of V^T, the rows u of U (when given)
-    and the rows v_inv of V^-1 (when given) follow, so that U*A*V = diag(d)
-    stays true of the matrix A they transform and v_inv stays V^-1."""
+    transform per side.  The rows vt of V^T and the rows v_inv of V^-1
+    follow, so that diag(d) stays U*A*V for some unimodular U and the
+    matrix A they transform, and v_inv stays V^-1."""
     for i in range(len(d)):
         for j in range(i + 1, len(d)):
             if d[j] % d[i]:
@@ -287,15 +315,11 @@ def divisor_chain(d, vt, u=None, v_inv=None):
                 g, x, y = _xgcd(d[i], d[j])
                 ag, bg = d[i] // g, d[j] // g
                 d[i], d[j] = g, d[i] * bg
-                if u is not None:
-                    u[i], u[j] = ([p + q for p, q in zip(u[i], u[j])],
-                                  [-y * bg * p + x * ag * q for p, q in zip(u[i], u[j])])
                 vt[i], vt[j] = ([x * p + y * q for p, q in zip(vt[i], vt[j])],
                                 [-bg * p + ag * q for p, q in zip(vt[i], vt[j])])
-                if v_inv is not None:
-                    # the inverse of [[x, -b/g], [y, a/g]] is [[a/g, b/g], [-y, x]]
-                    v_inv[i], v_inv[j] = ([ag * p + bg * q for p, q in zip(v_inv[i], v_inv[j])],
-                                          [-y * p + x * q for p, q in zip(v_inv[i], v_inv[j])])
+                # the inverse of [[x, -b/g], [y, a/g]] is [[a/g, b/g], [-y, x]]
+                v_inv[i], v_inv[j] = ([ag * p + bg * q for p, q in zip(v_inv[i], v_inv[j])],
+                                      [-y * p + x * q for p, q in zip(v_inv[i], v_inv[j])])
 
 
 def _solve(ring, A: Mat, B: Mat, echelon):
@@ -342,14 +366,14 @@ def presentation_normal_form(rel: Mat):
     > 1 in divisibility order, the free rank, the map x -> x*to_nf from old
     coefficient rows to normal-form rows, and the section from_nf the
     other way.  The normal form keeps one coordinate per nontrivial
-    divisor followed by the free coordinates.
+    divisor followed by the free coordinates.  One Smith form gives both
+    transforms: to_nf is read off its V and from_nf off its V^-1, and
+    diagonal_normal_form checks that they are inverse.
     """
-    S, _, V = smith(rel)
+    S, V, V_inv = smith(rel)
     g = rel.cols
-    # V is unimodular, so its Hermite form is the identity and the
-    # transform of that form is V^-1
     return diagonal_normal_form([S.data[i][i] if i < rel.rows else 0 for i in range(g)],
-                                tuple(zip(*V.data)), row_echelon(V)[1].data)
+                                tuple(zip(*V.data)), V_inv.data)
 
 
 def diagonal_normal_form(d, vt, v_inv):
@@ -363,7 +387,7 @@ def diagonal_normal_form(d, vt, v_inv):
     g = len(d)
     k = g - d.count(0)
     chain, vt, v_inv = list(d[:k]), list(vt), list(v_inv)
-    divisor_chain(chain, vt, v_inv=v_inv)
+    divisor_chain(chain, vt, v_inv)
     V, V_inv = Mat(g, g, tuple(zip(*vt))), Mat(g, g, tuple(map(tuple, v_inv)))
     if V_inv.mul(V).data != Mat.identity(g).data:
         raise ContractViolation("a normal-form transform is not unimodular")

@@ -53,22 +53,24 @@ class A2Engine(AbelianEngine):
 
     def obj(self, d1: int, d2: int, alpha: Mat) -> A2Obj:
         """The object with a caller's alpha, shape-checked and reduced
-        into the field."""
+        into the field.  The engine's own objects below are built from
+        identities and zeros, which are canonical in every field, so they
+        skip the scan."""
         if alpha.rows != d1 or alpha.cols != d2:
             raise ShapeError(f"alpha must be {d1}x{d2}, got {alpha.rows}x{alpha.cols}")
         return A2Obj(d1, d2, self.field.reduce_mat(alpha), self.field)
 
     def zero_object(self) -> A2Obj:
-        return self.obj(0, 0, Mat.zeros(0, 0))
+        return A2Obj(0, 0, Mat.zeros(0, 0), self.field)
 
     def simple_source(self, d=1) -> A2Obj:
-        return self.obj(d, 0, Mat.zeros(d, 0))
+        return A2Obj(d, 0, Mat.zeros(d, 0), self.field)
 
     def simple_sink(self, d=1) -> A2Obj:
-        return self.obj(0, d, Mat.zeros(0, d))
+        return A2Obj(0, d, Mat.zeros(0, d), self.field)
 
     def interval(self, d=1) -> A2Obj:
-        return self.obj(d, d, Mat.identity(d))
+        return A2Obj(d, d, Mat.identity(d), self.field)
 
     def dims(self, m: A2Obj):
         if m.field != self.field:
@@ -234,14 +236,19 @@ class SinkSupportTheory(TorsionTheory):
     def is_in_c(self, m: A2Obj) -> bool:
         return m.d2 == 0
 
+    # h_c and _reflect build their morphisms from m.alpha, a kernel (both
+    # canonical), identities and zeros, so no entry is scanned; dims
+    # still refuses an object of another field
+
     def h_c(self, m: A2Obj) -> Mor:
+        d2 = self.engine.dims(m)[1]
         k = self.engine.kernel(m.alpha)
-        sub = self.engine.obj(k.rows, 0, Mat.zeros(k.rows, 0))
-        return self.engine.mor(sub, m, k, Mat.zeros(0, m.d2))
+        return Mor(self.engine.simple_source(k.rows), m, (k, Mat.zeros(0, d2)))
 
     def _reflect(self, m: A2Obj):
-        w = self.engine.interval(m.d2)
-        return w, self.engine.mor(m, w, m.alpha, Mat.identity(m.d2))
+        d2 = self.engine.dims(m)[1]
+        w = self.engine.interval(d2)
+        return w, Mor(m, w, (m.alpha, Mat.identity(d2)))
 
     def is_saturated(self, m: A2Obj) -> bool:
         return self.engine.inv(m.alpha) is not None
@@ -260,9 +267,9 @@ class SinkSupportTheory(TorsionTheory):
 
     def probe_objects(self):
         e = self.engine
-        wedge = e.obj(2, 1, Mat.from_rows([[1], [0]]))
+        wedge = A2Obj(2, 1, Mat.from_rows([[1], [0]]), self.field)
         return [e.zero_object(), e.simple_source(), e.simple_sink(), e.interval(),
-                e.obj(1, 1, Mat.zeros(1, 1)), wedge]
+                A2Obj(1, 1, Mat.zeros(1, 1), self.field), wedge]
 
     def twist_unit(self, eta: Mor) -> Mor:
         c = self.field.normalize(2)

@@ -53,7 +53,8 @@ class ZObj:
         elimination (Smith's first Hermite pass would be diagonal with
         V = I): a divisor chain of moduli > 1 is its own normal form, and
         other moduli are put in one by diagonal_normal_form.  Any other
-        relations take a Smith form, unless the object was sampled, which
+        relations take one Smith form, which gives V and V^-1 together
+        and no other elimination, unless the object was sampled, which
         records its normal form.  The cache lives outside the dataclass
         fields, so equality and hashing still compare relations only; an
         engine keeps one object per relation matrix, so a command computes

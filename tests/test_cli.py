@@ -539,6 +539,56 @@ class TestDeterminism:
         assert not out.exists()
 
 
+class TestIntegerFlags:
+    """--p, --seed, --n and SERRE_SEED read an integer as the input
+    decoders do (category.int_from_text): an optional "-" and ASCII
+    digits; int() alone would read each of BAD."""
+
+    BAD = {"non-ascii-digit": "\u0663", "underscore": "1_0", "spaces": " 3 ", "plus": "+3"}
+    VALUES = {"p": "3", "seed": "1", "n": "0"}
+
+    @classmethod
+    def argv(cls, out, **values):
+        """check's argv with VALUES, updated by values; None leaves a flag out."""
+        flags = [w for flag, value in {**cls.VALUES, **values}.items() if value is not None
+                 for w in (f"--{flag}", value)]
+        return ["check", "--engine", "finite_abelian", "--suite", "ker-q", *flags,
+                "--out", str(out)]
+
+    @pytest.mark.parametrize("flag", list(VALUES))
+    @pytest.mark.parametrize("text", list(BAD.values()), ids=list(BAD))
+    def test_flags_reject(self, tmp_path, capsys, flag, text):
+        out = tmp_path / "r.json"
+        with pytest.raises(SystemExit) as exc:
+            main(self.argv(out, **{flag: text}))
+        assert exc.value.code == 2
+        assert f"argument --{flag}: invalid int value: {text!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", list(BAD.values()), ids=list(BAD))
+    def test_env_seed_rejects(self, tmp_path, monkeypatch, capsys, text):
+        monkeypatch.setenv("SERRE_SEED", text)
+        out = tmp_path / "r.json"
+        assert main(self.argv(out, seed=None)) == 2
+        assert f"SERRE_SEED must be an integer, got {text!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_plain_non_integers_keep_their_message(self, tmp_path, capsys):
+        with pytest.raises(SystemExit):
+            main(self.argv(tmp_path / "r.json", n="x"))
+        assert "argument --n: invalid int value: 'x'" in capsys.readouterr().err
+
+    def test_signed_and_padded_digits_still_read(self, tmp_path, monkeypatch):
+        out = tmp_path / "r.json"
+        assert main(self.argv(out, p="03", seed="-7", n="01")) == 0
+        report = read_report(str(out))
+        assert (report["seed"], report["command"]["engine"]["p"], report["command"]["n"]) == (
+            -7, 3, 1)
+        monkeypatch.setenv("SERRE_SEED", "-12")
+        assert main(self.argv(out, seed=None)) == 0
+        assert read_report(str(out))["seed"] == -12
+
+
 class TestValidation:
     def test_bad_reference(self, tmp_path):
         doc = {"engine": {"kind": "finite_abelian", "p": 2},

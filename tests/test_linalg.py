@@ -83,10 +83,15 @@ def minor_gcds(A):
 
 
 def assert_smith_contract(A):
-    S, U, V = smith(A)
-    assert abs(det(U)) == 1
+    """S is the Smith form of A and V, V^-1 its column transform: V is
+    unimodular with inverse V^-1, and A*V has the row lattice of S, which
+    holds exactly when U*A*V = S for some unimodular U (equal lattices
+    have equal Hermite forms)."""
+    S, V, V_inv = smith(A)
     assert abs(det(V)) == 1
-    assert U.mul(A).mul(V).data == S.data
+    identity = Mat.identity(A.cols).data
+    assert V.mul(V_inv).data == V_inv.mul(V).data == identity
+    assert linalg.row_echelon(A.mul(V))[0] == linalg.row_echelon(S)[0]
     diag = [S.data[i][i] for i in range(min(A.rows, A.cols))]
     for i in range(A.rows):
         for j in range(A.cols):
@@ -119,8 +124,8 @@ class TestSmith:
 
     def test_identity(self):
         A = Mat.identity(4)
-        S, U, V = smith(A)
-        assert S.data == Mat.identity(4).data
+        S, V, V_inv = smith(A)
+        assert S.data == V.data == V_inv.data == Mat.identity(4).data
         assert_smith_contract(A)
 
     def test_zero_matrix(self):
@@ -131,9 +136,11 @@ class TestSmith:
     def test_empty_shapes(self):
         for shape in [(0, 3), (3, 0), (0, 0)]:
             A = Mat.zeros(*shape)
-            S, U, V = smith(A)
+            S, V, V_inv = smith(A)
             assert S.rows == shape[0] and S.cols == shape[1]
-            assert abs(det(U)) == 1 and abs(det(V)) == 1
+            assert V.rows == V_inv.rows == shape[1]
+            assert abs(det(V)) == 1 and abs(det(V_inv)) == 1
+            assert_smith_contract(A)
 
     def test_bulk_random_contract(self):
         rng = random.Random(1729)
@@ -167,6 +174,15 @@ class TestSmith:
             for k, d in enumerate(diag):
                 prod_d *= d
                 assert prod_d == g[k] or (prod_d == 0 and g[k] == 0)
+
+
+    def test_not_exported_from_the_package(self):
+        # smith returns (S, V, V^-1); a caller unpacking (S, U, V) from the
+        # package fails at import instead
+        import serreq
+        assert "smith" not in serreq.__all__
+        with pytest.raises(ImportError):
+            from serreq import smith  # noqa: F401
 
 
 class TestIntKernel:

@@ -182,6 +182,42 @@ class TestCanonicalEntries:
         # the samples hold matrices with entries, not only empty ones
         assert entries > 1000
 
+    @pytest.mark.parametrize("field", [PrimeField(2), F, QQ], ids=lambda k: k.name)
+    def test_own_constructions_scan_no_matrix(self, field, monkeypatch):
+        # the engine's own objects, the unit and H_C equal what obj and mor
+        # build from the same matrices, and are built without them
+        eng, th = A2Engine(field), SinkSupportTheory(field)
+        rng = rng_for(2929, field.name)
+        samples = [eng.random_object(rng, 3) for _ in range(30)]
+
+        def built():
+            return ([eng.zero_object(), *th.probe_objects()]
+                    + [f(d) for d in range(4)
+                       for f in (eng.simple_source, eng.simple_sink, eng.interval)]
+                    + [(th._reflect(m), th.h_c(m)) for m in samples])
+
+        def scanned():
+            objs = [eng.obj(0, 0, Mat.zeros(0, 0)), eng.obj(0, 0, Mat.zeros(0, 0)),
+                    eng.obj(1, 0, Mat.zeros(1, 0)), eng.obj(0, 1, Mat.zeros(0, 1)),
+                    eng.obj(1, 1, Mat.identity(1)), eng.obj(1, 1, Mat.zeros(1, 1)),
+                    eng.obj(2, 1, Mat.from_rows([[1], [0]]))]
+            objs += [o for d in range(4) for o in (eng.obj(d, 0, Mat.zeros(d, 0)),
+                                                   eng.obj(0, d, Mat.zeros(0, d)),
+                                                   eng.obj(d, d, Mat.identity(d)))]
+            maps = []
+            for m in samples:
+                w = eng.obj(m.d2, m.d2, Mat.identity(m.d2))
+                k = eng.kernel(m.alpha)
+                sub = eng.obj(k.rows, 0, Mat.zeros(k.rows, 0))
+                maps.append(((w, eng.mor(m, w, m.alpha, Mat.identity(m.d2))),
+                             eng.mor(sub, m, k, Mat.zeros(0, m.d2))))
+            return objs + maps
+
+        expected = scanned()
+        for name in ("obj", "mor"):
+            monkeypatch.setattr(eng, name, lambda *args, name=name: pytest.fail(name))
+        assert built() == expected
+
     def test_decoded_entries_are_canonical(self):
         for field, entry, expected in ((QQ, "4/2", 2), (QQ, "-6/3", -2), (QQ, "1/2", Fraction(1, 2)),
                                        (QQ, 7, 7), (F, "1/2", 51), (F, -1, 100)):

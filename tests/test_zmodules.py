@@ -211,12 +211,12 @@ class TestWorkCounts:
 
     @pytest.mark.parametrize("kind", ["finite_abelian", "fixture"])
     def test_saturate_eliminations(self, monkeypatch, tmp_path, kind):
-        # one Smith form of the input, with the one elimination that
-        # inverts its transform V; the reflection is read off it
+        # one Smith form of the input, which also inverts its transform
+        # V; the reflection is read off it and no other elimination runs
         calls = _counting_kernels(monkeypatch)
         assert _run_cli(tmp_path, kind, {"D": self.DENSE}, ["saturate"]) == 0
         assert {name: len(seen) for name, seen in calls.items()} == {
-            "smith": 1, "row_echelon": 1}
+            "smith": 1, "row_echelon": 0}
 
     def test_saturating_suite_solves_against_no_diagonal_target(self, monkeypatch, tmp_path):
         # equality and well-definedness into a diagonal target, such as
@@ -846,8 +846,8 @@ class TestSampledNormalForms:
     def test_a_corrupted_inverse_of_q_is_refused(self, monkeypatch):
         chain = linalg.divisor_chain
 
-        def corrupted(d, vt, u=None, v_inv=None):
-            chain(d, vt, u, v_inv)
+        def corrupted(d, vt, v_inv):
+            chain(d, vt, v_inv)
             v_inv[0] = [x + y for x, y in zip(v_inv[0], v_inv[1])]
 
         monkeypatch.setattr(linalg, "divisor_chain", corrupted)
@@ -933,9 +933,9 @@ class TestDiagonalNormalForms:
             data = m.normal_form_data
             case = self._case(m.moduli)
             cases[case] += 1
-            expected_calls = 1 if case == "smith" else 0
+            # the Smith branch inverts V inside smith, with no row_echelon
             assert {name: len(seen) for name, seen in counts.items()} == {
-                "smith": expected_calls, "row_echelon": expected_calls}, rel
+                "smith": int(case == "smith"), "row_echelon": 0}, rel
             assert data == linalg.presentation_normal_form(rel), rel
             flat = [x for row in rel.data for x in row]
             factors = [int(d) for d in invariant_factors(Matrix(rel.rows, rel.cols, flat),
@@ -961,8 +961,8 @@ class TestDiagonalNormalForms:
     def test_a_corrupted_inverse_is_refused(self, monkeypatch):
         chain = linalg.divisor_chain
 
-        def corrupted(d, vt, u=None, v_inv=None):
-            chain(d, vt, u, v_inv)
+        def corrupted(d, vt, v_inv):
+            chain(d, vt, v_inv)
             v_inv[0] = [x + y for x, y in zip(v_inv[0], v_inv[1])]
 
         monkeypatch.setattr(linalg, "divisor_chain", corrupted)
@@ -1034,8 +1034,21 @@ class TestDivisibilityMembership:
                 self._agrees(monkeypatch, rel, rng, diagonal=False)
 
 
+def _two_elimination_normal_form(rel):
+    """presentation_normal_form with V^-1 read off a second elimination,
+    as the transform of V's Hermite form (the identity, since V is
+    unimodular)."""
+    S, V, _ = linalg.smith(rel)
+    H, V_inv, _ = linalg.row_echelon(V)
+    assert H == Mat.identity(rel.cols)
+    return linalg.diagonal_normal_form(
+        [S.data[i][i] if i < rel.rows else 0 for i in range(rel.cols)],
+        tuple(zip(*V.data)), V_inv.data)
+
+
 class TestSmithInverse:
-    """presentation_normal_form reads V^-1 off the Hermite form of V."""
+    """smith tracks V^-1 in its column passes, and presentation_normal_form
+    reads it from there."""
 
     def test_inverse_of_v_on_dense_presentations(self):
         from sympy import Matrix
@@ -1044,18 +1057,46 @@ class TestSmithInverse:
         for _ in range(60):
             divisors = [rng.randint(1, 30) for _ in range(rng.randint(1, 8))]
             rel = _dense(rng, divisors, rng.randint(0, 12))
-            _, _, V = linalg.smith(rel)
-            H, V_inv, _ = linalg.row_echelon(V)
-            assert H == Mat.identity(rel.cols)
+            _, V, V_inv = linalg.smith(rel)
+            assert V_inv == linalg.row_echelon(V)[1]
             assert V_inv.mul(V) == V.mul(V_inv) == Mat.identity(rel.cols)
             assert {Matrix(V.to_lists()).det(), Matrix(V_inv.to_lists()).det()} <= {1, -1}
             _, _, to_nf, from_nf = linalg.presentation_normal_form(rel)
             assert from_nf.mul(to_nf) == Mat.identity(to_nf.cols)
 
+    def test_equal_to_the_two_elimination_normal_form(self):
+        # any shape, with zero rows or columns, and rank-deficient
+        # relations built as products through a narrower matrix
+        rng = random.Random(2929)
+        shapes = {"square": 0, "wide": 0, "tall": 0, "deficient": 0}
+        for _ in range(300):
+            rows, cols = rng.randrange(0, 9), rng.randrange(0, 9)
+            entry = lambda: rng.randint(-20, 20) if rng.randrange(3) else 0
+            if rng.randrange(3) == 0 and min(rows, cols) > 1:
+                inner = rng.randrange(1, min(rows, cols))
+                left = Mat.from_rows([[entry() for _ in range(inner)] for _ in range(rows)], inner)
+                right = Mat.from_rows([[entry() for _ in range(cols)] for _ in range(inner)], cols)
+                rel = left.mul(right)
+                shapes["deficient"] += 1
+            else:
+                rel = Mat.from_rows([[entry() for _ in range(cols)] for _ in range(rows)], cols)
+                shapes["square" if rows == cols else "wide" if rows < cols else "tall"] += 1
+            assert linalg.presentation_normal_form(rel) == _two_elimination_normal_form(rel), rel
+        assert min(shapes.values()) >= 20, shapes
+
     def test_a_transform_that_is_not_unimodular_is_refused(self, monkeypatch):
         from serreq.errors import ContractViolation
 
         smith = linalg.smith
+        rel = Mat.from_rows([[4, 6], [2, 9]])
+
+        def wrong_inverse(A):
+            S, V, V_inv = smith(A)
+            return S, V, V_inv.scale(2)
+
+        monkeypatch.setattr(linalg, "smith", wrong_inverse)
+        with pytest.raises(ContractViolation):
+            linalg.presentation_normal_form(rel)
         monkeypatch.setattr(linalg, "smith", lambda A: (*smith(A)[:2], Mat.from_rows([[2]])))
         with pytest.raises(ContractViolation):
             linalg.presentation_normal_form(Mat.from_rows([[4]]))
