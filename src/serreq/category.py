@@ -128,8 +128,9 @@ class AbelianEngine:
     A morphism of every engine is a Mor with one matrix per vertex of the
     engine's quiver.  A concrete engine supplies the hooks dims (the
     vertex dimensions of an object, rejecting one the engine cannot
-    take), ring (whose reduce_mat normalises entries and whose mul, add,
-    sub and scale are the matrix arithmetic), map_keys (the payload key
+    take), ring (linalg.ZZ or a field, whose reduce_mat normalises
+    entries and whose mul, add, sub and scale are the only matrix
+    arithmetic, since a Mat has none), map_keys (the payload key
     of each vertex matrix) and _eliminate (the echelon (H, E, pivots),
     E*A = H, of one matrix over the ring); what differs between
     engines (eq_mor, is_well_defined, is_zero_obj, kernel_emb,
@@ -399,8 +400,13 @@ class AbelianEngine:
     def ses_from_payload(self, payload, where="ses") -> ShortExactSequence:
         if not isinstance(payload, dict) or "iota" not in payload or "pi" not in payload:
             raise InputValidationError(f"{where}: sequence payloads need 'iota' and 'pi'")
-        return ShortExactSequence(self.mor_from_payload(payload["iota"], where + ".iota"),
-                                  self.mor_from_payload(payload["pi"], where + ".pi"))
+        iota = self.mor_from_payload(payload["iota"], where + ".iota")
+        pi = self.mor_from_payload(payload["pi"], where + ".pi")
+        if not (iota.dst == pi.src and self.is_mono(iota) and self.is_epi(pi)
+                and self.eq_mor(self.compose(iota, pi), self.zero_morphism(iota.src, pi.dst))
+                and self.is_zero_obj(self.homology_at(iota, pi))):
+            raise InputValidationError(f"{where}: iota and pi are not a short exact sequence")
+        return ShortExactSequence(iota, pi)
 
 
 class TorsionTheory:

@@ -8,6 +8,12 @@ other; residues mod p); floats never appear.  Intermediate
 Smith-form entries can grow well past machine width, which is why the
 integer routines insist on arbitrary precision.  One row reduction,
 _hermite, serves all three rings, each supplying its entry arithmetic.
+
+A Mat is a plain value, its shape and its entries.  Matrix arithmetic
+(mul, add, sub and scale) belongs to a ring, ZZ, QQ or a PrimeField, and
+all three share one implementation of it (_Ring) that keeps results in
+the ring's canonical form.  So no code multiplies matrices without naming
+the ring that holds their entries.
 """
 
 from __future__ import annotations
@@ -76,24 +82,6 @@ class Mat:
     def zeros(rows, cols):
         return Mat(rows, cols, tuple(tuple(0 for _ in range(cols)) for _ in range(rows)))
 
-    def mul(self, other: "Mat") -> "Mat":
-        return Mat(self.rows, other.cols, tuple(map(tuple, _product_rows(self, other))))
-
-    def add(self, other: "Mat") -> "Mat":
-        self._same_shape(other)
-        return Mat(self.rows, self.cols,
-                   tuple(tuple(a + b for a, b in zip(r1, r2))
-                         for r1, r2 in zip(self.data, other.data)))
-
-    def sub(self, other: "Mat") -> "Mat":
-        self._same_shape(other)
-        return Mat(self.rows, self.cols,
-                   tuple(tuple(a - b for a, b in zip(r1, r2))
-                         for r1, r2 in zip(self.data, other.data)))
-
-    def scale(self, c) -> "Mat":
-        return Mat(self.rows, self.cols, tuple(tuple(c * a for a in r) for r in self.data))
-
     def transpose(self) -> "Mat":
         return Mat(self.cols, self.rows,
                    tuple(tuple(self.data[i][j] for i in range(self.rows)) for j in range(self.cols)))
@@ -110,9 +98,10 @@ class Mat:
     def to_lists(self):
         return [list(r) for r in self.data]
 
-    def _same_shape(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ShapeError(f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
+
+def _same_shape(A: Mat, B: Mat):
+    if A.rows != B.rows or A.cols != B.cols:
+        raise ShapeError(f"shape mismatch: {A.rows}x{A.cols} vs {B.rows}x{B.cols}")
 
 
 def _product_rows(A: Mat, B: Mat):
@@ -389,7 +378,7 @@ def diagonal_normal_form(d, vt, v_inv):
     chain, vt, v_inv = list(d[:k]), list(vt), list(v_inv)
     divisor_chain(chain, vt, v_inv)
     V, V_inv = Mat(g, g, tuple(zip(*vt))), Mat(g, g, tuple(map(tuple, v_inv)))
-    if V_inv.mul(V).data != Mat.identity(g).data:
+    if ZZ.mul(V_inv, V).data != Mat.identity(g).data:
         raise ContractViolation("a normal-form transform is not unimodular")
     keep = [j for j in range(g) if j >= k or chain[j] != 1]
     return (tuple(chain[j] for j in keep if j < k), g - k, V.take_cols(keep),
@@ -466,23 +455,26 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class _Field:
-    """Matrix arithmetic over a field.  reduce_mat puts entries into the
-    field's canonical form where they come in; on canonical operands mul,
-    add, sub and scale put each result row into that form as they build
-    it (_canonical_row), so no result is scanned a second time."""
+class _Ring:
+    """Matrix arithmetic over one ring, the only matrix arithmetic there
+    is.  reduce_mat puts entries into the ring's canonical form where they
+    come in; on canonical operands mul, add, sub and scale put each result
+    row into that form as they build it (_canonical_row), so no result is
+    scanned a second time.  A subclass supplies normalize (one scalar in
+    canonical form) and _canonical_row, besides the entry arithmetic
+    _hermite reads."""
 
     def mul(self, A: Mat, B: Mat) -> Mat:
         return Mat(A.rows, B.cols, tuple(map(self._canonical_row, _product_rows(A, B))))
 
     def add(self, A: Mat, B: Mat) -> Mat:
-        A._same_shape(B)
+        _same_shape(A, B)
         canon = self._canonical_row
         return Mat(A.rows, A.cols, tuple(canon([a + b for a, b in zip(r, s)])
                                          for r, s in zip(A.data, B.data)))
 
     def sub(self, A: Mat, B: Mat) -> Mat:
-        A._same_shape(B)
+        _same_shape(A, B)
         canon = self._canonical_row
         return Mat(A.rows, A.cols, tuple(canon([a - b for a, b in zip(r, s)])
                                          for r, s in zip(A.data, B.data)))
@@ -492,7 +484,7 @@ class _Field:
         return Mat(A.rows, A.cols, tuple(canon([c * a for a in r]) for r in A.data))
 
 
-class PrimeField(_Field):
+class PrimeField(_Ring):
     """The field F_p for a prime p; elements are residues in [0, p)."""
 
     def __init__(self, p):
@@ -542,7 +534,7 @@ class PrimeField(_Field):
         return f"PrimeField({self.p})"
 
 
-class RationalField(_Field):
+class RationalField(_Ring):
     """The field Q; an integral element is an int, any other a Fraction.
 
     That form is canonical, so integral matrices multiply at integer speed,
@@ -598,16 +590,17 @@ class RationalField(_Field):
         return "RationalField()"
 
 
-class IntegerRing:
+class IntegerRing(_Ring):
     """The ring Z: floor division with remainder; a pivot is made positive.
-    Integer matrices need no reduction, so the matrix arithmetic is Mat's."""
+    Every integer is canonical, so normalize and _canonical_row change no
+    entry."""
 
     p = 0
     divmod = staticmethod(divmod)
-    mul = staticmethod(Mat.mul)
-    add = staticmethod(Mat.add)
-    sub = staticmethod(Mat.sub)
-    scale = staticmethod(Mat.scale)
+    _canonical_row = tuple
+
+    def normalize(self, x):
+        return x
 
     def unit(self, a):
         return -1 if a < 0 else 1

@@ -188,11 +188,11 @@ class ZModuleEngine(AbelianEngine):
 
     def is_well_defined(self, f: Mor) -> bool:
         """Whether the payload maps source relations into target relations."""
-        return self.in_relation_lattice(f.dst, f.src.relations.mul(f.maps[0]))
+        return self.in_relation_lattice(f.dst, ZZ.mul(f.src.relations, f.maps[0]))
 
     def eq_mor(self, f: Mor, g: Mor) -> bool:
         self._same_endpoints(f, g)
-        return self.in_relation_lattice(f.dst, f.maps[0].sub(g.maps[0]))
+        return self.in_relation_lattice(f.dst, ZZ.sub(f.maps[0], g.maps[0]))
 
     def is_zero_obj(self, m: ZObj) -> bool:
         return self.order(m) == 1
@@ -235,7 +235,7 @@ class ZModuleEngine(AbelianEngine):
     def _colift_candidate(self, f: Mor, epi: Mor):
         section = self.solve_mod_rows(epi.maps[0], epi.dst.relations,
                                       Mat.identity(epi.dst.gens))
-        return None if section is None else Mor(epi.dst, f.dst, (section.mul(f.maps[0]),))
+        return None if section is None else Mor(epi.dst, f.dst, (ZZ.mul(section, f.maps[0]),))
 
     # -- Hom and Ext --------------------------------------------------------------
 
@@ -248,7 +248,7 @@ class ZModuleEngine(AbelianEngine):
         # vec(F, Y) -> vec(R_M*F - Y*R_N): F is a morphism when some witness Y zeroes it
         g, h = m.gens, n.gens
         cmat = kron(m.relations.transpose(), Mat.identity(h)).stack_below(
-            kron(Mat.identity(m.relations.rows).scale(-1), n.relations))
+            kron(ZZ.scale(Mat.identity(m.relations.rows), -1), n.relations))
         sols = self.kernel(cmat).take_cols(range(g * h))
         return ZHomGroup(self, m, n, self.row_basis(sols))
 
@@ -312,10 +312,8 @@ class ZModuleEngine(AbelianEngine):
         rel = Mat(len(divisors), g, tuple(tuple(d * x for x in row)
                                           for d, row in zip(divisors, v.data)))
         if rel.rows and rng.randrange(2):
-            coeffs = [rng.randint(-1, 1) for _ in range(rel.rows)]
-            extra_row = [sum(c * rel.data[s][t] for s, c in enumerate(coeffs))
-                         for t in range(g)]
-            rel = rel.stack_below(Mat.from_rows([extra_row], g))
+            coeffs = Mat.from_rows([[rng.randint(-1, 1) for _ in range(rel.rows)]])
+            rel = rel.stack_below(ZZ.mul(coeffs, rel))
         m = self.obj(rel)
         if "normal_form_data" not in m.__dict__:
             m.__dict__["normal_form_data"] = diagonal_normal_form(
@@ -531,7 +529,7 @@ class ZTorsionTheory(TorsionTheory):
         unit = self.saturate(phi.src)
         w, eta = unit
         eng = self.engine
-        psi = Mor(w, phi.dst, (unit.section.mul(phi.maps[0]),))
+        psi = Mor(w, phi.dst, (ZZ.mul(unit.section, phi.maps[0]),))
         if not (eng.is_well_defined(psi) and eng.eq_mor(eng.compose(eta, psi), phi)):
             raise ContractViolation("a map to a saturated object must extend along the unit")
         return psi

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from serreq import serre, session
-from serreq.category import MAX_INPUT_SIZE
+from serreq.category import MAX_INPUT_SIZE, ShortExactSequence
 from serreq.cli import COMMANDS, FLAGS, _emit, build_parser, main, parse_args
 from serreq.zmodules import FixtureTheory
 
@@ -240,6 +240,51 @@ class TestReplay:
               "--suite", "ker-q", "--seed", "1", "--n", "3", "--out", str(out)])
         assert main(["replay", "--input", str(out)]) == 0
         assert "nothing to replay" in capsys.readouterr().out
+
+    @staticmethod
+    def _axiom3_witness(descriptor, ses):
+        """A saturating-3-exact witness of the Gabriel monad on the
+        sequence ses(engine)."""
+        theory = session.theory_from_descriptor(descriptor)
+        payload = theory.engine.ses_to_payload(ShortExactSequence(*ses(theory.engine)))
+        return {"engine": theory.describe(), "check": "saturating-3-exact",
+                "candidate": "gabriel", "data": {"ses": payload}}
+
+    @pytest.mark.parametrize("descriptor, ses", [
+        # 0 -> 0 -> Z/3 -> 0 -> 0: homology Z/3 at the middle, which would
+        # blame the Gabriel monad for failing axiom 3
+        ({"kind": "finite_abelian", "p": 2},
+         lambda e: (e.zero_morphism(e.zero_object(), e.cyclic(3)),
+                    e.zero_morphism(e.cyclic(3), e.zero_object()))),
+        # iota = pi = the identity of the interval: they compose to nonzero
+        ({"kind": "a2_rep", "field": "f3"},
+         lambda e: (e.identity(e.interval()), e.identity(e.interval()))),
+    ], ids=["finite_abelian-homology", "a2_rep-f3-identities"])
+    def test_sequence_that_is_not_exact_is_refused(self, descriptor, ses, tmp_path, capsys):
+        wfile = tmp_path / "w.json"
+        wfile.write_text(json.dumps(self._axiom3_witness(descriptor, ses)), encoding="utf-8")
+        assert main(["replay", "--input", str(wfile)]) == 2
+        assert "not a short exact sequence" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["finite_abelian", "--p", "2"],
+                                       ["a2_rep", "--field", "f3"], ["fixture", "--p", "0"]])
+    def test_axiom3_witness_from_check_replays(self, flags, tmp_path, monkeypatch, capsys):
+        # no candidate fails axiom 3, so a forced failure makes check write
+        # the first sampled sequence as a witness; with the real predicate
+        # restored, it decodes and the failure is not reproduced
+        out = tmp_path / "r.json"
+        with monkeypatch.context() as patch:
+            patch.setitem(serre.CHECKS, "saturating-3-exact",
+                          serre.Check("ses", lambda *args: (False, "forced"), True))
+            assert main(["check", "--engine", *flags, "--suite", "saturating",
+                         "--seed", "3", "--n", "4", "--out", str(out)]) == 1
+        witness = next(c["witness"] for s in read_report(str(out))["checks"]
+                       for c in s["checks"] if c["axiom"] == "saturating-3-exact")
+        wfile = tmp_path / "w.json"
+        wfile.write_text(json.dumps(witness), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["replay", "--input", str(wfile)]) == 1
+        assert "saturating-3-exact: failure NOT reproduced" in capsys.readouterr().out
 
     def test_corrupted_file(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -4,7 +4,8 @@ presentation is computed in one place, one row reduction serves Z, Q and
 F_p with one back-substitution, what every engine shares is written
 once in category.py, linalg holds pure kernels that know no engine,
 every cache is a category.Memo, no cache outlives the theory that
-one command builds, and cli.main alone builds and writes reports."""
+one command builds, cli.main alone builds and writes reports, and the
+rings own the one matrix arithmetic."""
 
 import ast
 import gc
@@ -411,6 +412,21 @@ def test_z_memos_live_on_the_engine():
             assert isinstance(getattr(first.engine, memo), dict)
             assert getattr(first.engine, memo) is not getattr(second.engine, memo)
             assert not hasattr(ZZ, memo) and not hasattr(ZModuleEngine, memo)
+
+
+def test_one_matrix_arithmetic():
+    """A Mat is a plain value with no arithmetic of its own, and ZZ, QQ
+    and every PrimeField inherit mul, add, sub and scale from one base,
+    so no code builds a matrix without naming the ring of its entries."""
+    from serreq.linalg import IntegerRing, PrimeField, RationalField
+
+    ops = {"mul", "add", "sub", "scale"}
+    assert ops & set(dir(Mat)) == set()
+    rings = (IntegerRing, PrimeField, RationalField)
+    assert [ops & set(vars(ring)) for ring in rings] == [set()] * len(rings)
+    owners = {next(base for base in ring.__mro__ if op in vars(base))
+              for ring in rings for op in ops}
+    assert len(owners) == 1 and object not in owners
 
 
 def test_identity_table_is_bounded():

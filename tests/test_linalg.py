@@ -1,4 +1,5 @@
 import dataclasses
+import operator
 import random
 from fractions import Fraction
 from functools import partial
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from serreq import linalg
 from serreq.errors import InputValidationError, ShapeError
 from serreq.linalg import (
-    MR_BOUND, Mat, PrimeField, QQ, _solve, f_rref, int_solve, is_prime, kron,
+    MR_BOUND, Mat, PrimeField, QQ, ZZ, _solve, f_rref, int_solve, is_prime, kron,
     presentation_enumerate, presentation_normal_form, smith,
 )
 from serreq.zmodules import ZModuleEngine
@@ -90,8 +91,8 @@ def assert_smith_contract(A):
     S, V, V_inv = smith(A)
     assert abs(det(V)) == 1
     identity = Mat.identity(A.cols).data
-    assert V.mul(V_inv).data == V_inv.mul(V).data == identity
-    assert linalg.row_echelon(A.mul(V))[0] == linalg.row_echelon(S)[0]
+    assert ZZ.mul(V, V_inv).data == ZZ.mul(V_inv, V).data == identity
+    assert linalg.row_echelon(ZZ.mul(A, V))[0] == linalg.row_echelon(S)[0]
     diag = [S.data[i][i] for i in range(min(A.rows, A.cols))]
     for i in range(A.rows):
         for j in range(A.cols):
@@ -193,11 +194,11 @@ class TestIntKernel:
         A = Mat.from_rows([[2], [-1]])
         K = ZModuleEngine().kernel(A)
         assert K.rows == 1
-        assert not any(map(any, K.mul(A).data))
+        assert not any(map(any, ZZ.mul(K, A).data))
         # brute-force: every small kernel vector must be an integer combination
         for x in product(range(-4, 5), repeat=2):
             v = Mat.from_rows([list(x)], 2)
-            if not any(map(any, v.mul(A).data)):
+            if not any(map(any, ZZ.mul(v, A).data)):
                 assert int_solve(K, v) is not None
 
     def test_invertible_gives_empty(self):
@@ -217,7 +218,7 @@ class TestIntKernel:
             n = rng.randrange(1, 6)
             A = Mat.from_rows([[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)], n)
             K = ZModuleEngine().kernel(A)
-            assert not any(map(any, K.mul(A).data))
+            assert not any(map(any, ZZ.mul(K, A).data))
             S, _, _ = smith(K)
             assert all(S.data[i][i] in (0, 1) for i in range(min(K.rows, K.cols)))
 
@@ -231,10 +232,10 @@ class TestIntSolve:
         A = Mat.from_rows([[1, 2], [3, 4]])
         B = Mat.from_rows([[4, 6]])
         X = int_solve(A, B)
-        assert X.mul(A).data == B.data
+        assert ZZ.mul(X, A).data == B.data
         # exhaustive oracle over a small box: (1, 1) is the unique solution
         sols = [x for x in product(range(-5, 6), repeat=2)
-                if Mat.from_rows([list(x)], 2).mul(A).data == B.data]
+                if ZZ.mul(Mat.from_rows([list(x)], 2), A).data == B.data]
         assert sols == [(1, 1)]
 
     def test_shape_error_is_distinct(self):
@@ -251,7 +252,7 @@ class TestIntSolve:
             B = Mat.from_rows([[rng.randint(-8, 8) for _ in range(n)] for _ in range(k)], n)
             X = int_solve(A, B)
             if X is not None:
-                assert X.mul(A).data == B.data
+                assert ZZ.mul(X, A).data == B.data
             else:
                 XQ = f_solve(QQ, A, B)
                 if XQ is not None:
@@ -262,10 +263,10 @@ class TestIntSolve:
     def test_solve_recovers_products(self, m, n, k, data):
         A = Mat.from_rows([[data.draw(st.integers(-6, 6)) for _ in range(n)] for _ in range(m)], n)
         X0 = Mat.from_rows([[data.draw(st.integers(-6, 6)) for _ in range(m)] for _ in range(k)], m)
-        B = X0.mul(A)
+        B = ZZ.mul(X0, A)
         X = int_solve(A, B)
         assert X is not None
-        assert X.mul(A).data == B.data
+        assert ZZ.mul(X, A).data == B.data
 
 
 class TestLatticeHelpers:
@@ -325,7 +326,7 @@ class TestKron:
             A, X, B = rand(p, r), rand(r, c), rand(c, q)
             K = kron(A.transpose(), B)
             assert (K.rows, K.cols) == (r * c, p * q)
-            assert vec(X).mul(K) == vec(A.mul(X).mul(B))
+            assert ZZ.mul(vec(X), K) == vec(ZZ.mul(ZZ.mul(A, X), B))
 
 
 class TestPresentationHelpers:
@@ -348,7 +349,7 @@ class TestPresentationHelpers:
             v = Mat.from_rows([list(x)], 2)
             for y in classes:
                 w = Mat.from_rows([list(y)], 2)
-                if int_solve(rel, v.sub(w)) is not None:
+                if int_solve(rel, ZZ.sub(v, w)) is not None:
                     canon.append(y)
             assert canon == [x]
             seen.add(x)
@@ -365,7 +366,7 @@ class TestFields:
         K = f_kernel(F, A)
         assert K.rows == 1
         kernel_vectors = [v for v in product(range(2), repeat=2)
-                          if not any(map(any, F.reduce_mat(Mat.from_rows([v], 2).mul(A)).data))]
+                          if not any(map(any, F.mul(Mat.from_rows([v], 2), A).data))]
         assert set(kernel_vectors) == {(0, 0), (1, 1)}
         assert tuple(K.data[0]) in kernel_vectors
 
@@ -375,9 +376,9 @@ class TestFields:
         B = Mat.from_rows([[1, 0]])
         X = f_solve(F, A, B)
         assert f_rank(F, A) == 2
-        assert F.reduce_mat(X.mul(A)).data == F.reduce_mat(B).data
+        assert F.mul(X, A).data == F.reduce_mat(B).data
         Ainv = f_inv(F, A)
-        assert F.reduce_mat(Ainv.mul(A)).data == Mat.identity(2).data
+        assert F.mul(Ainv, A).data == Mat.identity(2).data
 
     def test_inconsistent_solve(self):
         F = PrimeField(3)
@@ -388,7 +389,7 @@ class TestFields:
     def test_rationals(self):
         A = Mat.from_rows([[Fraction(1, 2), 1], [0, 2]])
         X = f_solve(QQ, A, Mat.identity(2))
-        assert QQ.reduce_mat(X.mul(A)).data == QQ.reduce_mat(Mat.identity(2)).data
+        assert QQ.mul(X, A).data == QQ.reduce_mat(Mat.identity(2)).data
 
     def test_random_kernel_solve_consistency(self):
         rng = random.Random(11)
@@ -399,12 +400,12 @@ class TestFields:
             A = Mat.from_rows([[rng.randrange(101) for _ in range(n)] for _ in range(m)], n)
             K = f_kernel(F, A)
             assert K.rows == m - f_rank(F, A)
-            assert not any(map(any, F.reduce_mat(K.mul(A)).data))
+            assert not any(map(any, F.mul(K, A).data))
             X0 = Mat.from_rows([[rng.randrange(101) for _ in range(m)] for _ in range(2)], m)
-            B = F.reduce_mat(X0.mul(A))
+            B = F.mul(X0, A)
             X = f_solve(F, A, B)
             assert X is not None
-            assert F.reduce_mat(X.mul(A)).data == B.data
+            assert F.mul(X, A).data == B.data
 
     def test_prime_check(self):
         with pytest.raises(ValueError):
@@ -458,7 +459,7 @@ class TestFields:
                 assert [list(r) for r in R.data] == expected_r, (F, rows)
                 assert [c for _, c in pivots] == list(expected_pivots), (F, rows)
                 assert [r for r, _ in pivots] == list(range(len(pivots)))
-                assert F.reduce_mat(E.mul(A)).data == R.data
+                assert F.mul(E, A).data == R.data
                 assert f_inv(F, E) is not None
                 assert f_rank(F, A) == rank
                 k = rng.randrange(1, 3)
@@ -466,13 +467,13 @@ class TestFields:
                                     for _ in range(k)))
                 if rng.randrange(2):
                     # half the right-hand sides lie in the row space
-                    B = Mat.from_rows([[rng.randrange(-3, 4) for _ in range(m)]
-                                       for _ in range(k)], m).mul(A)
+                    B = F.mul(Mat.from_rows([[rng.randrange(-3, 4) for _ in range(m)]
+                                             for _ in range(k)], m), A)
                 X = f_solve(F, A, B)
                 _, _, stacked_rank = oracle(A.stack_below(B))
                 assert (X is None) == (stacked_rank > rank), (F, rows, B.data)
                 if X is not None:
-                    assert F.reduce_mat(X.mul(A)).data == F.reduce_mat(B).data
+                    assert F.mul(X, A).data == F.reduce_mat(B).data
 
 
 class TestFieldEntries:
@@ -522,10 +523,19 @@ def entries_with_types(M: Mat):
     return [[(type(x), x) for x in r] for r in M.data]
 
 
+def entrywise(op, *mats):
+    """op applied entry by entry to equally shaped matrices, unreduced:
+    a reference that shares no code with the rings' arithmetic."""
+    A = mats[0]
+    return Mat(A.rows, A.cols, tuple(tuple(op(*xs) for xs in zip(*rows))
+                                     for rows in zip(*(M.data for M in mats))))
+
+
 class TestFusedFieldArithmetic:
     """A field's mul, add, sub and scale reduce each row as they build it;
-    on canonical operands that must give what reducing Mat's own result
-    gives."""
+    on canonical operands that must give what reducing the unreduced
+    result gives: ZZ.mul's product, which reduces nothing, and the
+    entrywise sum, difference and multiple."""
 
     FIELDS = (PrimeField(2), PrimeField(3), PrimeField(101), QQ)
 
@@ -549,8 +559,10 @@ class TestFusedFieldArithmetic:
             A, B = self.canonical(field, rng, r, k), self.canonical(field, rng, r, k)
             C = self.canonical(field, rng, k, c)
             x = self.canonical(field, rng, 1, 1).data[0][0]
-            for fused, plain in ((field.mul(A, C), A.mul(C)), (field.add(A, B), A.add(B)),
-                                 (field.sub(A, B), A.sub(B)), (field.scale(A, x), A.scale(x))):
+            for fused, plain in ((field.mul(A, C), ZZ.mul(A, C)),
+                                 (field.add(A, B), entrywise(operator.add, A, B)),
+                                 (field.sub(A, B), entrywise(operator.sub, A, B)),
+                                 (field.scale(A, x), entrywise(lambda a: x * a, A))):
                 expected = field.reduce_mat(plain)
                 assert (fused.rows, fused.cols) == (expected.rows, expected.cols)
                 assert entries_with_types(fused) == entries_with_types(expected), (field, A, B, C, x)

@@ -36,8 +36,8 @@ class TestHomConstraints:
         for _ in range(60):
             v, u = eng.random_object(rng, 3), eng.random_object(rng, 3)
             f1, f2 = rand(v.d1, u.d1), rand(v.d2, u.d2)
-            lhs = field.reduce_mat(vec(f1, f2).mul(eng._constraint_matrix(v, u)))
-            assert lhs == vec(f1.mul(u.alpha).sub(v.alpha.mul(f2)))
+            lhs = field.mul(vec(f1, f2), eng._constraint_matrix(v, u))
+            assert lhs == vec(field.sub(field.mul(f1, u.alpha), field.mul(v.alpha, f2)))
 
 
 class TestMembership:
@@ -342,8 +342,8 @@ class TestEchelonMemo:
             B = Mat(k, n, tuple(tuple(entry(rng) for _ in range(n)) for _ in range(k)))
             if rng.randrange(2):
                 # half the right-hand sides lie in the row space
-                B = Mat(k, m, tuple(tuple(entry(rng) for _ in range(m))
-                                    for _ in range(k))).mul(A)
+                B = field.mul(Mat(k, m, tuple(tuple(entry(rng) for _ in range(m))
+                                              for _ in range(k))), A)
             cases.append((A, B))
         warm = A2Engine(field)
         for A, _ in cases:

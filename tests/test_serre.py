@@ -109,6 +109,26 @@ class TestQuotientPredicates:
         assert not q_eq(FA, E.identity(t), E.zero_morphism(t, t))
 
 
+class TestQCompose:
+    @pytest.mark.parametrize("theory, obj", [
+        (FA, lambda e: e.obj_from_divisors([3, 6])),
+        (SinkSupportTheory(PrimeField(5)), lambda e: e.interval(2)),
+    ], ids=["Z/3+Z/6", "interval2-F5"])
+    def test_respects_the_order_of_composition(self, theory, obj):
+        # f;g and g;f both exist for endomorphisms, so only a pair whose
+        # images in the quotient do not commute tells the orders apart
+        e = theory.engine
+        m = obj(e)
+        rng = rng_for(3030, "q-compose", e.name)
+        noncommuting = 0
+        for _ in range(12):
+            f, g = e.random_morphism(rng, m, m), e.random_morphism(rng, m, m)
+            fg, gf = q_of(theory, e.compose(f, g)), q_of(theory, e.compose(g, f))
+            assert qmor_eq(theory, q_compose(theory, q_of(theory, f), q_of(theory, g)), fg)
+            noncommuting += not qmor_eq(theory, fg, gf)
+        assert noncommuting
+
+
 class TestQHom:
     def test_shortcut_values(self):
         assert q_hom(FA, E.cyclic(12), E.cyclic(9)).invariants() == ("Z", 0, (3,))

@@ -13,7 +13,7 @@ from serreq.errors import (
     ContractViolation, EngineMismatch, InputValidationError, NotSaturatedError,
     OracleUnsupported, ShapeError,
 )
-from serreq.linalg import Mat
+from serreq.linalg import ZZ, Mat
 from serreq.zmodules import (
     FiniteAbelianEngine, FixtureTheory, PPrimaryTheory, ZModuleEngine, ZObj, diag_rows,
     finite_subobject_embeddings,
@@ -47,10 +47,10 @@ def _assert_valid_normal_form(rel: Mat, normal_form_data):
     divisors, free_rank, to_nf, from_nf = normal_form_data
     k = len(divisors) + free_rank
     nf = diag_rows(divisors, k)
-    assert from_nf.mul(to_nf) == Mat.identity(k)
-    assert _in_lattice(nf, rel.mul(to_nf))
-    assert _in_lattice(rel, nf.mul(from_nf))
-    assert _in_lattice(rel, to_nf.mul(from_nf).sub(Mat.identity(rel.cols)))
+    assert ZZ.mul(from_nf, to_nf) == Mat.identity(k)
+    assert _in_lattice(nf, ZZ.mul(rel, to_nf))
+    assert _in_lattice(rel, ZZ.mul(nf, from_nf))
+    assert _in_lattice(rel, ZZ.sub(ZZ.mul(to_nf, from_nf), Mat.identity(rel.cols)))
 
 
 class TestNormalForm:
@@ -317,9 +317,9 @@ class TestHomConstraints:
                 seen.clear()
                 Z.hom_group(m, n)
                 F, Y = rand(m.gens, n.gens), rand(rm.rows, rn.rows)
-                assert _vec(F, Y).mul(seen[0]) == _vec(rm.mul(F).sub(Y.mul(rn)))
+                assert ZZ.mul(_vec(F, Y), seen[0]) == _vec(ZZ.sub(ZZ.mul(rm, F), ZZ.mul(Y, rn)))
                 Y = rand(m.gens, rn.rows)
-                assert _vec(Y).mul(Z._hom_modulus(m.gens, n)) == _vec(Y.mul(rn))
+                assert ZZ.mul(_vec(Y), Z._hom_modulus(m.gens, n)) == _vec(ZZ.mul(Y, rn))
 
 
 class TestMembership:
@@ -634,7 +634,7 @@ def _dense(rng, divisors, steps):
     saturate-wide objects are."""
     g = len(divisors)
     u = _shears(rng, g, steps)
-    return u.mul(diag_rows(divisors)).mul(_shears(rng, g, steps))
+    return ZZ.mul(ZZ.mul(u, diag_rows(divisors)), _shears(rng, g, steps))
 
 
 # perfbench's fault (b) object: its unit used to reach 18,625 bits, so
@@ -759,8 +759,8 @@ class TestEchelonMemo:
                                        for _ in range(k)))
             if rng.randrange(2):
                 # half the right-hand sides lie in the relation lattice
-                B = Mat(k, rel.rows, tuple(tuple(rng.randint(-3, 3) for _ in range(rel.rows))
-                                           for _ in range(k))).mul(rel)
+                B = ZZ.mul(Mat(k, rel.rows, tuple(tuple(rng.randint(-3, 3) for _ in range(rel.rows))
+                                                   for _ in range(k))), rel)
             cases.append((m, B))
         for m, B in cases:
             warm.solve(m.relations, B)
@@ -879,7 +879,7 @@ class TestSampledNormalForms:
                 a, b = random.Random(seed), random.Random(seed)
                 v, v_inv = FA._random_unimodular(a, n)
                 assert v == reference(b, n) and a.getstate() == b.getstate()
-                assert v_inv.mul(v) == v.mul(v_inv) == Mat.identity(n)
+                assert ZZ.mul(v_inv, v) == ZZ.mul(v, v_inv) == Mat.identity(n)
 
 
 class TestDiagonalNormalForms:
@@ -996,8 +996,8 @@ class TestDivisibilityMembership:
                                        for _ in range(k)))
             if rng.randrange(2):
                 # a combination of the relations, so it lies in the lattice
-                B = Mat(k, rel.rows, tuple(tuple(rng.randint(-3, 3) for _ in range(rel.rows))
-                                           for _ in range(k))).mul(rel)
+                B = ZZ.mul(Mat(k, rel.rows, tuple(tuple(rng.randint(-3, 3) for _ in range(rel.rows))
+                                                   for _ in range(k))), rel)
             expected = linalg.int_solve(rel, B) is not None
             assert eng.in_relation_lattice(n, B) is expected, (rel, B)
             assert (ZModuleEngine().solve(rel, B) is not None) is expected
@@ -1059,10 +1059,10 @@ class TestSmithInverse:
             rel = _dense(rng, divisors, rng.randint(0, 12))
             _, V, V_inv = linalg.smith(rel)
             assert V_inv == linalg.row_echelon(V)[1]
-            assert V_inv.mul(V) == V.mul(V_inv) == Mat.identity(rel.cols)
+            assert ZZ.mul(V_inv, V) == ZZ.mul(V, V_inv) == Mat.identity(rel.cols)
             assert {Matrix(V.to_lists()).det(), Matrix(V_inv.to_lists()).det()} <= {1, -1}
             _, _, to_nf, from_nf = linalg.presentation_normal_form(rel)
-            assert from_nf.mul(to_nf) == Mat.identity(to_nf.cols)
+            assert ZZ.mul(from_nf, to_nf) == Mat.identity(to_nf.cols)
 
     def test_equal_to_the_two_elimination_normal_form(self):
         # any shape, with zero rows or columns, and rank-deficient
@@ -1076,7 +1076,7 @@ class TestSmithInverse:
                 inner = rng.randrange(1, min(rows, cols))
                 left = Mat.from_rows([[entry() for _ in range(inner)] for _ in range(rows)], inner)
                 right = Mat.from_rows([[entry() for _ in range(cols)] for _ in range(inner)], cols)
-                rel = left.mul(right)
+                rel = ZZ.mul(left, right)
                 shapes["deficient"] += 1
             else:
                 rel = Mat.from_rows([[entry() for _ in range(cols)] for _ in range(rows)], cols)
@@ -1092,7 +1092,7 @@ class TestSmithInverse:
 
         def wrong_inverse(A):
             S, V, V_inv = smith(A)
-            return S, V, V_inv.scale(2)
+            return S, V, ZZ.scale(V_inv, 2)
 
         monkeypatch.setattr(linalg, "smith", wrong_inverse)
         with pytest.raises(ContractViolation):
@@ -1219,7 +1219,7 @@ class TestExtensionBySection:
             monkeypatch, lambda s: Mat(s.rows, s.cols, s.data[::-1]))
         unit = th.saturate(phi.src)
         assert not th.engine.is_well_defined(
-            Mor(unit[0], phi.dst, (unit.section.mul(phi.maps[0]),)))
+            Mor(unit[0], phi.dst, (ZZ.mul(unit.section, phi.maps[0]),)))
         monkeypatch.setattr(th.engine, "eq_mor", lambda f, g: True)
         with pytest.raises(ContractViolation):
             th.extend_along_unit(phi)
