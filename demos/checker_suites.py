@@ -9,7 +9,9 @@ on seeded samples, and every failure carries a witness that replays.
 Run:  python3 demos/checker_suites.py
 """
 
-from serreq import FixtureTheory, PPrimaryTheory, PrimeField, SinkSupportTheory, run_suite
+from serreq import (
+    FixtureTheory, PPrimaryTheory, PrimeField, SinkSupportTheory, make_candidate, run_suite,
+)
 from serreq.session import replay_witness, witness_to_jsonable
 
 SEED, N = 42, 20
@@ -34,7 +36,7 @@ for theory in (PPrimaryTheory(2), SinkSupportTheory(PrimeField(101))):
 
 print("\n== a twisted but equivalent candidate still passes ==")
 fa = PPrimaryTheory(2)
-for report in run_suite(fa, "gabriel-equiv", SEED, N, candidate_tag="twisted"):
+for report in run_suite(fa, "gabriel-equiv", SEED, N, make_candidate(fa, "twisted")):
     summarize(report)
 
 print("\n== negative control 1: quotient by 2-groups among ALL f.p. Z-modules ==")
@@ -43,7 +45,7 @@ fx = FixtureTheory(2)
 fixture_report = summarize(run_suite(fx, "saturating", SEED, N)[0])
 
 print("\n== negative control 2: the identity functor as a candidate ==")
-summarize(run_suite(fa, "saturating", SEED, N, "identity")[0])
+summarize(run_suite(fa, "saturating", SEED, N, make_candidate(fa, "identity"))[0])
 
 print("\n== failures replay from their serialized witnesses ==")
 witness = witness_to_jsonable(fixture_report.first_failure.witness)

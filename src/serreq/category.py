@@ -79,14 +79,6 @@ class ShortExactSequence:
     def sub(self):
         return self.iota.src
 
-    @property
-    def mid(self):
-        return self.iota.dst
-
-    @property
-    def quot(self):
-        return self.pi.dst
-
 
 def entry_to_json(x):
     """A matrix entry as JSON: an integer, or "a/b" for a proper fraction."""

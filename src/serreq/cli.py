@@ -144,13 +144,14 @@ def cmd_check(args):
     elif theory is None:
         raise session.InputValidationError("no engine given (use --engine or an input file)")
     suite = args.suite or "all"
-    reports = serre.run_suite(theory, suite, args.seed, args.n, args.candidate)
+    candidate = serre.make_candidate(theory, args.candidate)
+    reports = serre.run_suite(theory, suite, args.seed, args.n, candidate)
     args.out = args.out or "serre-report.json"
     lines = (f"[{'PASS' if item.passed else 'FAIL'}] {r.suite}/{item.label} "
              f"samples={item.samples}" + (f" ({item.detail})" if item.detail else "")
              for r in reports for item in r.items)
     return ({"name": "check", "engine": theory.describe(), "suite": suite,
-             "candidate": args.candidate or "gabriel", "n": args.n},
+             "candidate": args.candidate, "n": args.n},
             [], reports, 0 if all(r.passed for r in reports) else 1, lines)
 
 
@@ -221,10 +222,10 @@ FLAGS = {
     "n": dict(type=_int_flag, default=25,
               help=f"random samples per check, from 0 to {MAX_SAMPLES} (default 25)"),
     "oracle": dict(action="store_true", help="also run the direct-limit Hom oracle"),
-    # the generic candidates of serre.make_candidate, then each theory's own
-    "candidate": dict(default=None, choices=list(dict.fromkeys(
-        ["gabriel", "identity", "twisted"]
-        + [cls.canonical_tag for cls in session.THEORIES.values()]))),
+    # the generic candidates of serre.make_candidate, then each theory's own;
+    # the default is the first, the reflection
+    "candidate": dict(default=serre.CANDIDATE_TAGS[0], choices=list(dict.fromkeys(
+        serre.CANDIDATE_TAGS + tuple(cls.canonical_tag for cls in session.THEORIES.values())))),
     "objects": dict(nargs="*", default=None),
     "format": dict(choices=["json", "text"], default="text"),
     "out": dict(default=None, help="write the JSON report here"),

@@ -25,8 +25,12 @@ of the theory, which the "gabriel-equiv" suite verifies componentwise.
 Each check is defined once, as an entry of CHECKS (what it samples, its
 predicate, whether it takes the candidate), and each suite is an ordered
 list of check labels in SUITE_CHECKS; run_suite and replay_check both read
-these tables.  All suites are deterministic functions of (seed, n); every
-failure is reported with a witness that can be replayed in isolation.
+these tables.  Both take the candidate monad as a Candidate value: a tag
+such as "twisted" is resolved by make_candidate where it comes in (the
+--candidate flag, a witness document), so a candidate built in code runs
+through the suites and replays as the built-in ones do.  All suites are
+deterministic functions of (seed, n); every failure is reported with a
+witness that can be replayed in isolation.
 """
 
 from __future__ import annotations
@@ -288,12 +292,18 @@ class Candidate:
     w_mor: Callable
 
 
-def make_candidate(theory, tag) -> Candidate:
-    """The candidate named by tag.  None, "gabriel" and the theory's own
-    canonical_tag name its reflection (the Gabriel monad, or the broken
-    naive candidate of the fixture); "identity" is the identity functor,
-    which fails axiom (1) whenever C has a nonzero object; "twisted"
-    composes the unit with a scalar automorphism of W."""
+# the tags that name a candidate on every theory; the first names the
+# reflection, as does each theory's own canonical_tag
+CANDIDATE_TAGS = ("gabriel", "identity", "twisted")
+
+
+def make_candidate(theory, tag=None) -> Candidate:
+    """The candidate named by tag, or an InputValidationError.  None,
+    "gabriel" and the theory's own canonical_tag name its reflection (the
+    Gabriel monad, or the broken naive candidate of the fixture);
+    "identity" is the identity functor, which fails axiom (1) whenever C
+    has a nonzero object; "twisted" composes the unit with a scalar
+    automorphism of W."""
     def w_obj(m):
         return theory.saturate(m)[0]
 
@@ -645,25 +655,26 @@ def _suite_report(theory, suite, candidate, seed, n) -> AxiomReport:
     return report
 
 
-def run_suite(theory, suite, seed, n, candidate_tag=None):
-    """Run one named suite (or every suite for "all"); returns a list of
-    AxiomReport values."""
+def run_suite(theory, suite, seed, n, candidate=None):
+    """Run one named suite (or every suite for "all") on a Candidate, by
+    default the theory's reflection; returns a list of AxiomReport values."""
+    if candidate is None:
+        candidate = make_candidate(theory)
     if suite == "all":
-        out = []
-        for s in SUITES:
-            out.extend(run_suite(theory, s, seed, n, candidate_tag))
-        return out
+        return [r for s in SUITES for r in run_suite(theory, s, seed, n, candidate)]
     if suite not in SUITE_CHECKS:
         raise InputValidationError(f"unknown suite: {suite}")
-    return [_suite_report(theory, suite, make_candidate(theory, candidate_tag), seed, n)]
+    return [_suite_report(theory, suite, candidate, seed, n)]
 
 
 # ---------------------------------------------------------------------------
 # witness replay
 
 
-def replay_check(theory, candidate_tag, check, data):
-    """Re-run the single check named by a witness on decoded data.
+def replay_check(theory, candidate, check, data):
+    """Re-run the single check named by a witness on decoded data, with
+    the Candidate that its suite ran on (read only by checks that take
+    one).
 
     Returns (passed, detail).  An unknown check name, or data that lacks
     a key of its check, is an InputValidationError.
@@ -675,6 +686,4 @@ def replay_check(theory, candidate_tag, check, data):
     missing = [k for k in keys if k not in data]
     if missing:
         raise InputValidationError(f"witness data of {check} lacks {missing}")
-    args = tuple(data[k] for k in keys)
-    candidate = make_candidate(theory, candidate_tag) if spec.candidate else None
-    return _run_check(theory, candidate, check, args)
+    return _run_check(theory, candidate, check, tuple(data[k] for k in keys))

@@ -87,7 +87,7 @@ def replay_witness(doc: dict) -> dict:
             value = getattr(theory.engine, _WITNESS_CODECS[key][1])(value, f"witness.{key}")
         data[key] = value
     tag, check = doc.get("candidate"), doc["check"]
-    passed, detail = serre.replay_check(theory, tag, check, data)
+    passed, detail = serre.replay_check(theory, serre.make_candidate(theory, tag), check, data)
     return {
         "check": check,
         "engine": theory.describe(),

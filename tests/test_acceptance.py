@@ -77,7 +77,8 @@ def test_criterion_05_equivalence_with_twisted_candidate():
     for name, th in ENGINES:
         for tag in (None, "twisted"):
             t0 = time.perf_counter()
-            report = serre.run_suite(th, "gabriel-equiv", SEED, 100, tag)[0]
+            report = serre.run_suite(th, "gabriel-equiv", SEED, 100,
+                                     serre.make_candidate(th, tag))[0]
             total += time.perf_counter() - t0
             assert report.passed, (name, tag, report.first_failure)
             by_label = {i.label: i for i in report.items}
@@ -115,7 +116,7 @@ def test_criterion_07_negative_controls_every_seed():
         witness_obj = first.witness["data"]["object"]
         assert fx.engine.invariants(witness_obj) == ("Z", 1, ())
 
-        report = serre.run_suite(FA, "saturating", seed, 8, "identity")[0]
+        report = serre.run_suite(FA, "saturating", seed, 8, serre.make_candidate(FA, "identity"))[0]
         assert not report.passed
         assert report.first_failure.label == "saturating-1-kills-c"
     _announce(7, "fixture rejected at axiom 2, identity at axiom 1, all seeds",

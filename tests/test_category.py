@@ -31,7 +31,7 @@ def is_exact_ses(eng, ses) -> bool:
     composite zero and the homology at the middle zero."""
     if ses.iota.dst != ses.pi.src:
         return False
-    if not eng.eq_mor(eng.compose(ses.iota, ses.pi), eng.zero_morphism(ses.sub, ses.quot)):
+    if not eng.eq_mor(eng.compose(ses.iota, ses.pi), eng.zero_morphism(ses.sub, ses.pi.dst)):
         return False
     if not eng.is_mono(ses.iota) or not eng.is_epi(ses.pi):
         return False

@@ -991,6 +991,12 @@ class TestMalformedDocuments:
         ("replay", json.dumps({"engine": _FA2, "check": "saturating-1-kills-c",
                                "candidate": "bogus",
                                "data": {"object": {"relations": [[2]], "gens": 1}}})),
+        # a check that reads no candidate still refuses an unknown one
+        ("replay", json.dumps({"engine": _FA2, "check": "mu-iso", "candidate": "bogus",
+                               "data": {"object": {"relations": [[2]], "gens": 1}}})),
+        ("replay", json.dumps({"engine": _FA2, "check": "saturating-1-kills-c",
+                               "candidate": ["x"],
+                               "data": {"object": {"relations": [[2]], "gens": 1}}})),
         ("replay", json.dumps({"checks": 5})),
         ("replay", json.dumps({"checks": [{"checks": 7}]})),
         ("replay", json.dumps({"checks": [{"checks": [{"witness": 3}]}]})),
@@ -1001,7 +1007,8 @@ class TestMalformedDocuments:
                                  "objects": {"V": {"dims": [True, 1], "alpha": [[1]]}}})),
     ] + [("saturate", json.dumps({"engine": _FA2, key: value}))
          for key in ("objects", "morphisms") for value in _FALSY.values()],
-        ids=["unknown-check", "data-lacks-key", "unknown-candidate", "checks-not-a-list",
+        ids=["unknown-check", "data-lacks-key", "unknown-candidate",
+             "unknown-candidate-of-a-theory-check", "unhashable-candidate", "checks-not-a-list",
              "suite-checks-not-a-list", "witness-not-an-object", "objects-not-a-mapping",
              "4401-digit-integer", "boolean-dims"]
         + [f"{key}-{name}" for key in ("objects", "morphisms") for name in _FALSY])

@@ -4,11 +4,13 @@ presentation is computed in one place, one row reduction serves Z, Q and
 F_p with one back-substitution, what every engine shares is written
 once in category.py, linalg holds pure kernels that know no engine,
 every cache is a category.Memo, no cache outlives the theory that
-one command builds, cli.main alone builds and writes reports, and the
-rings own the one matrix arithmetic."""
+one command builds, cli.main alone builds and writes reports, the
+rings own the one matrix arithmetic, and a candidate tag is resolved
+where it comes in."""
 
 import ast
 import gc
+import inspect
 import weakref
 from pathlib import Path
 
@@ -468,3 +470,27 @@ def test_the_oracle_reads_no_z_orders():
             names.add(node.value)
     assert "terminal_stage" in names
     assert names & {"order", "order_in_c", "subobject_embeddings"} == set()
+
+
+def test_tags_are_resolved_where_they_come_in():
+    """A candidate tag comes in by --candidate or in a witness document
+    and is resolved there; the suites and replay take a Candidate value,
+    so a candidate built in code needs no tag, and cli.py names none."""
+    from serreq import cli, serre
+    from serreq.session import THEORIES
+
+    found = sorted((path.name, where) for path in SOURCES
+                   for where, _ in _calls(ast.parse(path.read_text(encoding="utf-8")),
+                                          {"make_candidate"}))
+    assert found == [("cli.py", "cmd_check"), ("serre.py", "run_suite"),
+                     ("session.py", "replay_witness")]
+    for fn in (serre.run_suite, serre.replay_check):
+        assert [p for p in inspect.signature(fn).parameters if "tag" in p] == [], fn.__name__
+    choices = cli.FLAGS["candidate"]["choices"]
+    canonical = [cls.canonical_tag for cls in THEORIES.values()]
+    assert len(choices) == len(set(choices))
+    assert choices == list(serre.CANDIDATE_TAGS) + [
+        t for t in dict.fromkeys(canonical) if t not in serre.CANDIDATE_TAGS]
+    named = [node.lineno for node in ast.walk(_tree("cli.py"))
+             if isinstance(node, ast.Constant) and node.value in choices]
+    assert named == []

@@ -1,5 +1,7 @@
 """Quotient category operations, monad data, checker suites, witnesses."""
 
+from dataclasses import replace
+
 import pytest
 
 from serreq import session
@@ -7,12 +9,12 @@ from serreq.category import rng_for
 from serreq.errors import (
     EndpointMismatch, InputValidationError, NotSaturatedError, OracleUnsupported,
 )
-from serreq.linalg import Mat, PrimeField
+from serreq.linalg import QQ, Mat, PrimeField
 from serreq.quiver import SinkSupportTheory
 from serreq.serre import (
     QuotientMorphism, cokernel_in_sat, colift_H, make_candidate, monad_at, q_compose,
     q_eq, q_hom, q_hom_via_colimit, q_id, q_is_iso, q_is_zero, q_of, qmor_eq,
-    quotient_invert, run_suite, w_on_morphism,
+    SUITE_CHECKS, quotient_invert, replay_check, run_suite, w_on_morphism,
 )
 from serreq.zmodules import FixtureTheory, PPrimaryTheory
 
@@ -345,7 +347,7 @@ class TestSuites:
 
     def test_identity_candidate_fails_axiom1_under_every_seed(self):
         for seed in (0, 1, 17, 99, 12345):
-            report = run_suite(FA, "saturating", seed, 6, "identity")[0]
+            report = run_suite(FA, "saturating", seed, 6, make_candidate(FA, "identity"))[0]
             assert not report.passed
             first = report.first_failure
             assert first.label == "saturating-1-kills-c"
@@ -359,7 +361,7 @@ class TestSuites:
     def test_equivalence_gabriel_and_twisted(self):
         for th in THEORIES:
             assert run_suite(th, "gabriel-equiv", 29, 10)[0].passed
-            assert run_suite(th, "gabriel-equiv", 29, 10, "twisted")[0].passed
+            assert run_suite(th, "gabriel-equiv", 29, 10, make_candidate(th, "twisted"))[0].passed
 
     def test_twisted_unit_is_nontrivial(self):
         m = E.cyclic(9)
@@ -426,7 +428,7 @@ class TestWitnessRoundTrip:
         assert not result["version_mismatch"]
 
     def test_replay_object_checks(self):
-        report = run_suite(FA, "saturating", 31, 5, "identity")[0]
+        report = run_suite(FA, "saturating", 31, 5, make_candidate(FA, "identity"))[0]
         doc = session.witness_to_jsonable(report.first_failure.witness)
         assert session.replay_witness(doc)["reproduced"]
 
@@ -435,3 +437,87 @@ class TestWitnessRoundTrip:
         r2 = run_suite(FA, "saturating", 41, 8)[0]
         codec = session.witness_to_jsonable
         assert r1.to_dict(codec) == r2.to_dict(codec)
+
+
+# ---------------------------------------------------------------------------
+# checker power: candidates that change the reflection in one place
+
+
+def mutants(th):
+    """The built-in identity candidate and five mutants of the reflection
+    candidate, each a plain Candidate value."""
+    e = th.engine
+    g = make_candidate(th)
+
+    def negated_unless_mono_or_epi(f):
+        w = g.w_mor(f)
+        return w if e.is_mono(f) or e.is_epi(f) else e.scale(w, -1)
+
+    return {
+        "identity": make_candidate(th, "identity"),
+        "w-zero": replace(g, tag="w-zero", w_mor=lambda f: e.zero_morphism(
+            g.w_obj(f.src), g.w_obj(f.dst))),
+        "w-negated": replace(g, tag="w-negated", w_mor=lambda f: e.scale(g.w_mor(f), -1)),
+        "unit-zero": replace(g, tag="unit-zero",
+                             unit=lambda m: e.zero_morphism(m, g.w_obj(m))),
+        "w-negated-unless-mono-or-epi": replace(g, tag="w-negated-unless-mono-or-epi",
+                                                w_mor=negated_unless_mono_or_epi),
+        "unit-negated": replace(g, tag="unit-negated", unit=lambda m: e.scale(g.unit(m), -1)),
+    }
+
+
+AX1, AX2, AX3, AX4, AX5, NAT, FUN = SUITE_CHECKS["saturating"]
+# the failing checks of the saturating suite for each mutant, on Z and on A2;
+# the first failure is the first of them in suite order
+MUTANT_TABLE = {
+    "identity": ({AX1, AX2}, {AX1, AX2}),
+    "w-zero": ({AX3, AX4, NAT, FUN}, {AX3, AX4, NAT, FUN}),
+    "w-negated": ({AX4, NAT, FUN}, {AX4, NAT, FUN}),
+    # axiom 5 alone: the lead for its independence
+    "unit-zero": ({AX5}, {AX5}),
+    # on Z every unit is epi, so W of it is unchanged and axiom 4 holds
+    "w-negated-unless-mono-or-epi": ({NAT}, {AX4, NAT, FUN}),
+    # a valid monad, isomorphic to the reflection, like "twisted"
+    "unit-negated": (set(), set()),
+}
+MUTANT_ENGINES = {
+    "finite_abelian-2": (PPrimaryTheory(2), 0), "finite_abelian-3": (PPrimaryTheory(3), 0),
+    "a2_rep-F101": (A2, 1), "a2_rep-Q": (SinkSupportTheory(QQ), 1),
+}
+
+
+class TestMutantTable:
+    @pytest.mark.parametrize("seed", [1, 23])
+    @pytest.mark.parametrize("engine", list(MUTANT_ENGINES))
+    def test_each_mutant_fails_its_checks(self, engine, seed):
+        th, side = MUTANT_ENGINES[engine]
+        for name, candidate in mutants(th).items():
+            expected = MUTANT_TABLE[name][side]
+            report = run_suite(th, "saturating", seed, 20, candidate)[0]
+            assert report.candidate == candidate.tag
+            assert {i.label for i in report.items if not i.passed} == expected, name
+            first = report.first_failure
+            if not expected:
+                assert first is None
+                continue
+            assert first.label == next(label for label in SUITE_CHECKS["saturating"]
+                                       if label in expected), name
+            # the first witness fails again through replay, with the same detail
+            assert replay_check(th, candidate, first.label, first.witness["data"]) \
+                == (False, first.detail), name
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_fixture_candidate_fails_axiom2_alone(self, p):
+        fx = FixtureTheory(p)
+        for seed in (1, 23):
+            report = run_suite(fx, "saturating", seed, 20)[0]
+            assert [i.label for i in report.items if not i.passed] == [AX2]
+            first = report.first_failure
+            assert replay_check(fx, make_candidate(fx), AX2, first.witness["data"]) \
+                == (False, first.detail)
+
+    def test_negated_unit_passes_every_suite(self):
+        for th, _ in MUTANT_ENGINES.values():
+            reports = run_suite(th, "all", 1, 20, mutants(th)["unit-negated"])
+            assert [r.suite for r in reports] == list(SUITE_CHECKS)
+            assert all(r.passed for r in reports), th.describe()

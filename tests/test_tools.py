@@ -1,15 +1,18 @@
 """The repository's command-line tools."""
 
 import importlib.util
+import json
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
 def _load_tool(name):
-    spec = importlib.util.spec_from_file_location(
-        name, Path(__file__).resolve().parents[1] / "tools" / f"{name}.py")
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -70,6 +73,26 @@ def test_an_op_keeps_what_it_printed(tmp_path):
     assert (rc, report) == (2, None)
     assert printed.startswith(f"error: cannot read {report_identity.TMP_TOKEN}/missing.json")
     assert str(tmp_path) not in printed
+
+
+def test_a_negative_control_has_its_replays_collected(tmp_path, monkeypatch):
+    """run_ops replays each witness of the identity candidate's control
+    op alone and keeps each outcome under the op's key."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    from checks import witnesses
+    from workloads import check_zmod
+
+    op = next(op for op in check_zmod(str(tmp_path), 1) if op.name == "identity-saturating")
+    outcomes = report_identity.run_ops([op], str(tmp_path))
+    rc, report, _ = outcomes.pop("0/identity-saturating")
+    assert rc == 1
+    found = witnesses(json.loads(report))
+    assert found[0]["check"] == "saturating-1-kills-c"
+    assert list(outcomes) == [f"0/identity-saturating/replay/{j}" for j in range(len(found))]
+    for witness, (rc, report, printed) in zip(found, outcomes.values()):
+        assert rc == 0
+        assert json.loads(report)["results"][0]["reproduced"] is True
+        assert printed.startswith(f"replay {witness['check']}: failure reproduced")
 
 
 class TestSeedList:

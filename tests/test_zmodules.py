@@ -336,8 +336,8 @@ class TestMembership:
         # middle term lies in C iff both ends do, over 100 random sequences
         for i in range(100):
             ses = TH.random_ses(rng_for(2, "thick", i))
-            mid = TH.is_in_c(ses.mid)
-            ends = TH.is_in_c(ses.sub) and TH.is_in_c(ses.quot)
+            mid = TH.is_in_c(ses.iota.dst)
+            ends = TH.is_in_c(ses.sub) and TH.is_in_c(ses.pi.dst)
             assert mid == ends
 
 

@@ -1,5 +1,5 @@
 """Check that two serreq checkouts write the same reports for every
-benchmark op.
+benchmark op and for the replay of every witness those ops write.
 
     python3 tools/report_identity.py OLD NEW --seeds 1,5
 
@@ -10,7 +10,10 @@ perfbench/workloads.py, runs them in order through that checkout's
 serreq.cli.main in a fresh temporary directory, and records each op's exit
 code, its report with timing fields removed (serreq.session
 .strip_timings) and what it printed to stdout and stderr, with the
-temporary directory's path replaced by a fixed token.  Nothing else of
+temporary directory's path replaced by a fixed token.  Each failure
+witness in an op's report (perfbench/checks.py `witnesses`) is then
+written to a file of its own and run through `serre replay`, and that
+outcome is recorded the same way, as one more op.  Nothing else of
 perfbench runs: no timing, no answer check.  The script prints every op
 whose exit code, report or printed output differs, with the first JSON
 paths at which a report differs (such as results[0].eta.matrix), and per
@@ -24,10 +27,12 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 TMP_TOKEN = "<tmp>"
 SHOWN_PATHS = 3
@@ -73,17 +78,39 @@ def run_op(op, tmp: str) -> list:
     return [rc, report, sink.getvalue().replace(tmp, TMP_TOKEN)]
 
 
+def run_ops(ops, tmp: str) -> dict:
+    """{index/op name: run_op's outcome} of ops run in order in tmp, and
+    {index/op name/replay/j: the outcome of `serre replay` of witness j
+    alone} for each witness in an op's report.  perfbench must be on
+    sys.path."""
+    from checks import witnesses
+
+    out = {}
+    for i, op in enumerate(ops):
+        key = f"{i}/{op.name}"
+        out[key] = run_op(op, tmp)
+        report = out[key][1]
+        for j, witness in enumerate(witnesses(json.loads(report)) if report else ()):
+            path = os.path.join(tmp, f"{i}-witness-{j}.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(witness, fh)
+            replay = SimpleNamespace(argv=["replay", "--input", path, "--out", path + ".out"],
+                                     out=path + ".out")
+            out[f"{key}/replay/{j}"] = run_op(replay, tmp)
+    return out
+
+
 def run_checkout(root: Path, seed: int) -> dict:
-    """{workload/index/op name: run_op's outcome} for one checkout and
-    seed; runs in the child process."""
+    """{workload/index/op name[/replay/j]: run_op's outcome} for one
+    checkout and seed; runs in the child process."""
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     from workloads import WORKLOADS
 
     out = {}
     for workload, (build, _) in WORKLOADS.items():
         with tempfile.TemporaryDirectory() as tmp:
-            for i, op in enumerate(build(tmp, seed)):
-                out[f"{workload}/{i}/{op.name}"] = run_op(op, tmp)
+            for key, outcome in run_ops(build(tmp, seed), tmp).items():
+                out[f"{workload}/{key}"] = outcome
     return out
 
 
