@@ -11,9 +11,8 @@ is the independent oracle for the first.
 Run:  python3 demos/hom_two_ways.py
 """
 
-from serreq import (
-    PPrimaryTheory, finite_subobject_embeddings, q_hom, q_hom_via_colimit, rng_for,
-)
+from serreq import PPrimaryTheory, q_hom, q_hom_via_colimit, rng_for
+from serreq.zmodules import finite_subobject_embeddings
 
 theory = PPrimaryTheory(2)
 eng = theory.engine

@@ -75,10 +75,6 @@ class ShortExactSequence:
     iota: object
     pi: object
 
-    @property
-    def sub(self):
-        return self.iota.src
-
 
 def entry_to_json(x):
     """A matrix entry as JSON: an integer, or "a/b" for a proper fraction."""

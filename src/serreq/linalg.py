@@ -159,30 +159,48 @@ def _minus(x, q, y, p):
     return [a - q * b if b else a for a, b in zip(x, y)]
 
 
-def _hermite(ring, h, e, inv=None):
-    """Reduce the rows h to Hermite form over `ring` in place, applying
-    each row operation to the rows e too (unless e is None); returns the
-    pivots (row, col).
+def _unimodular_step(rows, inv, i, j, x, y, ag, bg):
+    """The 2x2 gcd transform of rows i and j: for g = x*a + y*b = gcd(a, b),
+    ag = a/g and bg = b/g, [[x, y], [-bg, ag]] takes the rows r_i, r_j to
+    x*r_i + y*r_j, -bg*r_i + ag*r_j; it has determinant 1.  The rows i, j
+    of inv, unless inv is None, take its inverse transpose
+    [[ag, bg], [-y, x]]."""
+    ri, rj = rows[i], rows[j]
+    rows[i], rows[j] = ([x * s + y * t for s, t in zip(ri, rj)],
+                        [-bg * s + ag * t for s, t in zip(ri, rj)])
+    if inv is not None:
+        ri, rj = inv[i], inv[j]
+        inv[i], inv[j] = ([ag * s + bg * t for s, t in zip(ri, rj)],
+                          [-y * s + x * t for s, t in zip(ri, rj)])
+
+
+def _hermite(ring, h, ncols, inv=None):
+    """Reduce the rows h to Hermite form over `ring` in place, with pivots
+    in their first ncols entries only; returns the pivots (row, col).
+    Every row operation acts on whole rows, so a caller that passes the
+    rows of [A | I] gets back those of [H | E] with E*A = H.
 
     The ring supplies divmod(b, a), unit(a) (the factor that normalises a
     pivot) and p (row operations are reduced mod p when it is nonzero).
     A pivot is the first nonzero entry of its row and reduces the entries
     above it: over Z pivots are positive, entries above them lie in
     [0, pivot), and an inexact division takes a 2x2 unimodular gcd
-    transform, which keeps entries small.  Over a field every division is
-    exact, so the result is the reduced row echelon form.
+    transform (_unimodular_step), which keeps entries small.  Over a field
+    every division is exact, so the result is the reduced row echelon
+    form.
 
-    inv, given with e over Z, are rows that take the inverse transpose of
-    each operation: r_i -= q*r_k becomes r_k += q*r_i, the gcd transform
-    [[x, y], [-b/g, a/g]] becomes [[a/g, b/g], [-y, x]], and a swap or a
-    sign change stays itself.  So if e are the rows of V^T and inv those
-    of V^-1 when the pass starts, inv are still those of V^-1 after it.
+    inv, given over Z, are rows that take the inverse transpose of each
+    operation, which is no row operation on h: r_i -= q*r_k becomes
+    r_k += q*r_i, the gcd transform takes its inverse transpose, and a
+    swap or a sign change stays itself.  So if the right block of h holds
+    the rows of V^T and inv those of V^-1 when the pass starts, inv are
+    still those of V^-1 after it.
     """
     dm, unit, p = ring.divmod, ring.unit, ring.p
     m = len(h)
     pivots = []
     row = 0
-    for col in range(len(h[0]) if h else 0):
+    for col in range(ncols):
         if row >= m:
             break
         piv = None
@@ -193,10 +211,8 @@ def _hermite(ring, h, e, inv=None):
         if piv is None:
             continue
         h[row], h[piv] = h[piv], h[row]
-        if e is not None:
-            e[row], e[piv] = e[piv], e[row]
-            if inv is not None:
-                inv[row], inv[piv] = inv[piv], inv[row]
+        if inv is not None:
+            inv[row], inv[piv] = inv[piv], inv[row]
         for i in range(row + 1, m):
             b = h[i][col]
             if not b:
@@ -205,53 +221,47 @@ def _hermite(ring, h, e, inv=None):
             q, rem = dm(b, a)
             if not rem:
                 h[i] = _minus(h[i], q, h[row], p)
-                if e is not None:
-                    e[i] = _minus(e[i], q, e[row], p)
-                    if inv is not None:
-                        inv[row] = _minus(inv[row], -q, inv[i], p)
+                if inv is not None:
+                    inv[row] = _minus(inv[row], -q, inv[i], p)
             else:
                 g, xx, yy = _xgcd(a, b)
-                ag, bg = a // g, b // g
-                h[row], h[i] = ([xx * s + yy * t for s, t in zip(h[row], h[i])],
-                                [-bg * s + ag * t for s, t in zip(h[row], h[i])])
-                if e is not None:
-                    e[row], e[i] = ([xx * s + yy * t for s, t in zip(e[row], e[i])],
-                                    [-bg * s + ag * t for s, t in zip(e[row], e[i])])
-                    if inv is not None:
-                        inv[row], inv[i] = ([ag * s + bg * t for s, t in zip(inv[row], inv[i])],
-                                            [-yy * s + xx * t for s, t in zip(inv[row], inv[i])])
+                _unimodular_step(h, inv, row, i, xx, yy, a // g, b // g)
         u = unit(h[row][col])
         if u != 1:
             h[row] = [u * x % p if p else u * x for x in h[row]]
-            if e is not None:
-                e[row] = [u * x % p if p else u * x for x in e[row]]
-                if inv is not None:
-                    # u = -1 over Z, its own inverse
-                    inv[row] = [u * x for x in inv[row]]
+            if inv is not None:
+                # u = -1 over Z, its own inverse
+                inv[row] = [u * x for x in inv[row]]
         a = h[row][col]
         for i in range(row):
             q = dm(h[i][col], a)[0]
             if q:
                 h[i] = _minus(h[i], q, h[row], p)
-                if e is not None:
-                    e[i] = _minus(e[i], q, e[row], p)
-                    if inv is not None:
-                        inv[row] = _minus(inv[row], -q, inv[i], p)
+                if inv is not None:
+                    inv[row] = _minus(inv[row], -q, inv[i], p)
         pivots.append((row, col))
         row += 1
     return pivots
 
 
-def row_echelon(A: Mat):
-    """Hermite row echelon form with transform: (H, E, pivots), E*A = H,
-    E unimodular; see _hermite for the shape of H.  All three are
-    immutable, so an engine may hand one result to many callers."""
-    h = A.to_lists()
-    e = Mat.identity(A.rows).to_lists()
-    pivots = _hermite(ZZ, h, e)
-    return (Mat(A.rows, A.cols, tuple(tuple(r) for r in h)),
-            Mat(A.rows, A.rows, tuple(tuple(r) for r in e)),
+def _echelon(ring, A: Mat):
+    """(H, E, pivots) with E*A = H, the Hermite form over `ring` of A's
+    entries as they are: _hermite reduces the rows of [A | I] to those of
+    [H | E]."""
+    n = A.cols
+    rows = [[*r, *e] for r, e in zip(A.data, Mat.identity(A.rows).data)]
+    pivots = _hermite(ring, rows, n)
+    return (Mat(A.rows, n, tuple(tuple(r[:n]) for r in rows)),
+            Mat(A.rows, A.rows, tuple(tuple(r[n:]) for r in rows)),
             tuple(pivots))
+
+
+def row_echelon(A: Mat):
+    """Hermite row echelon form over Z with transform: (H, E, pivots),
+    E*A = H, E unimodular, read off the rows [H | E] that _echelon
+    reduces [A | I] to; see _hermite for the shape of H.  All three are
+    immutable, so an engine may hand one result to many callers."""
+    return _echelon(ZZ, A)
 
 
 def smith(A: Mat):
@@ -264,10 +274,11 @@ def smith(A: Mat):
     columns alternate until one is diagonal (Kannan and Bachem 1979).  The
     first makes the pivots positive, and a diagonal Hermite form has its
     zeros last.  Then divisor_chain turns the nonzero diagonal entries
-    into a divisor chain.  No caller reads U, so the row passes keep no
-    transform; each column pass applies its operations to the rows of V^T
-    and their inverse transposes to the rows of V^-1 (see _hermite), so
-    no second elimination is needed to invert V.
+    into a divisor chain.  No caller reads U, so the row passes carry no
+    transform.  A column pass reduces the columns of the matrix with the
+    rows of V^T attached on their right and splits them off after, and
+    it applies the inverse transposes of its operations to the rows of
+    V^-1 (see _hermite), so no second elimination is needed to invert V.
     """
     m, n = A.rows, A.cols
     s = A.to_lists()
@@ -275,7 +286,12 @@ def smith(A: Mat):
     v_inv = [[int(i == j) for j in range(n)] for i in range(n)]
     columns, cols = False, n
     while True:
-        pivots = _hermite(ZZ, s, vt, v_inv) if columns else _hermite(ZZ, s, None)
+        if columns:
+            s = [r + t for r, t in zip(s, vt)]
+            pivots = _hermite(ZZ, s, cols, v_inv)
+            s, vt = [r[:cols] for r in s], [r[cols:] for r in s]
+        else:
+            pivots = _hermite(ZZ, s, cols)
         if all(i == j and not any(s[i][j + 1:]) for i, j in pivots):
             break
         # the columns of s become the rows
@@ -304,11 +320,7 @@ def divisor_chain(d, vt, v_inv):
                 g, x, y = _xgcd(d[i], d[j])
                 ag, bg = d[i] // g, d[j] // g
                 d[i], d[j] = g, d[i] * bg
-                vt[i], vt[j] = ([x * p + y * q for p, q in zip(vt[i], vt[j])],
-                                [-bg * p + ag * q for p, q in zip(vt[i], vt[j])])
-                # the inverse of [[x, -b/g], [y, a/g]] is [[a/g, b/g], [-y, x]]
-                v_inv[i], v_inv[j] = ([ag * p + bg * q for p, q in zip(v_inv[i], v_inv[j])],
-                                      [-y * p + x * q for p, q in zip(v_inv[i], v_inv[j])])
+                _unimodular_step(vt, v_inv, i, j, x, y, ag, bg)
 
 
 def _solve(ring, A: Mat, B: Mat, echelon):
@@ -355,14 +367,13 @@ def presentation_normal_form(rel: Mat):
     > 1 in divisibility order, the free rank, the map x -> x*to_nf from old
     coefficient rows to normal-form rows, and the section from_nf the
     other way.  The normal form keeps one coordinate per nontrivial
-    divisor followed by the free coordinates.  One Smith form gives both
-    transforms: to_nf is read off its V and from_nf off its V^-1, and
-    diagonal_normal_form checks that they are inverse.
+    divisor followed by the free coordinates.  One Smith form gives the
+    divisor chain and both transforms, and _normal_form reads to_nf off
+    its V and from_nf off its V^-1 after checking that they are inverse.
     """
     S, V, V_inv = smith(rel)
-    g = rel.cols
-    return diagonal_normal_form([S.data[i][i] if i < rel.rows else 0 for i in range(g)],
-                                tuple(zip(*V.data)), V_inv.data)
+    return _normal_form([S.data[i][i] for i in range(min(rel.rows, rel.cols)) if S.data[i][i]],
+                        V, V_inv)
 
 
 def diagonal_normal_form(d, vt, v_inv):
@@ -370,14 +381,20 @@ def diagonal_normal_form(d, vt, v_inv):
     unimodular V, carries onto the lattice of the rows d_j*e_j, with the
     positive entries of d first and zeros after them.  vt are the rows
     of V^T and v_inv the rows of V^-1.  divisor_chain turns the positive
-    entries into a divisor chain and moves V and V^-1 along; V^-1*V = I
-    is checked, and to_nf and from_nf are the columns of V and the rows
-    of V^-1 whose entry is not 1."""
+    entries into a divisor chain and moves V and V^-1 along, and
+    _normal_form reads the result off them."""
     g = len(d)
-    k = g - d.count(0)
-    chain, vt, v_inv = list(d[:k]), list(vt), list(v_inv)
+    chain, vt, v_inv = list(d[:g - d.count(0)]), list(vt), list(v_inv)
     divisor_chain(chain, vt, v_inv)
-    V, V_inv = Mat(g, g, tuple(zip(*vt))), Mat(g, g, tuple(map(tuple, v_inv)))
+    return _normal_form(chain, Mat(g, g, tuple(zip(*vt))), Mat(g, g, tuple(map(tuple, v_inv))))
+
+
+def _normal_form(chain, V, V_inv):
+    """The tail of both normal forms: chain is the divisor chain of the
+    positive diagonal entries, and V, V^-1 the transforms that carry the
+    relations onto it.  V^-1*V = I is checked, and to_nf and from_nf are
+    the columns of V and the rows of V^-1 whose entry is not 1."""
+    g, k = V.rows, len(chain)
     if ZZ.mul(V_inv, V).data != Mat.identity(g).data:
         raise ContractViolation("a normal-form transform is not unimodular")
     keep = [j for j in range(g) if j >= k or chain[j] != 1]
@@ -618,13 +635,9 @@ def f_rref(field, A: Mat):
     E*A = R; it is the Hermite form over the field (see _hermite), with R
     and E in the field's canonical form.  All three are immutable, so an engine may
     hand one result to many callers."""
-    r = field.reduce_mat(A).to_lists()
-    e = Mat.identity(A.rows).to_lists()
-    pivots = _hermite(field, r, e)
-    R, E = Mat(A.rows, A.cols, tuple(map(tuple, r))), Mat(A.rows, A.rows, tuple(map(tuple, e)))
+    R, E, pivots = _echelon(field, field.reduce_mat(A))
     if not field.p:
         # over F_p _hermite keeps residues; over Q an entry it computes
         # may be an integral Fraction
         R, E = field.reduce_mat(R), field.reduce_mat(E)
-    return R, E, tuple(pivots)
-
+    return R, E, pivots

@@ -118,11 +118,35 @@ def _swaps_rows(loop):
     return False
 
 
+def _combines_two_rows(node):
+    """Whether a node is a list comprehension [a*s + b*t for s, t in
+    zip(...)]: one row of a 2x2 transform of two rows."""
+    if not (isinstance(node, ast.ListComp) and len(node.generators) == 1):
+        return False
+    elt, gen = node.elt, node.generators[0]
+    return (isinstance(elt, ast.BinOp) and isinstance(elt.op, ast.Add)
+            and all(isinstance(side, ast.BinOp) and isinstance(side.op, ast.Mult)
+                    for side in (elt.left, elt.right))
+            and isinstance(gen.target, ast.Tuple) and len(gen.target.elts) == 2
+            and isinstance(gen.iter, ast.Call) and getattr(gen.iter.func, "id", None) == "zip")
+
+
 def test_one_integer_row_reduction():
+    """_hermite reduces whole rows, so a transform rides as their right
+    block and only the inverse transpose is a second list; the row
+    echelon forms over Z and over a field share one body; and the 2x2
+    gcd step and its inverse transpose are written once."""
     functions = {node.name: node for node in _tree("linalg.py").body
                  if isinstance(node, ast.FunctionDef)}
-    for name in ("smith", "row_echelon", "f_rref"):
-        assert [callee for _, callee in _calls(functions[name], {"_hermite"})], name
+    assert [a.arg for a in functions["_hermite"].args.args] == ["ring", "h", "ncols", "inv"]
+    for name in ("row_echelon", "f_rref"):
+        assert [callee for _, callee in _calls(functions[name], {"_echelon"})], name
+    assert {where for where, _ in _calls(_tree("linalg.py"), {"_hermite"})} \
+        == {"_echelon", "smith"}
+    assert [name for name, node in functions.items()
+            if any(map(_combines_two_rows, ast.walk(node)))] == ["_unimodular_step"]
+    assert {where for where, _ in _calls(_tree("linalg.py"), {"_unimodular_step"})} \
+        == {"_hermite", "divisor_chain"}
     assert [node.name for node in ast.walk(functions["smith"])
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))] == ["smith"]
     # one back-substitution: linalg's standalone integer solve and the

@@ -607,10 +607,11 @@ class _AllFractionQ:
 
 def reference_rref(A: Mat):
     """(R, E, pivots) of _hermite run on A's entries as Fractions."""
-    r = [[Fraction(x) for x in row] for row in A.data]
-    e = Mat.identity(A.rows).to_lists()
-    pivots = linalg._hermite(_AllFractionQ(), r, e)
-    return r, e, pivots
+    n = A.cols
+    rows = [[Fraction(x) for x in row] + list(e)
+            for row, e in zip(A.data, Mat.identity(A.rows).data)]
+    pivots = linalg._hermite(_AllFractionQ(), rows, n)
+    return [r[:n] for r in rows], [r[n:] for r in rows], pivots
 
 
 def is_canonical(M: Mat) -> bool:

@@ -49,7 +49,7 @@ class TestMembership:
     def test_thickness_sampled(self):
         for i in range(100):
             ses = TH.random_ses(rng_for(11, "thick", i))
-            assert TH.is_in_c(ses.iota.dst) == (TH.is_in_c(ses.sub) and TH.is_in_c(ses.pi.dst))
+            assert TH.is_in_c(ses.iota.dst) == (TH.is_in_c(ses.iota.src) and TH.is_in_c(ses.pi.dst))
 
 
 class TestHC:

@@ -337,7 +337,7 @@ class TestMembership:
         for i in range(100):
             ses = TH.random_ses(rng_for(2, "thick", i))
             mid = TH.is_in_c(ses.iota.dst)
-            ends = TH.is_in_c(ses.sub) and TH.is_in_c(ses.pi.dst)
+            ends = TH.is_in_c(ses.iota.src) and TH.is_in_c(ses.pi.dst)
             assert mid == ends
 
 
