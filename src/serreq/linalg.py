@@ -159,21 +159,6 @@ def _minus(x, q, y, p):
     return [a - q * b if b else a for a, b in zip(x, y)]
 
 
-def _unimodular_step(rows, inv, i, j, x, y, ag, bg):
-    """The 2x2 gcd transform of rows i and j: for g = x*a + y*b = gcd(a, b),
-    ag = a/g and bg = b/g, [[x, y], [-bg, ag]] takes the rows r_i, r_j to
-    x*r_i + y*r_j, -bg*r_i + ag*r_j; it has determinant 1.  The rows i, j
-    of inv, unless inv is None, take its inverse transpose
-    [[ag, bg], [-y, x]]."""
-    ri, rj = rows[i], rows[j]
-    rows[i], rows[j] = ([x * s + y * t for s, t in zip(ri, rj)],
-                        [-bg * s + ag * t for s, t in zip(ri, rj)])
-    if inv is not None:
-        ri, rj = inv[i], inv[j]
-        inv[i], inv[j] = ([ag * s + bg * t for s, t in zip(ri, rj)],
-                          [-y * s + x * t for s, t in zip(ri, rj)])
-
-
 def _hermite(ring, h, ncols, inv=None):
     """Reduce the rows h to Hermite form over `ring` in place, with pivots
     in their first ncols entries only; returns the pivots (row, col).
@@ -182,19 +167,23 @@ def _hermite(ring, h, ncols, inv=None):
 
     The ring supplies divmod(b, a), unit(a) (the factor that normalises a
     pivot) and p (row operations are reduced mod p when it is nonzero).
-    A pivot is the first nonzero entry of its row and reduces the entries
-    above it: over Z pivots are positive, entries above them lie in
-    [0, pivot), and an inexact division takes a 2x2 unimodular gcd
-    transform (_unimodular_step), which keeps entries small.  Over a field
-    every division is exact, so the result is the reduced row echelon
-    form.
+    A column is cleared by one Euclidean loop: the first nonzero entry
+    below the rows done is the pivot, and each nonzero entry under it
+    loses the multiple of the pivot row that divmod's quotient (the floor
+    quotient over Z) gives.  If a remainder is left, the row with the
+    smallest one becomes the pivot and the loop runs again; over a field
+    every division is exact, so it runs once.  The pivot then reduces the
+    entries above it: over Z pivots are positive and entries above them
+    lie in [0, pivot); over a field the result is the reduced row echelon
+    form.  No 2x2 gcd transform enters: a row is only ever swapped,
+    scaled by a unit or made to lose a multiple of the pivot row, so over
+    Z no pivot row is multiplied up by the rows below it.
 
     inv, given over Z, are rows that take the inverse transpose of each
     operation, which is no row operation on h: r_i -= q*r_k becomes
-    r_k += q*r_i, the gcd transform takes its inverse transpose, and a
-    swap or a sign change stays itself.  So if the right block of h holds
-    the rows of V^T and inv those of V^-1 when the pass starts, inv are
-    still those of V^-1 after it.
+    r_k += q*r_i, and a swap or a sign change stays itself.  So if the
+    right block of h holds the rows of V^T and inv those of V^-1 when the
+    pass starts, inv are still those of V^-1 after it.
     """
     dm, unit, p = ring.divmod, ring.unit, ring.p
     m = len(h)
@@ -210,22 +199,21 @@ def _hermite(ring, h, ncols, inv=None):
                 break
         if piv is None:
             continue
-        h[row], h[piv] = h[piv], h[row]
-        if inv is not None:
-            inv[row], inv[piv] = inv[piv], inv[row]
-        for i in range(row + 1, m):
-            b = h[i][col]
-            if not b:
-                continue
-            a = h[row][col]
-            q, rem = dm(b, a)
-            if not rem:
+        while piv is not None:
+            h[row], h[piv] = h[piv], h[row]
+            if inv is not None:
+                inv[row], inv[piv] = inv[piv], inv[row]
+            a, piv, least = h[row][col], None, 0
+            for i in range(row + 1, m):
+                b = h[i][col]
+                if not b:
+                    continue
+                q, rem = dm(b, a)
                 h[i] = _minus(h[i], q, h[row], p)
                 if inv is not None:
                     inv[row] = _minus(inv[row], -q, inv[i], p)
-            else:
-                g, xx, yy = _xgcd(a, b)
-                _unimodular_step(h, inv, row, i, xx, yy, a // g, b // g)
+                if rem and (not least or abs(rem) < least):
+                    piv, least = i, abs(rem)
         u = unit(h[row][col])
         if u != 1:
             h[row] = [u * x % p if p else u * x for x in h[row]]
@@ -273,12 +261,15 @@ def smith(A: Mat):
     zero rows/columns trailing.  Hermite forms of the rows and of the
     columns alternate until one is diagonal (Kannan and Bachem 1979).  The
     first makes the pivots positive, and a diagonal Hermite form has its
-    zeros last.  Then divisor_chain turns the nonzero diagonal entries
-    into a divisor chain.  No caller reads U, so the row passes carry no
-    transform.  A column pass reduces the columns of the matrix with the
-    rows of V^T attached on their right and splits them off after, and
-    it applies the inverse transposes of its operations to the rows of
-    V^-1 (see _hermite), so no second elimination is needed to invert V.
+    zeros last.  Each pass clears its columns by Euclidean division alone
+    (_hermite), so no gcd transform makes the entries grow on the way;
+    only divisor_chain, which then turns the nonzero diagonal entries
+    into a divisor chain, takes 2x2 gcd steps.  No caller reads U, so the
+    row passes carry no transform.  A column pass reduces the columns of
+    the matrix with the rows of V^T attached on their right and splits
+    them off after, and it applies the inverse transposes of its
+    operations (a swap, a sign change, r_k += q*r_i for r_i -= q*r_k) to
+    the rows of V^-1, so no second elimination is needed to invert V.
     """
     m, n = A.rows, A.cols
     s = A.to_lists()
@@ -309,9 +300,11 @@ def smith(A: Mat):
 def divisor_chain(d, vt, v_inv):
     """Turn the positive entries d into a divisor chain in place: each
     pair a, b with a not dividing b becomes gcd, lcm by one 2x2 unimodular
-    transform per side.  The rows vt of V^T and the rows v_inv of V^-1
-    follow, so that diag(d) stays U*A*V for some unimodular U and the
-    matrix A they transform, and v_inv stays V^-1."""
+    transform per side.  The rows vt of V^T take the column side's gcd
+    step and the rows v_inv of V^-1 its inverse transpose, so that
+    diag(d) stays U*A*V for some unimodular U and the matrix A they
+    transform, and v_inv stays V^-1.  This is the one place in the module
+    where a gcd step, and its inverse transpose, is written."""
     for i in range(len(d)):
         for j in range(i + 1, len(d)):
             if d[j] % d[i]:
@@ -320,7 +313,12 @@ def divisor_chain(d, vt, v_inv):
                 g, x, y = _xgcd(d[i], d[j])
                 ag, bg = d[i] // g, d[j] // g
                 d[i], d[j] = g, d[i] * bg
-                _unimodular_step(vt, v_inv, i, j, x, y, ag, bg)
+                # the rows of V^T take [[x, y], [-bg, ag]], of determinant
+                # 1, and those of V^-1 its inverse transpose
+                vt[i], vt[j] = ([x * s + y * t for s, t in zip(vt[i], vt[j])],
+                                [-bg * s + ag * t for s, t in zip(vt[i], vt[j])])
+                v_inv[i], v_inv[j] = ([ag * s + bg * t for s, t in zip(v_inv[i], v_inv[j])],
+                                      [-y * s + x * t for s, t in zip(v_inv[i], v_inv[j])])
 
 
 def _solve(ring, A: Mat, B: Mat, echelon):

@@ -5,9 +5,15 @@ import contextlib
 import copy
 import io
 import json
+import os
+import random
 import re
+import resource
+import subprocess
 import sys
 import time
+from math import prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -851,6 +857,59 @@ class TestInputSizeBound:
         assert code in (0, 2)
         if max(sizes) > MAX_INPUT_SIZE:
             assert code == 2
+
+
+def _dense_relations(n, seed):
+    rng = random.Random(seed)
+    return [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+
+
+def _cpu_budget(seconds):
+    """A preexec_fn that ends the child once it has used `seconds` of CPU."""
+    return lambda: resource.setrlimit(resource.RLIMIT_CPU, (seconds, seconds))
+
+
+class TestDenseRelationsAtTheBound:
+    """serre saturate on dense square relation matrices with entries in
+    [-9, 9] at the size bound finishes within a CPU budget, each in a
+    child process that the budget ends.  They take well under a second
+    of CPU each; an elimination whose entries grew multiplicatively ran
+    past a minute on every one of them."""
+
+    CPU_SECONDS = 20
+
+    @pytest.mark.parametrize("kind, p, n, seed", [
+        ("fixture", 0, 48, 1), ("fixture", 0, MAX_INPUT_SIZE, 1),
+        ("finite_abelian", 2, MAX_INPUT_SIZE, 1), ("finite_abelian", 3, MAX_INPUT_SIZE, 2),
+    ])
+    def test_saturate_exits_0_with_a_report(self, kind, p, n, seed, tmp_path):
+        from sympy import ZZ
+        from sympy.polys.matrices import DomainMatrix
+
+        rows = _dense_relations(n, seed)
+        doc = {"engine": {"kind": kind, "p": p}, "objects": {"M": {"relations": rows}}}
+        out = tmp_path / "rep.json"
+        src = str(Path(serre.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from serreq.cli import main; sys.exit(main(sys.argv[1:]))",
+             "saturate", "--input", _write(tmp_path, doc), "--out", str(out)],
+            capture_output=True, text=True, timeout=10 * self.CPU_SECONDS,
+            preexec_fn=_cpu_budget(self.CPU_SECONDS),
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")]))})
+        assert proc.returncode == 0, proc.stderr
+        [result] = read_report(str(out))["results"]
+        # M is finite of order |det A|, and W(M) and H_C(M) split that
+        # order: H_C(M) is the p-part (all of it for p = 0), W(M) the rest
+        order = abs(int(DomainMatrix([[ZZ(x) for x in r] for r in rows], (n, n), ZZ).det()))
+        w, hc = (prod(result[key]["divisors"]) for key in ("w", "h_c"))
+        assert result["object"]["rank"] == 0
+        assert prod(result["object"]["divisors"]) == w * hc == order
+        if p:
+            # hc divides a power of p, so it is one
+            assert w % p and p ** hc.bit_length() % hc == 0
+        else:
+            assert w == 1 and result["in_c"]
 
 
 class TestParameterValidation:

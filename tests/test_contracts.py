@@ -134,19 +134,24 @@ def _combines_two_rows(node):
 def test_one_integer_row_reduction():
     """_hermite reduces whole rows, so a transform rides as their right
     block and only the inverse transpose is a second list; the row
-    echelon forms over Z and over a field share one body; and the 2x2
-    gcd step and its inverse transpose are written once."""
-    functions = {node.name: node for node in _tree("linalg.py").body
-                 if isinstance(node, ast.FunctionDef)}
+    echelon forms over Z and over a field share one body; its column
+    loop is Euclidean and takes no gcd step; and the 2x2 gcd step and its
+    inverse transpose are written once, in divisor_chain."""
+    tree = _tree("linalg.py")
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     assert [a.arg for a in functions["_hermite"].args.args] == ["ring", "h", "ncols", "inv"]
     for name in ("row_echelon", "f_rref"):
         assert [callee for _, callee in _calls(functions[name], {"_echelon"})], name
     assert {where for where, _ in _calls(_tree("linalg.py"), {"_hermite"})} \
         == {"_echelon", "smith"}
+    # _hermite calls neither _xgcd nor any other gcd step
+    callees = {getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+               for node in ast.walk(functions["_hermite"]) if isinstance(node, ast.Call)}
+    assert [c for c in callees if c and ("gcd" in c or "step" in c)] == []
     assert [name for name, node in functions.items()
-            if any(map(_combines_two_rows, ast.walk(node)))] == ["_unimodular_step"]
-    assert {where for where, _ in _calls(_tree("linalg.py"), {"_unimodular_step"})} \
-        == {"_hermite", "divisor_chain"}
+            if any(map(_combines_two_rows, ast.walk(node)))] == ["divisor_chain"]
+    assert [node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+            and node.name == "_unimodular_step"] == []
     assert [node.name for node in ast.walk(functions["smith"])
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))] == ["smith"]
     # one back-substitution: linalg's standalone integer solve and the
