@@ -4,7 +4,8 @@ An engine supplies presented objects, morphisms with decidable equality,
 kernels, cokernels, lifts, Hom- and Ext1-groups, and seeded random
 generators.  Everything here is derived from those primitives and
 works uniformly in every engine: images, mono/epi/iso tests, inversion,
-homology, short exact sequences, and the Hom and Ext carriers.
+homology, short exact sequences, and the Hom-basis codec that each
+engine's Hom carrier builds on.
 
 All values are immutable.  The engine and the theory keep memos that
 fill while one command runs; that command's checks share them and run
@@ -17,14 +18,12 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from itertools import product
 
 from .errors import (
     CompositeNotZero, ContractViolation, EndpointMismatch, InputValidationError,
     NotInvertible, ShapeError,
 )
-from .linalg import MAX_INPUT_SIZE, Mat, _solve, presentation_enumerate, unflatten
+from .linalg import MAX_INPUT_SIZE, Mat, _solve, unflatten
 
 
 class Memo(dict):
@@ -410,11 +409,11 @@ class TorsionTheory:
     carries more, as the integer theories' section of the unit),
     is_saturated, extend_along_unit (the psi with eta_M;psi = phi for a
     phi into a saturated object, ContractViolation when none is found),
-    c_cogenerators (the objects of C the saturating suite tests W-images
-    against), probe_objects and twist_unit.  Random morphisms come from
-    the engine.  The Memo `_reflections`, from an object to what _reflect
-    returned for it, lives on the theory, which each command builds
-    afresh; saturate returns that stored value.
+    c_cogenerators (the simple objects of C the saturating suite tests
+    W-images against), probe_objects and twist_unit.  Random morphisms
+    come from the engine.  The Memo `_reflections`, from an object to
+    what _reflect returned for it, lives on the theory, which each
+    command builds afresh; saturate returns that stored value.
     """
 
     def __init__(self, engine):
@@ -436,45 +435,7 @@ class TorsionTheory:
 
 
 # ---------------------------------------------------------------------------
-# Hom and Ext carriers
-
-
-class ZGroup:
-    """A finitely presented abelian group, held as the object `obj` of an
-    integer `engine` (Z^k modulo its relation rows); its invariants,
-    summary and whether it is zero are the engine's answers for `obj`.
-    The integer engine returns Ext1 as one."""
-
-    def __init__(self, engine, obj):
-        self.engine = engine
-        self.obj = obj
-
-    def invariants(self):
-        return self.engine.invariants(self.obj)
-
-    def is_zero_group(self) -> bool:
-        return self.engine.is_zero_obj(self.obj)
-
-    def describe(self):
-        return {"kind": "Z", **self.engine.describe_invariants(self.obj)}
-
-
-class VectorSpace:
-    """A finite-dimensional vector space over `field`, recorded by its
-    dimension.  The quiver engine returns Ext1 as one."""
-
-    def __init__(self, field, dim):
-        self.field = field
-        self.dim = dim
-
-    def invariants(self):
-        return (self.field.name, self.dim)
-
-    def is_zero_group(self) -> bool:
-        return self.dim == 0
-
-    def describe(self):
-        return {"kind": "field", "field": self.field.name, "dim": self.dim}
+# the Hom carrier every engine shares
 
 
 class HomBasis:
@@ -486,12 +447,12 @@ class HomBasis:
     coefficient row by `rows` and reads the product as a morphism;
     encode solves for a morphism's Hom vector against `rows`, and it
     respects morphism addition.  `basis` decodes every row, on each read.
-    A carrier supplies _solve_coeffs (a row whose first ngens entries are
-    the coefficients of the target row in the basis rows, up to the
-    carrier's relations, or None), is_bijection (whether the coefficient
-    rows of basis images from another carrier of the same engine give a
-    bijection onto this one) and enumerate_elements (every coefficient
-    row of a small finite carrier, one per element, or None).
+    Each engine's carrier subclasses this one and the engine's Ext1
+    carrier, and adds is_bijection (whether the coefficient rows of basis
+    images from another carrier of the same engine give a bijection onto
+    this one).  _solve_coeffs (the ngens coefficients of a target row in
+    the basis rows, or None) solves against `rows` alone; a carrier whose
+    coefficient rows are taken modulo relations overrides it.
     """
 
     def __init__(self, engine, src, dst, rows: Mat):
@@ -512,69 +473,17 @@ class HomBasis:
         vec = self.engine.ring.mul(Mat.from_rows([coeffs], self.ngens), self.rows)
         return self.engine._mor_from_vector(self.src, self.dst, vec.data[0])
 
+    def _solve_coeffs(self, target):
+        return self.engine.solve(self.rows, target)
+
     def encode(self, mor):
         if mor.src != self.src or mor.dst != self.dst:
             raise EndpointMismatch("morphism does not belong to this Hom-group")
         vec = self.engine._hom_vector(mor)
-        x = self._solve_coeffs(self.rows, Mat.from_rows([vec], len(vec)))
+        x = self._solve_coeffs(Mat.from_rows([vec], len(vec)))
         if x is None:
             raise ContractViolation("a morphism is not in the span of the Hom basis")
-        return tuple(x.data[0][:self.ngens])
-
-
-class ZHomGroup(HomBasis, ZGroup):
-    """Hom(M, N) as a finitely presented abelian group: coefficient rows
-    are taken modulo the relations of `obj`.  That presentation is built
-    when it is first read (invariants, is_zero_group, describe,
-    is_bijection, enumerate_elements); decode and encode do not read it,
-    so a random morphism never builds it."""
-
-    @cached_property
-    def obj(self):
-        # the coefficient rows whose morphism is zero
-        eng = self.engine
-        if not self.ngens:
-            return eng.obj(Mat.zeros(0, 0))
-        return eng.obj(eng.kernel_mod_rows(self.rows, eng._hom_modulus(self.src.gens, self.dst)))
-
-    def _solve_coeffs(self, rows, target):
-        # the modulus rows span the payloads of the zero morphism
-        modulus = self.engine._hom_modulus(self.src.gens, self.dst)
-        return self.engine.solve(rows.stack_below(modulus), target)
-
-    def is_bijection(self, src_group, images) -> bool:
-        """An isomorphism test between the presented groups."""
-        eng = self.engine
-        f = eng.mor(src_group.obj, self.obj, Mat.from_rows(images, self.ngens))
-        return eng.is_well_defined(f) and eng.is_iso(f)
-
-    def enumerate_elements(self, cap=4096):
-        return presentation_enumerate(self.obj.relations, cap)
-
-
-class FieldHomGroup(HomBasis, VectorSpace):
-    """Hom(V, U) as a finite-dimensional vector space over the base field."""
-
-    def __init__(self, engine, src, dst, rows):
-        HomBasis.__init__(self, engine, src, dst, rows)
-        VectorSpace.__init__(self, engine.field, self.ngens)
-
-    def _solve_coeffs(self, rows, target):
-        return self.engine.solve(rows, target)
-
-    def is_bijection(self, src_group, images) -> bool:
-        """A rank check."""
-        if src_group.dim != self.dim:
-            return False
-        return self.engine.rank(Mat.from_rows(images, self.dim)) == self.dim
-
-    def enumerate_elements(self, cap=4096):
-        # p ** dim elements; over Q (p = 0) only the zero space is finite,
-        # and 0 ** 0 == 1
-        count = self.field.p ** self.dim
-        if not 0 < count <= cap:
-            return None
-        return list(product(range(self.field.p), repeat=self.dim))
+        return x.data[0]
 
 
 def hom_map_is_bijective(src_group, dst_group, images) -> bool:

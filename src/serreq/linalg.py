@@ -400,39 +400,6 @@ def _normal_form(chain, V, V_inv):
             Mat(len(keep), g, tuple(V_inv.data[j] for j in keep)))
 
 
-def presentation_enumerate(rel: Mat, cap=4096):
-    """All residue classes of Z^cols(rel) / rowspan(rel), or None.
-
-    Returns a list of coefficient tuples (in the original coordinates),
-    one per class, when the group is finite with at most cap elements.
-    """
-    divisors, free_rank, _, from_nf = presentation_normal_form(rel)
-    if free_rank:
-        return None
-    count = 1
-    for d in divisors:
-        count *= d
-    if count > cap:
-        return None
-    out = []
-    idx = [0] * len(divisors)
-    while True:
-        vec = [0] * rel.cols
-        for i, z in enumerate(idx):
-            if z:
-                row = from_nf.data[i]
-                for j in range(rel.cols):
-                    vec[j] += z * row[j]
-        out.append(tuple(vec))
-        for i in range(len(divisors) - 1, -1, -1):
-            idx[i] += 1
-            if idx[i] < divisors[i]:
-                break
-            idx[i] = 0
-        else:
-            return out
-
-
 # ---------------------------------------------------------------------------
 # the rings: prime fields, Q and Z
 

@@ -188,9 +188,6 @@ class QHomGroup:
     def is_zero_group(self):
         return self.inner.is_zero_group()
 
-    def enumerate_elements(self, cap=4096):
-        return self.inner.enumerate_elements(cap)
-
     def describe(self):
         return self.inner.describe()
 

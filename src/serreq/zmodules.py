@@ -20,7 +20,7 @@ from functools import cached_property
 from math import gcd, prod
 
 from .category import (
-    MAX_INPUT_SIZE, AbelianEngine, Memo, Mor, TorsionTheory, ZGroup, ZHomGroup, entry_from_json,
+    MAX_INPUT_SIZE, AbelianEngine, HomBasis, Memo, Mor, TorsionTheory, entry_from_json,
 )
 from .errors import (
     ContractViolation, EngineMismatch, InputValidationError, NotSaturatedError,
@@ -403,6 +403,57 @@ class FiniteAbelianEngine(ZModuleEngine):
 
 
 # ---------------------------------------------------------------------------
+# Hom and Ext carriers
+
+
+class ZGroup:
+    """A finitely presented abelian group, held as the object `obj` of an
+    integer `engine` (Z^k modulo its relation rows); its invariants,
+    summary and whether it is zero are the engine's answers for `obj`.
+    The integer engine returns Ext1 as one."""
+
+    def __init__(self, engine, obj):
+        self.engine = engine
+        self.obj = obj
+
+    def invariants(self):
+        return self.engine.invariants(self.obj)
+
+    def is_zero_group(self) -> bool:
+        return self.engine.is_zero_obj(self.obj)
+
+    def describe(self):
+        return {"kind": "Z", **self.engine.describe_invariants(self.obj)}
+
+
+class ZHomGroup(HomBasis, ZGroup):
+    """Hom(M, N) as a finitely presented abelian group: coefficient rows
+    are taken modulo the relations of `obj`.  That presentation is built
+    when it is first read (invariants, is_zero_group, describe,
+    is_bijection); decode and encode do not read it, so a random
+    morphism never builds it."""
+
+    @cached_property
+    def obj(self):
+        # the coefficient rows whose morphism is zero
+        eng = self.engine
+        if not self.ngens:
+            return eng.obj(Mat.zeros(0, 0))
+        return eng.obj(eng.kernel_mod_rows(self.rows, eng._hom_modulus(self.src.gens, self.dst)))
+
+    def _solve_coeffs(self, target):
+        # the modulus rows span the payloads of the zero morphism
+        eng = self.engine
+        return eng.solve_mod_rows(self.rows, eng._hom_modulus(self.src.gens, self.dst), target)
+
+    def is_bijection(self, src_group, images) -> bool:
+        """An isomorphism test between the presented groups."""
+        eng = self.engine
+        f = eng.mor(src_group.obj, self.obj, Mat.from_rows(images, self.ngens))
+        return eng.is_well_defined(f) and eng.is_iso(f)
+
+
+# ---------------------------------------------------------------------------
 # torsion theories
 
 
@@ -535,10 +586,11 @@ class ZTorsionTheory(TorsionTheory):
         return psi
 
     def c_cogenerators(self):
-        """Z/p, Z/p^2 and Z/p^3; Z/2, Z/3 and Z/4 for the full torsion class."""
-        if self.p == 0:
-            return [self.engine.cyclic(n) for n in range(2, 5)]
-        return [self.engine.cyclic(self.p ** k) for k in range(1, 4)]
+        """Z/p, the one simple object of C; Z/2 and Z/3 for the full torsion
+        class, whose simple objects are the Z/q for every prime q.
+        Hom(-, X) = 0 and Ext1(-, X) = 0 are closed under extensions, so
+        they hold for every Z/p^k once they hold for Z/p."""
+        return [self.engine.cyclic(n) for n in ((2, 3) if self.p == 0 else (self.p,))]
 
     def twist_unit(self, eta: Mor) -> Mor:
         # multiplication by p is a natural automorphism of prime-to-p groups

@@ -195,9 +195,9 @@ def test_engines_define_only_what_differs():
     assert found == []
     classes = _class_defs(_tree("category.py"))
     assert shared <= classes["AbelianEngine"]
-    for carrier in ("ZHomGroup", "FieldHomGroup"):
-        assert classes[carrier] & {"decode", "encode", "ngens"} == set()
     engines = {**_class_defs(_tree("zmodules.py")), **_class_defs(_tree("quiver.py"))}
+    for carrier in ("ZHomGroup", "FieldHomGroup"):
+        assert engines[carrier] & {"decode", "encode", "ngens"} == set()
     for engine in ("ZModuleEngine", "A2Engine"):
         assert {"dims", "map_keys"} <= engines[engine], engine
         assert "_obj_sum" not in engines[engine], engine
@@ -221,12 +221,34 @@ def test_engines_define_only_what_differs():
 
 
 def test_no_hom_carrier_kind():
-    classes = _class_defs(_tree("category.py"))
+    classes = {name: defs for module in ("category.py", "zmodules.py", "quiver.py")
+               for name, defs in _class_defs(_tree(module)).items()}
     assert [c for c in ("ZGroup", "VectorSpace", "HomBasis", "ZHomGroup", "FieldHomGroup")
             if "kind" in classes[c]] == []
     reads = [node.lineno for node in ast.walk(_tree("category.py"))
              if isinstance(node, ast.Attribute) and node.attr == "kind"]
     assert reads == []
+
+
+def test_category_knows_no_engine():
+    """category.py keeps what every engine shares, the Hom-basis codec
+    among it; each engine's Hom and Ext carriers live in its module, and
+    the brute-force element lists live in the tests (tests/brute_force.py)."""
+    tree = _tree("category.py")
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+    assert defined & {"ZGroup", "VectorSpace", "ZHomGroup", "FieldHomGroup"} == set()
+    imported = {node.module: sorted(a.name for a in node.names) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)}
+    assert imported["linalg"] == ["MAX_INPUT_SIZE", "Mat", "_solve", "unflatten"]
+    assert "itertools" not in imported and "cached_property" not in imported.get("functools", [])
+    enumerators = [(path.name, node.name) for path in SOURCES
+                   for node in ast.walk(_tree(path.name)) if isinstance(node, ast.FunctionDef)
+                   and node.name in {"enumerate_elements", "presentation_enumerate"}]
+    assert enumerators == []
+    solvers = sorted(name for path in SOURCES
+                     for name, defs in _class_defs(_tree(path.name)).items()
+                     if "_solve_coeffs" in defs)
+    assert solvers == ["HomBasis", "ZHomGroup"]
 
 
 def _attribute_uses(tree, attr, ctx=ast.Store, scope=()):

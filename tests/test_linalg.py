@@ -15,11 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brute_force import presentation_enumerate
 from serreq import linalg
 from serreq.errors import InputValidationError, ShapeError
 from serreq.linalg import (
     MR_BOUND, Mat, PrimeField, QQ, ZZ, _solve, f_rref, int_solve, is_prime, kron,
-    presentation_enumerate, presentation_normal_form, smith,
+    presentation_normal_form, smith,
 )
 from serreq.zmodules import ZModuleEngine
 

@@ -144,9 +144,15 @@ class C:
             package = tmp_path / name / "src" / "serreq"
             package.mkdir(parents=True)
             (package / "a.py").write_text(body, encoding="utf-8")
+        # the tests row sums every tests/*.py and stays out of the total
+        tests = tmp_path / "new" / "tests"
+        tests.mkdir()
+        for test in ("test_a.py", "test_b.py"):
+            (tests / test).write_text(self.SOURCE, encoding="utf-8")
         assert line_count.main([str(tmp_path / "new")]) == 0
         assert capsys.readouterr().out.splitlines() == [
-            "a.py       18 /      7", "total      18 /      7"]
+            "a.py        18 /      7", "total       18 /      7", "tests/      36 /     14"]
         assert line_count.main([str(tmp_path / "old"), str(tmp_path / "new")]) == 0
-        assert capsys.readouterr().out.splitlines()[-1] == (
-            "total      18 /      7   was      1 /      1      +17 /     +6")
+        assert capsys.readouterr().out.splitlines()[-2:] == [
+            "total       18 /      7   was      1 /      1      +17 /     +6",
+            "tests/      36 /     14   was      0 /      0      +36 /    +14"]

@@ -7,6 +7,7 @@ from math import gcd, prod
 
 import pytest
 
+from brute_force import enumerate_elements
 from serreq import category, linalg, zmodules
 from serreq.category import Mor, rng_for
 from serreq.errors import (
@@ -388,7 +389,7 @@ class TestOrderFromHermite:
     @staticmethod
     def _order_answers(engine, m):
         return (engine.order(m), engine.is_zero_obj(m),
-                category.ZGroup(engine, m).is_zero_group())
+                zmodules.ZGroup(engine, m).is_zero_group())
 
     def test_engines_agree_with_smith_and_sympy(self):
         for rel in _relation_matrices(18, 300):
@@ -400,7 +401,7 @@ class TestOrderFromHermite:
                 m = engine.obj(rel)
                 if order is None and isinstance(engine, FiniteAbelianEngine):
                     for question in (engine.order, engine.is_zero_obj,
-                                     lambda m: category.ZGroup(engine, m).is_zero_group()):
+                                     lambda m: zmodules.ZGroup(engine, m).is_zero_group()):
                         with pytest.raises(EngineMismatch):
                             question(m)
                     continue
@@ -1161,7 +1162,7 @@ class TestExtendAlongUnit:
             psi = TH.extend_along_unit(phi)
             assert FA.eq_mor(FA.compose(eta, psi), phi)
             hom = FA.hom_group(w, t)
-            for coeffs in (hom.enumerate_elements(cap=128) or []):
+            for coeffs in (enumerate_elements(hom, cap=128) or []):
                 other = hom.decode(coeffs)
                 if FA.eq_mor(FA.compose(eta, other), phi):
                     assert FA.eq_mor(other, psi)
@@ -1235,8 +1236,8 @@ class TestExtensionBySection:
 class TestCogenerators:
     def test_examples(self):
         cogs = TH.c_cogenerators()
-        assert [FA.order(t) for t in cogs] == [2, 4, 8]
-        assert [FA.order(t) for t in PPrimaryTheory(3).c_cogenerators()] == [3, 9, 27]
+        assert [FA.order(t) for t in cogs] == [2]
+        assert [FA.order(t) for t in PPrimaryTheory(3).c_cogenerators()] == [3]
         assert all(TH.is_in_c(t) for t in cogs)
 
 

@@ -4,9 +4,11 @@
 
 OLD and NEW are checkout directories, each with src/serreq.  For each
 module of src/serreq and in total, the script prints all lines and code
-lines of NEW, and with OLD given, those of OLD and the difference.  A code
-line is one that is not blank, not a comment and not part of a docstring
-(the string that opens a module, class or function body).
+lines of NEW, and with OLD given, those of OLD and the difference.  A last
+row, tests/, does the same for every tests/*.py together, so a change that
+moves code from the package into the tests shows both sides.  A code line
+is one that is not blank, not a comment and not part of a docstring (the
+string that opens a module, class or function body).
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from pathlib import Path
 # tokens that make no line a code line on their own
 _LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
            tokenize.DEDENT, tokenize.ENDMARKER}
+# the row of every tests/*.py, printed after the total of the package
+TESTS = "tests/"
 
 
 def docstring_lines(tree) -> set:
@@ -45,9 +49,14 @@ def count(text: str) -> tuple[int, int]:
 
 
 def count_checkout(root: Path) -> dict:
-    """{module file name: (all lines, code lines)} for root/src/serreq."""
-    return {path.name: count(path.read_text(encoding="utf-8"))
-            for path in sorted((root / "src" / "serreq").glob("*.py"))}
+    """{module file name: (all lines, code lines)} for root/src/serreq,
+    and under TESTS the sums over every root/tests/*.py."""
+    out = {path.name: count(path.read_text(encoding="utf-8"))
+           for path in sorted((root / "src" / "serreq").glob("*.py"))}
+    tests = [count(path.read_text(encoding="utf-8"))
+             for path in sorted((root / "tests").glob("*.py"))]
+    out[TESTS] = (sum(n for n, _ in tests), sum(n for _, n in tests))
+    return out
 
 
 def _signed(n: int) -> str:
@@ -55,13 +64,15 @@ def _signed(n: int) -> str:
 
 
 def table(new: dict, old: dict | None = None) -> list[str]:
-    """One line per module and one for the total: all / code lines, with
-    OLD's figures and the difference when old is given."""
+    """One line per module, one for their total and one for the tests:
+    all / code lines, with OLD's figures and the difference when old is
+    given."""
     before = old or {}
     rows = [(name, new.get(name, (0, 0)), before.get(name, (0, 0)))
-            for name in dict.fromkeys([*before, *new])]
+            for name in dict.fromkeys([*before, *new]) if name != TESTS]
     rows.append(("total", *(tuple(map(sum, zip(*(row[side] for row in rows))))
                             for side in (1, 2))))
+    rows.append((TESTS, new.get(TESTS, (0, 0)), before.get(TESTS, (0, 0))))
     width = max(len(name) for name, _, _ in rows)
     out = []
     for name, (lines, code), (old_lines, old_code) in rows:
