@@ -24,7 +24,7 @@ from .category import (
 )
 from .errors import (
     ContractViolation, EngineMismatch, InputValidationError, NotSaturatedError,
-    OracleUnsupported, ShapeError,
+    OracleUnsupported,
 )
 from .linalg import (
     ZZ, Mat, diagonal_normal_form, is_prime, kron, presentation_normal_form, row_echelon,
@@ -162,15 +162,11 @@ class ZModuleEngine(AbelianEngine):
 
     def kernel_mod_rows(self, A: Mat, R: Mat) -> Mat:
         """Basis for the lattice {x : x*A lies in the row span of R}."""
-        if A.cols != R.cols:
-            raise ShapeError("kernel_mod_rows needs matching column counts")
         K = self.kernel(A.stack_below(R))
         return self.row_basis(K.take_cols(range(A.rows)))
 
     def solve_mod_rows(self, A: Mat, R: Mat, B: Mat):
         """X with X*A congruent to B modulo the row span of R, or None."""
-        if A.cols != R.cols:
-            raise ShapeError("solve_mod_rows needs matching column counts")
         sol = self.solve(A.stack_below(R), B)
         return None if sol is None else sol.take_cols(range(A.rows))
 

@@ -545,3 +545,29 @@ def test_tags_are_resolved_where_they_come_in():
     named = [node.lineno for node in ast.walk(_tree("cli.py"))
              if isinstance(node, ast.Constant) and node.value in choices]
     assert named == []
+
+
+def test_quotient_hom_is_the_ambient_carrier():
+    """Hom_{A/C}(M, N) is Hom(M, W(N)), so q_hom returns the engine's own
+    carrier of (M, W(N)), with no quotient class around it."""
+    from serreq.category import rng_for
+    from serreq.linalg import PrimeField
+    from serreq.quiver import SinkSupportTheory
+    from serreq.serre import q_hom
+    from serreq.zmodules import PPrimaryTheory
+
+    tree = _tree("serre.py")
+    assert "QHomGroup" not in _class_defs(tree)
+    assert list(_attribute_uses(tree, "inner", ast.Load)) == []
+    fa, a2 = PPrimaryTheory(2), SinkSupportTheory(PrimeField(101))
+    rng = rng_for(35, "q-hom-carrier")
+    v, u = a2.random_object(rng), a2.random_object(rng)
+    cases = [(fa, fa.engine.cyclic(12), fa.engine.cyclic(9),
+              {"kind": "Z", "rank": 0, "divisors": [3]}),
+             (a2, v, u, {"kind": "field", "field": "F101", "dim": v.d2 * u.d2})]
+    for th, m, n, described in cases:
+        w = th.saturate(n)[0]
+        qh = q_hom(th, m, n)
+        assert isinstance(qh, type(th.engine.hom_group(m, w)))
+        assert qh.src is m and qh.dst == w
+        assert qh.describe() == described

@@ -32,9 +32,12 @@ def qmor_add(theory, f: QuotientMorphism, g: QuotientMorphism) -> QuotientMorphi
     return QuotientMorphism(f.src, f.dst, theory.engine.add(f.rep, g.rep))
 
 
-def random_qmor(th, qh, rng):
-    """A random element of the quotient Hom-group qh of theory th."""
-    return qh.decode(tuple(th.engine._random_entry(rng) for _ in range(qh.ngens)))
+def random_qmor(th, m, n, rng):
+    """A random quotient morphism M -> N of theory th, decoded from the
+    carrier q_hom(th, m, n) of its representatives M -> W(N)."""
+    qh = q_hom(th, m, n)
+    return QuotientMorphism(m, n, qh.decode(
+        tuple(th.engine._random_entry(rng) for _ in range(qh.ngens))))
 
 
 class TestWOnMorphism:
@@ -150,7 +153,7 @@ class TestQHom:
             for i in range(15):
                 rng = rng_for(4, "unit", i)
                 m, n = th.random_object(rng), th.random_object(rng)
-                f = random_qmor(th, q_hom(th, m, n), rng)
+                f = random_qmor(th, m, n, rng)
                 assert qmor_eq(th, q_compose(th, q_id(th, m), f), f)
                 assert qmor_eq(th, q_compose(th, f, q_id(th, n)), f)
 
@@ -159,14 +162,13 @@ class TestQHom:
             for i in range(10):
                 rng = rng_for(5, "assoc", i)
                 a, b, c, d = (th.random_object(rng) for _ in range(4))
-                hab, hbc, hcd = q_hom(th, a, b), q_hom(th, b, c), q_hom(th, c, d)
-                f = random_qmor(th, hab, rng)
-                g = random_qmor(th, hbc, rng)
-                h = random_qmor(th, hcd, rng)
+                f = random_qmor(th, a, b, rng)
+                g = random_qmor(th, b, c, rng)
+                h = random_qmor(th, c, d, rng)
                 lhs = q_compose(th, q_compose(th, f, g), h)
                 rhs = q_compose(th, f, q_compose(th, g, h))
                 assert qmor_eq(th, lhs, rhs)
-                g2 = random_qmor(th, hbc, rng)
+                g2 = random_qmor(th, b, c, rng)
                 left = q_compose(th, f, qmor_add(th, g, g2))
                 right = qmor_add(th, q_compose(th, f, g), q_compose(th, f, g2))
                 assert qmor_eq(th, left, right)
@@ -230,8 +232,7 @@ class TestColiftH:
             for i in range(50):
                 rng = rng_for(10, "cons", i)
                 m, n = th.random_object(rng), th.random_object(rng)
-                qh = q_hom(th, m, n)
-                f = random_qmor(th, qh, rng)
+                f = random_qmor(th, m, n, rng)
                 assert th.engine.is_iso(colift_H(th, f)) == q_is_iso(th, f.rep)
 
     def test_fully_faithful_enumerated(self):
@@ -247,13 +248,14 @@ class TestColiftH:
             images = []
             for k in range(qh.ngens):
                 basis_vec = tuple(1 if j == k else 0 for j in range(qh.ngens))
-                images.append(target.encode(colift_H(FA, qh.decode(basis_vec))))
-            assert hom_map_is_bijective(qh.inner, target, images)
-            elems = enumerate_elements(qh.inner, cap=512)
+                images.append(target.encode(
+                    colift_H(FA, QuotientMorphism(m, n, qh.decode(basis_vec)))))
+            assert hom_map_is_bijective(qh, target, images)
+            elems = enumerate_elements(qh, cap=512)
             assert elems is not None
             seen = set()
             for c in elems:
-                img = target.encode(colift_H(FA, qh.decode(c)))
+                img = target.encode(colift_H(FA, QuotientMorphism(m, n, qh.decode(c))))
                 canon = tuple(target.encode(target.decode(img)))
                 seen.add(canon)
             assert len(seen) == len(elems)
@@ -267,8 +269,9 @@ class TestColiftH:
         wv, _ = small.saturate(v)
         wu, _ = small.saturate(u)
         target = eng.hom_group(wv, wu)
-        elems = enumerate_elements(qh.inner, cap=243)
-        images = {tuple(target.encode(colift_H(small, qh.decode(c)))) for c in elems}
+        elems = enumerate_elements(qh, cap=243)
+        images = {tuple(target.encode(colift_H(small, QuotientMorphism(v, u, qh.decode(c)))))
+                  for c in elems}
         assert len(images) == len(elems) == 3 ** qh.ngens
 
 
@@ -278,8 +281,7 @@ class TestQuotientInvert:
             for i in range(20):
                 rng = rng_for(11, "qinv", i)
                 m, n = th.random_object(rng), th.random_object(rng)
-                qh = q_hom(th, m, n)
-                f = random_qmor(th, qh, rng)
+                f = random_qmor(th, m, n, rng)
                 if not q_is_iso(th, f.rep):
                     continue
                 g = quotient_invert(th, f)

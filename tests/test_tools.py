@@ -114,6 +114,47 @@ class TestSeedList:
         assert "--seeds: not a comma-separated list of integers" in capsys.readouterr().err
 
 
+class TestUnreadableCheckout:
+    """A checkout that lacks what a tool reads is a usage error (exit 2)
+    that names it, before anything is counted or run."""
+
+    # what report_identity reads of each checkout
+    NEEDED = ("src/serreq", "perfbench/workloads.py")
+
+    def _usage_error(self, main, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize("with_new", [False, True])
+    def test_line_count(self, with_new, tmp_path, capsys):
+        missing = tmp_path / "missing"
+        new = tmp_path / "new"
+        (new / "src" / "serreq").mkdir(parents=True)
+        (new / "src" / "serreq" / "a.py").write_text("x = 1\n", encoding="utf-8")
+        argv = [str(missing), str(new)] if with_new else [str(missing)]
+        err = self._usage_error(line_count.main, argv, capsys)
+        assert f"{missing} holds no src/serreq" in err
+
+    @pytest.mark.parametrize("needed", NEEDED)
+    def test_report_identity(self, needed, tmp_path, monkeypatch, capsys):
+        def no_run(*args):
+            raise AssertionError("a checkout ran")
+
+        monkeypatch.setattr(report_identity, "collect", no_run)
+        partial = tmp_path / "partial"
+        for other in self.NEEDED:
+            if other != needed:
+                (partial / other).parent.mkdir(parents=True, exist_ok=True)
+                (partial / other).touch()
+        err = self._usage_error(report_identity.main, [str(ROOT), str(partial)], capsys)
+        assert f"{partial} holds no {needed}" in err
+        missing = tmp_path / "missing"
+        err = self._usage_error(report_identity.main, [str(missing), str(ROOT)], capsys)
+        assert f"{missing} holds no src/serreq" in err
+
+
 class TestLineCount:
     SOURCE = '''"""A module docstring
 over two lines."""

@@ -323,6 +323,16 @@ class TestHomConstraints:
                 assert ZZ.mul(_vec(Y), Z._hom_modulus(m.gens, n)) == _vec(ZZ.mul(Y, rn))
 
 
+class TestLatticeShapes:
+    def test_width_mismatch_is_a_shape_error(self):
+        # Mat.stack_below raises it; the lattice operations do not restate it
+        A, R = Mat.identity(2), Mat.from_rows([[2, 0, 0]])
+        with pytest.raises(ShapeError):
+            Z.kernel_mod_rows(A, R)
+        with pytest.raises(ShapeError):
+            Z.solve_mod_rows(A, R, Mat.from_rows([[1, 0]]))
+
+
 class TestMembership:
     def test_examples(self):
         assert TH.is_in_c(FA.cyclic(8))

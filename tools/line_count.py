@@ -2,9 +2,10 @@
 
     python3 tools/line_count.py [OLD] NEW
 
-OLD and NEW are checkout directories, each with src/serreq.  For each
-module of src/serreq and in total, the script prints all lines and code
-lines of NEW, and with OLD given, those of OLD and the difference.  A last
+OLD and NEW are checkout directories, each with src/serreq (a path
+without it is a usage error, exit 2).  For each module of src/serreq and
+in total, the script prints all lines and code lines of NEW, and with OLD
+given, those of OLD and the difference.  A last
 row, tests/, does the same for every tests/*.py together, so a change that
 moves code from the package into the tests shows both sides.  A code line
 is one that is not blank, not a comment and not part of a docstring (the
@@ -90,6 +91,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if len(args.checkouts) > 2:
         parser.error("give at most two checkouts: [OLD] NEW")
+    for root in args.checkouts:
+        if not (root / "src" / "serreq").is_dir():
+            parser.error(f"{root} holds no src/serreq")
     *old, new = args.checkouts
     print("\n".join(table(count_checkout(new), count_checkout(old[0]) if old else None)))
     return 0

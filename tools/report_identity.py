@@ -18,7 +18,8 @@ perfbench runs: no timing, no answer check.  The script prints every op
 whose exit code, report or printed output differs, with the first JSON
 paths at which a report differs (such as results[0].eta.matrix), and per
 seed how many reports differ at each path.  It exits 1 if any op differs,
-0 if none does.
+0 if none does, and 2, before anything runs, if a checkout lacks
+src/serreq or perfbench/workloads.py.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ from pathlib import Path
 from types import SimpleNamespace
 
 TMP_TOKEN = "<tmp>"
+# what each checkout must hold for its ops to run
+NEEDED = ("src/serreq", "perfbench/workloads.py")
 SHOWN_PATHS = 3
 
 
@@ -161,6 +164,10 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=seed_list, default="1,5",
                         help="comma-separated workload seeds")
     args = parser.parse_args(argv)
+    for root in (args.old, args.new):
+        for needed in NEEDED:
+            if not (root / needed).exists():
+                parser.error(f"{root} holds no {needed}")
     failed = False
     for seed in args.seeds:
         old, new = collect(args.old.resolve(), seed), collect(args.new.resolve(), seed)
